@@ -1,6 +1,8 @@
 """Basin-of-attraction sweeps: per-point runs over a grid, plus exports.
 
-Each grid point is an independent solver run, so sweeps parallelize over
+Each grid point is an independent solver run.  BNQN and backtracking GD
+advance every point together in one serial sweep of the lockstep kernel in
+``bnqn.lockstep``; the other methods run point by point, parallelized over
 rows on a process pool (capped by the BNQN_THREADS environment variable).
 Output goes to binary PPM images (escape-time shaded) and CSV tables.
 """
@@ -10,10 +12,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lockstep
 from .complexpoly import Polynomial, RelaxationDisk
 from .errors import BnqnError
 from .objective import UNDECIDED, LimitClass, PolyModulusObjective
@@ -116,6 +119,12 @@ class BasinMap:
 # Worker-process state for the sweep pool (populated by the initializer).
 _SWEEP: dict = {}
 
+# Lockstep sweeps hand their last lanes to the scalar ``run``.  A sweep costs
+# about the same for 1 to 32 lanes (0.2-0.55 ms on one core, for degree 3
+# and 8, BNQN and BTGD), while a scalar step costs 19-38 us, so the kernel
+# only wins above 9-17 lanes; 12 sits in that break-even range.
+_TAIL_LANES = 12
+
 
 def _sweep_init(coeffs, method_value, cfg, grid, class_tol, rho):
     _SWEEP["obj"] = PolyModulusObjective(Polynomial(coeffs))
@@ -126,12 +135,16 @@ def _sweep_init(coeffs, method_value, cfg, grid, class_tol, rho):
     _SWEEP["rho"] = rho
 
 
+def _cell_rng(seed: int, i: int, j: int) -> np.random.Generator:
+    """The random relaxed variant's generator for grid cell (i, j)."""
+    return np.random.default_rng((seed, i, j))
+
+
 def _sweep_point(obj, method, cfg, grid, i, j, class_tol, rho):
     rng = None
     relaxation = None
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
-        base_seed = cfg.seed if cfg.seed is not None else 0
-        rng = np.random.default_rng(base_seed ^ (i * grid.ny + j))
+        rng = _cell_rng(cfg.seed if cfg.seed is not None else 0, i, j)
         relaxation = RelaxationDisk(rho)
     try:
         trace = run(
@@ -146,6 +159,22 @@ def _sweep_point(obj, method, cfg, grid, i, j, class_tol, rho):
     except BnqnError:
         return UNDECIDED, cfg.max_iter
     return trace.terminal, trace.iterations
+
+
+def _lockstep_outcome(obj, method, cfg, class_tol, x, y, steps, code):
+    """(class, iterations) of one lane that left the lockstep kernel."""
+    if code == lockstep.CAPPED or code == lockstep.FAILED:
+        return UNDECIDED, steps
+    try:
+        if code == lockstep.STOPPED:
+            return obj.classify((x, y), class_tol), steps
+        # the run loop keeps no state besides z and the step count, so
+        # finishing the lane from its current point is exact
+        rest = replace(cfg, max_iter=cfg.max_iter - steps)
+        trace = run(obj, (x, y), method, rest, class_tol=class_tol)
+    except BnqnError:
+        return UNDECIDED, cfg.max_iter
+    return trace.terminal, trace.iterations + steps
 
 
 def _sweep_row(i: int):
@@ -167,6 +196,18 @@ def _sweep_row(i: int):
     return out
 
 
+def _lockstep_rows(obj, method, cfg, grid, class_tol):
+    """Every row of (class, iterations) cells, from one lockstep sweep."""
+    x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
+    y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
+    lanes = lockstep.iterate(obj, method, cfg, x0, y0, _TAIL_LANES)
+    cells = [
+        _lockstep_outcome(obj, method, cfg, class_tol, *lane)
+        for lane in zip(*(a.tolist() for a in lanes))
+    ]
+    return [cells[i * grid.ny:(i + 1) * grid.ny] for i in range(grid.nx)]
+
+
 def render_basin(
     g: Polynomial,
     grid: GridSpec,
@@ -179,8 +220,13 @@ def render_basin(
 ) -> BasinMap:
     """Run the method from every grid point and classify the outcomes.
 
-    Deterministic given cfg.seed: the random relaxed variant re-seeds each
-    point from seed XOR its row-major index.  Per-point failures land as
+    BNQN and backtracking GD advance all cells together in one serial
+    lockstep sweep (``bnqn.lockstep``), which reproduces the scalar ``run``
+    bit for bit, so ``workers`` does not apply to them; the other methods run
+    each cell through ``run``, one row per pool task.
+
+    Deterministic given cfg.seed: the random relaxed variant seeds cell
+    (i, j) with ``default_rng((seed, i, j))``.  Per-point failures land as
     Undecided; the sweep never aborts.
     """
     if cfg is None:
@@ -190,13 +236,17 @@ def render_basin(
         workers = worker_count()
     workers = max(1, min(workers, grid.nx))
 
-    init_args = (tuple(g.coeffs), method.value, cfg, grid, class_tol, rho)
-    if workers == 1 or grid.nx * grid.ny < 1024:
-        _sweep_init(*init_args)
-        rows = [_sweep_row(i) for i in range(grid.nx)]
+    if method in lockstep.LOCKSTEP_METHODS:
+        obj = PolyModulusObjective(Polynomial(g.coeffs))
+        rows = _lockstep_rows(obj, method, cfg, grid, class_tol)
     else:
-        with multiprocessing.Pool(workers, initializer=_sweep_init, initargs=init_args) as pool:
-            rows = pool.map(_sweep_row, range(grid.nx))
+        init_args = (tuple(g.coeffs), method.value, cfg, grid, class_tol, rho)
+        if workers == 1 or grid.nx * grid.ny < 1024:
+            _sweep_init(*init_args)
+            rows = [_sweep_row(i) for i in range(grid.nx)]
+        else:
+            with multiprocessing.Pool(workers, initializer=_sweep_init, initargs=init_args) as pool:
+                rows = pool.map(_sweep_row, range(grid.nx))
 
     classes = [[cell[0] for cell in row] for row in rows]
     iterations = np.array([[cell[1] for cell in row] for row in rows], dtype=int)
@@ -234,7 +284,7 @@ def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:
     return BasinMap(grid, classes, iterations)
 
 
-def _pixel(cls: LimitClass, iters: int) -> tuple[int, int, int]:
+def _pixel(cls: LimitClass, iters: int) -> bytes:
     if cls.kind == "Root":
         base = ROOT_COLORS[cls.root_index % len(ROOT_COLORS)]
     elif cls.kind == "CriticalNonRoot":
@@ -245,21 +295,30 @@ def _pixel(cls: LimitClass, iters: int) -> tuple[int, int, int]:
         base = UNDECIDED_COLOR
     # escape-time shading, presentation only; iters=0 keeps the base color
     factor = 1.0 / (1.0 + 0.25 * math.log1p(iters))
-    return tuple(min(255, max(0, int(round(channel * factor)))) for channel in base)
+    return bytes(min(255, max(0, int(round(channel * factor)))) for channel in base)
 
 
 def export_ppm(basin_map: BasinMap, path) -> None:
     """Binary PPM (P6), one pixel per grid point, top row at y_max."""
     grid = basin_map.grid
+    iterations = basin_map.iterations.tolist()
+    # a pixel depends only on the color slot and the iteration count
+    pixels: dict = {}
     payload = bytearray()
     for j in range(grid.ny - 1, -1, -1):
         for i in range(grid.nx):
-            payload.extend(_pixel(basin_map.classes[i][j], int(basin_map.iterations[i, j])))
+            cls, iters = basin_map.classes[i][j], iterations[i][j]
+            slot = cls.root_index % len(ROOT_COLORS) if cls.kind == "Root" else None
+            key = (cls.kind, slot, iters)
+            pixel = pixels.get(key)
+            if pixel is None:
+                pixel = pixels[key] = _pixel(cls, iters)
+            payload += pixel
     header = f"P6\n{grid.nx} {grid.ny}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as handle:
             handle.write(header)
-            handle.write(bytes(payload))
+            handle.write(payload)
     except OSError as exc:
         raise OSError(f"cannot write PPM to {path}: {exc}") from exc
 
@@ -267,15 +326,14 @@ def export_ppm(basin_map: BasinMap, path) -> None:
 def export_csv(basin_map: BasinMap, path) -> None:
     """Row-major CSV: ``i,j,x,y,class,root_index,iterations``."""
     grid = basin_map.grid
+    iterations = basin_map.iterations.tolist()
+    ys = [f"{grid.y_coord(j):.17g}" for j in range(grid.ny)]
     lines = ["i,j,x,y,class,root_index,iterations"]
     for i in range(grid.nx):
-        for j in range(grid.ny):
-            x, y = grid.point(i, j)
-            cls = basin_map.classes[i][j]
+        x = f"{grid.x_coord(i):.17g}"
+        for j, (cls, iters) in enumerate(zip(basin_map.classes[i], iterations[i])):
             root_index = "" if cls.root_index is None else str(cls.root_index)
-            lines.append(
-                f"{i},{j},{x:.17g},{y:.17g},{cls.kind},{root_index},{int(basin_map.iterations[i, j])}"
-            )
+            lines.append(f"{i},{j},{x},{ys[j]},{cls.kind},{root_index},{iters}")
     try:
         with open(path, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")

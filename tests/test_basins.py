@@ -6,6 +6,7 @@ from bnqn.basins import (
     ROOT_COLORS,
     BasinMap,
     GridSpec,
+    _cell_rng,
     degree2_reference,
     export_csv,
     export_ppm,
@@ -156,6 +157,13 @@ def test_render_basin_deterministic_across_runs_and_workers():
         rho=0.7, workers=1,
     )
     assert other_seed.iterations.tolist() != one.iterations.tolist()
+
+
+def test_cell_rng_streams_differ_across_seeds_and_cells():
+    # seeding with seed ^ (i*ny + j) gave seed 0 at cell (0, 1) the stream
+    # of seed 1 at cell (0, 0)
+    assert not np.array_equal(_cell_rng(0, 0, 1).random(4), _cell_rng(1, 0, 0).random(4))
+    assert np.array_equal(_cell_rng(5, 2, 3).random(4), _cell_rng(5, 2, 3).random(4))
 
 
 def test_render_basin_per_point_failures_recorded_not_raised():
