@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -109,10 +111,10 @@ class BasinMap:
     iterations: np.ndarray
 
     def class_counts(self) -> dict[str, int]:
+        # equal classes print alike (CriticalNonRoot equality ignores .point)
         counts: dict[str, int] = {}
-        for column in self.classes:
-            for cls in column:
-                counts[str(cls)] = counts.get(str(cls), 0) + 1
+        for cls, n in Counter(chain.from_iterable(self.classes)).items():
+            counts[str(cls)] = counts.get(str(cls), 0) + n
         return counts
 
 
@@ -161,16 +163,14 @@ def _sweep_point(obj, method, cfg, grid, i, j, class_tol, rho):
     return trace.terminal, trace.iterations
 
 
-def _lockstep_outcome(obj, method, cfg, class_tol, x, y, steps, code):
-    """(class, iterations) of one lane that left the lockstep kernel."""
-    if code == lockstep.CAPPED or code == lockstep.FAILED:
-        return UNDECIDED, steps
+def _finish_lane(obj, method, cfg, class_tol, x, y, steps):
+    """(class, iterations) of a lane the lockstep kernel left UNFINISHED.
+
+    The run loop keeps no state besides z and the step count, so finishing
+    the lane from its current point is exact.
+    """
+    rest = replace(cfg, max_iter=cfg.max_iter - steps)
     try:
-        if code == lockstep.STOPPED:
-            return obj.classify((x, y), class_tol), steps
-        # the run loop keeps no state besides z and the step count, so
-        # finishing the lane from its current point is exact
-        rest = replace(cfg, max_iter=cfg.max_iter - steps)
         trace = run(obj, (x, y), method, rest, class_tol=class_tol)
     except BnqnError:
         return UNDECIDED, cfg.max_iter
@@ -196,16 +196,23 @@ def _sweep_row(i: int):
     return out
 
 
-def _lockstep_rows(obj, method, cfg, grid, class_tol):
-    """Every row of (class, iterations) cells, from one lockstep sweep."""
+def _lockstep_sweep(obj, method, cfg, grid, class_tol):
+    """(classes, iterations) of every cell, from one lockstep sweep."""
     x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
     y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
-    lanes = lockstep.iterate(obj, method, cfg, x0, y0, _TAIL_LANES)
-    cells = [
-        _lockstep_outcome(obj, method, cfg, class_tol, *lane)
-        for lane in zip(*(a.tolist() for a in lanes))
-    ]
-    return [cells[i * grid.ny:(i + 1) * grid.ny] for i in range(grid.nx)]
+    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, _TAIL_LANES)
+    # CAPPED and FAILED lanes end Undecided after the steps they took
+    classes = np.full(len(codes), UNDECIDED, dtype=object)
+    stopped = np.flatnonzero(codes == lockstep.STOPPED)
+    found = obj.classify_many(x[stopped], y[stopped], class_tol)
+    classes[stopped] = found
+    # None (the only falsy entry) marks where classify_limit would raise,
+    # and there the per-cell sweep records (Undecided, max_iter)
+    raised = stopped[~found.astype(bool)]
+    classes[raised], iterations[raised] = UNDECIDED, cfg.max_iter
+    for n in np.flatnonzero(codes == lockstep.UNFINISHED).tolist():
+        classes[n], iterations[n] = _finish_lane(obj, method, cfg, class_tol, x[n], y[n], iterations[n])
+    return classes.reshape(grid.nx, grid.ny).tolist(), iterations.reshape(grid.nx, grid.ny)
 
 
 def render_basin(
@@ -238,16 +245,15 @@ def render_basin(
 
     if method in lockstep.LOCKSTEP_METHODS:
         obj = PolyModulusObjective(Polynomial(g.coeffs))
-        rows = _lockstep_rows(obj, method, cfg, grid, class_tol)
-    else:
-        init_args = (tuple(g.coeffs), method.value, cfg, grid, class_tol, rho)
-        if workers == 1 or grid.nx * grid.ny < 1024:
-            _sweep_init(*init_args)
-            rows = [_sweep_row(i) for i in range(grid.nx)]
-        else:
-            with multiprocessing.Pool(workers, initializer=_sweep_init, initargs=init_args) as pool:
-                rows = pool.map(_sweep_row, range(grid.nx))
+        return BasinMap(grid, *_lockstep_sweep(obj, method, cfg, grid, class_tol))
 
+    init_args = (tuple(g.coeffs), method.value, cfg, grid, class_tol, rho)
+    if workers == 1 or grid.nx * grid.ny < 1024:
+        _sweep_init(*init_args)
+        rows = [_sweep_row(i) for i in range(grid.nx)]
+    else:
+        with multiprocessing.Pool(workers, initializer=_sweep_init, initargs=init_args) as pool:
+            rows = pool.map(_sweep_row, range(grid.nx))
     classes = [[cell[0] for cell in row] for row in rows]
     iterations = np.array([[cell[1] for cell in row] for row in rows], dtype=int)
     return BasinMap(grid, classes, iterations)

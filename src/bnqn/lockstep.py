@@ -97,7 +97,9 @@ def _bnqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     eigensystem of the winning shifted Hessian gives the reflected solve.
     """
     n = len(gx)
-    scale = np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, n)
+    # x**1.0 is x for every float (0, inf and NaN included), so the default
+    # tau = 1 skips the per-lane pow
+    scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, n)
     threshold = cfg.kappa * scale
     chosen = np.zeros(n, dtype=bool)
     sa, sc, half_diff, r, l1, l2 = (np.empty(n) for _ in range(6))

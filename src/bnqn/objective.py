@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexpoly import Polynomial, all_roots
+from .errors import BnqnError
 from .linalg import SymmetricMatrix
 
 __all__ = [
@@ -176,6 +177,44 @@ class PolyModulusObjective(ObjectiveFunction):
             return DIVERGED
         return UNDECIDED
 
+    def classify_many(self, x, y, tol: float) -> np.ndarray:
+        """``classify_limit`` of every point (x[i], y[i]) in one numpy pass.
+
+        Returns an object array holding, per point, the class that
+        ``classify_limit`` gives (one shared instance per root and per
+        critical point, ``.point`` included), or None where it raises
+        ``BnqnError`` because the root finder failed: every point when the
+        roots of g fail, and the points that match no root when only the
+        roots of g' fail.  Distances are ``numpy.hypot``, which rounds as
+        ``abs(complex)`` (the C library's ``hypot``) does, so ties and NaN
+        resolve as in the scalar path.  Where a coordinate is so large that
+        ``abs`` overflows and raises OverflowError, this path gets inf.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.full(len(x), None, dtype=object)
+        try:
+            roots = self.roots()
+        except BnqnError:
+            return out
+        index, dist = _nearest_many(roots, x, y)
+        near = dist <= tol
+        out[near] = np.array([LimitClass.root(i) for i in range(len(roots))], dtype=object)[index[near]]
+        rest = np.flatnonzero(~near)
+        if not rest.size:
+            return out
+        try:
+            crits = self.critical_points()
+        except BnqnError:
+            return out
+        x, y = x[rest], y[rest]
+        index, dist = _nearest_many(crits, x, y)
+        # the critical points, then DIVERGED and UNDECIDED
+        k = len(crits)
+        index = np.where(dist <= tol, index, np.where(np.hypot(x, y) > self.divergence_radius, k, k + 1))
+        out[rest] = np.array([*map(LimitClass.critical, crits), DIVERGED, UNDECIDED], dtype=object)[index]
+        return out
+
 
 def _nearest(candidates, z):
     best_index = -1
@@ -185,6 +224,18 @@ def _nearest(candidates, z):
         if d < best_dist:
             best_index = i
             best_dist = d
+    return best_index, best_dist
+
+
+def _nearest_many(candidates, x, y):
+    """``_nearest`` per point: the first candidate at the least distance."""
+    best_index = np.full(len(x), -1)
+    best_dist = np.full(len(x), math.inf)
+    for i, c in enumerate(candidates):
+        d = np.hypot(x - c.real, y - c.imag)
+        closer = d < best_dist
+        best_index[closer] = i
+        best_dist[closer] = d[closer]
     return best_index, best_dist
 
 

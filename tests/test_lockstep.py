@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bnqn import lockstep
+from bnqn import lockstep, objective
 from bnqn.basins import _TAIL_LANES, GridSpec, render_basin
 from bnqn.complexpoly import Polynomial
-from bnqn.errors import BnqnError
+from bnqn.errors import BnqnError, NoConvergence
 from bnqn.objective import UNDECIDED, PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig, run
 
@@ -52,13 +52,17 @@ CASES = {
     # ... and F overflowing to inf far out on a degree-25 polynomial
     "overflow-bnqn": (Polynomial([-1] + [0] * 24 + [1]), GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BNQN, SolverConfig()),
     "overflow-btgd": (Polynomial([-1] + [0] * 24 + [1]), GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BTGD, SolverConfig()),
+    # with class_tol = 1e-5 the 10 negative-axis cells and the origin end
+    # CriticalNonRoot at 0
+    "z3m1-critical": (Z3M1, GridSpec(*SQUARE, 21, 21), BNQN, SolverConfig()),
 }
+CLASS_TOL = {"z3m1-critical": 1e-5}
 
 
-def _scalar(obj, z0, method, cfg):
+def _scalar(obj, z0, method, cfg, class_tol=1e-6):
     """What the per-cell sweep records: the trace, or None when classifying raised."""
     try:
-        return run(obj, z0, method, cfg)
+        return run(obj, z0, method, cfg, class_tol=class_tol)
     except BnqnError:
         return None
 
@@ -66,19 +70,21 @@ def _scalar(obj, z0, method, cfg):
 @pytest.mark.parametrize("case", CASES)
 def test_lockstep_matches_scalar_run(case):
     poly, grid, method, cfg = CASES[case]
+    class_tol = CLASS_TOL.get(case, 1e-6)
     obj = PolyModulusObjective(poly)
     starts = [grid.point(i, j) for i in range(grid.nx) for j in range(grid.ny)]
     x0, y0 = np.array(starts).T
     x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0, _TAIL_LANES)
-    basin = render_basin(poly, grid, method, cfg, workers=1)
+    basin = render_basin(poly, grid, method, cfg, class_tol=class_tol, workers=1)
     outcomes = set()
     for n, z0 in enumerate(starts):
-        want = _scalar(obj, z0, method, cfg)
+        want = _scalar(obj, z0, method, cfg, class_tol)
         code = int(codes[n])
         outcomes.add(code)
         if code == lockstep.UNFINISHED:
             assert steps[n] < cfg.max_iter
-            got = _scalar(obj, (x[n], y[n]), method, replace(cfg, max_iter=cfg.max_iter - steps[n]))
+            rest = replace(cfg, max_iter=cfg.max_iter - steps[n])
+            got = _scalar(obj, (x[n], y[n]), method, rest, class_tol)
             assert (got is None) == (want is None)
             if got is not None:
                 assert (got.terminal, got.iterations + steps[n]) == (want.terminal, want.iterations)
@@ -88,7 +94,7 @@ def test_lockstep_matches_scalar_run(case):
             assert steps[n] == want.iterations, z0
             assert (code == lockstep.FAILED) == (want.failure is not None), z0
             if code == lockstep.STOPPED:
-                assert obj.classify((x[n], y[n]), 1e-6) == want.terminal, z0
+                assert obj.classify((x[n], y[n]), class_tol) == want.terminal, z0
             else:
                 assert want.terminal == UNDECIDED
         i, j = divmod(n, grid.ny)
@@ -96,9 +102,13 @@ def test_lockstep_matches_scalar_run(case):
             assert (basin.classes[i][j], basin.iterations[i, j]) == (UNDECIDED, cfg.max_iter)
         else:
             assert basin.classes[i][j] == want.terminal, z0
+            # LimitClass equality ignores the matched critical point
+            assert basin.classes[i][j].point == want.terminal.point, z0
             assert basin.iterations[i, j] == want.iterations, z0
     if case == "z3m1-51-default":
         assert basin.class_counts()["Undecided"] == 25
+    if case == "z3m1-critical":
+        assert basin.class_counts()["CriticalNonRoot"] == 11
     if case == "z3m1-gradtol0":
         assert np.count_nonzero(codes == lockstep.CAPPED) == 145
     if case.startswith("diverged"):
@@ -107,6 +117,38 @@ def test_lockstep_matches_scalar_run(case):
         assert lockstep.UNFINISHED in outcomes
     if case in ("no-admissible-delta", "overflow-bnqn", "overflow-btgd"):
         assert lockstep.FAILED in outcomes
+
+
+@pytest.mark.parametrize("failing", ["g", "g'"])
+def test_root_finder_failure_matches_per_cell_sweep(monkeypatch, failing):
+    # a failing root finder makes classify raise; the per-cell sweep records
+    # (Undecided, max_iter) for exactly the cells whose classification raised
+    real_all_roots = objective.all_roots
+
+    def all_roots(p, tol):
+        if failing == "g" or p.degree < Z3M1.degree:
+            raise NoConvergence("root finder failure for the test")
+        return real_all_roots(p, tol)
+
+    monkeypatch.setattr(objective, "all_roots", all_roots)
+    grid, cfg = GridSpec(*SQUARE, 15, 15), SolverConfig(max_iter=300)
+    basin = render_basin(Z3M1, grid, BNQN, cfg, class_tol=1e-5, workers=1)
+    obj = PolyModulusObjective(Z3M1)
+    raised = 0
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            want = _scalar(obj, grid.point(i, j), BNQN, cfg, 1e-5)
+            if want is None:
+                raised += 1
+                want_cell = (UNDECIDED, cfg.max_iter)
+            else:
+                want_cell = (want.terminal, want.iterations)
+            assert (basin.classes[i][j], basin.iterations[i, j]) == want_cell, (i, j)
+    if failing == "g":
+        assert raised == grid.nx * grid.ny
+    else:
+        # the origin and the 7 cells on the negative real axis need g' roots
+        assert raised == 8
 
 
 def test_render_basin_workers_do_not_change_output():

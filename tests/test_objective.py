@@ -11,6 +11,8 @@ from bnqn.objective import (
     LimitClass,
     PolyModulusObjective,
     RationalModulusObjective,
+    _nearest,
+    _nearest_many,
     classify_limit,
 )
 from support import fd_gradient, fd_hessian, rel_err
@@ -192,6 +194,131 @@ def test_classify_limit_divergence_and_undecided():
 def test_classify_roots_only():
     assert Z2M1.classify_roots_only((1 + 1e-9, 0.0), 1e-6).is_root
     assert Z2M1.classify_roots_only((1e-9, 0.0), 1e-6) == UNDECIDED
+
+
+def _assert_classify_many_matches_scalar(obj, points, tol):
+    x, y = np.array(points, dtype=float).T
+    got = obj.classify_many(x, y, tol)
+    assert got.shape == (len(points),)
+    for point, cls in zip(points, got):
+        want = classify_limit(obj, point, tol)
+        assert (cls, cls.point) == (want, want.point), point
+    return got
+
+
+def test_classify_many_at_roots_and_at_distance_tol():
+    for obj in (Z2M1, Z3M1, Z2):
+        points = [(r.real, r.imag) for r in obj.roots() + obj.critical_points()]
+        got = _assert_classify_many_matches_scalar(obj, points, 1e-6)
+        assert all(cls.is_root for cls in got[: len(obj.roots())])
+        for c in obj.critical_points():
+            # tol set to the distance itself, then one ulp either side
+            x = c.real + 3e-6
+            tol = abs(complex(x, c.imag) - c)
+            for t in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
+                _assert_classify_many_matches_scalar(obj, [(x, c.imag), (c.real, c.imag + tol)], t)
+        r = obj.roots()[0]
+        x = r.real - 2e-7
+        _assert_classify_many_matches_scalar(obj, [(x, r.imag)], abs(complex(x, r.imag) - r))
+    # offsets from the exact root 2 of z-2 on which math.hypot and abs(complex)
+    # round apart, so only abs-exact distances decide the boundary as the scalar path
+    obj = PolyModulusObjective(Polynomial([-2, 1]))
+    rng = np.random.default_rng(67)
+    found = 0
+    while found < 20:
+        a, b = rng.uniform(-1, 1, 2)
+        a = (2.0 + a) - 2.0  # exact after the subtraction classify does
+        tol = abs(complex(a, b))
+        if math.hypot(a, b) == tol:
+            continue
+        found += 1
+        for t in (np.nextafter(tol, 0.0), tol):
+            _assert_classify_many_matches_scalar(obj, [(2.0 + a, b)], t)
+
+
+def test_classify_many_shares_one_instance_per_class():
+    got = Z3M1.classify_many([1.0, 1.0, 1e-9, -1e-9, 0.4], [0.0, 1e-12, 0.0, 1e-9, 0.4], 1e-6)
+    assert got[0] is got[1] and got[2] is got[3]
+    assert got[2].kind == "CriticalNonRoot"
+    assert got[4] is UNDECIDED
+
+
+def test_classify_many_ties_resolve_to_the_first_candidate():
+    # the computed roots of z^2-1 are +-1 up to 1e-19 in the imaginary part,
+    # so every point on the imaginary axis is exactly as far from both
+    ys = [0.0, 1e-3, 0.5, -1.5, 3.0]
+    x0, x1 = Z2M1.roots()
+    assert all(abs(complex(0.0, y) - x0) == abs(complex(0.0, y) - x1) for y in ys)
+    got = _assert_classify_many_matches_scalar(Z2M1, [(0.0, y) for y in ys], 4.0)
+    assert all(cls == LimitClass.root(0) for cls in got)
+    # the same with exact candidates, straight through the nearest-candidate search
+    candidates = (1 + 0j, -1 + 0j, 1j, -1j, 1 + 0j)
+    rng = np.random.default_rng(89)
+    x = np.concatenate([[0.0, 0.5, 0.0, math.nan, math.inf], rng.uniform(-2, 2, 200)])
+    y = np.concatenate([[0.0, 0.0, 0.5, 0.0, 0.0], rng.choice([0.0, 0.5, -1.0], 200)])
+    index, dist = _nearest_many(candidates, x, y)
+    for n in range(len(x)):
+        want = _nearest(candidates, complex(x[n], y[n]))
+        assert (index[n], dist[n]) == want or (index[n] == want[0] == -1 and dist[n] == math.inf)
+
+
+def test_classify_many_nan_inf_and_divergence():
+    radius = Z3M1.divergence_radius
+    points = [
+        (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+        (math.inf, 0.0), (-math.inf, 1.0), (0.5, math.inf), (math.inf, math.nan),
+        (radius, 0.0), (np.nextafter(radius, math.inf), 0.0), (0.0, -2.0 * radius),
+        (1e30, -1e30), (1e150, 1e150), (0.4, 0.4),
+    ]
+    got = _assert_classify_many_matches_scalar(Z3M1, points, 1e-6)
+    assert [cls.kind for cls in got[:3]] == ["Undecided"] * 3
+    assert all(cls == DIVERGED for cls in got[3:7])
+    assert got[7] == UNDECIDED and got[8] == DIVERGED
+
+
+def test_classify_many_random_points_match_scalar():
+    rng = np.random.default_rng(83)
+    for obj in (Z2M1, Z2, Z3M1, PolyModulusObjective(Polynomial([-2, 1]))):
+        near = [complex(c) + complex(*rng.normal(0, 1e-6, 2)) for c in obj.roots() + obj.critical_points()]
+        points = [(z.real, z.imag) for z in near * 20] + [tuple(p) for p in rng.uniform(-2, 2, (300, 2))]
+        for tol in (1e-6, 1e-5, 0.3):
+            _assert_classify_many_matches_scalar(obj, points, tol)
+
+
+def test_classify_many_degree_one_has_no_critical_points():
+    obj = PolyModulusObjective(Polynomial([-2, 1]))
+    assert obj.critical_points() == ()
+    got = _assert_classify_many_matches_scalar(obj, [(2.0, 0.0), (2.0, 1e-7), (0.0, 0.0), (1e20, 0.0)], 1e-6)
+    assert [str(cls) for cls in got] == ["Root(0)", "Root(0)", "Undecided", "Diverged"]
+
+
+def test_classify_many_double_root_of_z2():
+    # the two root estimates sit about 5e-7 from 0 and g' has its root at 0
+    points = [(0.0, 0.0), (1e-7, 0.0), (5e-7, -1e-7), (-2e-6, 1e-6), (3e-6, 0.0)]
+    for tol in (1e-7, 1e-6, 5e-6):
+        got = _assert_classify_many_matches_scalar(Z2, points, tol)
+        assert got[0].is_root == (tol >= 5e-7)
+    assert _assert_classify_many_matches_scalar(Z2, [(0.0, 0.0)], 1e-8)[0].kind == "CriticalNonRoot"
+
+
+def test_classify_many_empty_input():
+    assert Z3M1.classify_many([], [], 1e-6).shape == (0,)
+
+
+def test_numpy_hypot_is_abs_of_complex_bitwise():
+    # classify_many rests on this: numpy's hypot rounds as abs(complex)
+    rng = np.random.default_rng(79)
+    n = 1_000_000
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    y[: n // 10] = x[: n // 10] * rng.uniform(0.5, 2.0, n // 10)  # comparable sizes
+    want = np.fromiter(map(abs, map(complex, x.tolist(), y.tolist())), float, n)
+    assert np.array_equal(np.hypot(x, y).view(np.int64), want.view(np.int64))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, math.inf, -math.inf, math.nan]
+    for a in special:
+        for b in special:
+            got, want = np.hypot(a, b), abs(complex(a, b))
+            assert got == want or (math.isnan(got) and math.isnan(want)), (a, b)
 
 
 def test_limit_class_semantics():
