@@ -63,6 +63,18 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _sample(lo: float, hi: float, i: int, n: int) -> float:
+    """The i-th of n corner-inclusive samples of [lo, hi]."""
+    if n == 1:
+        return lo
+    k = n - 1
+    v = (lo * (k - i) + hi * i) / k
+    if not math.isfinite(v):  # the weighted sum overflowed
+        v = 2.0 * ((0.5 * lo) * ((k - i) / k) + (0.5 * hi) * (i / k))
+        v = min(max(v, lo), hi)
+    return v
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Corner-inclusive rectangular sampling grid.
@@ -70,7 +82,9 @@ class GridSpec:
     Sample (i, j) sits at the convex combination
     (x_min*(nx-1-i) + x_max*i)/(nx-1), which keeps the endpoints exact and
     puts a sample exactly on zero whenever the window is symmetric and the
-    index count is odd.
+    index count is odd.  Where that weighted sum overflows (windows wider
+    than about +-9e307), the halved bounds are weighted by fractions instead,
+    so every sample of a finite window is finite.
     """
 
     x_min: float
@@ -81,22 +95,18 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("window bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("window must satisfy x_min < x_max and y_min < y_max")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("resolution must be positive")
 
     def x_coord(self, i: int) -> float:
-        if self.nx == 1:
-            return self.x_min
-        k = self.nx - 1
-        return (self.x_min * (k - i) + self.x_max * i) / k
+        return _sample(self.x_min, self.x_max, i, self.nx)
 
     def y_coord(self, j: int) -> float:
-        if self.ny == 1:
-            return self.y_min
-        k = self.ny - 1
-        return (self.y_min * (k - j) + self.y_max * j) / k
+        return _sample(self.y_min, self.y_max, j, self.ny)
 
     def point(self, i: int, j: int) -> tuple[float, float]:
         return self.x_coord(i), self.y_coord(j)
@@ -122,9 +132,11 @@ class BasinMap:
 _SWEEP: dict = {}
 
 # Lockstep sweeps hand their last lanes to the scalar ``run``.  A sweep costs
-# about the same for 1 to 32 lanes (0.2-0.55 ms on one core, for degree 3
-# and 8, BNQN and BTGD), while a scalar step costs 19-38 us, so the kernel
-# only wins above 9-17 lanes; 12 sits in that break-even range.
+# about the same for 1 to 32 lanes (0.1-0.6 ms on one core, for degree 3
+# and 8, BNQN and BTGD, with numpy's hypot), while a scalar step costs
+# 11-28 us, so the kernel only wins above about 10-25 lanes; 12 sits in that
+# break-even range, and whole z^3-1 sweeps took the same time with any tail
+# from 8 to 24.
 _TAIL_LANES = 12
 
 

@@ -15,7 +15,19 @@ import numpy as np
 
 from .errors import SingularMatrix
 
-__all__ = ["EigenDecomposition", "SymmetricMatrix", "eigh", "minsp", "reflected_direction", "sp"]
+__all__ = ["EigenDecomposition", "SymmetricMatrix", "eigh", "hypot", "minsp", "reflected_direction", "sp"]
+
+
+def hypot(a: float, b: float) -> float:
+    """sqrt(a*a + b*b) by the C library's ``hypot``, bit for bit as ``numpy.hypot``.
+
+    ``abs(complex)`` calls the C ``hypot`` but raises ``OverflowError`` where
+    the result overflows; ``numpy.hypot`` gives inf there, and so does this.
+    """
+    try:
+        return abs(complex(a, b))
+    except OverflowError:
+        return math.inf
 
 
 class SymmetricMatrix:
@@ -122,7 +134,7 @@ def _eig2_values(a: float, b: float, c: float) -> tuple[float, float]:
         return (a, c) if a <= c else (c, a)
     t = 0.5 * (a + c)
     d = 0.5 * (a - c)
-    r = math.hypot(d, b)
+    r = hypot(d, b)
     return t - r, t + r
 
 
@@ -138,7 +150,7 @@ def _eig2_system(a: float, b: float, c: float):
         return c, a, 0.0, 1.0, 1.0, 0.0
     t = 0.5 * (a + c)
     d = 0.5 * (a - c)
-    r = math.hypot(d, b)
+    r = hypot(d, b)
     l1 = t - r
     l2 = t + r
     # eigenvector for the larger eigenvalue, picking the better-conditioned form
@@ -146,7 +158,7 @@ def _eig2_system(a: float, b: float, c: float):
         vx, vy = d + r, b
     else:
         vx, vy = b, r - d
-    n = math.hypot(vx, vy)
+    n = hypot(vx, vy)
     u2x, u2y = vx / n, vy / n
     u1x, u1y = -u2y, u2x
     if u2x < 0.0 or (u2x == 0.0 and u2y < 0.0):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexpoly import Polynomial, all_roots
 from .errors import BnqnError
-from .linalg import SymmetricMatrix
+from .linalg import SymmetricMatrix, hypot
 
 __all__ = [
     "BilinearTestObjective",
@@ -173,10 +173,11 @@ class PolyModulusObjective(ObjectiveFunction):
         index, dist = _nearest(self.roots(), z)
         if dist <= tol:
             return LimitClass.root(index)
-        if abs(z) > self.divergence_radius:
+        if hypot(z.real, z.imag) > self.divergence_radius:
             return DIVERGED
         return UNDECIDED
 
+    @np.errstate(over="ignore")
     def classify_many(self, x, y, tol: float) -> np.ndarray:
         """``classify_limit`` of every point (x[i], y[i]) in one numpy pass.
 
@@ -186,9 +187,8 @@ class PolyModulusObjective(ObjectiveFunction):
         ``BnqnError`` because the root finder failed: every point when the
         roots of g fail, and the points that match no root when only the
         roots of g' fail.  Distances are ``numpy.hypot``, which rounds as
-        ``abs(complex)`` (the C library's ``hypot``) does, so ties and NaN
-        resolve as in the scalar path.  Where a coordinate is so large that
-        ``abs`` overflows and raises OverflowError, this path gets inf.
+        ``linalg.hypot`` (the C library's ``hypot``) does, so ties, NaN and
+        distances that overflow to inf resolve as in the scalar path.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -220,7 +220,8 @@ def _nearest(candidates, z):
     best_index = -1
     best_dist = math.inf
     for i, c in enumerate(candidates):
-        d = abs(z - c)
+        w = z - c
+        d = hypot(w.real, w.imag)
         if d < best_dist:
             best_index = i
             best_dist = d
@@ -253,7 +254,7 @@ def classify_limit(obj: PolyModulusObjective, point, tol: float = 1e-6) -> Limit
     crit_index, crit_dist = _nearest(obj.critical_points(), z)
     if crit_dist <= tol:
         return LimitClass.critical(obj.critical_points()[crit_index])
-    if abs(z) > obj.divergence_radius:
+    if hypot(z.real, z.imag) > obj.divergence_radius:
         return DIVERGED
     return UNDECIDED
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexpoly import RelaxationDisk, newton_map_1d, relaxed_newton_map, sample_relaxed_alpha
 from .errors import BnqnError, LineSearchUnderflow, NoAdmissibleDelta, SingularMatrix
-from .linalg import SymmetricMatrix, minsp, reflected_direction
+from .linalg import SymmetricMatrix, hypot, minsp, reflected_direction
 from .objective import UNDECIDED, LimitClass, ObjectiveFunction, PolyModulusObjective
 
 __all__ = [
@@ -151,13 +150,16 @@ class IterationTrace:
 
 def _norm(v) -> float:
     if len(v) == 2:
-        return math.hypot(float(v[0]), float(v[1]))
+        x, y = v.tolist()
+        return hypot(x, y)
     return float(np.linalg.norm(v))
 
 
 def _dot(u, v) -> float:
     if len(u) == 2:
-        return float(u[0]) * float(v[0]) + float(u[1]) * float(v[1])
+        ux, uy = u.tolist()
+        vx, vy = v.tolist()
+        return ux * vx + uy * vy
     return float(np.dot(u, v))
 
 

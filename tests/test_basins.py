@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,58 @@ def test_grid_spec_validation():
         GridSpec(1.0, -1.0, 0.0, 1.0, 4, 4)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 0, 4)
+
+
+def test_grid_spec_rejects_non_finite_bounds():
+    # -inf < inf passes the ordering check on its own
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(-math.inf, math.inf, -1.0, 1.0, 3, 3)
+    for slot in range(4):
+        for bad in (math.inf, -math.inf, math.nan):
+            window = [-1.0, 1.0, -1.0, 1.0]
+            window[slot] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(*window, 3, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 101, 1000])
+def test_grid_spec_samples_of_the_widest_windows_stay_in_the_window(n):
+    top = 1.7976931348623157e308
+    # on the last window the halved, weighted bounds round to below lo
+    for lo, hi in ((-1.7e308, 1.7e308), (-top, top), (1e308, top), (-top, 5.0), (math.nextafter(top, 0.0), top)):
+        grid = GridSpec(lo, hi, lo, hi, n, n)
+        xs = [grid.x_coord(i) for i in range(n)]
+        assert all(lo <= x <= hi for x in xs), (lo, hi)
+        assert xs[0] == lo and xs[-1] == hi
+        assert xs == [grid.y_coord(j) for j in range(n)]
+        if lo == -hi:
+            assert xs == [-v for v in reversed(xs)]
+            if n % 2:
+                assert xs[n // 2] == 0.0
+
+
+def test_grid_spec_samples_unchanged_where_the_weighted_sum_is_finite():
+    rng = np.random.default_rng(97)
+    for _ in range(300):
+        lo, hi = np.sort(rng.standard_normal(2) * 10.0 ** rng.integers(-300, 307, 2)).tolist()
+        n = int(rng.integers(2, 400))
+        grid = GridSpec(lo, hi, -1.0, 1.0, n, 2)
+        k = n - 1
+        for i in range(n):
+            want = (lo * (k - i) + hi * i) / k
+            assert grid.x_coord(i) == want or not math.isfinite(want)
+
+
+@pytest.mark.parametrize("method", [Method.BNQN_NEW_VARIANT, Method.NEWTON_1D])
+def test_render_basin_on_the_widest_window(method):
+    # starts out near +-1.7e308 lie past the divergence radius, the origin is
+    # the critical point of z^3-1 (where the Newton map has a pole)
+    grid = GridSpec(-1.7e308, 1.7e308, -1.7e308, 1.7e308, 3, 3)
+    basin = render_basin(Z3M1, grid, method, SolverConfig(), workers=1)
+    kinds = [[cls.kind for cls in column] for column in basin.classes]
+    centre = "CriticalNonRoot" if method is Method.BNQN_NEW_VARIANT else "Undecided"
+    assert kinds == [["Diverged"] * 3, ["Diverged", centre, "Diverged"], ["Diverged"] * 3]
+    assert not basin.iterations.any()
 
 
 def test_degree2_reference_examples():

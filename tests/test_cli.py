@@ -141,6 +141,21 @@ def test_usage_errors_exit_one():
         assert err != ""
 
 
+@pytest.mark.parametrize("method", ["bnqn", "newton1d"])
+def test_basin_window_bounds(tmp_path, method):
+    files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")]
+    code, out, err = invoke(["basin", "--method", method, "--res", "3,3", "--window=-inf,inf,-1,1", *files])
+    assert code == 1 and "finite" in err
+    code, out, err = invoke(
+        ["basin", "--poly", "-1,0,0,1", "--method", method, "--res", "3,3",
+         "--window=-1.7e308,1.7e308,-1.7e308,1.7e308", *files]
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+    assert {float(r[2]) for r in rows} == {float(r[3]) for r in rows} == {-1.7e308, 0.0, 1.7e308}
+    assert parse_kv(out)["count[Diverged]"] == "8"
+
+
 def test_runtime_failures_exit_two(tmp_path):
     code, out, err = invoke(
         ["basin", "--res", "2,2", "--max-iter", "50",

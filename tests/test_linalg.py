@@ -80,6 +80,20 @@ def test_eigh_2x2_against_char_poly_oracle():
         assert abs(dec.eigenvalues[1] - w2) <= 1e-12 * scale
 
 
+def test_2x2_eigenvalues_take_the_c_library_hypot():
+    # the lockstep kernel computes t -+ numpy.hypot(d, b) for minsp and for
+    # the reflected solve, so both scalar routes must round the same way
+    rng = np.random.default_rng(29)
+    a, b, c = rng.uniform(-1.0, 1.0, (3, 20_000))
+    t, d = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(d, b)
+    for n in range(len(a)):
+        m = SymmetricMatrix(2, (a[n], b[n], c[n]))
+        lo, hi = t[n] - r[n], t[n] + r[n]
+        assert eigh(m).eigenvalues == (lo, hi)
+        assert minsp(m) == min(abs(lo), abs(hi)) and sp(m) == max(abs(lo), abs(hi))
+
+
 def test_eigh_reconstruction_property():
     rng = np.random.default_rng(29)
     for _ in range(1000):

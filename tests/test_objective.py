@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bnqn.complexpoly import Polynomial, all_roots
+from bnqn.linalg import hypot
 from bnqn.objective import (
     DIVERGED,
     UNDECIDED,
@@ -276,6 +277,15 @@ def test_classify_many_nan_inf_and_divergence():
     assert got[7] == UNDECIDED and got[8] == DIVERGED
 
 
+def test_classify_where_the_distance_overflows():
+    # |z| overflows to inf here, where abs(complex) would raise OverflowError
+    big = 1.7e308
+    points = [(big, big), (-big, big), (big, -1.0), (-big, -big)]
+    got = _assert_classify_many_matches_scalar(Z3M1, points, 1e-6)
+    assert all(cls == DIVERGED for cls in got)
+    assert Z3M1.classify_roots_only((big, -big), 1e-6) == DIVERGED
+
+
 def test_classify_many_random_points_match_scalar():
     rng = np.random.default_rng(83)
     for obj in (Z2M1, Z2, Z3M1, PolyModulusObjective(Polynomial([-2, 1]))):
@@ -319,6 +329,36 @@ def test_numpy_hypot_is_abs_of_complex_bitwise():
         for b in special:
             got, want = np.hypot(a, b), abs(complex(a, b))
             assert got == want or (math.isnan(got) and math.isnan(want)), (a, b)
+
+
+def test_scalar_hypot_is_numpy_hypot_bitwise():
+    # the scalar run loop and the lockstep kernel share their norms through this
+    rng = np.random.default_rng(79)
+    n = 1_000_000
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    y[: n // 10] = x[: n // 10] * rng.uniform(0.5, 2.0, n // 10)
+    want = np.hypot(x, y)
+    got = np.fromiter(map(hypot, x.tolist(), y.tolist()), float, n)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    tiny = 2.2250738585072014e-308
+    special = [0.0, -0.0, 5e-324, -5e-324, 3e-310, tiny, -tiny, 1.0, 1.7e308, -1.7e308,
+               1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    with np.errstate(over="ignore"):
+        for a in special:
+            for b in special:
+                got, want = hypot(a, b), float(np.hypot(a, b))
+                assert got == want or (math.isnan(got) and math.isnan(want)), (a, b)
+                if not math.isnan(got):
+                    assert math.copysign(1.0, got) == 1.0
+    # overflow: abs(complex) raises where both give inf
+    with pytest.raises(OverflowError):
+        abs(complex(1.7e308, 1.7e308))
+    assert hypot(1.7e308, 1.7e308) == hypot(-1.7e308, 1.7e308) == math.inf
+    # an infinite part wins over NaN, as in C
+    assert hypot(math.inf, math.nan) == hypot(math.nan, -math.inf) == math.inf
+    assert math.isnan(hypot(math.nan, 1.0)) and math.isnan(hypot(0.0, math.nan))
+    assert hypot(5e-324, 0.0) == 5e-324 and hypot(-0.0, -0.0) == 0.0
 
 
 def test_limit_class_semantics():
