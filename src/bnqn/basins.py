@@ -139,6 +139,10 @@ _SWEEP: dict = {}
 # from 8 to 24.
 _TAIL_LANES = 12
 
+# Methods whose grid sweeps run on the lockstep kernel; rrn1d cells keep the
+# per-cell sweep, since the kernel cannot hand relaxed lanes to ``run``.
+_LOCKSTEP_SWEEPS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
+
 
 def _sweep_init(coeffs, method_value, cfg, grid, class_tol, rho):
     _SWEEP["obj"] = PolyModulusObjective(Polynomial(coeffs))
@@ -255,7 +259,7 @@ def render_basin(
         workers = worker_count()
     workers = max(1, min(workers, grid.nx))
 
-    if method in lockstep.LOCKSTEP_METHODS:
+    if method in _LOCKSTEP_SWEEPS:
         obj = PolyModulusObjective(Polynomial(g.coeffs))
         return BasinMap(grid, *_lockstep_sweep(obj, method, cfg, grid, class_tol))
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DerivativeVanishes, NoConvergence, PoleHit
+from .linalg import hypot
 
 __all__ = [
     "Polynomial",
@@ -21,6 +22,7 @@ __all__ = [
     "newton_map_1d",
     "parse_complex",
     "parse_polynomial",
+    "pole_scale",
     "poly_derivative",
     "poly_eval",
     "polynomial_to_string",
@@ -136,10 +138,23 @@ def poly_derivative(p: Polynomial) -> Polynomial:
     return p.derivative()
 
 
+def pole_scale(abs_z: float, degree: int) -> float:
+    """|p'(z)| below which a Newton step at z counts as hitting a pole.
+
+    ``_POLE_TOL * (1 + |z|)**(degree - 1)`` by Python's float ``**``, which
+    raises ``OverflowError`` where the power overflows; the scale is inf
+    there, so every finite derivative counts as vanishing.
+    """
+    try:
+        return _POLE_TOL * (1.0 + abs_z) ** max(degree - 1, 0)
+    except OverflowError:
+        return math.inf
+
+
 def _check_derivative(p, z, dpz):
-    scale = _POLE_TOL * (1.0 + abs(z)) ** max(p.degree - 1, 0)
-    if abs(dpz) < scale:
-        raise DerivativeVanishes(f"|p'({z})| = {abs(dpz):.3e} below pole tolerance")
+    size = hypot(dpz.real, dpz.imag)
+    if size < pole_scale(hypot(z.real, z.imag), p.degree):
+        raise DerivativeVanishes(f"|p'({z})| = {size:.3e} below pole tolerance")
 
 
 def newton_map_1d(p: Polynomial, z) -> complex:

@@ -1,12 +1,14 @@
-"""Lockstep iteration of BNQN and backtracking GD over many starts at once.
+"""Lockstep iteration of BNQN, backtracking GD and random relaxed Newton.
 
 Every active start (a *lane*) holds its point as one entry of two float64
 arrays, x and y, and all lanes take their k-th step in the same sweep.  Each
-sweep evaluates g, g' and g'' by Horner's rule on the split real/imaginary
-arrays, tests convergence, divergence and the iteration cap, and then takes
-one step on the lanes still running: shift selection by mask, the closed-form
-2x2 eigensystem, and an Armijo search in which the lanes that have accepted
-drop out of the backtracking loop.
+sweep evaluates g and g' (and g'' for BNQN) by Horner's rule on the split
+real/imaginary arrays, tests convergence, divergence and the iteration cap,
+and then takes one step on the lanes still running.  BNQN selects its shift
+by mask and solves with the closed-form 2x2 eigensystem; BNQN and GD then
+run an Armijo search in which the lanes that have accepted drop out of the
+backtracking loop.  Random relaxed Newton takes z - alpha*g(z)/g'(z), with
+each lane drawing alpha from its own generator.
 
 The kernel reproduces the scalar ``solvers.run`` bit for bit, so it keeps
 that loop's exact floating-point operations:
@@ -17,18 +19,23 @@ that loop's exact floating-point operations:
   of comparable size, and where they differ ``math.hypot`` is the closer;
 - complex products written out as ``ar*zr - ai*zi`` and ``ar*zi + ai*zr``,
   the form Python's complex multiply uses (numpy's complex128 multiply
-  rounds differently);
-- Python's ``**`` per lane for ``grad_norm**tau``, because numpy's
-  vectorized power is not the C library's ``pow``;
+  rounds differently), and complex quotients as CPython's ``_Py_c_quot``;
+- Python's ``**`` per lane for ``grad_norm**tau`` and for the pole scale
+  (``complexpoly.pole_scale``), because numpy's vectorized power is not the
+  C library's ``pow``;
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
-  is NaN.
+  is NaN;
+- relaxation factors drawn by ``Generator.uniform`` in blocks, which yields
+  the same doubles as the scalar loop's one draw per call.
 
 Lanes stop when they converge or diverge (the caller classifies them), hit
 the cap, or fail the step (no admissible shift, a singular shifted Hessian,
-or an Armijo underflow), exactly where the scalar loop would stop them.  The
-kernel keeps no state per lane besides the point and the step count, so the
-caller can finish a few remaining lanes with the scalar loop.
+an Armijo underflow, or a vanishing derivative), exactly where the scalar
+loop would stop them.  BNQN and GD lanes keep no state besides the point and
+the step count, so the caller can finish a few remaining lanes with the
+scalar loop.  Relaxed lanes cannot be handed over: their generators have
+been drawn ahead.
 """
 
 from __future__ import annotations
@@ -37,17 +44,23 @@ from itertools import repeat
 
 import numpy as np
 
+from .complexpoly import RelaxationDisk, pole_scale
 from .objective import PolyModulusObjective
 from .solvers import _UNDERFLOW_LIMIT, Method, SolverConfig
 
 __all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "UNFINISHED", "iterate"]
 
-LOCKSTEP_METHODS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
+LOCKSTEP_METHODS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD, Method.RANDOM_RELAXED_NEWTON_1D)
 
 # Lane outcomes.  STOPPED lanes converged or left the divergence radius and
 # still need ``classify``; CAPPED and FAILED lanes end Undecided; UNFINISHED
 # lanes were still running when at most ``tail`` lanes were left.
 STOPPED, CAPPED, FAILED, UNFINISHED = 0, 1, 2, 3
+
+# Relaxation draws per lane and refill: 64 (u, v) pairs, 1 KB, hold about 50
+# accepted factors (the disk fills pi/4 of its square), enough for the
+# median z^3-1 trial (32 steps) in one ``uniform`` call.
+_ALPHA_PAIRS = 64
 
 
 def _horner(coeffs, zr, zi):
@@ -62,6 +75,97 @@ def _times_conj(pr, pi, gr, gi):
     """p * conj(g) with Python's complex product."""
     ngi = -gi
     return pr * gr - pi * ngi, pr * ngi + pi * gr
+
+
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) per lane, as CPython's ``_Py_c_quot``.
+
+    Smith's method: divide through by the part of the divisor of larger
+    magnitude.  Where a part of the divisor is NaN, CPython takes neither
+    branch and returns NaN; the second branch's ratio is NaN there, so it
+    gives NaN too.  A zero divisor, where Python raises, gives NaN here; the
+    pole test retires those lanes first.
+    """
+    real_wins = np.abs(br) >= np.abs(bi)
+    # |br| >= |bi|: divide through by br
+    ratio = bi / br
+    denom = br + bi * ratio
+    qr = (ar + ai * ratio) / denom
+    qi = (ai - ar * ratio) / denom
+    # |bi| > |br|: divide through by bi
+    ratio = br / bi
+    denom = br * ratio + bi
+    return (
+        np.where(real_wins, qr, (ar * ratio + ai) / denom),
+        np.where(real_wins, qi, (ai * ratio - ar) / denom),
+    )
+
+
+class _RelaxationDraws:
+    """Relaxation factors per lane, each lane drawing from its own generator.
+
+    ``sample_relaxed_alpha`` draws (u, v) pairs by ``uniform(-rho, rho)``
+    until u*u + v*v <= rho*rho.  A lane here draws ``_ALPHA_PAIRS`` pairs at
+    once, which consumes the same doubles in the same order, keeps the
+    accepted ones in order, and draws the next block when it has used them.
+    """
+
+    def __init__(self, rngs, disk: RelaxationDisk):
+        n = len(rngs)
+        self.rngs = rngs
+        self.rho = disk.rho
+        self.re = np.empty((n, _ALPHA_PAIRS))
+        self.im = np.empty((n, _ALPHA_PAIRS))
+        self.accepted = np.zeros(n, dtype=int)  # factors held, in re[:, :accepted]
+        self.next = np.zeros(n, dtype=int)
+
+    def take(self, lanes):
+        """The next factor (re, im) of every lane in ``lanes``."""
+        empty = lanes[self.next[lanes] == self.accepted[lanes]]
+        while empty.size:
+            self._refill(empty)
+            empty = empty[self.accepted[empty] == 0]
+        at = self.next[lanes]
+        self.next[lanes] = at + 1
+        return self.re[lanes, at], self.im[lanes, at]
+
+    def _refill(self, lanes):
+        r = self.rho
+        draws = np.array([self.rngs[i].uniform(-r, r, 2 * _ALPHA_PAIRS) for i in lanes.tolist()])
+        u, v = draws[:, 0::2], draws[:, 1::2]
+        accept = u * u + v * v <= r * r
+        order = np.argsort(~accept, axis=1, kind="stable")  # accepted first, in order
+        self.re[lanes] = 1.0 + np.take_along_axis(u, order, axis=1)
+        self.im[lanes] = np.take_along_axis(v, order, axis=1)
+        self.accepted[lanes] = np.count_nonzero(accept, axis=1)
+        self.next[lanes] = 0
+
+
+def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
+    """z - alpha*(g/g') per lane; returns (x, y, failed).
+
+    Mirrors ``relaxed_newton_map``: a lane fails where |g'| falls below
+    ``pole_scale(|z|, degree)``, as the scalar step raises
+    ``DerivativeVanishes`` there.
+    """
+    scale = np.fromiter(map(pole_scale, zn.tolist(), repeat(degree)), float, len(zn))
+    failed = np.hypot(dr, di) < scale
+    qr, qi = _quot(gr, gi, dr, di)
+    ar, ai = alpha
+    return x - (ar * qr - ai * qi), y - (ar * qi + ai * qr), failed
+
+
+def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
+    """z - gamma*w per lane with Armijo's gamma; returns (x, y, failed).
+
+    Lanes already failed skip the search; lanes whose search underflows fail.
+    """
+    slope = wx * gx + wy * gy
+    fz = 0.5 * (gr * gr + gi * gi)
+    ok = ~failed
+    gamma = np.empty(len(x))
+    gamma[ok], failed[ok] = _armijo(g, x[ok], y[ok], wx[ok], wy[ok], fz[ok], slope[ok], cfg)
+    return x - gamma * wx, y - gamma * wy, failed
 
 
 def _armijo(g, x, y, wx, wy, fz, slope, cfg: SolverConfig):
@@ -150,17 +254,36 @@ def _cap(wx, wy, norm, theta):
     return wx / div, wy / div
 
 
-def iterate(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0, tail: int):
+def iterate(
+    obj: PolyModulusObjective,
+    method: Method,
+    cfg: SolverConfig,
+    x0,
+    y0,
+    tail: int = 0,
+    *,
+    rngs=None,
+    relaxation: RelaxationDisk | None = None,
+):
     """Run ``method`` from every start (x0[i], y0[i]) in lockstep.
 
     Returns ``(x, y, steps, outcome)`` arrays: each lane's last point, the
     steps it took, and its outcome code.  Once a sweep's checks leave at most
     ``tail`` lanes running, those lanes come back UNFINISHED at their current
     point (with ``steps < cfg.max_iter``), for the caller to finish.
+
+    Random relaxed Newton needs ``rngs``, one generator per lane, in the
+    state ``run`` would receive, and the ``relaxation`` disk; its lanes
+    always run to the end (``tail`` must be 0).
     """
     if method not in LOCKSTEP_METHODS:
         raise ValueError(f"no lockstep kernel for {method}")
     hessian = method is Method.BNQN_NEW_VARIANT
+    relaxed = method is Method.RANDOM_RELAXED_NEWTON_1D
+    if relaxed:
+        if tail:
+            raise ValueError("relaxed lanes cannot be finished by run: their generators are drawn ahead")
+        draws = _RelaxationDraws(rngs, relaxation)
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
     radius = obj.divergence_radius
     n = len(x0)
@@ -183,8 +306,8 @@ def iterate(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0
             wr, wi = _times_conj(dr, di, gr, gi)
             gx, gy = wr, -wi
             gn = np.hypot(gx, gy)
-            stop = gn <= cfg.grad_tol
-            stop |= np.hypot(x, y) > radius
+            zn = np.hypot(x, y)
+            stop = (gn <= cfg.grad_tol) | (zn > radius)
             retire(stop, STOPPED)
             run_on = ~stop
             if k >= cfg.max_iter:
@@ -193,30 +316,27 @@ def iterate(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0
             if np.count_nonzero(run_on) <= tail:
                 retire(run_on, UNFINISHED)
                 break
-            x, y, lane, gr, gi, dr, di, gx, gy, gn = (
-                v[run_on] for v in (x, y, lane, gr, gi, dr, di, gx, gy, gn)
+            x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
+                v[run_on] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
             )
-            if hessian:
-                er, ei = _horner(ddg, x, y)
-                ur, ui = _times_conj(er, ei, gr, gi)
-                s = dr * dr + di * di
-                wx, wy, failed = _bnqn_direction(gx, gy, gn, ur + s, -ui, s - ur, cfg)
-                # theta = 0 leaves the divisor at 1.0 whatever |w| is
-                # (0*inf is NaN, and max(1.0, NaN) is 1.0), so skip the norm
-                if cfg.theta != 0.0:
-                    wx, wy = _cap(wx, wy, np.hypot(wx, wy), cfg.theta)
+            if relaxed:
+                xn, yn, failed = _relaxed_step(x, y, zn, gr, gi, dr, di, draws.take(lane), obj.g.degree)
             else:
-                wx, wy = _cap(gx, gy, gn, cfg.theta)
-                failed = np.zeros(len(x), dtype=bool)
-            slope = wx * gx + wy * gy
-            fz = 0.5 * (gr * gr + gi * gi)
-            ok = ~failed
-            gamma = np.empty(len(x))
-            gamma[ok], failed[ok] = _armijo(g, x[ok], y[ok], wx[ok], wy[ok], fz[ok], slope[ok], cfg)
+                if hessian:
+                    er, ei = _horner(ddg, x, y)
+                    ur, ui = _times_conj(er, ei, gr, gi)
+                    s = dr * dr + di * di
+                    wx, wy, failed = _bnqn_direction(gx, gy, gn, ur + s, -ui, s - ur, cfg)
+                    # theta = 0 leaves the divisor at 1.0 whatever |w| is
+                    # (0*inf is NaN, and max(1.0, NaN) is 1.0), so skip the norm
+                    if cfg.theta != 0.0:
+                        wx, wy = _cap(wx, wy, np.hypot(wx, wy), cfg.theta)
+                else:
+                    wx, wy = _cap(gx, gy, gn, cfg.theta)
+                    failed = np.zeros(len(x), dtype=bool)
+                xn, yn, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             retire(failed, FAILED)
             ok = ~failed
-            x = x[ok] - gamma[ok] * wx[ok]
-            y = y[ok] - gamma[ok] * wy[ok]
-            lane = lane[ok]
+            x, y, lane = xn[ok], yn[ok], lane[ok]
             k += 1
     return out_x, out_y, out_k, out_code

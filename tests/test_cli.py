@@ -117,10 +117,24 @@ def test_rrn_small_experiment():
 
 def test_rrn_experiment_function_deterministic():
     p = Polynomial([-1, 0, 0, 1])
-    one = run_rrn_experiment(p, 0.7, 30, 2000, 7, workers=1)
-    two = run_rrn_experiment(p, 0.7, 30, 2000, 7, workers=2)
+    one = run_rrn_experiment(p, 0.7, 30, 2000, 7)
+    two = run_rrn_experiment(p, 0.7, 30, 2000, 7)
     assert one.per_root_counts == two.per_root_counts
     assert one.converged_fraction == two.converged_fraction
+
+
+@pytest.mark.parametrize("method", ["newton1d", "rrn1d"])
+def test_solve_where_the_pole_scale_overflows(method):
+    # z^40 - 1 from 1e8, well inside the divergence radius: (1 + 1e8)**39
+    # overflows a float, so the pole test's scale is inf instead of raising
+    z40m1 = ",".join(["-1"] + ["0"] * 39 + ["1"])
+    code, out, err = invoke(
+        ["solve", "--poly", z40m1, "--method", method, "--z0", "1e8,0", "--max-iter", "20"]
+    )
+    assert code == 0, err
+    kv = parse_kv(out)
+    assert kv["class"] == "Undecided"
+    assert kv["iterations"] == "20"
 
 
 def test_usage_errors_exit_one():

@@ -11,6 +11,7 @@ from bnqn.complexpoly import (
     format_complex,
     newton_map_1d,
     parse_polynomial,
+    pole_scale,
     poly_derivative,
     poly_eval,
     polynomial_to_string,
@@ -73,6 +74,28 @@ def test_relaxed_newton_examples():
     assert relaxed_newton_map(Z2, 1, 0.5) == 0.75  # 1 - 0.5 * (1/2)
     with pytest.raises(DerivativeVanishes):
         relaxed_newton_map(Z2M1, 0, 0.5)
+
+
+def test_pole_scale_is_inf_where_the_power_overflows():
+    assert pole_scale(2.0, 3) == 1e-14 * 9.0
+    assert pole_scale(2.0, 1) == pole_scale(math.inf, 1) == 1e-14  # x**0 is 1
+    assert pole_scale(1e8, 40) == math.inf  # (1 + 1e8)**39 overflows
+    assert pole_scale(math.inf, 3) == math.inf
+    assert math.isnan(pole_scale(math.nan, 3))
+    rng = np.random.default_rng(7)
+    for abs_z, degree in zip(rng.uniform(0.0, 50.0, 200).tolist(), rng.integers(1, 60, 200).tolist()):
+        assert pole_scale(abs_z, degree) == 1e-14 * (1.0 + abs_z) ** (degree - 1)
+
+
+def test_newton_steps_where_the_pole_scale_overflows():
+    z40m1 = Polynomial([-1] + [0] * 39 + [1])
+    # g'(1e8) and the scale are both inf: not a pole, and the step gives NaN
+    assert math.isnan(newton_map_1d(z40m1, 1e8).real)
+    assert math.isnan(relaxed_newton_map(z40m1, 1e8, 0.5 + 0.1j).real)
+    # a finite g' where the scale overflows counts as vanishing
+    z40 = Polynomial([0] * 39 + [1e-300, 1e-310])
+    with pytest.raises(DerivativeVanishes):
+        newton_map_1d(z40, 1e8)
 
 
 def test_newton_linear_conjugacy_property():

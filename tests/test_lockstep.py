@@ -3,23 +3,28 @@
 Every case checks, for every grid cell, the terminal class, the iteration
 count and the bits of the final point, both straight out of
 ``lockstep.iterate`` and through ``render_basin`` (which adds the
-classification and the scalar tail handoff).
+classification and the scalar tail handoff).  Random relaxed Newton is
+checked trial by trial against ``run`` with the trial's own generator,
+straight out of ``iterate`` and through the ``rrn`` experiment, and its two
+primitives, the complex quotient and the block draws, against Python's.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bnqn import lockstep, objective
+from bnqn import cli, lockstep, objective
 from bnqn.basins import _TAIL_LANES, GridSpec, render_basin
-from bnqn.complexpoly import Polynomial
+from bnqn.complexpoly import Polynomial, RelaxationDisk, sample_relaxed_alpha
 from bnqn.errors import BnqnError, NoConvergence
-from bnqn.objective import UNDECIDED, PolyModulusObjective
+from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig, run
 
 BNQN = Method.BNQN_NEW_VARIANT
 BTGD = Method.BACKTRACKING_GD
+RRN = Method.RANDOM_RELAXED_NEWTON_1D
 Z3M1 = Polynomial([-1, 0, 0, 1])
 SQUARE = (-2.0, 2.0, -2.0, 2.0)
 # three roots 1e-3 apart plus five spread ones, like the degree-8 benchmark input
@@ -166,3 +171,141 @@ def test_iterate_rejects_scalar_only_methods():
     obj = PolyModulusObjective(Z3M1)
     with pytest.raises(ValueError):
         lockstep.iterate(obj, Method.NEWTON_1D, SolverConfig(), [0.5], [0.5], 0)
+
+
+def _same_bits(a, b):
+    """Bit for bit equal floats; NaN matches any NaN (payloads are not kept)."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+def test_quot_is_python_complex_division_bitwise():
+    rng = np.random.default_rng(83)
+    n = 1_000_000
+    ar, ai, br, bi = (rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n) for _ in range(4))
+    k = n // 10
+    bi[:k] = br[:k] * rng.uniform(0.5, 2.0, k)  # comparable sizes
+    bi[k : 2 * k] = br[k : 2 * k] * rng.choice([-1.0, 1.0], k)  # |re| == |im|
+    keep = (br != 0.0) | (bi != 0.0)  # Python raises on a zero divisor
+    ar, ai, br, bi = ar[keep], ai[keep], br[keep], bi[keep]
+    with np.errstate(all="ignore"):
+        qr, qi = lockstep._quot(ar, ai, br, bi)
+    want = list(map(complex.__truediv__, map(complex, ar.tolist(), ai.tolist()), map(complex, br.tolist(), bi.tolist())))
+    assert np.array_equal(qr.view(np.int64), np.array([q.real for q in want]).view(np.int64))
+    assert np.array_equal(qi.view(np.int64), np.array([q.imag for q in want]).view(np.int64))
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -3.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    cases = [(a, b, c, d) for a in special for b in special for c in special for d in special if c or d]
+    a, b, c, d = (np.array(v) for v in zip(*cases))
+    with np.errstate(all="ignore"):
+        qr, qi = lockstep._quot(a, b, c, d)
+    for n, (a, b, c, d) in enumerate(cases):
+        want = complex(a, b) / complex(c, d)
+        assert _same_bits(qr[n], want.real) and _same_bits(qi[n], want.imag), (a, b, c, d)
+
+
+@pytest.mark.parametrize("pairs", [64, 1])
+@pytest.mark.parametrize("rho", [0.51, 0.7, 0.99])
+def test_block_draws_are_successive_sample_relaxed_alpha(monkeypatch, rho, pairs):
+    # a lane holds at most ``pairs`` accepted factors, so 150 takes refill
+    # every lane; with one pair per block, a fifth of the refills accept
+    # nothing and must draw again
+    monkeypatch.setattr(lockstep, "_ALPHA_PAIRS", pairs)
+    disk = RelaxationDisk(rho)
+    lanes = np.arange(30)
+    draws = lockstep._RelaxationDraws([np.random.default_rng((5, t)) for t in lanes], disk)
+    scalar = [np.random.default_rng((5, t)) for t in lanes]
+    for step in range(150):
+        active = lanes[(lanes % 3 != 0) | (step % 2 == 0)]  # lanes take at different rates
+        re, im = draws.take(active)
+        for lane, a, b in zip(active.tolist(), re.tolist(), im.tolist()):
+            want = sample_relaxed_alpha(disk, scalar[lane])
+            assert _same_bits(a, want.real) and _same_bits(b, want.imag), (lane, step)
+
+
+Z40M1 = Polynomial([-1] + [0] * 39 + [1])
+
+# (polynomial, rho, config, trials or explicit starts); starts drawn from the
+# trial generator as the rrn experiment draws them unless given
+RRN_CASES = {
+    # about a quarter of the lanes hit the cap, as in the benchmark
+    "z3m1-cap34": (Z3M1, 0.7, SolverConfig(max_iter=34, seed=12345), 1000),
+    "z3m1-max-iter-1": (Z3M1, 0.7, SolverConfig(max_iter=1, seed=3), 200),
+    "z2m1-rho051": (Polynomial([-1, 0, 1]), 0.51, SolverConfig(max_iter=2000, seed=4), 300),
+    "degree1-rho099": (Polynomial([2 - 1j, 1]), 0.99, SolverConfig(max_iter=50, seed=5), 100),
+    "cluster8": (CLUSTER8, 0.7, SolverConfig(max_iter=300, seed=6), 300),
+    # |g'| < 1e-14 (1+|z|)^2 near 0: DerivativeVanishes, once the gradient
+    # test no longer stops the lane there first (at 0 itself grad F = 0)
+    "derivative-vanishes": (
+        Z3M1, 0.7, SolverConfig(grad_tol=0.0, max_iter=50, seed=8),
+        [(1e-8, 0.0), (0.0, -1e-8), (0.0, 0.0), (0.5, 0.5)],
+    ),
+    "derivative-vanishes-z3m1e6": (
+        Polynomial([-1e6, 0, 0, 1]), 0.7, SolverConfig(max_iter=50, seed=8), [(1e-8, 0.0), (0.5, 0.5)],
+    ),
+    # (1 + 1e8)**39 overflows: the pole scale is inf, and the run goes on
+    "overflow-start": (
+        Z40M1, 0.7, SolverConfig(max_iter=60, seed=9), [(1e8, 0.0), (0.0, -1e8), (3e7, 3e7), (2.0, 0.0)],
+    ),
+}
+
+
+def _scalar_rrn(obj, disk, cfg, t, z0=None):
+    """Trial t as the scalar loop runs it: the trace, its start and root index."""
+    rng = np.random.default_rng((cfg.seed, t))
+    if z0 is None:
+        z0 = rng.uniform(-3.0, 3.0, 2)
+    trace = run(obj, z0, RRN, cfg, rng=rng, relaxation=disk)
+    return trace, z0, trace.terminal.root_index if trace.terminal.is_root else -1
+
+
+@pytest.mark.parametrize("case", RRN_CASES)
+def test_relaxed_lockstep_matches_scalar_run(case):
+    poly, rho, cfg, trials = RRN_CASES[case]
+    starts = None if isinstance(trials, int) else trials
+    n = trials if starts is None else len(starts)
+    obj, disk = PolyModulusObjective(poly), RelaxationDisk(rho)
+    scalar = [_scalar_rrn(obj, disk, cfg, t, None if starts is None else starts[t]) for t in range(n)]
+    rngs = [np.random.default_rng((cfg.seed, t)) for t in range(n)]
+    if starts is None:
+        [rng.uniform(-3.0, 3.0, 2) for rng in rngs]  # the start comes first
+    x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, rngs=rngs, relaxation=disk)
+    stopped = codes == lockstep.STOPPED
+    roots = np.full(n, -1)
+    roots[stopped] = obj.root_indices(x[stopped], y[stopped], 1e-6)
+    for t, (trace, z0, root) in enumerate(scalar):
+        fx, fy = trace.final_point
+        assert _same_bits(x[t], fx) and _same_bits(y[t], fy), (t, z0)
+        assert steps[t] == trace.iterations, (t, z0)
+        assert (codes[t] == lockstep.FAILED) == (trace.failure is not None), (t, z0)
+        capped = trace.failure is None and not trace.converged and trace.terminal != DIVERGED
+        assert (codes[t] == lockstep.CAPPED) == (capped and trace.iterations == cfg.max_iter), (t, z0)
+        assert roots[t] == root, (t, z0)
+    outcomes = set(codes.tolist())
+    if case in ("z3m1-cap34", "z3m1-max-iter-1", "degree1-rho099"):
+        assert lockstep.CAPPED in outcomes
+    if case.startswith("derivative-vanishes"):
+        assert codes[0] == lockstep.FAILED
+    if case == "overflow-start":
+        assert codes[0] == lockstep.CAPPED and math.isnan(x[0])
+
+
+@pytest.mark.parametrize("lanes", [cli._RRN_LANES, 10])
+def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes):
+    # one trial past full passes: the last trial runs alone in the last pass
+    monkeypatch.setattr(cli, "_RRN_LANES", lanes)
+    trials = lanes + 1 if lanes > 10 else 3 * lanes + 1
+    cfg = SolverConfig(max_iter=40, seed=31)
+    obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(0.7)
+    got = cli._trial_roots(obj, disk, cfg, trials)
+    want = [_scalar_rrn(obj, disk, cfg, t)[2] for t in range(trials)]
+    assert got.tolist() == want
+    assert want[-1] >= 0 and -1 in want  # the last trial reaches a root; some do not
+    report = cli.run_rrn_experiment(Z3M1, 0.7, trials, 40, 31)
+    assert report.per_root_counts == tuple(want.count(k) for k in range(3))
+
+
+def test_relaxed_iterate_keeps_every_lane():
+    obj = PolyModulusObjective(Z3M1)
+    rngs = [np.random.default_rng(0)]
+    with pytest.raises(ValueError):
+        lockstep.iterate(obj, RRN, SolverConfig(), [0.5], [0.5], 1, rngs=rngs, relaxation=RelaxationDisk(0.7))

@@ -311,6 +311,22 @@ def test_classify_many_double_root_of_z2():
     assert _assert_classify_many_matches_scalar(Z2, [(0.0, 0.0)], 1e-8)[0].kind == "CriticalNonRoot"
 
 
+def test_root_indices_is_classify_roots_only_per_point():
+    for obj in (Z2M1, Z3M1, Z2):
+        r = obj.roots()[-1]
+        x = r.real - 2e-7
+        tol = abs(complex(x, r.imag) - r)  # the distance itself, then one ulp either side
+        points = [(c.real, c.imag) for c in obj.roots() + obj.critical_points()]
+        points += [(x, r.imag), (1e13, 0.0), (math.nan, 0.0), (math.inf, 1.0), (0.3, -0.4)]
+        for t in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 1e-6):
+            x_, y_ = np.array(points).T
+            got = obj.root_indices(x_, y_, t)
+            for point, index in zip(points, got.tolist()):
+                want = obj.classify_roots_only(point, t)
+                assert index == (want.root_index if want.is_root else -1), (point, t)
+        assert obj.root_indices([x], [r.imag], tol)[0] == len(obj.roots()) - 1
+
+
 def test_classify_many_empty_input():
     assert Z3M1.classify_many([], [], 1e-6).shape == (0,)
 
