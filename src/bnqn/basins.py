@@ -2,8 +2,11 @@
 
 Each grid point is an independent solver run.  BNQN and backtracking GD
 advance every point together in one serial sweep of the lockstep kernel in
-``bnqn.lockstep``; the other methods run point by point, parallelized over
-rows on a process pool (capped by the BNQN_THREADS environment variable).
+``bnqn.lockstep``, which runs every cell to its end (the last few one by one
+on Python floats), so these sweeps never call the scalar ``run`` and ignore
+BNQN_THREADS.  The other methods run point by point through ``run``,
+parallelized over rows on a process pool (capped by the BNQN_THREADS
+environment variable).
 Output goes to binary PPM images (escape-time shaded) and CSV tables.
 """
 
@@ -13,7 +16,7 @@ import math
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -131,16 +134,8 @@ class BasinMap:
 # Worker-process state for the sweep pool (populated by the initializer).
 _SWEEP: dict = {}
 
-# Lockstep sweeps hand their last lanes to the scalar ``run``.  A sweep costs
-# about the same for 1 to 32 lanes (0.1-0.6 ms on one core, for degree 3
-# and 8, BNQN and BTGD, with numpy's hypot), while a scalar step costs
-# 11-28 us, so the kernel only wins above about 10-25 lanes; 12 sits in that
-# break-even range, and whole z^3-1 sweeps took the same time with any tail
-# from 8 to 24.
-_TAIL_LANES = 12
-
-# Methods whose grid sweeps run on the lockstep kernel; rrn1d cells keep the
-# per-cell sweep, since the kernel cannot hand relaxed lanes to ``run``.
+# Methods whose grid sweeps run on the lockstep kernel; the others keep the
+# per-cell sweep.
 _LOCKSTEP_SWEEPS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
 
 
@@ -179,20 +174,6 @@ def _sweep_point(obj, method, cfg, grid, i, j, class_tol, rho):
     return trace.terminal, trace.iterations
 
 
-def _finish_lane(obj, method, cfg, class_tol, x, y, steps):
-    """(class, iterations) of a lane the lockstep kernel left UNFINISHED.
-
-    The run loop keeps no state besides z and the step count, so finishing
-    the lane from its current point is exact.
-    """
-    rest = replace(cfg, max_iter=cfg.max_iter - steps)
-    try:
-        trace = run(obj, (x, y), method, rest, class_tol=class_tol)
-    except BnqnError:
-        return UNDECIDED, cfg.max_iter
-    return trace.terminal, trace.iterations + steps
-
-
 def _sweep_row(i: int):
     grid = _SWEEP["grid"]
     out = []
@@ -216,7 +197,7 @@ def _lockstep_sweep(obj, method, cfg, grid, class_tol):
     """(classes, iterations) of every cell, from one lockstep sweep."""
     x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
     y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
-    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, _TAIL_LANES)
+    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0)
     # CAPPED and FAILED lanes end Undecided after the steps they took
     classes = np.full(len(codes), UNDECIDED, dtype=object)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)
@@ -226,8 +207,6 @@ def _lockstep_sweep(obj, method, cfg, grid, class_tol):
     # and there the per-cell sweep records (Undecided, max_iter)
     raised = stopped[~found.astype(bool)]
     classes[raised], iterations[raised] = UNDECIDED, cfg.max_iter
-    for n in np.flatnonzero(codes == lockstep.UNFINISHED).tolist():
-        classes[n], iterations[n] = _finish_lane(obj, method, cfg, class_tol, x[n], y[n], iterations[n])
     return classes.reshape(grid.nx, grid.ny).tolist(), iterations.reshape(grid.nx, grid.ny)
 
 
@@ -255,14 +234,13 @@ def render_basin(
     if cfg is None:
         cfg = SolverConfig()
     method = Method(method)
-    if workers is None:
-        workers = worker_count()
-    workers = max(1, min(workers, grid.nx))
-
     if method in _LOCKSTEP_SWEEPS:
         obj = PolyModulusObjective(Polynomial(g.coeffs))
         return BasinMap(grid, *_lockstep_sweep(obj, method, cfg, grid, class_tol))
 
+    if workers is None:
+        workers = worker_count()
+    workers = max(1, min(workers, grid.nx))
     init_args = (tuple(g.coeffs), method.value, cfg, grid, class_tol, rho)
     if workers == 1 or grid.nx * grid.ny < 1024:
         _sweep_init(*init_args)

@@ -32,10 +32,11 @@ that loop's exact floating-point operations:
 Lanes stop when they converge or diverge (the caller classifies them), hit
 the cap, or fail the step (no admissible shift, a singular shifted Hessian,
 an Armijo underflow, or a vanishing derivative), exactly where the scalar
-loop would stop them.  BNQN and GD lanes keep no state besides the point and
-the step count, so the caller can finish a few remaining lanes with the
-scalar loop.  Relaxed lanes cannot be handed over: their generators have
-been drawn ahead.
+loop would stop them.  Once at most ``_TAIL_LANES`` BNQN or GD lanes are
+left, a sweep costs more than stepping them one by one, so each is finished
+by ``_finish_lane``: the same step on Python floats and Python ``complex``,
+which is the arithmetic the scalar loop does.  Relaxed lanes always stay in
+the sweep.
 """
 
 from __future__ import annotations
@@ -45,17 +46,28 @@ from itertools import repeat
 import numpy as np
 
 from .complexpoly import RelaxationDisk, pole_scale
+from .linalg import _eig2_system, _eig2_values, hypot
 from .objective import PolyModulusObjective
 from .solvers import _UNDERFLOW_LIMIT, Method, SolverConfig
 
-__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "UNFINISHED", "iterate"]
+__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "iterate"]
 
 LOCKSTEP_METHODS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD, Method.RANDOM_RELAXED_NEWTON_1D)
 
 # Lane outcomes.  STOPPED lanes converged or left the divergence radius and
-# still need ``classify``; CAPPED and FAILED lanes end Undecided; UNFINISHED
-# lanes were still running when at most ``tail`` lanes were left.
-STOPPED, CAPPED, FAILED, UNFINISHED = 0, 1, 2, 3
+# still need ``classify``; CAPPED and FAILED lanes end Undecided.
+STOPPED, CAPPED, FAILED = 0, 1, 2
+
+# BNQN and GD lanes go to ``_finish_lane`` once a sweep starts with at most
+# this many.  On one core, a sweep costs nearly the same for 1 to 64 lanes:
+# 85-160 us for GD on the z^3-1 negative axis, 240-320 us for BNQN at degree
+# 3 and 8.  A per-lane step costs 1.9-2.4 us and 6-7 us there, so the kernel
+# wins above about 43-62 lanes.  Whole sweeps (z^3-1 BNQN 51x51 and 101x101,
+# GD 9x9, four degree-8 clusters at 25x25) took the same time, within noise,
+# with any tail from 24 to 64; GD on z^3-1 at 51x51, whose 25 capped axis
+# lanes run 10 000 steps each, took 0.7-0.8 s with a tail of 32 or more
+# against 1.0-1.5 s with them in the sweep.
+_TAIL_LANES = 48
 
 # Relaxation draws per lane and refill: 64 (u, v) pairs, 1 KB, hold about 50
 # accepted factors (the disk fills pi/4 of its square), enough for the
@@ -254,13 +266,93 @@ def _cap(wx, wy, norm, theta):
     return wx / div, wy / div
 
 
+def _horner1(coeffs, z):
+    """Python's complex Horner loop for one point; ``coeffs`` highest first."""
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
+    """``select_delta`` then ``reflected_direction`` on floats; None where
+    they raise (no admissible shift, or a zero eigenvalue)."""
+    scale = gn**cfg.tau
+    threshold = cfg.kappa * scale
+    for d in cfg.deltas:
+        shift = d * scale
+        sa, sc = a + shift, c + shift
+        l1, l2 = _eig2_values(sa, b, sc)
+        if min(abs(l1), abs(l2)) >= threshold:
+            break
+    else:
+        return None
+    l1, l2, u1x, u1y, u2x, u2y = _eig2_system(sa, b, sc)
+    if l1 == 0.0 or l2 == 0.0:
+        return None
+    c1 = (gx * u1x + gy * u1y) / abs(l1)
+    c2 = (gx * u2x + gy * u2y) / abs(l2)
+    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y
+
+
+def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, y, k):
+    """Run one BNQN (``hessian``) or GD lane from (x, y), k steps in, to its
+    end on Python floats; returns (x, y, steps, outcome).
+
+    This is the scalar loop's arithmetic without its arrays and trace:
+    Python's complex Horner and product, ``linalg.hypot`` norms, the
+    2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta cap and
+    the Armijo test in the form ``f(trial) <= f(z) - gamma*slope*factor``.
+    """
+    g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
+    radius = obj.divergence_radius
+    theta, gamma0, armijo, shrink = cfg.theta, cfg.gamma0, cfg.armijo_factor, cfg.shrink_factor
+    z = complex(x, y)
+    gz = _horner1(g, z)
+    while True:
+        dgz = _horner1(dg, z)
+        gc = gz.conjugate()
+        w = dgz * gc
+        gx, gy = w.real, -w.imag
+        gn = hypot(gx, gy)
+        if gn <= cfg.grad_tol or hypot(x, y) > radius:
+            return x, y, k, STOPPED
+        if k >= cfg.max_iter:
+            return x, y, k, CAPPED
+        if hessian:
+            u = _horner1(ddg, z) * gc
+            s = dgz.real * dgz.real + dgz.imag * dgz.imag
+            direction = _lane_direction(gx, gy, gn, u.real + s, -u.imag, s - u.real, cfg)
+            if direction is None:
+                return x, y, k, FAILED
+            wx, wy = direction
+            div = max(1.0, theta * hypot(wx, wy))
+        else:
+            wx, wy = gx, gy
+            div = max(1.0, theta * gn)
+        wx, wy = wx / div, wy / div
+        slope = wx * gx + wy * gy
+        fz = 0.5 * (gz.real * gz.real + gz.imag * gz.imag)
+        gamma = gamma0
+        while True:
+            trial = complex(x - gamma * wx, y - gamma * wy)
+            gt = _horner1(g, trial)
+            if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * armijo:
+                break
+            gamma = gamma * shrink
+            if gamma < _UNDERFLOW_LIMIT:
+                return x, y, k, FAILED
+        # the accepted trial is the next point, and g there is already known
+        x, y, z, gz = trial.real, trial.imag, trial, gt
+        k += 1
+
+
 def iterate(
     obj: PolyModulusObjective,
     method: Method,
     cfg: SolverConfig,
     x0,
     y0,
-    tail: int = 0,
     *,
     rngs=None,
     relaxation: RelaxationDisk | None = None,
@@ -268,28 +360,26 @@ def iterate(
     """Run ``method`` from every start (x0[i], y0[i]) in lockstep.
 
     Returns ``(x, y, steps, outcome)`` arrays: each lane's last point, the
-    steps it took, and its outcome code.  Once a sweep's checks leave at most
-    ``tail`` lanes running, those lanes come back UNFINISHED at their current
-    point (with ``steps < cfg.max_iter``), for the caller to finish.
+    steps it took, and its outcome code.  Every lane runs to the end; BNQN
+    and GD lanes finish one by one in ``_finish_lane`` once a sweep starts
+    with at most ``_TAIL_LANES`` of them.
 
     Random relaxed Newton needs ``rngs``, one generator per lane, in the
-    state ``run`` would receive, and the ``relaxation`` disk; its lanes
-    always run to the end (``tail`` must be 0).
+    state ``run`` would receive, and the ``relaxation`` disk.
     """
     if method not in LOCKSTEP_METHODS:
         raise ValueError(f"no lockstep kernel for {method}")
     hessian = method is Method.BNQN_NEW_VARIANT
     relaxed = method is Method.RANDOM_RELAXED_NEWTON_1D
     if relaxed:
-        if tail:
-            raise ValueError("relaxed lanes cannot be finished by run: their generators are drawn ahead")
         draws = _RelaxationDraws(rngs, relaxation)
+    tail = 0 if relaxed else _TAIL_LANES
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
     radius = obj.divergence_radius
     n = len(x0)
     out_x, out_y = np.array(x0, dtype=float), np.array(y0, dtype=float)
     out_k = np.zeros(n, dtype=int)
-    out_code = np.full(n, UNFINISHED, dtype=np.int8)
+    out_code = np.zeros(n, dtype=np.int8)
     lane = np.arange(n)
     x, y = out_x.copy(), out_y.copy()
     k = 0
@@ -301,6 +391,10 @@ def iterate(
 
     with np.errstate(all="ignore"):
         while lane.size:
+            if lane.size <= tail:
+                for m, xm, ym in zip(lane.tolist(), x.tolist(), y.tolist()):
+                    out_x[m], out_y[m], out_k[m], out_code[m] = _finish_lane(obj, hessian, cfg, xm, ym, k)
+                break
             gr, gi = _horner(g, x, y)
             dr, di = _horner(dg, x, y)
             wr, wi = _times_conj(dr, di, gr, gi)
@@ -312,9 +406,6 @@ def iterate(
             run_on = ~stop
             if k >= cfg.max_iter:
                 retire(run_on, CAPPED)
-                break
-            if np.count_nonzero(run_on) <= tail:
-                retire(run_on, UNFINISHED)
                 break
             x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
                 v[run_on] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)

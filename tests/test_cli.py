@@ -206,6 +206,21 @@ def test_help_text_mentions_default_values(capsys):
     assert "1e-10" in text  # gradient tolerance
 
 
+@pytest.mark.parametrize("method", ["bnqn", "btgd"])
+def test_lockstep_basin_ignores_threads_env(tmp_path, monkeypatch, method):
+    # bnqn and btgd basins run in one process and never read BNQN_THREADS
+    monkeypatch.setenv("BNQN_THREADS", "abc")
+    argv = ["basin", "--poly", "-1,0,0,1", "--method", method, "--res", "9,9", "--max-iter", "300",
+            "--out", str(tmp_path / "t.ppm"), "--csv", str(tmp_path / "t.csv")]
+    code, out, err = invoke(argv)
+    assert code == 0, err
+    assert parse_kv(out)["method"] == method
+    # the pool methods still reject it
+    code, _, err = invoke([*argv[:4], "newton1d", *argv[5:]])
+    assert code == 2
+    assert "BNQN_THREADS must be an integer" in err
+
+
 def test_threads_env_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("BNQN_THREADS", "1")
     ppm = tmp_path / "t.ppm"

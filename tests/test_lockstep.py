@@ -3,20 +3,22 @@
 Every case checks, for every grid cell, the terminal class, the iteration
 count and the bits of the final point, both straight out of
 ``lockstep.iterate`` and through ``render_basin`` (which adds the
-classification and the scalar tail handoff).  Random relaxed Newton is
-checked trial by trial against ``run`` with the trial's own generator,
-straight out of ``iterate`` and through the ``rrn`` experiment, and its two
-primitives, the complex quotient and the block draws, against Python's.
+classification), with the kernel's own tail, with every lane kept in the
+numpy sweep, and with every lane run by the per-lane float loop alone.
+Random relaxed Newton is checked trial by trial against ``run`` with the
+trial's own generator, straight out of ``iterate`` and through the ``rrn``
+experiment, and its two primitives, the complex quotient and the block
+draws, against Python's.
 """
 
+import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bnqn import cli, lockstep, objective
-from bnqn.basins import _TAIL_LANES, GridSpec, render_basin
+from bnqn.basins import GridSpec, render_basin
 from bnqn.complexpoly import Polynomial, RelaxationDisk, sample_relaxed_alpha
 from bnqn.errors import BnqnError, NoConvergence
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
@@ -38,8 +40,11 @@ CASES = {
     "z2-double-root": (Polynomial([0, 0, 1]), GridSpec(*SQUARE, 15, 15), BNQN, SolverConfig()),
     "z2m1": (Polynomial([-1, 0, 1]), GridSpec(*SQUARE, 21, 21), BNQN, SolverConfig()),
     "cluster8": (CLUSTER8, GridSpec(*SQUARE, 17, 17), BNQN, SolverConfig()),
-    # the axis cells hit the cap and reach it through the scalar handoff
+    # the axis cells hit the cap in the per-lane loop
     "btgd-cap300": (Z3M1, GridSpec(*SQUARE, 9, 9), BTGD, SolverConfig(max_iter=300)),
+    # the basin-cubic-btgd benchmark input: the four negative-axis cells
+    # creep toward the critical point 0 and hit the default cap
+    "btgd-9-default": (Z3M1, GridSpec(*SQUARE, 9, 9), BTGD, SolverConfig()),
     # 145 of 225 cells hit the cap inside the kernel
     "z3m1-gradtol0": (Z3M1, GridSpec(*SQUARE, 15, 15), BNQN, SolverConfig(grad_tol=0.0, max_iter=200)),
     "diverged-bnqn": (Z3M1, GridSpec(-1e9, 1e9, -1e9, 1e9, 9, 9), BNQN, SolverConfig(max_iter=300)),
@@ -49,6 +54,13 @@ CASES = {
         SolverConfig(theta=1.0, tau=0.7, deltas=(0.0, 0.5, -0.8)),
     ),
     "btgd-theta": (Z3M1, GridSpec(*SQUARE, 15, 15), BTGD, SolverConfig(theta=1.0, max_iter=300)),
+    # g = z with a huge shift: at x = 5e-324 and 1e-323 on the real axis w
+    # underflows to 0, theta*|w| = inf*0 is NaN, max(1.0, NaN) is 1.0, and
+    # the lane takes zero-length steps up to the cap
+    "theta-inf-underflow": (
+        Polynomial([0, 1]), GridSpec(0.0, 1e-323, -1.0, 1.0, 3, 3), BNQN,
+        SolverConfig(theta=math.inf, tau=0.01, deltas=(1e10, 2e10), grad_tol=0.0, max_iter=50),
+    ),
     # step failures: two shifts that both miss the bar near z = 1.2 ...
     "no-admissible-delta": (
         Polynomial([-1, 0, 1]), GridSpec(0.5, 2.0, 0.0, 1.5, 7, 7), BNQN,
@@ -72,36 +84,55 @@ def _scalar(obj, z0, method, cfg, class_tol=1e-6):
         return None
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_lockstep_matches_scalar_run(case):
+@functools.cache
+def _oracle(case):
+    """The grid's starts and each one's scalar trace (or None)."""
+    poly, grid, method, cfg = CASES[case]
+    obj = PolyModulusObjective(poly)
+    starts = [grid.point(i, j) for i in range(grid.nx) for j in range(grid.ny)]
+    return starts, [_scalar(obj, z0, method, cfg, CLASS_TOL.get(case, 1e-6)) for z0 in starts]
+
+
+# _TAIL_LANES as the kernel has it (None), 0 (every lane stays in the numpy
+# sweep) and more than any grid has lanes (every lane runs in the per-lane
+# loop from step 0)
+ALL_LANES = 10**6
+TAILS = {None: "", 0: "-sweep-only", ALL_LANES: "-per-lane-only"}
+
+
+@pytest.mark.parametrize(
+    "case, tail", [pytest.param(case, tail, id=case + tag) for case in CASES for tail, tag in TAILS.items()]
+)
+def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     poly, grid, method, cfg = CASES[case]
     class_tol = CLASS_TOL.get(case, 1e-6)
     obj = PolyModulusObjective(poly)
-    starts = [grid.point(i, j) for i in range(grid.nx) for j in range(grid.ny)]
+    starts, traces = _oracle(case)
+    if tail is not None:
+        monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
+    finished = []
+    finish_lane = lockstep._finish_lane
+
+    def counted(*args):
+        finished.append(args)
+        return finish_lane(*args)
+
+    monkeypatch.setattr(lockstep, "_finish_lane", counted)
     x0, y0 = np.array(starts).T
-    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0, _TAIL_LANES)
+    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0)
+    per_lane = len(finished)
     basin = render_basin(poly, grid, method, cfg, class_tol=class_tol, workers=1)
     outcomes = set()
-    for n, z0 in enumerate(starts):
-        want = _scalar(obj, z0, method, cfg, class_tol)
+    for n, (z0, want) in enumerate(zip(starts, traces)):
         code = int(codes[n])
         outcomes.add(code)
-        if code == lockstep.UNFINISHED:
-            assert steps[n] < cfg.max_iter
-            rest = replace(cfg, max_iter=cfg.max_iter - steps[n])
-            got = _scalar(obj, (x[n], y[n]), method, rest, class_tol)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert (got.terminal, got.iterations + steps[n]) == (want.terminal, want.iterations)
-                assert tuple(got.final_point) == tuple(want.final_point)
+        assert (x[n], y[n]) == tuple(want.final_point), z0  # bit for bit
+        assert steps[n] == want.iterations, z0
+        assert (code == lockstep.FAILED) == (want.failure is not None), z0
+        if code == lockstep.STOPPED:
+            assert obj.classify((x[n], y[n]), class_tol) == want.terminal, z0
         else:
-            assert (x[n], y[n]) == tuple(want.final_point), z0  # bit for bit
-            assert steps[n] == want.iterations, z0
-            assert (code == lockstep.FAILED) == (want.failure is not None), z0
-            if code == lockstep.STOPPED:
-                assert obj.classify((x[n], y[n]), class_tol) == want.terminal, z0
-            else:
-                assert want.terminal == UNDECIDED
+            assert want.terminal == UNDECIDED
         i, j = divmod(n, grid.ny)
         if want is None:
             assert (basin.classes[i][j], basin.iterations[i, j]) == (UNDECIDED, cfg.max_iter)
@@ -110,18 +141,49 @@ def test_lockstep_matches_scalar_run(case):
             # LimitClass equality ignores the matched critical point
             assert basin.classes[i][j].point == want.terminal.point, z0
             assert basin.iterations[i, j] == want.iterations, z0
+    if tail == 0:
+        assert per_lane == 0
+    elif tail == ALL_LANES:
+        assert per_lane == len(starts)
+        assert all(args[-1] == 0 for args in finished)  # from step 0
+    elif case in ("btgd-cap300", "btgd-9-default", "diverged-bnqn"):
+        assert 0 < per_lane <= lockstep._TAIL_LANES
     if case == "z3m1-51-default":
         assert basin.class_counts()["Undecided"] == 25
     if case == "z3m1-critical":
         assert basin.class_counts()["CriticalNonRoot"] == 11
     if case == "z3m1-gradtol0":
         assert np.count_nonzero(codes == lockstep.CAPPED) == 145
+    if case == "btgd-9-default":
+        capped = {divmod(n, grid.ny) for n in np.flatnonzero(codes == lockstep.CAPPED).tolist()}
+        assert capped == {(i, 4) for i in range(4)}
+        for i, j in capped:
+            assert (basin.classes[i][j], basin.iterations[i, j]) == (UNDECIDED, 10_000)
+        assert basin.class_counts()["Undecided"] == 4
+    if case == "theta-inf-underflow":
+        for n in (4, 7):
+            assert (codes[n], steps[n], x[n], y[n]) == (lockstep.CAPPED, 50, x0[n], 0.0)
     if case.startswith("diverged"):
         assert basin.class_counts()["Diverged"] > 0
-    if case in ("btgd-cap300", "diverged-bnqn"):
-        assert lockstep.UNFINISHED in outcomes
     if case in ("no-admissible-delta", "overflow-bnqn", "overflow-btgd"):
         assert lockstep.FAILED in outcomes
+
+
+@pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])
+@pytest.mark.parametrize("method", [BNQN, BTGD], ids=["bnqn", "btgd"])
+def test_first_step_from_zero_matches_run(monkeypatch, method, tail):
+    # g = z - r from z = 0 with max_iter = 1 ends at exactly -gamma*w_hat,
+    # so one ulp of difference anywhere in the step shows in the final
+    # point; theta = 10 caps w for most roots r, which exercises the norm
+    # of w on pairs where the C library's hypot and math.hypot differ
+    monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
+    cfg = SolverConfig(theta=10.0, max_iter=1)
+    rng = np.random.default_rng(97)
+    for r in rng.uniform(-3.0, 3.0, (1500, 2)).tolist():
+        obj = PolyModulusObjective(Polynomial([complex(-r[0], -r[1]), 1]))
+        want = run(obj, (0.0, 0.0), method, cfg).final_point
+        x, y, _, _ = lockstep.iterate(obj, method, cfg, [0.0], [0.0])
+        assert (x[0], y[0]) == tuple(want), r
 
 
 @pytest.mark.parametrize("failing", ["g", "g'"])
@@ -170,7 +232,7 @@ def test_render_basin_workers_do_not_change_output():
 def test_iterate_rejects_scalar_only_methods():
     obj = PolyModulusObjective(Z3M1)
     with pytest.raises(ValueError):
-        lockstep.iterate(obj, Method.NEWTON_1D, SolverConfig(), [0.5], [0.5], 0)
+        lockstep.iterate(obj, Method.NEWTON_1D, SolverConfig(), [0.5], [0.5])
 
 
 def _same_bits(a, b):
@@ -304,8 +366,9 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
     assert report.per_root_counts == tuple(want.count(k) for k in range(3))
 
 
-def test_relaxed_iterate_keeps_every_lane():
-    obj = PolyModulusObjective(Z3M1)
-    rngs = [np.random.default_rng(0)]
-    with pytest.raises(ValueError):
-        lockstep.iterate(obj, RRN, SolverConfig(), [0.5], [0.5], 1, rngs=rngs, relaxation=RelaxationDisk(0.7))
+def test_relaxed_iterate_keeps_every_lane(monkeypatch):
+    # relaxed lanes never reach the per-lane loop, however few are left:
+    # their generators have been drawn ahead in blocks
+    monkeypatch.setattr(lockstep, "_TAIL_LANES", ALL_LANES)
+    monkeypatch.setattr(lockstep, "_finish_lane", None)
+    test_relaxed_lockstep_matches_scalar_run("z3m1-cap34")
