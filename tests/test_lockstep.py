@@ -7,8 +7,9 @@ classification), with the kernel's own tail, with every lane kept in the
 numpy sweep, and with every lane run by the per-lane float loop alone.
 Random relaxed Newton is checked trial by trial against ``run`` with the
 trial's own generator, straight out of ``iterate`` and through the ``rrn``
-experiment, and its two primitives, the complex quotient and the block
-draws, against Python's.
+experiment, and its primitives against Python's and numpy's: the complex
+quotient, the block draws, the block-hashed trial generators and the
+screened pole test.
 """
 
 import functools
@@ -19,8 +20,8 @@ import pytest
 
 from bnqn import cli, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
-from bnqn.complexpoly import Polynomial, RelaxationDisk, sample_relaxed_alpha
-from bnqn.errors import BnqnError, NoConvergence
+from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale, sample_relaxed_alpha
+from bnqn.errors import BnqnError, DerivativeVanishes, NoConvergence
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig, run
 
@@ -281,6 +282,84 @@ def test_block_draws_are_successive_sample_relaxed_alpha(monkeypatch, rho, pairs
         for lane, a, b in zip(active.tolist(), re.tolist(), im.tolist()):
             want = sample_relaxed_alpha(disk, scalar[lane])
             assert _same_bits(a, want.real) and _same_bits(b, want.imag), (lane, step)
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 2**130 + 1]
+
+
+def _assert_default_rng_streams(seed, first, stop):
+    """Block-hashed states and generators equal SeedSequence's and
+    ``default_rng((seed, t))``'s, and so do their first draws."""
+    states = lockstep._trial_states(seed, first, stop)
+    rngs = lockstep.trial_generators(seed, first, stop)
+    assert len(states) == len(rngs) == stop - first
+    for t, state, rng in zip(range(first, stop), states, rngs):
+        want = np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+        assert state.tolist() == want.tolist(), t
+        want = np.random.default_rng((seed, t))
+        assert rng.bit_generator.state == want.bit_generator.state, t
+        assert rng.uniform(-3.0, 3.0, 2).tolist() == want.uniform(-3.0, 3.0, 2).tolist(), t
+        assert rng.uniform(-0.7, 0.7, 128).tolist() == want.uniform(-0.7, 0.7, 128).tolist(), t
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_generators_are_default_rng(seed):
+    _assert_default_rng_streams(seed, 0, 40)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+@pytest.mark.parametrize("edge", [2**32, 2**64], ids=["t=2^32", "t=2^64"])
+def test_trial_generators_across_a_word_boundary(seed, edge):
+    # t gains a word of entropy within the block
+    _assert_default_rng_streams(seed, edge - 5, edge + 3)
+
+
+def test_trial_generators_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        lockstep.trial_generators(-1, 0, 4)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng((-1, 0))
+
+
+def _pole_lanes():
+    """(degree, |z|, |g'|) lanes around the pole scale: where numpy's power
+    and Python's ``**`` disagree, where they agree, and |g'| at the exact
+    scale and one ulp either side; |z| = inf and NaN, an overflowing power,
+    and degree 1 (exponent 0)."""
+    rng = np.random.default_rng(47)
+    lanes = []
+    for degree in (1, 2, 3, 8, 40):
+        zn = rng.uniform(0.0, 4.0, 4000)
+        with np.errstate(over="ignore"):
+            differ = np.power(1.0 + zn, degree - 1) != np.array([(1.0 + v) ** (degree - 1) for v in zn.tolist()])
+        # with AVX-512, numpy's power is not the C library's pow and differs
+        # by an ulp on a few per cent of these; elsewhere they may all agree
+        picked = np.concatenate([zn[differ][:40], zn[~differ][:10], [0.0, 1e8, math.inf, math.nan]])
+        for v in picked.tolist():
+            scale = pole_scale(v, degree)
+            sizes = [0.0, 1.0, 1e300, math.inf, math.nan]
+            if math.isfinite(scale):
+                sizes += [scale, math.nextafter(scale, 0.0), math.nextafter(scale, math.inf)]
+            lanes += [(degree, v, s) for s in sizes]
+    return lanes
+
+
+def test_pole_screen_is_check_derivative():
+    lanes = _pole_lanes()
+    degrees = {d for d, _, _ in lanes}
+    for degree in degrees:
+        zn, size = (np.array(v) for v in zip(*[(v, s) for d, v, s in lanes if d == degree]))
+        p = Polynomial([-1.0] + [0.0] * (degree - 1) + [1.0])
+        want = []
+        for v, s in zip(zn.tolist(), size.tolist()):
+            try:
+                _check_derivative(p, complex(v, 0.0), complex(s, 0.0))
+                want.append(False)
+            except DerivativeVanishes:
+                want.append(True)
+        with np.errstate(all="ignore"):
+            failed = lockstep._pole_failed(zn, size, np.zeros_like(size), degree)
+        assert failed.tolist() == want, degree
 
 
 Z40M1 = Polynomial([-1] + [0] * 39 + [1])
