@@ -55,10 +55,13 @@ def _fmt(value: float) -> str:
 # random relaxed Newton experiment
 
 # Trials per lockstep pass, so that memory does not grow with the trial
-# count.  A live trial holds its Generator (1.6 KB resident) and a block of
-# relaxation draws (1 KB), and a refill briefly needs a few times that; on
-# z^3-1 with 16384 trials, peak RSS was 40, 43, 49 and 62 MB for passes of
-# 512, 1024, 2048 and 4096 lanes (30 MB after import), at the same speed.
+# count.  A live trial holds its PCG64 state (32 bytes) and a block of
+# relaxation draws (1 KB), and a refill briefly needs a few KB more; on
+# z^3-1 (rho 0.7, max-iter 2000) with 16384 trials, peak RSS was 33, 36,
+# 39 and 46 MB for passes of 512, 1024, 2048 and 4096 lanes (30 MB after
+# import).  Larger passes ran faster there (0.56, 0.40, 0.28 and 0.28 s on
+# one core) because fewer passes end in a sweep of a few slow lanes; the
+# default 500 trials and the benchmark's 1000 fit in one pass either way.
 _RRN_LANES = 1024
 _CLASS_TOL = 1e-6  # the class_tol of a trial's scalar run (its default)
 
@@ -77,18 +80,18 @@ class RrnReport:
 def _trial_roots(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverConfig, trials: int) -> np.ndarray:
     """Per trial, the index of the root it reaches, or -1.
 
-    Trial t draws its start and its relaxation factors from
+    Trial t draws its start and its relaxation factors from the stream of
     ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
     would, and ends where that run ends.  The trials run as the lanes of one
-    lockstep pass per ``_RRN_LANES`` of them, and each pass builds its
-    generators at once (``lockstep.trial_generators``).
+    lockstep pass per ``_RRN_LANES`` of them, and each pass holds their
+    streams as arrays (``lockstep.TrialStreams``).
     """
     out = np.full(trials, -1)
     for first in range(0, trials, _RRN_LANES):
-        rngs = lockstep.trial_generators(cfg.seed, first, min(first + _RRN_LANES, trials))
-        x0, y0 = np.array([rng.uniform(-3.0, 3.0, 2) for rng in rngs]).T
+        streams = lockstep.TrialStreams(cfg.seed, first, min(first + _RRN_LANES, trials))
+        x0, y0 = streams.uniform(-3.0, 3.0, 2)
         x, y, _, codes = lockstep.iterate(
-            obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, rngs=rngs, relaxation=disk
+            obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=streams, relaxation=disk
         )
         stopped = np.flatnonzero(codes == lockstep.STOPPED)
         out[first + stopped] = obj.root_indices(x[stopped], y[stopped], _CLASS_TOL)

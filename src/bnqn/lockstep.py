@@ -8,7 +8,7 @@ and then takes one step on the lanes still running.  BNQN selects its shift
 by mask and solves with the closed-form 2x2 eigensystem; BNQN and GD then
 run an Armijo search in which the lanes that have accepted drop out of the
 backtracking loop.  Random relaxed Newton takes z - alpha*g(z)/g'(z), with
-each lane drawing alpha from its own generator.
+each lane drawing alpha from its own random stream.
 
 The kernel reproduces the scalar ``solvers.run`` bit for bit, so it keeps
 that loop's exact floating-point operations:
@@ -28,13 +28,17 @@ that loop's exact floating-point operations:
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
   is NaN;
-- relaxation factors drawn by ``Generator.uniform`` in blocks, which yields
-  the same doubles as the scalar loop's one draw per call.
+- relaxation factors drawn in blocks of (u, v) pairs, which yields the same
+  doubles as the scalar loop's one ``Generator.uniform`` draw per call.
 
-The relaxed lanes of ``bnqn rrn`` draw from ``trial_generators``, which
-builds each trial's ``default_rng((seed, t))`` for a whole block of trials
-at once: SeedSequence's hash runs on uint32 arrays, one entry per trial, and
-each PCG64 receives its ready-hashed state words.
+The relaxed lanes of ``bnqn rrn`` draw from ``TrialStreams``, which holds
+the PCG64 stream of each trial's ``default_rng((seed, t))`` for a whole
+block of trials as uint64 arrays and builds no ``Generator``:
+SeedSequence's hash runs on uint32 arrays, one entry per trial; PCG64's
+seeding, its 128-bit LCG step (as (hi, lo) uint64 pairs) and its XSL-RR
+output run on all lanes at once; and ``uniform`` gives what
+``Generator.uniform`` gives (``next_double``, then low + (high - low)*d),
+bit for bit, for any subset of lanes.
 
 Lanes stop when they converge or diverge (the caller classifies them), hit
 the cap, or fail the step (no admissible shift, a singular shifted Hessian,
@@ -49,6 +53,7 @@ the sweep.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import repeat
 
 import numpy as np
@@ -58,7 +63,7 @@ from .linalg import _eig2_system, _eig2_values, hypot
 from .objective import PolyModulusObjective
 from .solvers import _UNDERFLOW_LIMIT, Method, SolverConfig
 
-__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "iterate", "trial_generators"]
+__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "TrialStreams", "iterate"]
 
 LOCKSTEP_METHODS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD, Method.RANDOM_RELAXED_NEWTON_1D)
 
@@ -184,26 +189,6 @@ def _pcg64_states(entropy):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])], axis=1)
 
 
-@functools.cache
-def _hashed_seed():
-    """The ISeedSequence that hands PCG64 one lane's hashed state.
-
-    Built on first use, so that importing the package does not import
-    ``numpy.random``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class HashedSeed(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for exactly generate_state(4, uint64)
-            return self.state
-
-    return HashedSeed
-
-
 def _trial_states(seed: int, first: int, stop: int):
     """``SeedSequence((seed, t)).generate_state(4, uint64)`` for t in
     ``range(first, stop)``, as one row per trial.
@@ -226,16 +211,128 @@ def _trial_states(seed: int, first: int, stop: int):
     return states
 
 
-def trial_generators(seed: int, first: int, stop: int) -> list:
-    """``default_rng((seed, t))`` for t in ``range(first, stop)``: the same
-    streams in the same states, with the seeds of the whole block hashed at
-    once.  A negative seed raises SeedSequence's ``ValueError``."""
-    hashed = _hashed_seed()
-    return [np.random.Generator(np.random.PCG64(hashed(row))) for row in _trial_states(seed, first, stop)]
+# PCG64 as numpy's pcg64.c has it (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014): a 128-bit LCG, state = state*M + inc mod 2**128, with
+# an XSL-RR output.  A 128-bit value is a (hi, lo) pair of uint64 arrays.
+# Every constant meets the arrays as an np.uint64, so that no op leaves
+# uint64 under numpy 1.24 and numpy 2 alike; uint64 array arithmetic wraps
+# silently.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64))
+
+
+def _mulhi(a, b):
+    """The high 64 bits of a*b, from 32-bit halves (Hacker's Delight)."""
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
+    t = a1 * b0 + (a0 * b0 >> _U32)
+    w = (t & _LOW32) + a0 * b1
+    return a1 * b1 + (t >> _U32) + (w >> _U32)
+
+
+def _mul(ah, al, bh, bl):
+    """(ah, al) * (bh, bl) mod 2**128."""
+    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
+
+
+def _add(ah, al, bh, bl):
+    """(ah, al) + (bh, bl) mod 2**128."""
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One LCG step: state*M + inc mod 2**128."""
+    return _add(*_mul(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output: hi ^ lo rotated right by the state's top six bits."""
+    x = hi ^ lo
+    rot = hi >> _U58
+    return (x >> rot) | (x << ((_U64 - rot) & _U63))
+
+
+def _halves(values):
+    """The (hi, lo) halves of 128-bit ints, as uint64 columns."""
+    return tuple(np.array([[v >> s & _MASK64] for v in values], dtype=np.uint64) for s in (64, 0))
+
+
+@functools.cache
+def _draw_plan(n: int, cols: int):
+    """The jump pairs (A, C) = (M**j, sum of M**i for i < j), which take a
+    state s to A*s + C*inc, j steps on, for j at the first draw of each row
+    of ``cols`` draws and for j = n; as the (hi, lo) halves of A and of C.
+    Built on first use, not at import."""
+    jumps = [(1, 0)]
+    for _ in range(n):
+        a, c = jumps[-1]
+        jumps.append((a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128))
+    a, c = zip(*(jumps[j] for j in [*range(1, n + 1, cols), n]))
+    return *_halves(a), *_halves(c)
+
+
+def _next_double(hi, lo):
+    """numpy's next_double on the output of the state (hi, lo)."""
+    return np.multiply(_xsl_rr(hi, lo) >> _U11, 2.0**-53, dtype=np.float64)
+
+
+class TrialStreams:
+    """The PCG64 streams of ``default_rng((seed, t))`` for t in
+    ``range(first, stop)``, one lane per trial, held as uint64 arrays.
+
+    ``uniform`` gives what each lane's ``Generator.uniform`` would give, bit
+    for bit, for any subset of lanes; a lane's stream moves on only by its
+    own draws.  A negative seed raises SeedSequence's ``ValueError``.
+    """
+
+    def __init__(self, seed: int, first: int, stop: int):
+        w = _trial_states(seed, first, stop)
+        # numpy's pcg64_set_seed: initstate = w0:w1 and initseq = w2:w3;
+        # inc = initseq << 1 | 1, and the state starts at 0, takes a step,
+        # adds initstate and takes another step
+        self.inc_hi, self.inc_lo = w[:, 2] << _U1 | w[:, 3] >> _U63, w[:, 3] << _U1 | _U1
+        self.hi, self.lo = _step(*_add(self.inc_hi, self.inc_lo, w[:, 0], w[:, 1]), self.inc_hi, self.inc_lo)
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def uniform(self, low: float, high: float, n: int, lanes=slice(None)):
+        """n successive ``uniform(low, high)`` draws of each lane in
+        ``lanes``: draw i of lane ``lanes[j]`` is at [i, j].
+
+        The draws are laid out as rows of ``cols`` draws: jumps take every
+        lane to each row's first draw and to its state n draws on, and then
+        the rows step together.  Lanes run along the last axis, so that
+        every op broadcasts over whole runs of lanes.
+        """
+        hi, lo, inc_hi, inc_lo = self.hi[lanes], self.lo[lanes], self.inc_hi[lanes], self.inc_lo[lanes]
+        # each column of draws after the first costs about 35 numpy calls on
+        # (rows x lanes) values, the jumps about 45 on one more row, so few
+        # lanes do best with many rows and many lanes with about sqrt(n): on
+        # one core, 1024 lanes took 128 draws fastest in columns of 11 to
+        # 16, and up to 16 lanes in one column
+        cols = max(1, math.isqrt(len(lo) * n // 1024))
+        ah, al, ch, cl = _draw_plan(n, cols)
+        sh, sl = _add(*_mul(hi, lo, ah, al), *_mul(inc_hi, inc_lo, ch, cl))
+        self.hi[lanes], self.lo[lanes] = sh[-1], sl[-1]
+        sh, sl = sh[:-1], sl[:-1]
+        span = high - low
+        out = np.empty((len(sh) * cols, len(lo)))
+        for k in range(cols):
+            if k:
+                sh, sl = _step(sh, sl, inc_hi, inc_lo)
+            # Generator.uniform: low + (high - low)*next_double
+            out[k::cols] = low + span * _next_double(sh, sl)
+        return out[:n]
 
 
 class _RelaxationDraws:
-    """Relaxation factors per lane, each lane drawing from its own generator.
+    """Relaxation factors per lane, each lane drawing from its own stream.
 
     ``sample_relaxed_alpha`` draws (u, v) pairs by ``uniform(-rho, rho)``
     until u*u + v*v <= rho*rho.  A lane here draws ``_ALPHA_PAIRS`` pairs at
@@ -243,13 +340,13 @@ class _RelaxationDraws:
     accepted ones in order, and draws the next block when it has used them.
     """
 
-    def __init__(self, rngs, disk: RelaxationDisk):
-        n = len(rngs)
-        self.rngs = rngs
+    def __init__(self, streams: TrialStreams, disk: RelaxationDisk):
+        n = len(streams)
+        self.streams = streams
         self.rho = disk.rho
-        self.re = np.empty((n, _ALPHA_PAIRS))
-        self.im = np.empty((n, _ALPHA_PAIRS))
-        self.accepted = np.zeros(n, dtype=int)  # factors held, in re[:, :accepted]
+        self.re = np.empty((_ALPHA_PAIRS, n))  # factor i of lane j at [i, j]
+        self.im = np.empty((_ALPHA_PAIRS, n))
+        self.accepted = np.zeros(n, dtype=int)  # factors held, in re[:accepted, lane]
         self.next = np.zeros(n, dtype=int)
 
     def take(self, lanes):
@@ -260,17 +357,17 @@ class _RelaxationDraws:
             empty = empty[self.accepted[empty] == 0]
         at = self.next[lanes]
         self.next[lanes] = at + 1
-        return self.re[lanes, at], self.im[lanes, at]
+        return self.re[at, lanes], self.im[at, lanes]
 
     def _refill(self, lanes):
         r = self.rho
-        draws = np.array([self.rngs[i].uniform(-r, r, 2 * _ALPHA_PAIRS) for i in lanes.tolist()])
-        u, v = draws[:, 0::2], draws[:, 1::2]
+        draws = self.streams.uniform(-r, r, 2 * _ALPHA_PAIRS, lanes)
+        u, v = draws[0::2], draws[1::2]
         accept = u * u + v * v <= r * r
-        order = np.argsort(~accept, axis=1, kind="stable")  # accepted first, in order
-        self.re[lanes] = 1.0 + np.take_along_axis(u, order, axis=1)
-        self.im[lanes] = np.take_along_axis(v, order, axis=1)
-        self.accepted[lanes] = np.count_nonzero(accept, axis=1)
+        order = np.argsort(~accept, axis=0, kind="stable")  # accepted first, in order
+        self.re[:, lanes] = 1.0 + np.take_along_axis(u, order, axis=0)
+        self.im[:, lanes] = np.take_along_axis(v, order, axis=0)
+        self.accepted[lanes] = np.count_nonzero(accept, axis=0)
         self.next[lanes] = 0
 
 
@@ -512,7 +609,7 @@ def iterate(
     x0,
     y0,
     *,
-    rngs=None,
+    streams: TrialStreams | None = None,
     relaxation: RelaxationDisk | None = None,
 ):
     """Run ``method`` from every start (x0[i], y0[i]) in lockstep.
@@ -522,15 +619,15 @@ def iterate(
     and GD lanes finish one by one in ``_finish_lane`` once a sweep starts
     with at most ``_TAIL_LANES`` of them.
 
-    Random relaxed Newton needs ``rngs``, one generator per lane, in the
-    state ``run`` would receive, and the ``relaxation`` disk.
+    Random relaxed Newton needs ``streams``, one per lane, in the state
+    ``run``'s generator would be in, and the ``relaxation`` disk.
     """
     if method not in LOCKSTEP_METHODS:
         raise ValueError(f"no lockstep kernel for {method}")
     hessian = method is Method.BNQN_NEW_VARIANT
     relaxed = method is Method.RANDOM_RELAXED_NEWTON_1D
     if relaxed:
-        draws = _RelaxationDraws(rngs, relaxation)
+        draws = _RelaxationDraws(streams, relaxation)
     tail = 0 if relaxed else _TAIL_LANES
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
     radius = obj.divergence_radius

@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bnqn
 from bnqn.cli import build_parser, run_command, run_rrn_experiment
 from bnqn.complexpoly import Polynomial
 
@@ -128,6 +133,161 @@ def test_rrn_negative_seed_is_runtime_failure():
     assert code == 2
     assert out == ""
     assert err == "failure: expected non-negative integer\n"
+
+
+Z40M1 = ",".join(["-1"] + ["0"] * 39 + ["1"])
+
+# bnqn rrn stdout, pinned: trial t draws its start and relaxation factors
+# from default_rng((seed, t)), so any change to the streams, the draw order
+# or the step shows here
+RRN_GOLDEN = {
+    # 1500 trials span two lockstep passes; a quarter of them hit the cap
+    "z3m1-two-passes": (
+        ["--poly", "-1,0,0,1", "--rho", "0.7", "--max-iter", "34", "--trials", "1500", "--seed", str(2**64 + 3)],
+        """\
+rho=0.69999999999999996
+trials=1500
+seed=18446744073709551619
+converged_fraction=0.7466666666666667
+root_0=1.0000000000000278-1.5293931392658844e-14i
+root_0_count=371
+root_1=-0.5+0.86602540378443871i
+root_1_count=376
+root_2=-0.5-0.8660254037844386i
+root_2_count=373
+""",
+    ),
+    # long trials: lanes refill their relaxation draws a few at a time
+    "z40m1-rho09": (
+        ["--poly", Z40M1, "--rho", "0.9", "--max-iter", "200", "--trials", "200", "--seed", "7"],
+        """\
+rho=0.90000000000000002
+trials=200
+seed=7
+converged_fraction=0.58499999999999996
+root_0=0.80901699421940443+0.5877852526156967i
+root_0_count=4
+root_1=-0.80826869141785074+0.58714028283714259i
+root_1_count=0
+root_2=-0.95106546488719912-0.30903838869073158i
+root_2_count=0
+root_3=-0.15643446126472318-0.98768834067068767i
+root_3_count=2
+root_4=0.80901699398118043-0.58778525256144087i
+root_4_count=3
+root_5=0.89100652401054115+0.45399049969370414i
+root_5_count=4
+root_6=-0.15643404177505271+0.98768780415097412i
+root_6_count=3
+root_7=-0.95379421546463306+0.31111003189807585i
+root_7_count=0
+root_8=-0.58778525059749254-0.80901698727361882i
+root_8_count=3
+root_9=0.45399049965172761-0.89100652427325067i
+root_9_count=7
+root_10=0.99999999999616096-4.6272025970948595e-12i
+root_10_count=4
+root_11=0.3090169952345127+0.9510565094114638i
+root_11_count=4
+root_12=-0.70713047924069872+0.7071003455452366i
+root_12_count=0
+root_13=-0.70710678095302593-0.70710678469598065i
+root_13_count=6
+root_14=-3.0121560284097473e-11-0.9999999999874768i
+root_14_count=1
+root_15=0.89100652418838933-0.45399049973820849i
+root_15_count=2
+root_16=0.70710678117406345+0.70710678117300374i
+root_16_count=6
+root_17=-0.30901700943332172+0.95105648219234196i
+root_17_count=5
+root_18=-0.9998904907081505-0.00016889529646635457i
+root_18_count=0
+root_19=-0.45399049963133753-0.89100652436974404i
+root_19_count=3
+root_20=0.58778525228821277-0.80901699437192465i
+root_20_count=9
+root_21=0.98768834059509902+0.15643446503999503i
+root_21_count=0
+root_22=0.15643446305664302+0.98768833961213509i
+root_22_count=4
+root_23=-0.98763082084004483+0.15618692640953796i
+root_23_count=0
+root_24=-0.89100652606921238-0.45399050168040411i
+root_24_count=2
+root_25=0.15643446503990016-0.98768834059573718i
+root_25_count=2
+root_26=0.95105651629510379-0.30901699437487734i
+root_26_count=3
+root_27=0.45399049974030192+0.89100652418733695i
+root_27_count=2
+root_28=-0.45399049323047586+0.89100652779577871i
+root_28_count=2
+root_29=-0.98768708214139411-0.15643721349375347i
+root_29_count=0
+root_30=-0.30901699435472824-0.95105651629800392i
+root_30_count=5
+root_31=0.7071067811853684-0.70710678118607728i
+root_31_count=3
+root_32=0.95105651629514454+0.30901699437494212i
+root_32_count=3
+root_33=-1.5835688323872355e-09+0.99999999838313181i
+root_33_count=1
+root_34=-0.89097402463970343+0.45388934005626608i
+root_34_count=0
+root_35=-0.80901699416693118-0.58778525381350577i
+root_35_count=6
+root_36=0.30901699437546787-0.95105651629606813i
+root_36_count=1
+root_37=0.98768834059512933-0.1564344650402337i
+root_37_count=6
+root_38=0.58778525229253487+0.80901699437511398i
+root_38_count=7
+root_39=-0.58778543603279343+0.80901695001269591i
+root_39_count=4
+""",
+    ),
+    "z2-3z+2-rho055": (
+        ["--poly", "2,-3,1", "--rho", "0.55", "--max-iter", "24", "--trials", "300", "--seed", "11"],
+        """\
+rho=0.55000000000000004
+trials=300
+seed=11
+converged_fraction=0.72333333333333338
+root_0=2+6.4623485355705287e-27i
+root_0_count=57
+root_1=1-3.8518598887744717e-34i
+root_1_count=160
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RRN_GOLDEN)
+def test_rrn_output_is_golden(case):
+    argv, want = RRN_GOLDEN[case]
+    code, out, err = invoke(["rrn", *argv])
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # setup cost: importing the package, and a whole rrn experiment, import
+    # no more of numpy.random than importing numpy does (numpy 1.24 imports
+    # it with numpy itself; numpy 2 loads it on first use)
+    script = (
+        "import io, sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import bnqn, bnqn.cli\n"
+        "imported = 'numpy.random' in sys.modules\n"
+        "bnqn.cli.run_command(['rrn', '--trials', '20', '--max-iter', '50'], out=io.StringIO())\n"
+        "print(before, imported, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(bnqn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    before, imported, after_rrn = out.split()
+    assert imported == after_rrn == before
 
 
 @pytest.mark.parametrize("method", ["newton1d", "rrn1d"])

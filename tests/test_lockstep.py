@@ -8,8 +8,8 @@ numpy sweep, and with every lane run by the per-lane float loop alone.
 Random relaxed Newton is checked trial by trial against ``run`` with the
 trial's own generator, straight out of ``iterate`` and through the ``rrn``
 experiment, and its primitives against Python's and numpy's: the complex
-quotient, the block draws, the block-hashed trial generators and the
-screened pole test.
+quotient, the block draws, the numpy-side PCG64 trial streams (seeding and
+draws against ``default_rng((seed, t))``) and the screened pole test.
 """
 
 import functools
@@ -274,7 +274,7 @@ def test_block_draws_are_successive_sample_relaxed_alpha(monkeypatch, rho, pairs
     monkeypatch.setattr(lockstep, "_ALPHA_PAIRS", pairs)
     disk = RelaxationDisk(rho)
     lanes = np.arange(30)
-    draws = lockstep._RelaxationDraws([np.random.default_rng((5, t)) for t in lanes], disk)
+    draws = lockstep._RelaxationDraws(lockstep.TrialStreams(5, 0, len(lanes)), disk)
     scalar = [np.random.default_rng((5, t)) for t in lanes]
     for step in range(150):
         active = lanes[(lanes % 3 != 0) | (step % 2 == 0)]  # lanes take at different rates
@@ -287,19 +287,31 @@ def test_block_draws_are_successive_sample_relaxed_alpha(monkeypatch, rho, pairs
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 2**130 + 1]
 
 
+def _pcg64_state(streams, lane):
+    """A lane's PCG64 (state, inc) as 128-bit ints."""
+    hi, lo, inc_hi, inc_lo = (int(v[lane]) for v in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo))
+    return hi << 64 | lo, inc_hi << 64 | inc_lo
+
+
 def _assert_default_rng_streams(seed, first, stop):
-    """Block-hashed states and generators equal SeedSequence's and
-    ``default_rng((seed, t))``'s, and so do their first draws."""
+    """Block-hashed states equal SeedSequence's, the trial streams' seeded
+    PCG64 (state, inc) equal ``default_rng((seed, t))``'s, and so do their
+    first draws."""
     states = lockstep._trial_states(seed, first, stop)
-    rngs = lockstep.trial_generators(seed, first, stop)
-    assert len(states) == len(rngs) == stop - first
-    for t, state, rng in zip(range(first, stop), states, rngs):
+    streams = lockstep.TrialStreams(seed, first, stop)
+    assert len(states) == len(streams) == stop - first
+    seeded = [_pcg64_state(streams, lane) for lane in range(stop - first)]
+    starts = streams.uniform(-3.0, 3.0, 2).T
+    relaxations = streams.uniform(-0.7, 0.7, 128).T
+    for t, state, pcg64, start, relax in zip(range(first, stop), states, seeded, starts, relaxations):
         want = np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
         assert state.tolist() == want.tolist(), t
         want = np.random.default_rng((seed, t))
-        assert rng.bit_generator.state == want.bit_generator.state, t
-        assert rng.uniform(-3.0, 3.0, 2).tolist() == want.uniform(-3.0, 3.0, 2).tolist(), t
-        assert rng.uniform(-0.7, 0.7, 128).tolist() == want.uniform(-0.7, 0.7, 128).tolist(), t
+        # numpy's pcg64_set_seed: inc from the last two state words, then a
+        # step, the first two words added, and another step
+        assert pcg64 == (want.bit_generator.state["state"]["state"], want.bit_generator.state["state"]["inc"]), t
+        assert start.tolist() == want.uniform(-3.0, 3.0, 2).tolist(), t
+        assert relax.tolist() == want.uniform(-0.7, 0.7, 128).tolist(), t
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -314,9 +326,31 @@ def test_trial_generators_across_a_word_boundary(seed, edge):
     _assert_default_rng_streams(seed, edge - 5, edge + 3)
 
 
+@pytest.mark.parametrize("lanes", [1, 5, 40, 300])
+def test_stream_draws_are_successive_uniform_draws(lanes):
+    # lane subsets of every size take blocks of 1 to 130 draws at uneven
+    # rates; every lane's draws continue its own Generator's, whatever
+    # layout of rows its block took
+    streams = lockstep.TrialStreams(2**64 + 3, 7, 7 + lanes)
+    rngs = [np.random.default_rng((2**64 + 3, t)) for t in range(7, 7 + lanes)]
+    pick = np.random.default_rng(lanes)
+    for step, n in enumerate([1, 2, 127, 128, 130, 2, 1, 130, 128, 127]):
+        low, high = [(-3.0, 3.0), (-0.7, 0.7), (-0.99, 0.99)][step % 3]
+        every = step % 4 == 0
+        subset = np.arange(lanes) if every else np.flatnonzero(pick.random(lanes) < 0.6)
+        draws = streams.uniform(low, high, n, slice(None) if every else subset)
+        assert draws.shape == (n, len(subset))
+        for j, lane in enumerate(subset.tolist()):
+            want = rngs[lane].uniform(low, high, n)
+            assert draws[:, j].tolist() == want.tolist(), (lane, step, n)
+    for lane, rng in enumerate(rngs):
+        want = rng.bit_generator.state["state"]
+        assert _pcg64_state(streams, lane) == (want["state"], want["inc"]), lane
+
+
 def test_trial_generators_reject_a_negative_seed():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        lockstep.trial_generators(-1, 0, 4)
+        lockstep.TrialStreams(-1, 0, 4)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng((-1, 0))
 
@@ -405,11 +439,11 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     n = trials if starts is None else len(starts)
     obj, disk = PolyModulusObjective(poly), RelaxationDisk(rho)
     scalar = [_scalar_rrn(obj, disk, cfg, t, None if starts is None else starts[t]) for t in range(n)]
-    rngs = [np.random.default_rng((cfg.seed, t)) for t in range(n)]
+    streams = lockstep.TrialStreams(cfg.seed, 0, n)
     if starts is None:
-        [rng.uniform(-3.0, 3.0, 2) for rng in rngs]  # the start comes first
+        streams.uniform(-3.0, 3.0, 2)  # the start comes first
     x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
-    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, rngs=rngs, relaxation=disk)
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams, relaxation=disk)
     stopped = codes == lockstep.STOPPED
     roots = np.full(n, -1)
     roots[stopped] = obj.root_indices(x[stopped], y[stopped], 1e-6)
@@ -447,7 +481,7 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
 
 def test_relaxed_iterate_keeps_every_lane(monkeypatch):
     # relaxed lanes never reach the per-lane loop, however few are left:
-    # their generators have been drawn ahead in blocks
+    # their streams have been drawn ahead in blocks
     monkeypatch.setattr(lockstep, "_TAIL_LANES", ALL_LANES)
     monkeypatch.setattr(lockstep, "_finish_lane", None)
     test_relaxed_lockstep_matches_scalar_run("z3m1-cap34")
