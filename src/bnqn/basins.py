@@ -1,20 +1,15 @@
 """Basin-of-attraction sweeps: per-point runs over a grid, plus exports.
 
-Each grid point is an independent solver run.  BNQN and backtracking GD
-advance every point together in one serial sweep of the lockstep kernel in
-``bnqn.lockstep``, which runs every cell to its end (the last few one by one
-on Python floats), so these sweeps never call the scalar ``run`` and ignore
-BNQN_THREADS.  The other methods run point by point through ``run``,
-parallelized over rows on a process pool (capped by the BNQN_THREADS
-environment variable).
+Each grid point is an independent solver run.  Every method advances all
+points together in one serial pass of the lockstep kernel in
+``bnqn.lockstep``, which ends each cell exactly where the scalar ``run``
+would, and the stopped cells are then classified in one numpy pass.
 Output goes to binary PPM images (escape-time shaded) and CSV tables.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -23,9 +18,8 @@ import numpy as np
 
 from . import lockstep
 from .complexpoly import Polynomial, RelaxationDisk
-from .errors import BnqnError
 from .objective import UNDECIDED, LimitClass, PolyModulusObjective
-from .solvers import Method, SolverConfig, run
+from .solvers import _ONE_DIM, Method, SolverConfig
 
 __all__ = [
     "BasinMap",
@@ -34,7 +28,6 @@ __all__ = [
     "export_csv",
     "export_ppm",
     "render_basin",
-    "worker_count",
 ]
 
 # Fixed palette: root basins by root index (cycled), criticals black,
@@ -52,18 +45,6 @@ ROOT_COLORS = (
 CRITICAL_COLOR = (0, 0, 0)
 DIVERGED_COLOR = (255, 255, 255)
 UNDECIDED_COLOR = (128, 128, 128)
-
-
-def worker_count() -> int:
-    """Worker cap: BNQN_THREADS when set, else the available parallelism."""
-    env = os.environ.get("BNQN_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"BNQN_THREADS must be an integer, got {env!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
 
 
 def _sample(lo: float, hi: float, i: int, n: int) -> float:
@@ -131,85 +112,6 @@ class BasinMap:
         return counts
 
 
-# Worker-process state for the sweep pool (populated by the initializer).
-_SWEEP: dict = {}
-
-# Methods whose grid sweeps run on the lockstep kernel; the others keep the
-# per-cell sweep.
-_LOCKSTEP_SWEEPS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
-
-
-def _sweep_init(coeffs, method_value, cfg, grid, class_tol, rho):
-    _SWEEP["obj"] = PolyModulusObjective(Polynomial(coeffs))
-    _SWEEP["method"] = Method(method_value)
-    _SWEEP["cfg"] = cfg
-    _SWEEP["grid"] = grid
-    _SWEEP["class_tol"] = class_tol
-    _SWEEP["rho"] = rho
-
-
-def _cell_rng(seed: int, i: int, j: int) -> np.random.Generator:
-    """The random relaxed variant's generator for grid cell (i, j)."""
-    return np.random.default_rng((seed, i, j))
-
-
-def _sweep_point(obj, method, cfg, grid, i, j, class_tol, rho):
-    rng = None
-    relaxation = None
-    if method is Method.RANDOM_RELAXED_NEWTON_1D:
-        rng = _cell_rng(cfg.seed if cfg.seed is not None else 0, i, j)
-        relaxation = RelaxationDisk(rho)
-    try:
-        trace = run(
-            obj,
-            grid.point(i, j),
-            method,
-            cfg,
-            rng=rng,
-            relaxation=relaxation,
-            class_tol=class_tol,
-        )
-    except BnqnError:
-        return UNDECIDED, cfg.max_iter
-    return trace.terminal, trace.iterations
-
-
-def _sweep_row(i: int):
-    grid = _SWEEP["grid"]
-    out = []
-    for j in range(grid.ny):
-        out.append(
-            _sweep_point(
-                _SWEEP["obj"],
-                _SWEEP["method"],
-                _SWEEP["cfg"],
-                grid,
-                i,
-                j,
-                _SWEEP["class_tol"],
-                _SWEEP["rho"],
-            )
-        )
-    return out
-
-
-def _lockstep_sweep(obj, method, cfg, grid, class_tol):
-    """(classes, iterations) of every cell, from one lockstep sweep."""
-    x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
-    y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
-    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0)
-    # CAPPED and FAILED lanes end Undecided after the steps they took
-    classes = np.full(len(codes), UNDECIDED, dtype=object)
-    stopped = np.flatnonzero(codes == lockstep.STOPPED)
-    found = obj.classify_many(x[stopped], y[stopped], class_tol)
-    classes[stopped] = found
-    # None (the only falsy entry) marks where classify_limit would raise,
-    # and there the per-cell sweep records (Undecided, max_iter)
-    raised = stopped[~found.astype(bool)]
-    classes[raised], iterations[raised] = UNDECIDED, cfg.max_iter
-    return classes.reshape(grid.nx, grid.ny).tolist(), iterations.reshape(grid.nx, grid.ny)
-
-
 def render_basin(
     g: Polynomial,
     grid: GridSpec,
@@ -218,39 +120,37 @@ def render_basin(
     *,
     class_tol: float = 1e-6,
     rho: float = 0.7,
-    workers: int | None = None,
 ) -> BasinMap:
     """Run the method from every grid point and classify the outcomes.
 
-    BNQN and backtracking GD advance all cells together in one serial
-    lockstep sweep (``bnqn.lockstep``), which reproduces the scalar ``run``
-    bit for bit, so ``workers`` does not apply to them; the other methods run
-    each cell through ``run``, one row per pool task.
+    All cells advance together in one serial lockstep pass
+    (``bnqn.lockstep``), which reproduces the scalar ``run`` bit for bit.
 
     Deterministic given cfg.seed: the random relaxed variant seeds cell
-    (i, j) with ``default_rng((seed, i, j))``.  Per-point failures land as
-    Undecided; the sweep never aborts.
+    (i, j) with ``default_rng((seed, i, j))``, seed None counting as 0.
+    Per-point failures land as Undecided; the sweep never aborts.
     """
     if cfg is None:
         cfg = SolverConfig()
     method = Method(method)
-    if method in _LOCKSTEP_SWEEPS:
-        obj = PolyModulusObjective(Polynomial(g.coeffs))
-        return BasinMap(grid, *_lockstep_sweep(obj, method, cfg, grid, class_tol))
-
-    if workers is None:
-        workers = worker_count()
-    workers = max(1, min(workers, grid.nx))
-    init_args = (tuple(g.coeffs), method.value, cfg, grid, class_tol, rho)
-    if workers == 1 or grid.nx * grid.ny < 1024:
-        _sweep_init(*init_args)
-        rows = [_sweep_row(i) for i in range(grid.nx)]
-    else:
-        with multiprocessing.Pool(workers, initializer=_sweep_init, initargs=init_args) as pool:
-            rows = pool.map(_sweep_row, range(grid.nx))
-    classes = [[cell[0] for cell in row] for row in rows]
-    iterations = np.array([[cell[1] for cell in row] for row in rows], dtype=int)
-    return BasinMap(grid, classes, iterations)
+    obj = PolyModulusObjective(Polynomial(g.coeffs))
+    x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
+    y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
+    streams = relaxation = None
+    if method is Method.RANDOM_RELAXED_NEWTON_1D:
+        relaxation = RelaxationDisk(rho)
+        streams = lockstep.TrialStreams(lockstep.cell_states(cfg.seed or 0, grid.nx, grid.ny))
+    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=streams, relaxation=relaxation)
+    # CAPPED and FAILED lanes end Undecided after the steps they took
+    classes = np.full(len(codes), UNDECIDED, dtype=object)
+    stopped = np.flatnonzero(codes == lockstep.STOPPED)
+    found = obj.classify_many(x[stopped], y[stopped], class_tol, roots_only=method in _ONE_DIM)
+    classes[stopped] = found
+    # None (the only falsy entry) marks where the scalar classification
+    # raises, and there the cell records (Undecided, max_iter)
+    raised = stopped[~found.astype(bool)]
+    classes[raised], iterations[raised] = UNDECIDED, cfg.max_iter
+    return BasinMap(grid, classes.reshape(grid.nx, grid.ny).tolist(), iterations.reshape(grid.nx, grid.ny))
 
 
 def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:

@@ -54,15 +54,6 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 # random relaxed Newton experiment
 
-# Trials per lockstep pass, so that memory does not grow with the trial
-# count.  A live trial holds its PCG64 state (32 bytes) and a block of
-# relaxation draws (1 KB), and a refill briefly needs a few KB more; on
-# z^3-1 (rho 0.7, max-iter 2000) with 16384 trials, peak RSS was 33, 36,
-# 39 and 46 MB for passes of 512, 1024, 2048 and 4096 lanes (30 MB after
-# import).  Larger passes ran faster there (0.56, 0.40, 0.28 and 0.28 s on
-# one core) because fewer passes end in a sweep of a few slow lanes; the
-# default 500 trials and the benchmark's 1000 fit in one pass either way.
-_RRN_LANES = 1024
 _CLASS_TOL = 1e-6  # the class_tol of a trial's scalar run (its default)
 
 
@@ -82,19 +73,18 @@ def _trial_roots(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverCon
 
     Trial t draws its start and its relaxation factors from the stream of
     ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
-    would, and ends where that run ends.  The trials run as the lanes of one
-    lockstep pass per ``_RRN_LANES`` of them, and each pass holds their
-    streams as arrays (``lockstep.TrialStreams``).
+    would, and ends where that run ends.  The trials run as the lanes of the
+    lockstep kernel, which holds their streams as arrays
+    (``lockstep.TrialStreams``).
     """
+    streams = lockstep.TrialStreams(lockstep.trial_states(cfg.seed, 0, trials))
+    x0, y0 = streams.uniform(-3.0, 3.0, 2)
+    x, y, _, codes = lockstep.iterate(
+        obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=streams, relaxation=disk
+    )
     out = np.full(trials, -1)
-    for first in range(0, trials, _RRN_LANES):
-        streams = lockstep.TrialStreams(cfg.seed, first, min(first + _RRN_LANES, trials))
-        x0, y0 = streams.uniform(-3.0, 3.0, 2)
-        x, y, _, codes = lockstep.iterate(
-            obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=streams, relaxation=disk
-        )
-        stopped = np.flatnonzero(codes == lockstep.STOPPED)
-        out[first + stopped] = obj.root_indices(x[stopped], y[stopped], _CLASS_TOL)
+    stopped = np.flatnonzero(codes == lockstep.STOPPED)
+    out[stopped] = obj.root_indices(x[stopped], y[stopped], _CLASS_TOL)
     return out
 
 
@@ -246,15 +236,14 @@ def _cmd_solve(args, out) -> int:
     obj = PolyModulusObjective(poly)
     method = Method(args.method)
     relaxation = None
-    rng = None
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
         try:
             relaxation = RelaxationDisk(args.rho)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        rng = np.random.default_rng(args.seed)
     z0 = _parse_pair(args.z0, "--z0")
-    trace = run(obj, z0, method, cfg, rng=rng, relaxation=relaxation, class_tol=args.class_tol)
+    # rrn1d draws from run's own default_rng(cfg.seed), and cfg.seed is --seed
+    trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=args.class_tol)
     if args.trace:
         export_trace_csv(trace, args.trace)
     final = trace.final_point

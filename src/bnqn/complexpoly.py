@@ -23,8 +23,6 @@ __all__ = [
     "parse_complex",
     "parse_polynomial",
     "pole_scale",
-    "poly_derivative",
-    "poly_eval",
     "polynomial_to_string",
     "relaxed_newton_map",
     "sample_relaxed_alpha",
@@ -127,15 +125,6 @@ class RelaxationDisk:
     def __post_init__(self):
         if not 0.5 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0.5, 1), got {self.rho}")
-
-
-def poly_eval(p: Polynomial, z) -> complex:
-    """Horner evaluation of p at z."""
-    return p(complex(z))
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
 
 
 def pole_scale(abs_z: float, degree: int) -> float:

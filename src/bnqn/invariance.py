@@ -136,6 +136,17 @@ def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
     )
 
 
+def _max_deviation(base_trace, mapped_trace, a_inv) -> float:
+    """max_k |z'_k - A^-1 z_k| / (1 + |z_k|) over the common prefix of the
+    base run's points z_k and the mapped run's points z'_k."""
+    deviation = 0.0
+    for p, q in zip(base_trace.points, mapped_trace.points):
+        d = float(np.linalg.norm(q - a_inv @ p)) / (1.0 + float(np.linalg.norm(p)))
+        if d > deviation:
+            deviation = d
+    return deviation
+
+
 def check_invariance(
     f: ObjectiveFunction, spec: ConjugationSpec, z0, cfg: SolverConfig, n: int
 ) -> float:
@@ -160,15 +171,7 @@ def check_invariance(
     for trace in (base_trace, mapped_trace):
         if trace.failure is not None:
             raise BnqnError(f"run failed during invariance check: {trace.failure}")
-    deviation = 0.0
-    common = min(len(base_trace.points), len(mapped_trace.points))
-    for k in range(common):
-        p = base_trace.points[k]
-        q = mapped_trace.points[k]
-        d = float(np.linalg.norm(q - a_inv @ p)) / (1.0 + float(np.linalg.norm(p)))
-        if d > deviation:
-            deviation = d
-    return deviation
+    return _max_deviation(base_trace, mapped_trace, a_inv)
 
 
 def newton_conjugacy_check(f: ObjectiveFunction, matrix, z0, n: int) -> float:
@@ -182,15 +185,7 @@ def newton_conjugacy_check(f: ObjectiveFunction, matrix, z0, n: int) -> float:
     for trace in (base_trace, mapped_trace):
         if trace.failure is not None:
             raise SingularMatrix(f"Newton run failed: {trace.failure}")
-    deviation = 0.0
-    common = min(len(base_trace.points), len(mapped_trace.points))
-    for k in range(common):
-        p = base_trace.points[k]
-        q = mapped_trace.points[k]
-        d = float(np.linalg.norm(q - a_inv @ p)) / (1.0 + float(np.linalg.norm(p)))
-        if d > deviation:
-            deviation = d
-    return deviation
+    return _max_deviation(base_trace, mapped_trace, a_inv)
 
 
 _SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])

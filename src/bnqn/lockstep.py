@@ -1,14 +1,17 @@
-"""Lockstep iteration of BNQN, backtracking GD and random relaxed Newton.
+"""Lockstep iteration of every ``solvers.Method``.
 
 Every active start (a *lane*) holds its point as one entry of two float64
 arrays, x and y, and all lanes take their k-th step in the same sweep.  Each
-sweep evaluates g and g' (and g'' for BNQN) by Horner's rule on the split
-real/imaginary arrays, tests convergence, divergence and the iteration cap,
-and then takes one step on the lanes still running.  BNQN selects its shift
-by mask and solves with the closed-form 2x2 eigensystem; BNQN and GD then
-run an Armijo search in which the lanes that have accepted drop out of the
-backtracking loop.  Random relaxed Newton takes z - alpha*g(z)/g'(z), with
-each lane drawing alpha from its own random stream.
+sweep evaluates g and g' (and g'' for the Hessian methods) by Horner's rule
+on the split real/imaginary arrays, tests convergence, divergence and the
+iteration cap, and then takes one step on the lanes still running.  BNQN
+selects its shift by mask and solves with the closed-form 2x2 eigensystem;
+BNQN and GD then run an Armijo search in which the lanes that have accepted
+drop out of the backtracking loop.  NQN (the first shift with a nonzero
+determinant, then the same reflected solve) and Newton optimization (one
+batched ``numpy.linalg.solve``) take the full step z - w.  Newton's map takes
+z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with each
+lane drawing alpha from its own random stream.
 
 The kernel reproduces the scalar ``solvers.run`` bit for bit, so it keeps
 that loop's exact floating-point operations:
@@ -31,23 +34,22 @@ that loop's exact floating-point operations:
 - relaxation factors drawn in blocks of (u, v) pairs, which yields the same
   doubles as the scalar loop's one ``Generator.uniform`` draw per call.
 
-The relaxed lanes of ``bnqn rrn`` draw from ``TrialStreams``, which holds
-the PCG64 stream of each trial's ``default_rng((seed, t))`` for a whole
-block of trials as uint64 arrays and builds no ``Generator``:
-SeedSequence's hash runs on uint32 arrays, one entry per trial; PCG64's
-seeding, its 128-bit LCG step (as (hi, lo) uint64 pairs) and its XSL-RR
-output run on all lanes at once; and ``uniform`` gives what
-``Generator.uniform`` gives (``next_double``, then low + (high - low)*d),
-bit for bit, for any subset of lanes.
+Relaxed lanes draw from ``TrialStreams``, which holds the PCG64 stream of
+each lane's ``default_rng((seed, t))`` or ``default_rng((seed, i, j))`` as
+uint64 arrays and builds no ``Generator``: SeedSequence's hash runs on uint32
+arrays, one entry per lane; PCG64's seeding, its 128-bit LCG step (as
+(hi, lo) uint64 pairs) and its XSL-RR output run on all lanes at once; and
+``uniform`` gives what ``Generator.uniform`` gives (``next_double``, then
+low + (high - low)*d), bit for bit, for any subset of lanes.
 
 Lanes stop when they converge or diverge (the caller classifies them), hit
-the cap, or fail the step (no admissible shift, a singular shifted Hessian,
-an Armijo underflow, or a vanishing derivative), exactly where the scalar
-loop would stop them.  Once at most ``_TAIL_LANES`` BNQN or GD lanes are
-left, a sweep costs more than stepping them one by one, so each is finished
-by ``_finish_lane``: the same step on Python floats and Python ``complex``,
-which is the arithmetic the scalar loop does.  Relaxed lanes always stay in
-the sweep.
+the cap, or fail the step (no admissible shift, a singular Hessian, an
+Armijo underflow, or a vanishing derivative), exactly where the scalar loop
+would stop them.  Once at most ``_TAIL_LANES`` BNQN or GD lanes are left, a
+sweep costs more than stepping them one by one, so each is finished by
+``_finish_lane``: the same step on Python floats and Python ``complex``,
+which is the arithmetic the scalar loop does.  The other methods' lanes
+always stay in the sweep.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ from .linalg import _eig2_system, _eig2_values, hypot
 from .objective import PolyModulusObjective
 from .solvers import _UNDERFLOW_LIMIT, Method, SolverConfig
 
-__all__ = ["CAPPED", "FAILED", "LOCKSTEP_METHODS", "STOPPED", "TrialStreams", "iterate"]
+__all__ = ["CAPPED", "FAILED", "STOPPED", "TrialStreams", "cell_states", "iterate", "trial_states"]
 
-LOCKSTEP_METHODS = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD, Method.RANDOM_RELAXED_NEWTON_1D)
+# the methods that take the Hessian, and those that search by Armijo's rule
+_HESSIAN = (Method.BNQN_NEW_VARIANT, Method.NQN, Method.NEWTON_OPT)
+_ARMIJO = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
 
 # Lane outcomes.  STOPPED lanes converged or left the divergence radius and
 # still need ``classify``; CAPPED and FAILED lanes end Undecided.
@@ -86,6 +90,15 @@ _TAIL_LANES = 48
 # accepted factors (the disk fills pi/4 of its square), enough for the
 # median z^3-1 trial (32 steps) in one ``uniform`` call.
 _ALPHA_PAIRS = 64
+
+# Relaxed lanes per sweep, and lanes per SeedSequence hash, so that the
+# draws held ahead (1 KB per lane) and the hash's temporaries do not grow
+# with the lane count.  For ``bnqn rrn`` on z^3-1 (rho 0.7,
+# max-iter 2000) with 16384 trials, peak RSS was 33, 36, 39 and 46 MB for
+# blocks of 512, 1024, 2048 and 4096 lanes (30 MB after import), and time
+# 0.56, 0.40, 0.28 and 0.28 s on one core, as fewer blocks end in a sweep of
+# a few slow lanes.
+_RRN_LANES = 1024
 
 
 def _horner(coeffs, zr, zi):
@@ -149,14 +162,20 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _pcg64_states(entropy):
-    """``SeedSequence(words).generate_state(4, uint64)`` for many lanes at
-    once, one row per lane; ``entropy`` holds the words, each as a uint32
-    array with one entry per lane.
+def _pcg64_states(seed: int, index_words):
+    """``SeedSequence((seed, ...)).generate_state(4, uint64)`` for many lanes
+    at once, one row per lane: the entropy is the words of seed, then
+    ``index_words``, each a uint32 array with one entry per lane.  A negative
+    seed raises SeedSequence's ``ValueError``.
 
     The hash constants evolve the same way for every lane, so they stay
     Python ints, masked to 32 bits, and each round is a few whole-array ops.
     """
+    n = len(index_words[0])
+    if n > _RRN_LANES:  # a block at a time, so that the temporaries stay small
+        blocks = range(0, n, _RRN_LANES)
+        return np.concatenate([_pcg64_states(seed, [w[k : k + _RRN_LANES] for w in index_words]) for k in blocks])
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed)] + index_words
     a = _INIT_A
 
     def hashmix(v):
@@ -189,7 +208,7 @@ def _pcg64_states(entropy):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])], axis=1)
 
 
-def _trial_states(seed: int, first: int, stop: int):
+def trial_states(seed: int, first: int, stop: int):
     """``SeedSequence((seed, t)).generate_state(4, uint64)`` for t in
     ``range(first, stop)``, as one row per trial.
 
@@ -197,18 +216,27 @@ def _trial_states(seed: int, first: int, stop: int):
     so the block is hashed in runs split where t gains a word (at 2**32,
     2**64, ...).
     """
-    seed_words = _words(seed)
     states = np.empty((stop - first, 4), dtype=np.uint64)
     lo = first
     while lo < stop:
         t_words = len(_words(lo))
         hi = min(stop, 1 << 32 * t_words)
         t = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
-        entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in seed_words]
-        entropy += [((t >> s) & _MASK32).astype(np.uint32) for s in range(0, 32 * t_words, 32)]
-        states[lo - first : hi - first] = _pcg64_states(entropy)
+        words = [((t >> s) & _MASK32).astype(np.uint32) for s in range(0, 32 * t_words, 32)]
+        states[lo - first : hi - first] = _pcg64_states(seed, words)
         lo = hi
     return states
+
+
+def cell_states(seed: int, nx: int, ny: int):
+    """``SeedSequence((seed, i, j)).generate_state(4, uint64)`` for every
+    cell of an nx by ny grid, cell (i, j) in row i*ny + j.
+
+    Every index of a grid that fits in memory is below 2**32, one word.
+    """
+    i = np.repeat(np.arange(nx, dtype=np.uint32), ny)
+    j = np.tile(np.arange(ny, dtype=np.uint32), nx)
+    return _pcg64_states(seed, [i, j])
 
 
 # PCG64 as numpy's pcg64.c has it (O'Neill, "PCG: A Family of Simple Fast
@@ -282,24 +310,22 @@ def _next_double(hi, lo):
 
 
 class TrialStreams:
-    """The PCG64 streams of ``default_rng((seed, t))`` for t in
-    ``range(first, stop)``, one lane per trial, held as uint64 arrays.
+    """The PCG64 streams of ``default_rng`` for many lanes, held as uint64
+    arrays; ``words`` holds each lane's SeedSequence state, one row of four
+    uint64 words per lane (``trial_states``, ``cell_states``).
 
     ``uniform`` gives what each lane's ``Generator.uniform`` would give, bit
     for bit, for any subset of lanes; a lane's stream moves on only by its
-    own draws.  A negative seed raises SeedSequence's ``ValueError``.
+    own draws.
     """
 
-    def __init__(self, seed: int, first: int, stop: int):
-        w = _trial_states(seed, first, stop)
+    def __init__(self, words):
+        w = words
         # numpy's pcg64_set_seed: initstate = w0:w1 and initseq = w2:w3;
         # inc = initseq << 1 | 1, and the state starts at 0, takes a step,
         # adds initstate and takes another step
         self.inc_hi, self.inc_lo = w[:, 2] << _U1 | w[:, 3] >> _U63, w[:, 3] << _U1 | _U1
         self.hi, self.lo = _step(*_add(self.inc_hi, self.inc_lo, w[:, 0], w[:, 1]), self.inc_hi, self.inc_lo)
-
-    def __len__(self) -> int:
-        return len(self.lo)
 
     def uniform(self, low: float, high: float, n: int, lanes=slice(None)):
         """n successive ``uniform(low, high)`` draws of each lane in
@@ -315,8 +341,8 @@ class TrialStreams:
         # (rows x lanes) values, the jumps about 45 on one more row, so few
         # lanes do best with many rows and many lanes with about sqrt(n): on
         # one core, 1024 lanes took 128 draws fastest in columns of 11 to
-        # 16, and up to 16 lanes in one column
-        cols = max(1, math.isqrt(len(lo) * n // 1024))
+        # 16, and up to 16 lanes in one column; never more columns than draws
+        cols = max(1, min(n, math.isqrt(len(lo) * n // 1024)))
         ah, al, ch, cl = _draw_plan(n, cols)
         sh, sl = _add(*_mul(hi, lo, ah, al), *_mul(inc_hi, inc_lo, ch, cl))
         self.hi[lanes], self.lo[lanes] = sh[-1], sl[-1]
@@ -338,11 +364,14 @@ class _RelaxationDraws:
     until u*u + v*v <= rho*rho.  A lane here draws ``_ALPHA_PAIRS`` pairs at
     once, which consumes the same doubles in the same order, keeps the
     accepted ones in order, and draws the next block when it has used them.
+    Lane k here is lane ``first + k`` of ``streams``, for k below
+    ``stop - first``.
     """
 
-    def __init__(self, streams: TrialStreams, disk: RelaxationDisk):
-        n = len(streams)
+    def __init__(self, streams: TrialStreams, disk: RelaxationDisk, first: int, stop: int):
+        n = stop - first
         self.streams = streams
+        self.first = first
         self.rho = disk.rho
         self.re = np.empty((_ALPHA_PAIRS, n))  # factor i of lane j at [i, j]
         self.im = np.empty((_ALPHA_PAIRS, n))
@@ -361,7 +390,7 @@ class _RelaxationDraws:
 
     def _refill(self, lanes):
         r = self.rho
-        draws = self.streams.uniform(-r, r, 2 * _ALPHA_PAIRS, lanes)
+        draws = self.streams.uniform(-r, r, 2 * _ALPHA_PAIRS, lanes + self.first)
         u, v = draws[0::2], draws[1::2]
         accept = u * u + v * v <= r * r
         order = np.argsort(~accept, axis=0, kind="stable")  # accepted first, in order
@@ -405,14 +434,18 @@ def _pole_failed(zn, dr, di, degree):
 
 
 def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
-    """z - alpha*(g/g') per lane; returns (x, y, failed).
+    """z - alpha*(g/g') per lane, or z - g/g' where ``alpha`` is None;
+    returns (x, y, failed).
 
-    Mirrors ``relaxed_newton_map``: a lane fails where |g'| falls below
-    ``pole_scale(|z|, degree)``, as the scalar step raises
-    ``DerivativeVanishes`` there.
+    Mirrors ``relaxed_newton_map`` and ``newton_map_1d``: a lane fails where
+    |g'| falls below ``pole_scale(|z|, degree)``, as the scalar step raises
+    ``DerivativeVanishes`` there.  Newton's step takes no factor at all:
+    alpha = 1 + 0i would not be the identity on inf and NaN (0*inf is NaN).
     """
     failed = _pole_failed(zn, dr, di, degree)
     qr, qi = _quot(gr, gi, dr, di)
+    if alpha is None:
+        return x - qr, y - qi, failed
     ar, ai = alpha
     return x - (ar * qr - ai * qi), y - (ar * qi + ai * qr), failed
 
@@ -456,40 +489,30 @@ def _armijo(g, x, y, wx, wy, fz, slope, cfg: SolverConfig):
     return gamma, gr, gi, failed
 
 
-def _bnqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
-    """BNQN direction per lane for the Hessian [[a, b], [b, c]]; returns
-    (wx, wy, failed).
+def _shift_scale(gn, cfg: SolverConfig):
+    """|grad|**tau per lane, by Python's ``**``; x**1.0 is x for every float
+    (0, inf and NaN included), so the default tau = 1 skips the pow."""
+    return gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, len(gn))
 
-    Mirrors ``select_delta`` followed by ``reflected_direction``: the first
-    shift whose smallest |eigenvalue| clears kappa*|grad|^tau wins, and the
-    eigensystem of the winning shifted Hessian gives the reflected solve.
-    """
-    n = len(gx)
-    # x**1.0 is x for every float (0, inf and NaN included), so the default
-    # tau = 1 skips the per-lane pow
-    scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, n)
-    threshold = cfg.kappa * scale
-    chosen = np.zeros(n, dtype=bool)
-    sa, sc, half_diff, r, l1, l2 = (np.empty(n) for _ in range(6))
-    for d in cfg.deltas:
-        todo = np.flatnonzero(~chosen)
-        if not todo.size:
-            break
-        shift = d * scale[todo]
-        ap, bp, cp = a[todo] + shift, b[todo], c[todo] + shift
-        hd = 0.5 * (ap - cp)
-        rp = np.hypot(hd, bp)
-        diag = bp == 0.0
-        ordered = ap <= cp
-        t = 0.5 * (ap + cp)
-        e1 = np.where(diag, np.where(ordered, ap, cp), t - rp)
-        e2 = np.where(diag, np.where(ordered, cp, ap), t + rp)
-        m1, m2 = np.abs(e1), np.abs(e2)
-        ok = np.where(m2 < m1, m2, m1) >= threshold[todo]
-        win = todo[ok]
-        chosen[win] = True
-        sa[win], sc[win], half_diff[win], r[win] = ap[ok], cp[ok], hd[ok], rp[ok]
-        l1[win], l2[win] = e1[ok], e2[ok]
+
+def _eig2(a, b, c):
+    """Ascending eigenvalues (l1, l2) of [[a, b], [b, c]] per lane, as
+    ``linalg._eig2_system`` has them, with the half difference and the
+    radius its eigenvectors take; returns (l1, l2, half_diff, r)."""
+    half_diff = 0.5 * (a - c)
+    r = np.hypot(half_diff, b)
+    diag = b == 0.0
+    ordered = a <= c
+    t = 0.5 * (a + c)
+    l1 = np.where(diag, np.where(ordered, a, c), t - r)
+    l2 = np.where(diag, np.where(ordered, c, a), t + r)
+    return l1, l2, half_diff, r
+
+
+def _reflected_solve(gx, gy, a, b, c, l1, l2, half_diff, r):
+    """``reflected_direction`` per lane for [[a, b], [b, c]], whose
+    ``_eig2`` is (l1, l2, half_diff, r); returns (wx, wy, singular), with
+    ``singular`` where an eigenvalue is 0 and the scalar solve raises."""
     # _eig2_system: eigenvector of l2 from the better-conditioned form
     pos = half_diff >= 0.0
     vx = np.where(pos, half_diff + r, b)
@@ -501,17 +524,96 @@ def _bnqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     u2x, u2y = np.where(flip, -u2x, u2x), np.where(flip, -u2y, u2y)
     flip = (u1x < 0.0) | ((u1x == 0.0) & (u1y < 0.0))
     u1x, u1y = np.where(flip, -u1x, u1x), np.where(flip, -u1y, u1y)
-    # a diagonal shifted Hessian keeps the coordinate axes
+    # a diagonal matrix keeps the coordinate axes
     diag = b == 0.0
-    ordered = sa <= sc
+    ordered = a <= c
     u1x = np.where(diag, np.where(ordered, 1.0, 0.0), u1x)
     u1y = np.where(diag, np.where(ordered, 0.0, 1.0), u1y)
     u2x = np.where(diag, np.where(ordered, 0.0, 1.0), u2x)
     u2y = np.where(diag, np.where(ordered, 1.0, 0.0), u2y)
-    failed = ~chosen | (l1 == 0.0) | (l2 == 0.0)
     c1 = (gx * u1x + gy * u1y) / np.abs(l1)
     c2 = (gx * u2x + gy * u2y) / np.abs(l2)
-    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y, failed
+    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y, (l1 == 0.0) | (l2 == 0.0)
+
+
+def _bnqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
+    """BNQN direction per lane for the Hessian [[a, b], [b, c]]; returns
+    (wx, wy, failed).
+
+    Mirrors ``select_delta`` followed by ``reflected_direction``: the first
+    shift whose smallest |eigenvalue| clears kappa*|grad|^tau wins, and the
+    eigensystem of the winning shifted Hessian gives the reflected solve.
+    """
+    n = len(gx)
+    scale = _shift_scale(gn, cfg)
+    threshold = cfg.kappa * scale
+    chosen = np.zeros(n, dtype=bool)
+    sa, sc, half_diff, r, l1, l2 = (np.empty(n) for _ in range(6))
+    for d in cfg.deltas:
+        todo = np.flatnonzero(~chosen)
+        if not todo.size:
+            break
+        shift = d * scale[todo]
+        ap, cp = a[todo] + shift, c[todo] + shift
+        e1, e2, hd, rp = _eig2(ap, b[todo], cp)
+        m1, m2 = np.abs(e1), np.abs(e2)
+        ok = np.where(m2 < m1, m2, m1) >= threshold[todo]
+        win = todo[ok]
+        chosen[win] = True
+        sa[win], sc[win], half_diff[win], r[win] = ap[ok], cp[ok], hd[ok], rp[ok]
+        l1[win], l2[win] = e1[ok], e2[ok]
+    wx, wy, singular = _reflected_solve(gx, gy, sa, b, sc, l1, l2, half_diff, r)
+    return wx, wy, ~chosen | singular
+
+
+def _nqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
+    """NQN direction per lane for the Hessian [[a, b], [b, c]]; returns
+    (wx, wy, failed).
+
+    Mirrors ``_nqn_core``: the first shift whose determinant
+    ``a*c - b*b`` is not 0.0 wins (NaN is not 0.0), and the shifted
+    Hessian gives the reflected solve.
+    """
+    n = len(gx)
+    scale = _shift_scale(gn, cfg)
+    chosen = np.zeros(n, dtype=bool)
+    sa, sc = np.empty(n), np.empty(n)
+    for d in cfg.deltas:
+        todo = np.flatnonzero(~chosen)
+        if not todo.size:
+            break
+        shift = d * scale[todo]
+        ap, bp, cp = a[todo] + shift, b[todo], c[todo] + shift
+        ok = ap * cp - bp * bp != 0.0
+        win = todo[ok]
+        chosen[win] = True
+        sa[win], sc[win] = ap[ok], cp[ok]
+    wx, wy, singular = _reflected_solve(gx, gy, sa, b, sc, *_eig2(sa, b, sc))
+    return wx, wy, ~chosen | singular
+
+
+def _newton_direction(gx, gy, a, b, c):
+    """H^-1 grad per lane for the Hessian H = [[a, b], [b, c]]; returns
+    (wx, wy, failed), failed where H is singular and ``_newton_core`` raises.
+
+    One ``numpy.linalg.solve`` of the stack gives what one per matrix gives
+    (both call LAPACK's ``gesv``).  A singular matrix makes it raise for the
+    whole stack, and then each lane is solved alone, as ``_newton_core`` does.
+    """
+    h = np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
+    grad = np.stack([gx, gy], axis=-1)
+    failed = np.zeros(len(gx), dtype=bool)
+    try:
+        # numpy 1.24 and 2 both read an (n, 2, 1) right-hand side as matrices
+        w = np.linalg.solve(h, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        w = np.empty_like(grad)
+        for m in range(len(gx)):
+            try:
+                w[m] = np.linalg.solve(h[m], grad[m])
+            except np.linalg.LinAlgError:
+                failed[m] = True
+    return w[:, 0], w[:, 1], failed
 
 
 def _cap(wx, wy, norm, theta):
@@ -620,23 +722,34 @@ def iterate(
     with at most ``_TAIL_LANES`` of them.
 
     Random relaxed Newton needs ``streams``, one per lane, in the state
-    ``run``'s generator would be in, and the ``relaxation`` disk.
+    ``run``'s generator would be in, and the ``relaxation`` disk; its lanes
+    run in blocks of ``_RRN_LANES``.
     """
-    if method not in LOCKSTEP_METHODS:
-        raise ValueError(f"no lockstep kernel for {method}")
-    hessian = method is Method.BNQN_NEW_VARIANT
-    relaxed = method is Method.RANDOM_RELAXED_NEWTON_1D
-    if relaxed:
-        draws = _RelaxationDraws(streams, relaxation)
-    tail = 0 if relaxed else _TAIL_LANES
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    if method is not Method.RANDOM_RELAXED_NEWTON_1D:
+        return _sweep(obj, method, cfg, x0, y0)
+    blocks = []
+    for first in range(0, len(x0), _RRN_LANES):
+        stop = min(first + _RRN_LANES, len(x0))
+        draws = _RelaxationDraws(streams, relaxation, first, stop)
+        blocks.append(_sweep(obj, method, cfg, x0[first:stop], y0[first:stop], draws))
+    return tuple(np.concatenate(v) for v in zip(*blocks))
+
+
+def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0, draws=None):
+    """``iterate`` for one block of lanes; relaxed lanes take their factors
+    from ``draws``."""
+    hessian = method in _HESSIAN
+    armijo = method in _ARMIJO
+    tail = _TAIL_LANES if armijo else 0
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
     radius = obj.divergence_radius
     n = len(x0)
-    out_x, out_y = np.array(x0, dtype=float), np.array(y0, dtype=float)
+    out_x, out_y = x0.copy(), y0.copy()
     out_k = np.zeros(n, dtype=int)
     out_code = np.zeros(n, dtype=np.int8)
     lane = np.arange(n)
-    x, y = out_x.copy(), out_y.copy()
+    x, y = x0.copy(), y0.copy()
     k = 0
 
     def retire(mask, code):
@@ -665,14 +778,14 @@ def iterate(
             x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
                 v[run_on] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
             )
-            if relaxed:
-                xn, yn, failed = _relaxed_step(x, y, zn, gr, gi, dr, di, draws.take(lane), obj.g.degree)
-            else:
+            if hessian:
+                er, ei = _horner(ddg, x, y)
+                ur, ui = _times_conj(er, ei, gr, gi)
+                s = dr * dr + di * di
+                a, b, c = ur + s, -ui, s - ur
+            if armijo:
                 if hessian:
-                    er, ei = _horner(ddg, x, y)
-                    ur, ui = _times_conj(er, ei, gr, gi)
-                    s = dr * dr + di * di
-                    wx, wy, failed = _bnqn_direction(gx, gy, gn, ur + s, -ui, s - ur, cfg)
+                    wx, wy, failed = _bnqn_direction(gx, gy, gn, a, b, c, cfg)
                     # theta = 0 leaves the divisor at 1.0 whatever |w| is
                     # (0*inf is NaN, and max(1.0, NaN) is 1.0), so skip the norm
                     if cfg.theta != 0.0:
@@ -682,9 +795,18 @@ def iterate(
                     failed = np.zeros(len(x), dtype=bool)
                 # the Armijo search has evaluated g at every new point
                 xn, yn, gr, gi, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
+            elif hessian:
+                if method is Method.NQN:
+                    wx, wy, failed = _nqn_direction(gx, gy, gn, a, b, c, cfg)
+                else:
+                    wx, wy, failed = _newton_direction(gx, gy, a, b, c)
+                xn, yn = x - wx, y - wy
+            else:
+                alpha = None if draws is None else draws.take(lane)
+                xn, yn, failed = _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, obj.g.degree)
             retire(failed, FAILED)
             ok = ~failed
             x, y, lane = xn[ok], yn[ok], lane[ok]
-            gr, gi = _horner(g, x, y) if relaxed else (gr[ok], gi[ok])
+            gr, gi = (gr[ok], gi[ok]) if armijo else _horner(g, x, y)
             k += 1
     return out_x, out_y, out_k, out_code

@@ -185,8 +185,9 @@ class PolyModulusObjective(ObjectiveFunction):
         return np.where(dist <= tol, index, -1)
 
     @np.errstate(over="ignore")
-    def classify_many(self, x, y, tol: float) -> np.ndarray:
-        """``classify_limit`` of every point (x[i], y[i]) in one numpy pass.
+    def classify_many(self, x, y, tol: float, roots_only: bool = False) -> np.ndarray:
+        """``classify_limit`` of every point (x[i], y[i]) in one numpy pass,
+        or ``classify_roots_only`` where ``roots_only`` is set.
 
         Returns an object array holding, per point, the class that
         ``classify_limit`` gives (one shared instance per root and per
@@ -211,7 +212,7 @@ class PolyModulusObjective(ObjectiveFunction):
         if not rest.size:
             return out
         try:
-            crits = self.critical_points()
+            crits = () if roots_only else self.critical_points()
         except BnqnError:
             return out
         x, y = x[rest], y[rest]

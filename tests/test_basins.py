@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bnqn import lockstep
 from bnqn.basins import (
     CRITICAL_COLOR,
     ROOT_COLORS,
     BasinMap,
     GridSpec,
-    _cell_rng,
     degree2_reference,
     export_csv,
     export_ppm,
     render_basin,
-    worker_count,
 )
 from bnqn.complexpoly import Polynomial
 from bnqn.objective import LimitClass, PolyModulusObjective
@@ -96,7 +95,7 @@ def test_render_basin_on_the_widest_window(method):
     # starts out near +-1.7e308 lie past the divergence radius, the origin is
     # the critical point of z^3-1 (where the Newton map has a pole)
     grid = GridSpec(-1.7e308, 1.7e308, -1.7e308, 1.7e308, 3, 3)
-    basin = render_basin(Z3M1, grid, method, SolverConfig(), workers=1)
+    basin = render_basin(Z3M1, grid, method, SolverConfig())
     kinds = [[cls.kind for cls in column] for column in basin.classes]
     centre = "CriticalNonRoot" if method is Method.BNQN_NEW_VARIANT else "Undecided"
     assert kinds == [["Diverged"] * 3, ["Diverged", centre, "Diverged"], ["Diverged"] * 3]
@@ -198,26 +197,30 @@ def test_render_basin_newton_1d_three_roots():
     assert seen == {0, 1, 2}
 
 
-def test_render_basin_deterministic_across_runs_and_workers():
+def test_render_basin_deterministic_across_runs_and_seeds():
     grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 8, 8)
     cfg = SolverConfig(max_iter=2000, seed=21)
-    kwargs = dict(cfg=cfg, rho=0.7)
-    one = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, workers=1, **kwargs)
-    two = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, workers=2, **kwargs)
+    one = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg, rho=0.7)
+    two = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg, rho=0.7)
     assert one.classes == two.classes
     assert np.array_equal(one.iterations, two.iterations)
     other_seed = render_basin(
-        Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg=SolverConfig(max_iter=2000, seed=22),
-        rho=0.7, workers=1,
+        Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, SolverConfig(max_iter=2000, seed=22), rho=0.7
     )
     assert other_seed.iterations.tolist() != one.iterations.tolist()
 
 
 def test_cell_rng_streams_differ_across_seeds_and_cells():
-    # seeding with seed ^ (i*ny + j) gave seed 0 at cell (0, 1) the stream
-    # of seed 1 at cell (0, 0)
-    assert not np.array_equal(_cell_rng(0, 0, 1).random(4), _cell_rng(1, 0, 0).random(4))
-    assert np.array_equal(_cell_rng(5, 2, 3).random(4), _cell_rng(5, 2, 3).random(4))
+    # cell (i, j) of seed s takes the PCG64 (state, inc) of
+    # default_rng((s, i, j)); seeding with seed ^ (i*ny + j) gave seed 0 at
+    # cell (0, 1) the stream of seed 1 at cell (0, 0)
+    for seed in (0, 1, 5, 2**32, 2**64 + 3):
+        streams = lockstep.TrialStreams(lockstep.cell_states(seed, 3, 4))
+        for n in range(12):
+            want = np.random.default_rng((seed, *divmod(n, 4))).bit_generator.state["state"]
+            got = [int(v[n]) for v in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)]
+            assert (got[0] << 64 | got[1], got[2] << 64 | got[3]) == (want["state"], want["inc"]), (seed, n)
+    assert lockstep.cell_states(0, 1, 2)[1].tolist() != lockstep.cell_states(1, 1, 1)[0].tolist()
 
 
 def test_render_basin_per_point_failures_recorded_not_raised():
@@ -282,18 +285,6 @@ def test_export_errors_carry_path(tmp_path):
         export_ppm(basin, missing)
     with pytest.raises(OSError, match="no_such_dir"):
         export_csv(basin, missing)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("BNQN_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("BNQN_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("BNQN_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("BNQN_THREADS")
-    assert worker_count() >= 1
 
 
 def test_class_counts():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -271,23 +272,89 @@ def test_rrn_output_is_golden(case):
     assert out == want
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # setup cost: importing the package, and a whole rrn experiment, import
-    # no more of numpy.random than importing numpy does (numpy 1.24 imports
-    # it with numpy itself; numpy 2 loads it on first use)
+# bnqn basin output of every method, pinned as the sha256 of the CSV, the
+# PPM and stdout.  The grid is not square, so that an i/j swap in the rrn1d
+# cell seeds default_rng((seed, i, j)) shows; on z^2-1 the 21 cells of the
+# imaginary axis, where Newton's map is chaotic, run newton1d to the cap
+BASIN_Z3M1 = ["--poly", "-1,0,0,1", "--res", "33,32", "--max-iter", "500", "--seed", "21"]
+BASIN_GOLDEN = {
+    "bnqn": (
+        ["--method", "bnqn", *BASIN_Z3M1],
+        "8ba45136c1fdbec202afc92701df3fee1b1f56d97d46a711b4daab3f6ead59a4",
+        "5f07b8253986a0ac972d6cae7d9ff0cd8d37fd11af429cc4d996af54a0fa33e5",
+        "e8a02411c3fee656ad4af155384d2e14a3fd6a3627c0d2a63f1f226f682228c8",
+    ),
+    "btgd": (
+        ["--method", "btgd", *BASIN_Z3M1],
+        "2f0465e2c60619da2dcec45d14c104c48ea3efbde4672912453bbacf9edf66ac",
+        "0a137de03b9261b73a9fab4e9c78768b3f9c9734b372bdaf7ae6b753e79b8d8d",
+        "c049130f9daad77c0e43970c8961c719baf8e1dc7a110a31a2ff282fef641cb1",
+    ),
+    "nqn": (
+        ["--method", "nqn", *BASIN_Z3M1],
+        "262b697982b46b83b2890bd99aa69046298e6041d94490d8705712726cacee85",
+        "03c27d3f6c1edd24da6cd008641805c9ed646bed98c44e5b4fdfad0dbd4e4b7a",
+        "dc657f1db11ad57d59c5bf267aa7a067a4f7245ddf9ec23a8a6b8c0f30c56fc7",
+    ),
+    "newton-opt": (
+        ["--method", "newton-opt", *BASIN_Z3M1],
+        "6ba09d38b1123f4b9480d027eb9765fb3d610a3461d8d1888d163ee33cc86c3d",
+        "274756d1887628364a1bbd611450780ec1707f6b87e616df571925090e188b0a",
+        "03d620c8685556e861128914ed8427201159ebe80cbf8f9f7633871c6562bbd1",
+    ),
+    "newton1d": (
+        ["--method", "newton1d", *BASIN_Z3M1],
+        "5884e9f0fb3317493eda638254f2adcf48797473ae7e40f1b1c9dd21e799f205",
+        "dea49d53bde9a008c4240ea72a72160cd3b1429ad3054913292cd5ac2eb75429",
+        "7b61d9f5c87a540811e3a4ea468543dcba68de033325440f7b2feba6af6857ec",
+    ),
+    "rrn1d": (
+        ["--method", "rrn1d", *BASIN_Z3M1],
+        "9632d18109e19362dbed991a83baf5248d459b6b56c2456a6f398e9d6a4ad27a",
+        "81d0dbecfe469b5bf21f6571e5dd7807d6d476ce58cc31a39fad84973e022649",
+        "7718e5112df5c1b065f348494cdecbd856afd7d57823f8c644be49ea8731c8b6",
+    ),
+    "z2m1-newton1d": (
+        ["--method", "newton1d", "--poly", "-1,0,1", "--res", "21,21", "--max-iter", "2000"],
+        "76966770230f660dd8a808699afc224cc4425687f905a03216133f5cd67ba9a3",
+        "39622f9d9dd37de23fbb47b16c0571c578737dfc0bb0e2894c327ae3ecf31e6e",
+        "1075daa8bf4d5e7a7653f1b3ce1deb4580cca82b420bc7676e34ad0226bbc37e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BASIN_GOLDEN)
+def test_basin_output_is_golden(tmp_path, monkeypatch, case):
+    argv, *want = BASIN_GOLDEN[case]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(["basin", *argv, "--out", "b.ppm", "--csv", "b.csv"])
+    assert (code, err) == (0, "")
+    got = [hashlib.sha256(blob).hexdigest() for blob in (Path("b.csv").read_bytes(), Path("b.ppm").read_bytes(), out.encode())]
+    assert got == want
+
+
+def test_import_leaves_numpy_random_unloaded(tmp_path):
+    # setup cost: importing the package, a whole rrn experiment and an rrn1d
+    # basin import no more of numpy.random than importing numpy does (numpy
+    # 1.24 imports it with numpy itself; numpy 2 loads it on first use), and
+    # no multiprocessing: every basin runs in the one process
     script = (
         "import io, sys, numpy\n"
         "before = 'numpy.random' in sys.modules\n"
         "import bnqn, bnqn.cli\n"
         "imported = 'numpy.random' in sys.modules\n"
         "bnqn.cli.run_command(['rrn', '--trials', '20', '--max-iter', '50'], out=io.StringIO())\n"
-        "print(before, imported, 'numpy.random' in sys.modules)\n"
+        "after_rrn = 'numpy.random' in sys.modules\n"
+        "bnqn.cli.run_command(['basin', '--method', 'rrn1d', '--res', '5,4', '--max-iter', '50'], out=io.StringIO())\n"
+        "print(before, imported, after_rrn, 'numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     src = str(Path(bnqn.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
-    before, imported, after_rrn = out.split()
-    assert imported == after_rrn == before
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    before, imported, after_rrn, after_basin, multiprocessing = run.stdout.split()
+    assert imported == after_rrn == after_basin == before
+    assert multiprocessing == "False"
+    assert (tmp_path / "basin.csv").read_text().count("\n") == 21
 
 
 @pytest.mark.parametrize("method", ["newton1d", "rrn1d"])
@@ -373,28 +440,19 @@ def test_help_text_mentions_default_values(capsys):
     assert "1e-10" in text  # gradient tolerance
 
 
-@pytest.mark.parametrize("method", ["bnqn", "btgd"])
+@pytest.mark.parametrize("method", ["bnqn", "btgd", "nqn", "newton-opt", "newton1d", "rrn1d"])
 def test_lockstep_basin_ignores_threads_env(tmp_path, monkeypatch, method):
-    # bnqn and btgd basins run in one process and never read BNQN_THREADS
-    monkeypatch.setenv("BNQN_THREADS", "abc")
-    argv = ["basin", "--poly", "-1,0,0,1", "--method", method, "--res", "9,9", "--max-iter", "300",
-            "--out", str(tmp_path / "t.ppm"), "--csv", str(tmp_path / "t.csv")]
-    code, out, err = invoke(argv)
-    assert code == 0, err
-    assert parse_kv(out)["method"] == method
-    # the pool methods still reject it
-    code, _, err = invoke([*argv[:4], "newton1d", *argv[5:]])
-    assert code == 2
-    assert "BNQN_THREADS must be an integer" in err
-
-
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("BNQN_THREADS", "1")
-    ppm = tmp_path / "t.ppm"
-    csv = tmp_path / "t.csv"
-    code, _, _ = invoke(
-        ["basin", "--res", "9,9", "--max-iter", "500",
-         "--out", str(ppm), "--csv", str(csv)]
-    )
-    assert code == 0
-    assert ppm.exists() and csv.exists()
+    # every basin runs in one process: BNQN_THREADS, which once capped a
+    # process pool, is read by nothing, not even when it is not a number
+    monkeypatch.chdir(tmp_path)
+    argv = ["basin", "--poly", "-1,0,0,1", "--method", method, "--res", "9,8", "--max-iter", "300",
+            "--seed", "3", "--out", "t.ppm", "--csv", "t.csv"]
+    outputs = []
+    for threads in (None, "abc"):
+        if threads is not None:
+            monkeypatch.setenv("BNQN_THREADS", threads)
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        outputs.append((out, Path("t.ppm").read_bytes(), Path("t.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert parse_kv(outputs[0][0])["method"] == method

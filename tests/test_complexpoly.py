@@ -12,8 +12,6 @@ from bnqn.complexpoly import (
     newton_map_1d,
     parse_polynomial,
     pole_scale,
-    poly_derivative,
-    poly_eval,
     polynomial_to_string,
     relaxed_newton_map,
     sample_relaxed_alpha,
@@ -27,11 +25,11 @@ Z3M1 = Polynomial([-1, 0, 0, 1])
 
 
 def test_eval_examples():
-    assert poly_eval(Z2M1, 2) == 3
-    assert poly_eval(Z2, 1j) == -1
+    assert Z2M1(2) == 3
+    assert Z2(1j) == -1
     # (z-1)(z-2)(z-3) expands to -6 + 11z - 6z^2 + z^3 by hand
     cubic = Polynomial([-6, 11, -6, 1])
-    assert poly_eval(cubic, 0) == -6
+    assert cubic(0) == -6
     assert Polynomial.from_roots([1, 2, 3]) == cubic
 
 
@@ -56,9 +54,9 @@ def test_nonfinite_coefficients_rejected():
 
 
 def test_derivative_examples():
-    assert poly_derivative(Z2M1) == Polynomial([0, 2])
-    assert poly_derivative(Polynomial([5])) == Polynomial([0])
-    assert poly_derivative(Z3M1) == Polynomial([0, 0, 3])
+    assert Z2M1.derivative() == Polynomial([0, 2])
+    assert Polynomial([5]).derivative() == Polynomial([0])
+    assert Z3M1.derivative() == Polynomial([0, 0, 3])
 
 
 def test_newton_map_examples():

@@ -3,13 +3,16 @@
 Every case checks, for every grid cell, the terminal class, the iteration
 count and the bits of the final point, both straight out of
 ``lockstep.iterate`` and through ``render_basin`` (which adds the
-classification), with the kernel's own tail, with every lane kept in the
-numpy sweep, and with every lane run by the per-lane float loop alone.
-Random relaxed Newton is checked trial by trial against ``run`` with the
-trial's own generator, straight out of ``iterate`` and through the ``rrn``
-experiment, and its primitives against Python's and numpy's: the complex
-quotient, the block draws, the numpy-side PCG64 trial streams (seeding and
-draws against ``default_rng((seed, t))``) and the screened pole test.
+classification); BNQN and GD also with every lane kept in the numpy sweep,
+and with every lane run by the per-lane float loop alone.  The NQN and
+Newton directions are checked against the scalar step on crafted singular
+and non-finite Hessians.  Random relaxed Newton is checked trial by trial
+against ``run`` with the trial's own generator, straight out of ``iterate``
+and through the ``rrn`` experiment, cell by cell through ``render_basin``,
+and its primitives against Python's and numpy's: the complex quotient, the
+block draws, the numpy-side PCG64 streams (seeding and draws against
+``default_rng((seed, t))`` and ``default_rng((seed, i, j))``) and the
+screened pole test.
 """
 
 import functools
@@ -22,13 +25,20 @@ from bnqn import cli, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
 from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale, sample_relaxed_alpha
 from bnqn.errors import BnqnError, DerivativeVanishes, NoConvergence
+from bnqn.linalg import SymmetricMatrix
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
-from bnqn.solvers import Method, SolverConfig, run
+from bnqn.solvers import Method, SolverConfig, _newton_core, _nqn_core, run
 
 BNQN = Method.BNQN_NEW_VARIANT
 BTGD = Method.BACKTRACKING_GD
+NQN = Method.NQN
+NEWTON_OPT = Method.NEWTON_OPT
+NEWTON_1D = Method.NEWTON_1D
 RRN = Method.RANDOM_RELAXED_NEWTON_1D
+ONE_DIM = (NEWTON_1D, RRN)
+Z2M1 = Polynomial([-1, 0, 1])
 Z3M1 = Polynomial([-1, 0, 0, 1])
+Z25M1 = Polynomial([-1] + [0] * 24 + [1])
 SQUARE = (-2.0, 2.0, -2.0, 2.0)
 # three roots 1e-3 apart plus five spread ones, like the degree-8 benchmark input
 CLUSTER8 = Polynomial.from_roots(
@@ -68,12 +78,41 @@ CASES = {
         SolverConfig(deltas=(0.0, -10.0)),
     ),
     # ... and F overflowing to inf far out on a degree-25 polynomial
-    "overflow-bnqn": (Polynomial([-1] + [0] * 24 + [1]), GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BNQN, SolverConfig()),
-    "overflow-btgd": (Polynomial([-1] + [0] * 24 + [1]), GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BTGD, SolverConfig()),
+    "overflow-bnqn": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BNQN, SolverConfig()),
+    "overflow-btgd": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BTGD, SolverConfig()),
+    # z^37-1 from +-2.7e8 on the axes: g overflows and g' does not, so
+    # z - g/g' is -inf (or inf) and those cells end Diverged after one step;
+    # a factor 1 + 0i would make them NaN (0*inf) and run them to the cap
+    "newton1d-overflow": (
+        Polynomial([-1] + [0] * 36 + [1]), GridSpec(-2.7e8, 2.7e8, -2.7e8, 2.7e8, 3, 3), NEWTON_1D,
+        SolverConfig(max_iter=50),
+    ),
     # with class_tol = 1e-5 the 10 negative-axis cells and the origin end
     # CriticalNonRoot at 0
     "z3m1-critical": (Z3M1, GridSpec(*SQUARE, 21, 21), BNQN, SolverConfig()),
 }
+# The full-step methods on four grids: on z^2-1 two newton-opt cells meet a
+# singular Hessian and the 38 imaginary-axis newton1d cells hit the cap; on
+# z^25-1 far out, 24 nqn and newton-opt lanes go NaN and hit the cap.  Only
+# NQN reads tau and the shifts, so only NQN takes every config.
+FULL_STEP_GRIDS = {
+    "z2m1": (Z2M1, GridSpec(*SQUARE, 41, 41)),
+    "z3m1": (Z3M1, GridSpec(*SQUARE, 41, 41)),
+    "cluster8": (CLUSTER8, GridSpec(*SQUARE, 25, 25)),
+    "z25m1": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5)),
+}
+FULL_STEP_CONFIGS = {
+    "cap300": SolverConfig(max_iter=300),
+    "tau-deltas": SolverConfig(max_iter=300, tau=0.7, deltas=(0.0, 0.5, -0.8)),
+    "deltas-0-m10": SolverConfig(max_iter=300, deltas=(0.0, -10.0)),
+}
+CASES.update(
+    (f"{method.value}-{grid}-{config}", (poly, spec, method, cfg))
+    for method in (NQN, NEWTON_OPT, NEWTON_1D)
+    for grid, (poly, spec) in FULL_STEP_GRIDS.items()
+    for config, cfg in FULL_STEP_CONFIGS.items()
+    if method is NQN or config == "cap300"
+)
 CLASS_TOL = {"z3m1-critical": 1e-5}
 
 
@@ -96,13 +135,18 @@ def _oracle(case):
 
 # _TAIL_LANES as the kernel has it (None), 0 (every lane stays in the numpy
 # sweep) and more than any grid has lanes (every lane runs in the per-lane
-# loop from step 0)
+# loop from step 0); the per-lane loop is for BNQN and GD only
 ALL_LANES = 10**6
 TAILS = {None: "", 0: "-sweep-only", ALL_LANES: "-per-lane-only"}
 
 
 @pytest.mark.parametrize(
-    "case, tail", [pytest.param(case, tail, id=case + tag) for case in CASES for tail, tag in TAILS.items()]
+    "case, tail",
+    [
+        pytest.param(case, tail, id=case + tag)
+        for case in CASES
+        for tail, tag in (TAILS.items() if CASES[case][2] in (BNQN, BTGD) else [(None, "")])
+    ],
 )
 def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     poly, grid, method, cfg = CASES[case]
@@ -122,16 +166,18 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     x0, y0 = np.array(starts).T
     x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0)
     per_lane = len(finished)
-    basin = render_basin(poly, grid, method, cfg, class_tol=class_tol, workers=1)
+    basin = render_basin(poly, grid, method, cfg, class_tol=class_tol)
+    classify = obj.classify_roots_only if method in ONE_DIM else obj.classify
     outcomes = set()
     for n, (z0, want) in enumerate(zip(starts, traces)):
         code = int(codes[n])
         outcomes.add(code)
-        assert (x[n], y[n]) == tuple(want.final_point), z0  # bit for bit
+        fx, fy = want.final_point
+        assert _same_bits(x[n], fx) and _same_bits(y[n], fy), z0
         assert steps[n] == want.iterations, z0
         assert (code == lockstep.FAILED) == (want.failure is not None), z0
         if code == lockstep.STOPPED:
-            assert obj.classify((x[n], y[n]), class_tol) == want.terminal, z0
+            assert classify((x[n], y[n]), class_tol) == want.terminal, z0
         else:
             assert want.terminal == UNDECIDED
         i, j = divmod(n, grid.ny)
@@ -142,7 +188,7 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
             # LimitClass equality ignores the matched critical point
             assert basin.classes[i][j].point == want.terminal.point, z0
             assert basin.iterations[i, j] == want.iterations, z0
-    if tail == 0:
+    if tail == 0 or method not in (BNQN, BTGD):
         assert per_lane == 0
     elif tail == ALL_LANES:
         assert per_lane == len(starts)
@@ -168,6 +214,15 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
         assert basin.class_counts()["Diverged"] > 0
     if case in ("no-admissible-delta", "overflow-bnqn", "overflow-btgd"):
         assert lockstep.FAILED in outcomes
+    if case == "newton1d-overflow":
+        assert basin.iterations.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert basin.class_counts()["Diverged"] == 8
+    if case == "newton-opt-z2m1-cap300":
+        assert np.count_nonzero(codes == lockstep.FAILED) == 2
+    if case == "newton1d-z2m1-cap300":
+        assert np.count_nonzero(codes == lockstep.CAPPED) == 38
+    if case.startswith(("nqn-z25m1", "newton-opt-z25m1")):
+        assert np.count_nonzero((codes == lockstep.CAPPED) & np.isnan(x)) == 24
 
 
 @pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])
@@ -200,7 +255,7 @@ def test_root_finder_failure_matches_per_cell_sweep(monkeypatch, failing):
 
     monkeypatch.setattr(objective, "all_roots", all_roots)
     grid, cfg = GridSpec(*SQUARE, 15, 15), SolverConfig(max_iter=300)
-    basin = render_basin(Z3M1, grid, BNQN, cfg, class_tol=1e-5, workers=1)
+    basin = render_basin(Z3M1, grid, BNQN, cfg, class_tol=1e-5)
     obj = PolyModulusObjective(Z3M1)
     raised = 0
     for i in range(grid.nx):
@@ -219,21 +274,68 @@ def test_root_finder_failure_matches_per_cell_sweep(monkeypatch, failing):
         assert raised == 8
 
 
-def test_render_basin_workers_do_not_change_output():
-    # 1056 cells: large enough for newton1d to use the pool; bnqn sweeps
-    # serially whatever ``workers`` says
-    grid = GridSpec(*SQUARE, 33, 32)
-    for method in (BNQN, Method.NEWTON_1D):
-        one = render_basin(Z3M1, grid, method, SolverConfig(max_iter=500), workers=1)
-        two = render_basin(Z3M1, grid, method, SolverConfig(max_iter=500), workers=2)
-        assert one.classes == two.classes
-        assert np.array_equal(one.iterations, two.iterations)
+def test_root_finder_failure_in_a_newton1d_basin(monkeypatch):
+    # newton1d classifies against the roots of g alone: a failing root
+    # finder makes every stopped cell (Undecided, max_iter), while the capped
+    # imaginary-axis cells of z^2-1 keep their steps
+    def all_roots(p, tol):
+        raise NoConvergence("root finder failure for the test")
+
+    monkeypatch.setattr(objective, "all_roots", all_roots)
+    grid, cfg = GridSpec(*SQUARE, 15, 15), SolverConfig(max_iter=300)
+    basin = render_basin(Z2M1, grid, NEWTON_1D, cfg)
+    obj = PolyModulusObjective(Z2M1)
+    raised = set()
+    for i in range(grid.nx):
+        for j in range(grid.ny):
+            want = _scalar(obj, grid.point(i, j), NEWTON_1D, cfg)
+            want_cell = (UNDECIDED, cfg.max_iter) if want is None else (want.terminal, want.iterations)
+            assert (basin.classes[i][j], basin.iterations[i, j]) == want_cell, (i, j)
+            raised.add(want is None)
+    assert raised == {True, False}
 
 
-def test_iterate_rejects_scalar_only_methods():
-    obj = PolyModulusObjective(Z3M1)
-    with pytest.raises(ValueError):
-        lockstep.iterate(obj, Method.NEWTON_1D, SolverConfig(), [0.5], [0.5])
+# (gx, gy, a, b, c) lanes for the full-step directions: regular, rank-one
+# and zero Hessians, one that is singular after either shift of (0, 1), one
+# whose determinant is not 0 while its smaller eigenvalue rounds to 0, and
+# non-finite ones
+DIRECTION_LANES = [
+    (1.0, 2.0, 3.0, 0.5, -1.0),
+    (1.0, -1.0, 1.0, 1.0, 1.0),
+    (0.5, 0.25, 0.0, 0.0, 0.0),
+    (2.0, 0.0, 0.0, 0.0, -2.0),
+    (1.0, 1.0, 1.0, 1e-20, 1e-17),
+    (1.0, 1.0, math.nan, 0.0, 1.0),
+    (1.0, 1.0, math.inf, 1.0, 1.0),
+    (math.inf, 0.0, 1.0, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(deltas=(0.0, 1.0)), SolverConfig(tau=0.7)], ids=["deltas-0-1", "tau07"])
+def test_full_step_directions_fail_where_the_scalar_step_raises(cfg):
+    gx, gy, a, b, c = (np.array(v) for v in zip(*DIRECTION_LANES))
+    gn = np.hypot(gx, gy)
+    with np.errstate(all="ignore"):
+        got = {
+            NQN: lockstep._nqn_direction(gx, gy, gn, a, b, c, cfg),
+            NEWTON_OPT: lockstep._newton_direction(gx, gy, a, b, c),
+        }
+    failures = set()
+    for n, lane in enumerate(DIRECTION_LANES):
+        z, grad, hess = np.zeros(2), np.array(lane[:2]), SymmetricMatrix(2, lane[2:])
+        for method, (wx, wy, failed) in got.items():
+            try:
+                with np.errstate(all="ignore"):
+                    want = _nqn_core(z, grad, float(gn[n]), hess, cfg)[0] if method is NQN else _newton_core(z, grad, hess)
+            except BnqnError as exc:
+                failures.add((method, type(exc).__name__))
+                assert failed[n], (method, lane)
+                continue
+            assert not failed[n], (method, lane)
+            # the scalar step is z - w from z = 0
+            assert _same_bits(0.0 - wx[n], want[0]) and _same_bits(0.0 - wy[n], want[1]), (method, lane)
+    assert {(NQN, "SingularMatrix"), (NEWTON_OPT, "SingularMatrix")} <= failures
+    assert ((NQN, "NoAdmissibleDelta") in failures) == (cfg.deltas == (0.0, 1.0))
 
 
 def _same_bits(a, b):
@@ -274,7 +376,7 @@ def test_block_draws_are_successive_sample_relaxed_alpha(monkeypatch, rho, pairs
     monkeypatch.setattr(lockstep, "_ALPHA_PAIRS", pairs)
     disk = RelaxationDisk(rho)
     lanes = np.arange(30)
-    draws = lockstep._RelaxationDraws(lockstep.TrialStreams(5, 0, len(lanes)), disk)
+    draws = lockstep._RelaxationDraws(lockstep.TrialStreams(lockstep.trial_states(5, 0, 30)), disk, 0, 30)
     scalar = [np.random.default_rng((5, t)) for t in lanes]
     for step in range(150):
         active = lanes[(lanes % 3 != 0) | (step % 2 == 0)]  # lanes take at different rates
@@ -297,9 +399,9 @@ def _assert_default_rng_streams(seed, first, stop):
     """Block-hashed states equal SeedSequence's, the trial streams' seeded
     PCG64 (state, inc) equal ``default_rng((seed, t))``'s, and so do their
     first draws."""
-    states = lockstep._trial_states(seed, first, stop)
-    streams = lockstep.TrialStreams(seed, first, stop)
-    assert len(states) == len(streams) == stop - first
+    states = lockstep.trial_states(seed, first, stop)
+    streams = lockstep.TrialStreams(states)
+    assert len(states) == len(streams.lo) == stop - first
     seeded = [_pcg64_state(streams, lane) for lane in range(stop - first)]
     starts = streams.uniform(-3.0, 3.0, 2).T
     relaxations = streams.uniform(-0.7, 0.7, 128).T
@@ -331,7 +433,7 @@ def test_stream_draws_are_successive_uniform_draws(lanes):
     # lane subsets of every size take blocks of 1 to 130 draws at uneven
     # rates; every lane's draws continue its own Generator's, whatever
     # layout of rows its block took
-    streams = lockstep.TrialStreams(2**64 + 3, 7, 7 + lanes)
+    streams = lockstep.TrialStreams(lockstep.trial_states(2**64 + 3, 7, 7 + lanes))
     rngs = [np.random.default_rng((2**64 + 3, t)) for t in range(7, 7 + lanes)]
     pick = np.random.default_rng(lanes)
     for step, n in enumerate([1, 2, 127, 128, 130, 2, 1, 130, 128, 127]):
@@ -350,7 +452,9 @@ def test_stream_draws_are_successive_uniform_draws(lanes):
 
 def test_trial_generators_reject_a_negative_seed():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        lockstep.TrialStreams(-1, 0, 4)
+        lockstep.trial_states(-1, 0, 4)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        lockstep.cell_states(-1, 2, 2)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         np.random.default_rng((-1, 0))
 
@@ -439,7 +543,7 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     n = trials if starts is None else len(starts)
     obj, disk = PolyModulusObjective(poly), RelaxationDisk(rho)
     scalar = [_scalar_rrn(obj, disk, cfg, t, None if starts is None else starts[t]) for t in range(n)]
-    streams = lockstep.TrialStreams(cfg.seed, 0, n)
+    streams = lockstep.TrialStreams(lockstep.trial_states(cfg.seed, 0, n))
     if starts is None:
         streams.uniform(-3.0, 3.0, 2)  # the start comes first
     x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
@@ -464,10 +568,10 @@ def test_relaxed_lockstep_matches_scalar_run(case):
         assert codes[0] == lockstep.CAPPED and math.isnan(x[0])
 
 
-@pytest.mark.parametrize("lanes", [cli._RRN_LANES, 10])
+@pytest.mark.parametrize("lanes", [lockstep._RRN_LANES, 10])
 def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes):
-    # one trial past full passes: the last trial runs alone in the last pass
-    monkeypatch.setattr(cli, "_RRN_LANES", lanes)
+    # one trial past full blocks: the last trial runs alone in the last block
+    monkeypatch.setattr(lockstep, "_RRN_LANES", lanes)
     trials = lanes + 1 if lanes > 10 else 3 * lanes + 1
     cfg = SolverConfig(max_iter=40, seed=31)
     obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(0.7)
@@ -477,6 +581,38 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
     assert want[-1] >= 0 and -1 in want  # the last trial reaches a root; some do not
     report = cli.run_rrn_experiment(Z3M1, 0.7, trials, 40, 31)
     assert report.per_root_counts == tuple(want.count(k) for k in range(3))
+
+
+@functools.cache
+def _cell_oracle(seed, grid, rho, cfg):
+    """Each cell's scalar trace, cell (i, j) on ``default_rng((seed, i, j))``."""
+    obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(rho)
+    return {
+        (i, j): run(obj, grid.point(i, j), RRN, cfg, rng=np.random.default_rng((seed, i, j)), relaxation=disk)
+        for i in range(grid.nx)
+        for j in range(grid.ny)
+    }
+
+
+@pytest.mark.parametrize("lanes", [lockstep._RRN_LANES, 100])
+def test_relaxed_basin_cells_match_scalar_run(monkeypatch, lanes):
+    # the grid is not square, so that swapped cell indices would show; with
+    # 100-lane blocks the cells span nine blocks
+    monkeypatch.setattr(lockstep, "_RRN_LANES", lanes)
+    grid, cfg, rho = GridSpec(*SQUARE, 31, 27), SolverConfig(max_iter=300, seed=5), 0.7
+    obj = PolyModulusObjective(Z3M1)
+    traces = _cell_oracle(5, grid, rho, cfg)
+    x0, y0 = np.array(list(map(grid.point, *zip(*traces)))).T
+    streams = lockstep.TrialStreams(lockstep.cell_states(5, grid.nx, grid.ny))
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams, relaxation=RelaxationDisk(rho))
+    basin = render_basin(Z3M1, grid, RRN, cfg, rho=rho)
+    for n, ((i, j), want) in enumerate(traces.items()):
+        fx, fy = want.final_point
+        assert _same_bits(x[n], fx) and _same_bits(y[n], fy), (i, j)
+        assert steps[n] == want.iterations, (i, j)
+        assert (codes[n] == lockstep.FAILED) == (want.failure is not None), (i, j)
+        assert (basin.classes[i][j], basin.iterations[i, j]) == (want.terminal, want.iterations), (i, j)
+    assert {cls.root_index for column in basin.classes for cls in column} >= {0, 1, 2}
 
 
 def test_relaxed_iterate_keeps_every_lane(monkeypatch):
