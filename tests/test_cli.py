@@ -333,6 +333,94 @@ def test_basin_output_is_golden(tmp_path, monkeypatch, case):
     assert got == want
 
 
+# sha256 of `bnqn solve` stdout and its --trace CSV, and of `bnqn invariance`
+# stdout.  The trace pins every step's gamma, shift index and gradient norm,
+# which the kernel-equals-run tests (final point, steps, code) do not see
+SOLVE_Z3M1 = ["--poly", "-1,0,0,1", "--z0", "1.4,0.3", "--max-iter", "3000"]
+SOLVE_Z2M1 = ["--poly", "-1,0,1", "--z0", "0,0.8", "--theta", "1", "--tau", "0.7"]
+SOLVE_GOLDEN = {
+    "z3m1-bnqn": (
+        ["solve", "--method", "bnqn", *SOLVE_Z3M1],
+        "3ec1c5396cb76dbd9e8841f2f0f5455254bad2a690442c42adeb5579adec587f",
+        "7d4eeac83452b497a429db4c2bf91cfa0707fc15c120392f2b9108a0e84aebd9",
+    ),
+    "z3m1-nqn": (
+        ["solve", "--method", "nqn", *SOLVE_Z3M1],
+        "5ecf6ac26e24ef21b4015a444ab1bd002c5b5dd379a6218cfce998e63da8ad7c",
+        "7d4eeac83452b497a429db4c2bf91cfa0707fc15c120392f2b9108a0e84aebd9",
+    ),
+    "z3m1-newton-opt": (
+        ["solve", "--method", "newton-opt", *SOLVE_Z3M1],
+        "0d94878d8c0d5034882f7aecb2bb0b1b6c00f8b8754ef95b65613e8cdcfa7a41",
+        "463ea22482e09372469d47ff72d75a7a4453905a48eda3d876acd5d5463ceca4",
+    ),
+    "z3m1-btgd": (
+        ["solve", "--method", "btgd", *SOLVE_Z3M1],
+        "598a49ec2275800ca8bdefa729bc8a68d0b7241ecf4bdaae742ac57c442f7dd1",
+        "83ff16b9007940a2ff6fca61e735cf228a0013d5b68e46f03e2332704cb3bc1b",
+    ),
+    "z3m1-newton1d": (
+        ["solve", "--method", "newton1d", *SOLVE_Z3M1],
+        "26b2e72c5c793ae06720c7da1bb087b00d210339bcc7adce05fbe60da374a930",
+        "8890f64ea5b52e58c77666c3c4ed394e873bfdece859b4cdd7d1fc606003ca9c",
+    ),
+    "z3m1-rrn1d": (
+        ["solve", "--method", "rrn1d", *SOLVE_Z3M1],
+        "341ae3930bc817aa72bf68a90a654c26fa67ee6735fe751262b3892d0bba1ff5",
+        "fbaf89c02d269039986e554786a47d7a1c7f5f3e11b6c15230b887a1c7767c3d",
+    ),
+    "z2m1-bnqn": (
+        ["solve", "--method", "bnqn", *SOLVE_Z2M1],
+        "9f8898cfbba2208cbc4db2b051b4d6b9d69068298c211d31d81f1ceae2789597",
+        "ea46d02a88eef51195bdcec4e1d3ae4e8f29d664168dcb31b9cdf67ae4b2d9c6",
+    ),
+    "z2m1-nqn": (
+        ["solve", "--method", "nqn", *SOLVE_Z2M1],
+        "1ed32268809a2c9b0418bee25bdf784a1a7a48c571357cdbfebed11795e86edd",
+        "c056ba4e9790f6c50d21bc1059f8546bd36562689965fa7defa51f7970ecc497",
+    ),
+    "z2m1-newton-opt": (
+        ["solve", "--method", "newton-opt", *SOLVE_Z2M1],
+        "c4752764cdb4f852fbc6183340605ebfdae369db54f433be6d4e240e58afd706",
+        "dc15be8d507e55465e00abbca0affbb59a4da42d688db53db067847cf72dd1f1",
+    ),
+    "z2m1-btgd": (
+        ["solve", "--method", "btgd", *SOLVE_Z2M1],
+        "55a59020dadeb64be7f9e55d22f0db61540497b60355c2ef41416962b18b9238",
+        "62bcbd0b6e4e9d185a0c18549b5df09bc59a963ba5b813222a527a4850354c45",
+    ),
+    "z2m1-newton1d": (
+        ["solve", "--method", "newton1d", *SOLVE_Z2M1],
+        "1b936f987c2d7438298a6c2191cd053ffcbd30c6d765fec3819ab356b83c08b5",
+        "21d0efd07648d7a965b66f993618bb35750dec75d8f7f45cc66ecf7c9e148300",
+    ),
+    "z2m1-rrn1d": (
+        ["solve", "--method", "rrn1d", *SOLVE_Z2M1],
+        "1ba0fd8bbf1f296a5e503f7ab8c004be203690d07415bfebbdb17a04a793ba47",
+        "fc44affc147608cac71706c43d500151e7d8c2ba6caad786dc135e20cbf3d947",
+    ),
+    "invariance-defaults": (
+        ["invariance"],
+        "dbde550164ab88d0aa72af65cfbc0ca6ff4c28047dbf93d0e021717805f481cc",
+    ),
+    "invariance-z3m1": (
+        ["invariance", "--poly", "-1,0,0,1", "--theta", "1", "--tau", "0.5"],
+        "26df7cbc074f4245435e5d309518f36c6606e32859f4c9665dd135c6e0f1bbd6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SOLVE_GOLDEN)
+def test_solve_and_invariance_output_is_golden(tmp_path, monkeypatch, case):
+    argv, *want = SOLVE_GOLDEN[case]
+    monkeypatch.chdir(tmp_path)
+    traced = argv[0] == "solve"
+    code, out, err = invoke([*argv, "--trace", "t.csv"] if traced else argv)
+    assert (code, err) == (0, "")
+    blobs = [out.encode(), Path("t.csv").read_bytes()] if traced else [out.encode()]
+    assert [hashlib.sha256(blob).hexdigest() for blob in blobs] == want
+
+
 def test_import_leaves_numpy_random_unloaded(tmp_path):
     # setup cost: importing the package, a whole rrn experiment and an rrn1d
     # basin import no more of numpy.random than importing numpy does (numpy
