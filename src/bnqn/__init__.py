@@ -51,12 +51,7 @@ from .solvers import (
     IterationTrace,
     Method,
     SolverConfig,
-    armijo_search,
-    bnqn_step,
-    btgd_step,
     export_trace_csv,
-    newton_opt_step,
-    nqn_step,
     random_deltas,
     run,
     select_delta,

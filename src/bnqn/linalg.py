@@ -1,9 +1,8 @@
 """Small dense symmetric eigen-machinery.
 
-Sized for the dimensions this package actually runs (m <= 16): closed form
-for 2x2, cyclic Jacobi sweeps above that.  Eigenvectors follow the sign
-convention "first nonzero component positive" so decompositions are
-deterministic.
+Closed form for 2x2, ``numpy.linalg.eigh`` for every other size.
+Eigenvectors follow the sign convention "first nonzero component positive"
+so decompositions are deterministic.
 """
 
 from __future__ import annotations
@@ -168,72 +167,22 @@ def _eig2_system(a: float, b: float, c: float):
     return l1, l2, u1x, u1y, u2x, u2y
 
 
-def _jacobi(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps; returns (eigenvalues unsorted, accumulated Q)."""
-    a = full.copy()
-    m = a.shape[0]
-    q = np.eye(m)
-    scale = math.sqrt(float(np.sum(a * a)))
-    if scale == 0.0:
-        return np.zeros(m), q
-    target = 1e-14 * scale
-    for sweep in range(100):
-        # measure the off-diagonal part directly; total-minus-diagonal cancels
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        off = float(np.linalg.norm(hollow))
-        if off <= target:
-            break
-        for p in range(m - 1):
-            for r in range(p + 1, m):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                small = 100.0 * abs(apr)
-                if sweep > 3 and abs(a[p, p]) + small == abs(a[p, p]) and abs(a[r, r]) + small == abs(a[r, r]):
-                    a[p, r] = a[r, p] = 0.0
-                    continue
-                theta = 0.5 * (a[r, r] - a[p, p]) / apr
-                if abs(theta) > 1e150:  # rotation angle ~ 1/(2 theta); avoid theta*theta overflow
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p, p] -= t * apr
-                a[r, r] += t * apr
-                a[p, r] = a[r, p] = 0.0
-                for i in range(m):
-                    if i != p and i != r:
-                        aip = a[i, p]
-                        air = a[i, r]
-                        a[i, p] = aip - s * (air + tau * aip)
-                        a[p, i] = a[i, p]
-                        a[i, r] = air + s * (aip - tau * air)
-                        a[r, i] = a[i, r]
-                for i in range(m):
-                    qip = q[i, p]
-                    qir = q[i, r]
-                    q[i, p] = qip - s * (qir + tau * qip)
-                    q[i, r] = qir + s * (qip - tau * qir)
-    return np.diag(a).copy(), q
-
-
 def eigh(matrix: SymmetricMatrix) -> EigenDecomposition:
-    """Full spectral factorization with eigenvalues sorted ascending."""
+    """Full spectral factorization with eigenvalues sorted ascending.
+
+    2x2 takes the closed form, the lockstep kernel's bitwise twin; every
+    other size goes to ``numpy.linalg.eigh``.  There a matrix with a
+    non-finite entry gives all-NaN eigenvalues and eigenvectors, so the
+    answer does not hang on how LAPACK treats NaN or inf.
+    """
     m = matrix.dim
-    if m == 1:
-        return EigenDecomposition((matrix.upper[0],), np.array([[1.0]]))
     if m == 2:
         l1, l2, u1x, u1y, u2x, u2y = _eig2_system(*matrix.upper)
         return EigenDecomposition((l1, l2), np.array([[u1x, u2x], [u1y, u2y]]))
-    values, vectors = _jacobi(matrix.full())
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    full = matrix.full()
+    if not np.isfinite(full).all():
+        return EigenDecomposition((math.nan,) * m, np.full((m, m), math.nan))
+    values, vectors = np.linalg.eigh(full)
     for k in range(m):
         col = vectors[:, k]
         for entry in col:

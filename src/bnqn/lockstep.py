@@ -570,7 +570,7 @@ def _nqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     """NQN direction per lane for the Hessian [[a, b], [b, c]]; returns
     (wx, wy, failed).
 
-    Mirrors ``_nqn_core``: the first shift whose determinant
+    Mirrors ``solvers._nqn_step``: the first shift whose determinant
     ``a*c - b*b`` is not 0.0 wins (NaN is not 0.0), and the shifted
     Hessian gives the reflected solve.
     """
@@ -594,11 +594,12 @@ def _nqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
 
 def _newton_direction(gx, gy, a, b, c):
     """H^-1 grad per lane for the Hessian H = [[a, b], [b, c]]; returns
-    (wx, wy, failed), failed where H is singular and ``_newton_core`` raises.
+    (wx, wy, failed), failed where H is singular and ``solvers._newton_opt_step``
+    raises.
 
     One ``numpy.linalg.solve`` of the stack gives what one per matrix gives
     (both call LAPACK's ``gesv``).  A singular matrix makes it raise for the
-    whole stack, and then each lane is solved alone, as ``_newton_core`` does.
+    whole stack, and then each lane is solved alone, as ``_newton_opt_step`` does.
     """
     h = np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
     grad = np.stack([gx, gy], axis=-1)

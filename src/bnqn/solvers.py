@@ -10,7 +10,9 @@ theta=1 the general one.
 Also here: the line-search-free precursor NQN, plain Newton optimization,
 backtracking gradient descent, and the one-complex-variable Newton /
 random relaxed Newton iterations, all driven by the same trace-producing
-``run`` loop.
+``run`` loop.  ``run`` looks its method up once in one method -> step table
+(``_STEPS``) and makes one step call per iteration; BNQN and gradient
+descent share one Armijo backtracking helper.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ __all__ = [
     "IterationTrace",
     "Method",
     "SolverConfig",
-    "StepRecord",
-    "armijo_search",
-    "bnqn_step",
-    "btgd_step",
     "export_trace_csv",
-    "newton_opt_step",
-    "nqn_step",
     "random_deltas",
     "run",
     "select_delta",
@@ -112,13 +108,6 @@ def random_deltas(count: int, seed) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    gamma: float
-    delta_index: int
-    grad_norm: float
-
-
 @dataclass
 class IterationTrace:
     """Full record of one run.
@@ -181,55 +170,46 @@ def select_delta(hess: SymmetricMatrix, grad_norm: float, cfg: SolverConfig):
     )
 
 
-def _armijo(f, z, w_hat, gamma0, f_z, slope, armijo_factor, shrink_factor):
+def _armijo(f, z, w_hat, grad, cfg: SolverConfig):
+    """Backtrack gamma from cfg.gamma0 until the Armijo third-rule test passes.
+
+    Returns ``(z - gamma * w_hat, gamma)``; requires <w_hat, grad> > 0,
+    which guarantees termination.
+    """
     # Accept via f(trial) <= f(z) - gamma*slope/3 rather than the difference
     # form f(trial) - f(z) <= -gamma*slope/3: the two agree in exact
     # arithmetic, but near a critical point with f > 0 the true decrease can
     # sit below one ulp of f(z), where the difference form can never pass.
-    gamma = gamma0
+    slope = _dot(w_hat, grad)
+    f_z = f.value(z)
+    gamma = cfg.gamma0
     while True:
         trial = z - gamma * w_hat
-        if f.value(trial) <= f_z - gamma * slope * armijo_factor:
-            return gamma
-        gamma = gamma * shrink_factor
+        if f.value(trial) <= f_z - gamma * slope * cfg.armijo_factor:
+            return trial, gamma
+        gamma = gamma * cfg.shrink_factor
         if gamma < _UNDERFLOW_LIMIT:
             raise LineSearchUnderflow(
                 "step size underflow; direction is not a descent direction or values are NaN"
             )
 
 
-def armijo_search(f: ObjectiveFunction, z, w_hat, gamma0: float) -> float:
-    """Largest gamma in {gamma0, gamma0/3, ...} passing the third-rule test.
+# Every step takes (f, z, grad, grad_norm, hess, cfg, disk, rng) and returns
+# (z_next, gamma, delta_index); hess is None for the methods that need none,
+# and disk and rng are read by rrn1d alone.
 
-    Requires <w_hat, grad f(z)> > 0, which guarantees termination.
-    """
-    z = np.asarray(z, dtype=float)
-    w_hat = np.asarray(w_hat, dtype=float)
-    slope = _dot(w_hat, f.gradient(z))
-    return _armijo(f, z, w_hat, gamma0, f.value(z), slope, 1.0 / 3.0, 1.0 / 3.0)
-
-
-def _bnqn_core(f, z, grad, grad_norm, hess, cfg):
+def _bnqn_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
     j, shifted = select_delta(hess, grad_norm, cfg)
     w = reflected_direction(shifted, grad)
-    w_hat = w / max(1.0, cfg.theta * _norm(w))
-    slope = _dot(w_hat, grad)
-    gamma = _armijo(
-        f, z, w_hat, cfg.gamma0, f.value(z), slope, cfg.armijo_factor, cfg.shrink_factor
-    )
-    return z - gamma * w_hat, gamma, j
+    return *_armijo(f, z, w / max(1.0, cfg.theta * _norm(w)), grad, cfg), j
 
 
-def _btgd_core(f, z, grad, grad_norm, cfg):
-    w_hat = grad / max(1.0, cfg.theta * grad_norm)
-    slope = _dot(w_hat, grad)
-    gamma = _armijo(
-        f, z, w_hat, cfg.gamma0, f.value(z), slope, cfg.armijo_factor, cfg.shrink_factor
-    )
-    return z - gamma * w_hat, gamma
+def _btgd_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+    return *_armijo(f, z, grad / max(1.0, cfg.theta * grad_norm), grad, cfg), -1
 
 
-def _nqn_core(z, grad, grad_norm, hess, cfg):
+def _nqn_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+    """Determinant-tested shift, full reflected step, no line search."""
     scale = grad_norm**cfg.tau
     for j, d in enumerate(cfg.deltas):
         shifted = hess.shifted(d * scale)
@@ -237,8 +217,7 @@ def _nqn_core(z, grad, grad_norm, hess, cfg):
             break
     else:
         raise NoAdmissibleDelta(f"every shift in {cfg.deltas} left the matrix singular")
-    w = reflected_direction(shifted, grad)
-    return z - w, j
+    return z - reflected_direction(shifted, grad), 1.0, j
 
 
 def _determinant(matrix: SymmetricMatrix) -> float:
@@ -248,47 +227,34 @@ def _determinant(matrix: SymmetricMatrix) -> float:
     return float(np.linalg.det(matrix.full()))
 
 
-def _newton_core(z, grad, hess):
+def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+    """Classical Newton optimization step z - H^-1 grad."""
     try:
         step = np.linalg.solve(hess.full(), grad)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"Hessian is singular at {z}") from exc
-    return z - step
+    return z - step, 1.0, -1
 
 
-def bnqn_step(f: ObjectiveFunction, z, cfg: SolverConfig):
-    """One BNQN step; returns (next point, StepRecord)."""
-    z = np.asarray(z, dtype=float)
-    grad, hess = f.gradient_and_hessian(z)
-    gn = _norm(grad)
-    z_next, gamma, j = _bnqn_core(f, z, grad, gn, hess, cfg)
-    return z_next, StepRecord(gamma, j, gn)
+def _newton_1d_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+    w = newton_map_1d(f.g, complex(z[0], z[1]))
+    return np.array([w.real, w.imag]), 1.0, -1
 
 
-def nqn_step(f: ObjectiveFunction, z, cfg: SolverConfig) -> np.ndarray:
-    """One NQN step: determinant-tested shift, full reflected step, no search."""
-    z = np.asarray(z, dtype=float)
-    grad, hess = f.gradient_and_hessian(z)
-    z_next, _ = _nqn_core(z, grad, _norm(grad), hess, cfg)
-    return z_next
+def _relaxed_newton_1d_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+    w = relaxed_newton_map(f.g, complex(z[0], z[1]), sample_relaxed_alpha(disk, rng))
+    return np.array([w.real, w.imag]), 1.0, -1
 
 
-def newton_opt_step(f: ObjectiveFunction, z) -> np.ndarray:
-    """Classical Newton optimization step z - H^-1 grad."""
-    z = np.asarray(z, dtype=float)
-    grad, hess = f.gradient_and_hessian(z)
-    return _newton_core(z, grad, hess)
-
-
-def btgd_step(f: ObjectiveFunction, z, cfg: SolverConfig) -> np.ndarray:
-    """Backtracking gradient descent with the same theta cap and Armijo rule."""
-    z = np.asarray(z, dtype=float)
-    grad = f.gradient(z)
-    z_next, _ = _btgd_core(f, z, grad, _norm(grad), cfg)
-    return z_next
-
-
-_NEEDS_HESSIAN = (Method.BNQN_NEW_VARIANT, Method.NQN, Method.NEWTON_OPT)
+# Method -> (needs_hessian, step)
+_STEPS = {
+    Method.BNQN_NEW_VARIANT: (True, _bnqn_step),
+    Method.BACKTRACKING_GD: (False, _btgd_step),
+    Method.NQN: (True, _nqn_step),
+    Method.NEWTON_OPT: (True, _newton_opt_step),
+    Method.NEWTON_1D: (False, _newton_1d_step),
+    Method.RANDOM_RELAXED_NEWTON_1D: (False, _relaxed_newton_1d_step),
+}
 _ONE_DIM = (Method.NEWTON_1D, Method.RANDOM_RELAXED_NEWTON_1D)
 
 
@@ -321,20 +287,16 @@ def run(
     if not np.all(np.isfinite(z)):
         raise ValueError(f"initial point must be finite, got {z0!r}")
 
+    needs_hessian, step = _STEPS[method]
     one_dim = method in _ONE_DIM
-    poly = None
-    disk = None
     if one_dim:
         if not isinstance(f, PolyModulusObjective):
             raise TypeError("the one-variable methods need a PolyModulusObjective")
         if len(z) != 2:
             raise ValueError("the one-variable methods iterate in the complex plane")
-        poly = f.g
-        if method is Method.RANDOM_RELAXED_NEWTON_1D:
-            disk = relaxation if relaxation is not None else RelaxationDisk(0.7)
-            if rng is None:
-                rng = np.random.default_rng(cfg.seed)
-    needs_hessian = method in _NEEDS_HESSIAN
+    disk = relaxation if relaxation is not None else RelaxationDisk(0.7)
+    if rng is None and method is Method.RANDOM_RELAXED_NEWTON_1D:
+        rng = np.random.default_rng(cfg.seed)
 
     points = [z]
     step_sizes: list[float] = []
@@ -361,26 +323,7 @@ def run(
             hit_cap = True
             break
         try:
-            if method is Method.BNQN_NEW_VARIANT:
-                z_next, gamma, dj = _bnqn_core(f, z, grad, gn, hess, cfg)
-            elif method is Method.BACKTRACKING_GD:
-                z_next, gamma = _btgd_core(f, z, grad, gn, cfg)
-                dj = -1
-            elif method is Method.NQN:
-                z_next, dj = _nqn_core(z, grad, gn, hess, cfg)
-                gamma = 1.0
-            elif method is Method.NEWTON_OPT:
-                z_next = _newton_core(z, grad, hess)
-                gamma, dj = 1.0, -1
-            elif method is Method.NEWTON_1D:
-                w = newton_map_1d(poly, complex(z[0], z[1]))
-                z_next = np.array([w.real, w.imag])
-                gamma, dj = 1.0, -1
-            else:  # RANDOM_RELAXED_NEWTON_1D
-                alpha = sample_relaxed_alpha(disk, rng)
-                w = relaxed_newton_map(poly, complex(z[0], z[1]), alpha)
-                z_next = np.array([w.real, w.imag])
-                gamma, dj = 1.0, -1
+            z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, disk, rng)
         except BnqnError as exc:
             failure = f"{type(exc).__name__}: {exc}"
             break

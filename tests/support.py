@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from collections import Counter
 
@@ -10,7 +11,7 @@ import numpy as np
 from bnqn.linalg import SymmetricMatrix, minsp, reflected_direction
 from bnqn.objective import ObjectiveFunction, PolyModulusObjective
 from bnqn.complexpoly import Polynomial
-from bnqn.solvers import Method, run, select_delta
+from bnqn.solvers import Method, SolverConfig, run, select_delta
 from bnqn.solvers import _dot, _norm  # same arithmetic as the solver uses
 
 WORKERS = 2
@@ -126,6 +127,16 @@ def rel_err(got, want):
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     return float(np.linalg.norm(got - want)) / max(1e-30, float(np.linalg.norm(want)))
+
+
+def one_step(obj, z, method, cfg=None):
+    """One step of ``method`` from ``z``, taken by ``run`` with max_iter=1.
+
+    Returns ``(z_next, gamma, delta_index, grad_norm)``, the last at ``z``.
+    """
+    trace = run(obj, z, method, dataclasses.replace(cfg or SolverConfig(), max_iter=1))
+    assert trace.failure is None and trace.iterations == 1, trace.failure
+    return trace.points[1], trace.step_sizes[0], trace.delta_indices[0], trace.grad_norms[0]
 
 
 # ---------------------------------------------------------------------------

@@ -234,3 +234,18 @@ def test_reflected_direction_matches_numpy_eigh_route():
 def test_eigen_decomposition_dataclass():
     dec = EigenDecomposition((1.0, 2.0), np.eye(2))
     assert np.allclose(dec.reconstruct(), np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("m", [3, 5])
+def test_nonfinite_entry_gives_all_nan_spectrum(m, bad):
+    # above 2x2 the spectrum of a matrix with a NaN or inf entry is all NaN,
+    # whatever the entry's place, so no ordering can hide it from minsp
+    for i, j in ((0, 0), (0, m - 1), (m - 1, m - 1)):
+        full = np.diag(np.arange(1.0, m + 1))
+        full[i, j] = full[j, i] = bad
+        mat = SymmetricMatrix.from_full(full)
+        dec = eigh(mat)
+        assert len(dec.eigenvalues) == m and all(math.isnan(v) for v in dec.eigenvalues)
+        assert dec.eigenvectors.shape == (m, m) and np.isnan(dec.eigenvectors).all()
+        assert math.isnan(minsp(mat)) and math.isnan(sp(mat))

@@ -27,7 +27,7 @@ from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole
 from bnqn.errors import BnqnError, DerivativeVanishes, NoConvergence
 from bnqn.linalg import SymmetricMatrix
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
-from bnqn.solvers import Method, SolverConfig, _newton_core, _nqn_core, run
+from bnqn.solvers import _STEPS, Method, SolverConfig, run
 
 BNQN = Method.BNQN_NEW_VARIANT
 BTGD = Method.BACKTRACKING_GD
@@ -326,7 +326,7 @@ def test_full_step_directions_fail_where_the_scalar_step_raises(cfg):
         for method, (wx, wy, failed) in got.items():
             try:
                 with np.errstate(all="ignore"):
-                    want = _nqn_core(z, grad, float(gn[n]), hess, cfg)[0] if method is NQN else _newton_core(z, grad, hess)
+                    want = _STEPS[method][1](None, z, grad, float(gn[n]), hess, cfg, None, None)[0]
             except BnqnError as exc:
                 failures.add((method, type(exc).__name__))
                 assert failed[n], (method, lane)

@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from bnqn.complexpoly import Polynomial
-from bnqn.errors import NoAdmissibleDelta, SingularMatrix
+from bnqn.errors import NoAdmissibleDelta
 from bnqn.linalg import SymmetricMatrix
 from bnqn.objective import PolyModulusObjective, BilinearTestObjective, UNDECIDED
 from bnqn.solvers import (
     IterationTrace,
     Method,
     SolverConfig,
-    armijo_search,
-    bnqn_step,
-    btgd_step,
+    _armijo,
     export_trace_csv,
-    newton_opt_step,
-    nqn_step,
     random_deltas,
     run,
     select_delta,
@@ -27,11 +23,13 @@ from support import (
     check_bnqn_trace,
     check_btgd_trace,
     nearest_root_index,
+    one_step,
 )
 
 Z2M1 = PolyModulusObjective(Polynomial([-1, 0, 1]))
 Z2 = PolyModulusObjective(Polynomial([0, 0, 1]))
 Z3M1 = PolyModulusObjective(Polynomial([-1, 0, 0, 1]))
+BNQN = Method.BNQN_NEW_VARIANT
 
 
 def test_config_defaults_and_kappa():
@@ -94,37 +92,59 @@ def test_select_delta_exhaustion():
         )
 
 
+class NaNHessian3D(Sphere):
+    """|z|^2 / 2 on R^3 with a finite gradient but a NaN in its Hessian."""
+
+    def __init__(self):
+        super().__init__(3)
+
+    def hessian(self, point):
+        return SymmetricMatrix.from_full([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+
+
+def test_nan_hessian_admits_no_shift():
+    hess = NaNHessian3D().hessian(None)
+    with pytest.raises(NoAdmissibleDelta):
+        select_delta(hess, 1.0, SolverConfig(deltas=(0.0, 1.0, -1.0, 2.0)))
+    trace = run(NaNHessian3D(), (1.0, 0.0, 0.0), BNQN)
+    assert trace.failure.startswith("NoAdmissibleDelta:")
+    assert trace.iterations == 0 and not trace.converged
+    assert trace.terminal == UNDECIDED
+
+
 def test_armijo_examples():
     f = Quadratic1D()
-    assert armijo_search(f, [1.0], [1.0], 1.0) == 1.0
-    assert armijo_search(f, [1.0], [3.0], 1.0) == pytest.approx(1.0 / 3.0, abs=0)
-    assert armijo_search(f, [1.0], [1.0], 1.0 / 3.0) == 1.0 / 3.0
+    z = np.array([1.0])
+    grad = f.gradient(z)
+    assert _armijo(f, z, np.array([1.0]), grad, SolverConfig())[1] == 1.0
+    assert _armijo(f, z, np.array([3.0]), grad, SolverConfig())[1] == pytest.approx(1.0 / 3.0, abs=0)
+    assert _armijo(f, z, np.array([1.0]), grad, SolverConfig(gamma0=1.0 / 3.0))[1] == 1.0 / 3.0
 
 
 def test_bnqn_step_moves_right_on_inner_real_axis():
     # between the critical point and the root the step increases x
     cfg = SolverConfig()
     for x in (0.1, 0.4, 0.7, 0.95):
-        z_next, record = bnqn_step(Z2M1, (x, 0.0), cfg)
+        z_next, gamma, _, grad_norm = one_step(Z2M1, (x, 0.0), BNQN, cfg)
         assert z_next[1] == 0.0
         assert z_next[0] > x
-        assert record.grad_norm > 0 and record.gamma > 0
+        assert grad_norm > 0 and gamma > 0
 
 
 def test_bnqn_step_stays_on_bisector():
     cfg = SolverConfig()
     for y in (0.5, 1.0, -0.8):
-        z_next, _ = bnqn_step(Z2M1, (0.0, y), cfg)
+        z_next = one_step(Z2M1, (0.0, y), BNQN, cfg)[0]
         assert z_next[0] == 0.0
 
 
 def test_bnqn_step_double_root_example():
     cfg = SolverConfig(deltas=(0.0, 1.0, 2.0), tau=1.0, theta=0.0, gamma0=1.0)
-    z_next, record = bnqn_step(Z2, (1.0, 0.0), cfg)
+    z_next, gamma, delta_index, _ = one_step(Z2, (1.0, 0.0), BNQN, cfg)
     assert Z2.value(z_next) < Z2.value((1.0, 0.0))
     assert 0.0 < z_next[0] < 1.0
     # worked by hand: H=diag(6,2), grad=(2,0), shift 0 admissible, w=(1/3,0)
-    assert record.delta_index == 0 and record.gamma == 1.0
+    assert delta_index == 0 and gamma == 1.0
     assert z_next[0] == 1.0 - 1.0 / 3.0
 
 
@@ -133,34 +153,36 @@ def test_nqn_step_examples():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
     target = np.array([0.7, -1.2])
     quad = ShiftedQuadratic(h, target)
-    got = nqn_step(quad, (5.0, 5.0), SolverConfig())
+    got = one_step(quad, (5.0, 5.0), Method.NQN)[0]
     assert np.allclose(got, target, atol=1e-12)
 
-    got = nqn_step(BilinearTestObjective(), (1.0, 1.0), SolverConfig())
+    got = one_step(BilinearTestObjective(), (1.0, 1.0), Method.NQN)[0]
     assert np.allclose(got, [0.0, 0.0], atol=1e-14)
 
-    got = nqn_step(Z2M1, (2.0, 0.0), SolverConfig())
+    got = one_step(Z2M1, (2.0, 0.0), Method.NQN)[0]
     assert np.allclose(got, [2.0 - 12.0 / 22.0, 0.0], atol=1e-14)
 
 
 def test_newton_opt_step_examples():
-    assert np.allclose(newton_opt_step(Sphere(2), (3.0, 4.0)), [0.0, 0.0], atol=1e-15)
-    assert np.allclose(newton_opt_step(BilinearTestObjective(), (1.0, 2.0)), [0.0, 0.0], atol=1e-15)
-    got = newton_opt_step(Z2M1, (2.0, 0.0))
+    assert np.allclose(one_step(Sphere(2), (3.0, 4.0), Method.NEWTON_OPT)[0], [0.0, 0.0], atol=1e-15)
+    assert np.allclose(one_step(BilinearTestObjective(), (1.0, 2.0), Method.NEWTON_OPT)[0], [0.0, 0.0], atol=1e-15)
+    got = one_step(Z2M1, (2.0, 0.0), Method.NEWTON_OPT)[0]
     assert np.allclose(got, [2.0 - 12.0 / 22.0, 0.0], atol=1e-14)
 
 
 def test_newton_opt_step_singular_hessian():
     flat = ShiftedQuadratic(np.diag([2.0, 0.0]), [0.0, 0.0])
-    with pytest.raises(SingularMatrix):
-        newton_opt_step(flat, (1.0, 1.0))
+    trace = run(flat, (1.0, 1.0), Method.NEWTON_OPT, SolverConfig(max_iter=1))
+    assert trace.failure.startswith("SingularMatrix:")
+    assert trace.iterations == 0
 
 
 def test_btgd_step_examples():
-    assert btgd_step(Quadratic1D(), [1.0], SolverConfig()) == pytest.approx([0.0], abs=0)
-    z_next = btgd_step(Z2M1, (0.0, 0.9), SolverConfig())
+    btgd = Method.BACKTRACKING_GD
+    assert one_step(Quadratic1D(), [1.0], btgd)[0] == pytest.approx([0.0], abs=0)
+    z_next = one_step(Z2M1, (0.0, 0.9), btgd)[0]
     assert z_next[0] == 0.0  # gradient has no x-component on the bisector
-    z_next = btgd_step(Sphere(2), (3.0, 4.0), SolverConfig(theta=1.0))
+    z_next = one_step(Sphere(2), (3.0, 4.0), btgd, SolverConfig(theta=1.0))[0]
     assert np.linalg.norm(z_next) < 5.0
 
 
@@ -168,14 +190,14 @@ def test_theta_cap():
     # far from the root the direction is long; theta>0 caps it at 1/theta
     cfg = SolverConfig(theta=2.0)
     z = np.array([5.0, 0.0])
-    z_next, record = bnqn_step(Z2M1, z, cfg)
-    w_hat = (z - z_next) / record.gamma
+    z_next, gamma, _, _ = one_step(Z2M1, z, BNQN, cfg)
+    w_hat = (z - z_next) / gamma
     assert np.linalg.norm(w_hat) <= 1.0 / cfg.theta + 1e-12
     # near the root the direction is short and passes through unchanged
     cfg_small = SolverConfig(theta=1e-3)
     z = np.array([1.2, 0.0])
-    z1_capped, r1 = bnqn_step(Z2M1, z, cfg_small)
-    z1_plain, r2 = bnqn_step(Z2M1, z, SolverConfig(theta=0.0))
+    z1_capped = one_step(Z2M1, z, BNQN, cfg_small)[0]
+    z1_plain = one_step(Z2M1, z, BNQN, SolverConfig(theta=0.0))[0]
     assert np.array_equal(z1_capped, z1_plain)
 
 
@@ -242,9 +264,10 @@ def test_run_nqn_recorded_shifts_keep_determinant_nonzero():
 
 def test_nqn_step_exhaustion():
     flat = ShiftedQuadratic(np.diag([0.0, -1.0]), [0.0, 0.0])
-    with pytest.raises(NoAdmissibleDelta):
-        # gradient norm 1, shifts {0, 1}: both leave a zero eigenvalue
-        nqn_step(flat, (0.0, 1.0), SolverConfig(deltas=(0.0, 1.0)))
+    # gradient norm 1, shifts {0, 1}: both leave a zero eigenvalue
+    trace = run(flat, (0.0, 1.0), Method.NQN, SolverConfig(deltas=(0.0, 1.0), max_iter=1))
+    assert trace.failure.startswith("NoAdmissibleDelta:")
+    assert trace.iterations == 0
 
 
 def test_run_newton_finds_nearest_critical_point():
