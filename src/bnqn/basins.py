@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import lockstep
+from . import lockstep, streams
 from .complexpoly import Polynomial, RelaxationDisk
 from .objective import UNDECIDED, LimitClass, PolyModulusObjective
 from .solvers import _ONE_DIM, Method, SolverConfig
@@ -127,7 +127,7 @@ def render_basin(
     (``bnqn.lockstep``), which reproduces the scalar ``run`` bit for bit.
 
     Deterministic given cfg.seed: the random relaxed variant seeds cell
-    (i, j) with ``default_rng((seed, i, j))``, seed None counting as 0.
+    (i, j) with ``default_rng((seed, i, j))``.
     Per-point failures land as Undecided; the sweep never aborts.
     """
     if cfg is None:
@@ -136,11 +136,11 @@ def render_basin(
     obj = PolyModulusObjective(Polynomial(g.coeffs))
     x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
     y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
-    streams = relaxation = None
+    lanes = relaxation = None
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
         relaxation = RelaxationDisk(rho)
-        streams = lockstep.TrialStreams(lockstep.cell_states(cfg.seed or 0, grid.nx, grid.ny))
-    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=streams, relaxation=relaxation)
+        lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
+    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=lanes, relaxation=relaxation)
     # CAPPED and FAILED lanes end Undecided after the steps they took
     classes = np.full(len(codes), UNDECIDED, dtype=object)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lockstep
+from . import lockstep, streams
 from .basins import GridSpec, export_csv, export_ppm, render_basin
 from .complexpoly import (
     Polynomial,
@@ -75,12 +75,12 @@ def _trial_roots(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverCon
     ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
     would, and ends where that run ends.  The trials run as the lanes of the
     lockstep kernel, which holds their streams as arrays
-    (``lockstep.TrialStreams``).
+    (``streams.TrialStreams``).
     """
-    streams = lockstep.TrialStreams(lockstep.trial_states(cfg.seed, 0, trials))
-    x0, y0 = streams.uniform(-3.0, 3.0, 2)
+    lanes = streams.TrialStreams(streams.trial_states(cfg.seed, 0, trials))
+    x0, y0 = lanes.uniform(-3.0, 3.0, 2)
     x, y, _, codes = lockstep.iterate(
-        obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=streams, relaxation=disk
+        obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=lanes, relaxation=disk
     )
     out = np.full(trials, -1)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)

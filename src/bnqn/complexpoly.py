@@ -108,13 +108,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
-    def __getstate__(self):
-        return self.coeffs
-
-    def __setstate__(self, state):
-        self.coeffs = state
-        self._derivative = None
-
 
 @dataclass(frozen=True)
 class RelaxationDisk:

@@ -5,13 +5,14 @@ arrays, x and y, and all lanes take their k-th step in the same sweep.  Each
 sweep evaluates g and g' (and g'' for the Hessian methods) by Horner's rule
 on the split real/imaginary arrays, tests convergence, divergence and the
 iteration cap, and then takes one step on the lanes still running.  BNQN
-selects its shift by mask and solves with the closed-form 2x2 eigensystem;
-BNQN and GD then run an Armijo search in which the lanes that have accepted
-drop out of the backtracking loop.  NQN (the first shift with a nonzero
-determinant, then the same reflected solve) and Newton optimization (one
-batched ``numpy.linalg.solve``) take the full step z - w.  Newton's map takes
+and NQN share one shift search by mask, BNQN admitting a shift by its
+eigenvalues and NQN by its determinant, and then solve with the closed-form
+2x2 eigensystem of the chosen shifted Hessian; BNQN and GD then run an
+Armijo search in which the lanes that have accepted drop out of the
+backtracking loop.  NQN and Newton optimization (one batched
+``numpy.linalg.solve``) take the full step z - w.  Newton's map takes
 z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with each
-lane drawing alpha from its own random stream.
+lane drawing alpha from its own random stream (``bnqn.streams``).
 
 The kernel reproduces the scalar ``solvers.run`` bit for bit, so it keeps
 that loop's exact floating-point operations:
@@ -30,32 +31,20 @@ that loop's exact floating-point operations:
   two powers could disagree on the outcome (``_pole_failed``);
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
-  is NaN;
-- relaxation factors drawn in blocks of (u, v) pairs, which yields the same
-  doubles as the scalar loop's one ``Generator.uniform`` draw per call.
-
-Relaxed lanes draw from ``TrialStreams``, which holds the PCG64 stream of
-each lane's ``default_rng((seed, t))`` or ``default_rng((seed, i, j))`` as
-uint64 arrays and builds no ``Generator``: SeedSequence's hash runs on uint32
-arrays, one entry per lane; PCG64's seeding, its 128-bit LCG step (as
-(hi, lo) uint64 pairs) and its XSL-RR output run on all lanes at once; and
-``uniform`` gives what ``Generator.uniform`` gives (``next_double``, then
-low + (high - low)*d), bit for bit, for any subset of lanes.
+  is NaN.
 
 Lanes stop when they converge or diverge (the caller classifies them), hit
-the cap, or fail the step (no admissible shift, a singular Hessian, an
-Armijo underflow, or a vanishing derivative), exactly where the scalar loop
-would stop them.  Once at most ``_TAIL_LANES`` BNQN or GD lanes are left, a
-sweep costs more than stepping them one by one, so each is finished by
-``_finish_lane``: the same step on Python floats and Python ``complex``,
-which is the arithmetic the scalar loop does.  The other methods' lanes
-always stay in the sweep.
+the cap, or fail the step (no admissible shift, a singular or non-finite
+Hessian, an Armijo underflow, or a vanishing derivative), exactly where the
+scalar loop would stop them.  Once at most ``_TAIL_LANES`` BNQN or GD lanes
+are left, a sweep costs more than stepping them one by one, so each is
+finished by ``_finish_lane``: the same step on Python floats and Python
+``complex``, which is the arithmetic the scalar loop does.  The other
+methods' lanes always stay in the sweep.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from itertools import repeat
 
 import numpy as np
@@ -63,9 +52,10 @@ import numpy as np
 from .complexpoly import _POLE_TOL, RelaxationDisk, pole_scale
 from .linalg import _eig2_system, _eig2_values, hypot
 from .objective import PolyModulusObjective
-from .solvers import _UNDERFLOW_LIMIT, Method, SolverConfig
+from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig
+from .streams import TrialStreams, _RelaxationDraws, lane_blocks
 
-__all__ = ["CAPPED", "FAILED", "STOPPED", "TrialStreams", "cell_states", "iterate", "trial_states"]
+__all__ = ["CAPPED", "FAILED", "STOPPED", "iterate"]
 
 # the methods that take the Hessian, and those that search by Armijo's rule
 _HESSIAN = (Method.BNQN_NEW_VARIANT, Method.NQN, Method.NEWTON_OPT)
@@ -85,21 +75,6 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # lanes run 10 000 steps each, took 0.7-0.8 s with a tail of 32 or more
 # against 1.0-1.5 s with them in the sweep.
 _TAIL_LANES = 48
-
-# Relaxation draws per lane and refill: 64 (u, v) pairs, 1 KB, hold about 50
-# accepted factors (the disk fills pi/4 of its square), enough for the
-# median z^3-1 trial (32 steps) in one ``uniform`` call.
-_ALPHA_PAIRS = 64
-
-# Relaxed lanes per sweep, and lanes per SeedSequence hash, so that the
-# draws held ahead (1 KB per lane) and the hash's temporaries do not grow
-# with the lane count.  For ``bnqn rrn`` on z^3-1 (rho 0.7,
-# max-iter 2000) with 16384 trials, peak RSS was 33, 36, 39 and 46 MB for
-# blocks of 512, 1024, 2048 and 4096 lanes (30 MB after import), and time
-# 0.56, 0.40, 0.28 and 0.28 s on one core, as fewer blocks end in a sweep of
-# a few slow lanes.
-_RRN_LANES = 1024
-
 
 def _horner(coeffs, zr, zi):
     """Python's complex Horner loop (acc = acc*z + c from acc = 0j), per lane."""
@@ -137,267 +112,6 @@ def _quot(ar, ai, br, bi):
         np.where(real_wins, qr, (ar * ratio + ai) / denom),
         np.where(real_wins, qi, (ai * ratio - ar) / denom),
     )
-
-
-# numpy's SeedSequence: a pool of four uint32 words, hashed with these
-# constants (numpy/random/bit_generator.pyx).  Each meets the arrays as an
-# np.uint32, so that the op stays uint32 under numpy 1.24 and numpy 2 alike.
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-
-
-def _words(n: int) -> list[int]:
-    """SeedSequence's uint32 words of the integer n, least significant first."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> _XSHIFT)
-
-
-def _pcg64_states(seed: int, index_words):
-    """``SeedSequence((seed, ...)).generate_state(4, uint64)`` for many lanes
-    at once, one row per lane: the entropy is the words of seed, then
-    ``index_words``, each a uint32 array with one entry per lane.  A negative
-    seed raises SeedSequence's ``ValueError``.
-
-    The hash constants evolve the same way for every lane, so they stay
-    Python ints, masked to 32 bits, and each round is a few whole-array ops.
-    """
-    n = len(index_words[0])
-    if n > _RRN_LANES:  # a block at a time, so that the temporaries stay small
-        blocks = range(0, n, _RRN_LANES)
-        return np.concatenate([_pcg64_states(seed, [w[k : k + _RRN_LANES] for w in index_words]) for k in blocks])
-    entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed)] + index_words
-    a = _INIT_A
-
-    def hashmix(v):
-        nonlocal a
-        v = v ^ np.uint32(a)
-        a = a * _MULT_A & _MASK32
-        v = v * np.uint32(a)
-        return v ^ (v >> _XSHIFT)
-
-    # the first four words seed the pool (zeros past the end), every pool
-    # word is mixed into every other, then the words past the pool are mixed in
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state: eight uint32 words cycling over the pool, paired
-    # little end first into four uint64 words
-    b = _INIT_B
-    state = []
-    for i in range(8):
-        v = pool[i % _POOL_WORDS] ^ np.uint32(b)
-        b = b * _MULT_B & _MASK32
-        v = v * np.uint32(b)
-        state.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])], axis=1)
-
-
-def trial_states(seed: int, first: int, stop: int):
-    """``SeedSequence((seed, t)).generate_state(4, uint64)`` for t in
-    ``range(first, stop)``, as one row per trial.
-
-    The entropy of trial t is the words of seed followed by the words of t,
-    so the block is hashed in runs split where t gains a word (at 2**32,
-    2**64, ...).
-    """
-    states = np.empty((stop - first, 4), dtype=np.uint64)
-    lo = first
-    while lo < stop:
-        t_words = len(_words(lo))
-        hi = min(stop, 1 << 32 * t_words)
-        t = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
-        words = [((t >> s) & _MASK32).astype(np.uint32) for s in range(0, 32 * t_words, 32)]
-        states[lo - first : hi - first] = _pcg64_states(seed, words)
-        lo = hi
-    return states
-
-
-def cell_states(seed: int, nx: int, ny: int):
-    """``SeedSequence((seed, i, j)).generate_state(4, uint64)`` for every
-    cell of an nx by ny grid, cell (i, j) in row i*ny + j.
-
-    Every index of a grid that fits in memory is below 2**32, one word.
-    """
-    i = np.repeat(np.arange(nx, dtype=np.uint32), ny)
-    j = np.tile(np.arange(ny, dtype=np.uint32), nx)
-    return _pcg64_states(seed, [i, j])
-
-
-# PCG64 as numpy's pcg64.c has it (O'Neill, "PCG: A Family of Simple Fast
-# Space-Efficient Statistically Good Algorithms for Random Number
-# Generation", 2014): a 128-bit LCG, state = state*M + inc mod 2**128, with
-# an XSL-RR output.  A 128-bit value is a (hi, lo) pair of uint64 arrays.
-# Every constant meets the arrays as an np.uint64, so that no op leaves
-# uint64 under numpy 1.24 and numpy 2 alike; uint64 array arithmetic wraps
-# silently.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
-_LOW32 = np.uint64(_MASK32)
-_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64))
-
-
-def _mulhi(a, b):
-    """The high 64 bits of a*b, from 32-bit halves (Hacker's Delight)."""
-    a0, a1 = a & _LOW32, a >> _U32
-    b0, b1 = b & _LOW32, b >> _U32
-    t = a1 * b0 + (a0 * b0 >> _U32)
-    w = (t & _LOW32) + a0 * b1
-    return a1 * b1 + (t >> _U32) + (w >> _U32)
-
-
-def _mul(ah, al, bh, bl):
-    """(ah, al) * (bh, bl) mod 2**128."""
-    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
-
-
-def _add(ah, al, bh, bl):
-    """(ah, al) + (bh, bl) mod 2**128."""
-    lo = al + bl
-    return ah + bh + (lo < al), lo
-
-
-def _step(hi, lo, inc_hi, inc_lo):
-    """One LCG step: state*M + inc mod 2**128."""
-    return _add(*_mul(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
-
-
-def _xsl_rr(hi, lo):
-    """PCG64's output: hi ^ lo rotated right by the state's top six bits."""
-    x = hi ^ lo
-    rot = hi >> _U58
-    return (x >> rot) | (x << ((_U64 - rot) & _U63))
-
-
-def _halves(values):
-    """The (hi, lo) halves of 128-bit ints, as uint64 columns."""
-    return tuple(np.array([[v >> s & _MASK64] for v in values], dtype=np.uint64) for s in (64, 0))
-
-
-@functools.cache
-def _draw_plan(n: int, cols: int):
-    """The jump pairs (A, C) = (M**j, sum of M**i for i < j), which take a
-    state s to A*s + C*inc, j steps on, for j at the first draw of each row
-    of ``cols`` draws and for j = n; as the (hi, lo) halves of A and of C.
-    Built on first use, not at import."""
-    jumps = [(1, 0)]
-    for _ in range(n):
-        a, c = jumps[-1]
-        jumps.append((a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128))
-    a, c = zip(*(jumps[j] for j in [*range(1, n + 1, cols), n]))
-    return *_halves(a), *_halves(c)
-
-
-def _next_double(hi, lo):
-    """numpy's next_double on the output of the state (hi, lo)."""
-    return np.multiply(_xsl_rr(hi, lo) >> _U11, 2.0**-53, dtype=np.float64)
-
-
-class TrialStreams:
-    """The PCG64 streams of ``default_rng`` for many lanes, held as uint64
-    arrays; ``words`` holds each lane's SeedSequence state, one row of four
-    uint64 words per lane (``trial_states``, ``cell_states``).
-
-    ``uniform`` gives what each lane's ``Generator.uniform`` would give, bit
-    for bit, for any subset of lanes; a lane's stream moves on only by its
-    own draws.
-    """
-
-    def __init__(self, words):
-        w = words
-        # numpy's pcg64_set_seed: initstate = w0:w1 and initseq = w2:w3;
-        # inc = initseq << 1 | 1, and the state starts at 0, takes a step,
-        # adds initstate and takes another step
-        self.inc_hi, self.inc_lo = w[:, 2] << _U1 | w[:, 3] >> _U63, w[:, 3] << _U1 | _U1
-        self.hi, self.lo = _step(*_add(self.inc_hi, self.inc_lo, w[:, 0], w[:, 1]), self.inc_hi, self.inc_lo)
-
-    def uniform(self, low: float, high: float, n: int, lanes=slice(None)):
-        """n successive ``uniform(low, high)`` draws of each lane in
-        ``lanes``: draw i of lane ``lanes[j]`` is at [i, j].
-
-        The draws are laid out as rows of ``cols`` draws: jumps take every
-        lane to each row's first draw and to its state n draws on, and then
-        the rows step together.  Lanes run along the last axis, so that
-        every op broadcasts over whole runs of lanes.
-        """
-        hi, lo, inc_hi, inc_lo = self.hi[lanes], self.lo[lanes], self.inc_hi[lanes], self.inc_lo[lanes]
-        # each column of draws after the first costs about 35 numpy calls on
-        # (rows x lanes) values, the jumps about 45 on one more row, so few
-        # lanes do best with many rows and many lanes with about sqrt(n): on
-        # one core, 1024 lanes took 128 draws fastest in columns of 11 to
-        # 16, and up to 16 lanes in one column; never more columns than draws
-        cols = max(1, min(n, math.isqrt(len(lo) * n // 1024)))
-        ah, al, ch, cl = _draw_plan(n, cols)
-        sh, sl = _add(*_mul(hi, lo, ah, al), *_mul(inc_hi, inc_lo, ch, cl))
-        self.hi[lanes], self.lo[lanes] = sh[-1], sl[-1]
-        sh, sl = sh[:-1], sl[:-1]
-        span = high - low
-        out = np.empty((len(sh) * cols, len(lo)))
-        for k in range(cols):
-            if k:
-                sh, sl = _step(sh, sl, inc_hi, inc_lo)
-            # Generator.uniform: low + (high - low)*next_double
-            out[k::cols] = low + span * _next_double(sh, sl)
-        return out[:n]
-
-
-class _RelaxationDraws:
-    """Relaxation factors per lane, each lane drawing from its own stream.
-
-    ``sample_relaxed_alpha`` draws (u, v) pairs by ``uniform(-rho, rho)``
-    until u*u + v*v <= rho*rho.  A lane here draws ``_ALPHA_PAIRS`` pairs at
-    once, which consumes the same doubles in the same order, keeps the
-    accepted ones in order, and draws the next block when it has used them.
-    Lane k here is lane ``first + k`` of ``streams``, for k below
-    ``stop - first``.
-    """
-
-    def __init__(self, streams: TrialStreams, disk: RelaxationDisk, first: int, stop: int):
-        n = stop - first
-        self.streams = streams
-        self.first = first
-        self.rho = disk.rho
-        self.re = np.empty((_ALPHA_PAIRS, n))  # factor i of lane j at [i, j]
-        self.im = np.empty((_ALPHA_PAIRS, n))
-        self.accepted = np.zeros(n, dtype=int)  # factors held, in re[:accepted, lane]
-        self.next = np.zeros(n, dtype=int)
-
-    def take(self, lanes):
-        """The next factor (re, im) of every lane in ``lanes``."""
-        empty = lanes[self.next[lanes] == self.accepted[lanes]]
-        while empty.size:
-            self._refill(empty)
-            empty = empty[self.accepted[empty] == 0]
-        at = self.next[lanes]
-        self.next[lanes] = at + 1
-        return self.re[at, lanes], self.im[at, lanes]
-
-    def _refill(self, lanes):
-        r = self.rho
-        draws = self.streams.uniform(-r, r, 2 * _ALPHA_PAIRS, lanes + self.first)
-        u, v = draws[0::2], draws[1::2]
-        accept = u * u + v * v <= r * r
-        order = np.argsort(~accept, axis=0, kind="stable")  # accepted first, in order
-        self.re[:, lanes] = 1.0 + np.take_along_axis(u, order, axis=0)
-        self.im[:, lanes] = np.take_along_axis(v, order, axis=0)
-        self.accepted[lanes] = np.count_nonzero(accept, axis=0)
-        self.next[lanes] = 0
 
 
 # Half-width, relative to the pole scale, of the band in which _pole_failed
@@ -469,7 +183,7 @@ def _armijo(g, x, y, wx, wy, fz, slope, cfg: SolverConfig):
     g = gr + i gi at the accepted trial, which is the lane's next point.
 
     Lanes leave the backtracking loop as they accept.  The test keeps the
-    scalar form ``f(trial) <= f(z) - gamma*slope*armijo_factor``.
+    scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
     gamma = np.full(len(x), cfg.gamma0)
     gr, gi = np.empty(len(x)), np.empty(len(x))
@@ -478,21 +192,15 @@ def _armijo(g, x, y, wx, wy, fz, slope, cfg: SolverConfig):
     while todo.size:
         gt = gamma[todo]
         vr, vi = _horner(g, x[todo] - gt * wx[todo], y[todo] - gt * wy[todo])
-        ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gt * slope[todo] * cfg.armijo_factor
+        ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gt * slope[todo] * _ARMIJO_FACTOR
         done = todo[ok]
         gr[done], gi[done] = vr[ok], vi[ok]
         todo = todo[~ok]
-        gamma[todo] = gamma[todo] * cfg.shrink_factor
+        gamma[todo] = gamma[todo] * _SHRINK_FACTOR
         under = gamma[todo] < _UNDERFLOW_LIMIT
         failed[todo[under]] = True
         todo = todo[~under]
     return gamma, gr, gi, failed
-
-
-def _shift_scale(gn, cfg: SolverConfig):
-    """|grad|**tau per lane, by Python's ``**``; x**1.0 is x for every float
-    (0, inf and NaN included), so the default tau = 1 skips the pow."""
-    return gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, len(gn))
 
 
 def _eig2(a, b, c):
@@ -536,46 +244,33 @@ def _reflected_solve(gx, gy, a, b, c, l1, l2, half_diff, r):
     return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y, (l1 == 0.0) | (l2 == 0.0)
 
 
-def _bnqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
-    """BNQN direction per lane for the Hessian [[a, b], [b, c]]; returns
-    (wx, wy, failed).
+def _admits_bnqn(a, b, c, threshold):
+    """``select_delta``'s test per lane: the smallest |eigenvalue| of the
+    shifted Hessian [[a, b], [b, c]] clears ``threshold``."""
+    l1, l2, _, _ = _eig2(a, b, c)
+    m1, m2 = np.abs(l1), np.abs(l2)
+    return np.where(m2 < m1, m2, m1) >= threshold
 
-    Mirrors ``select_delta`` followed by ``reflected_direction``: the first
-    shift whose smallest |eigenvalue| clears kappa*|grad|^tau wins, and the
-    eigensystem of the winning shifted Hessian gives the reflected solve.
+
+def _admits_nqn(a, b, c, threshold):
+    """``solvers._nqn_step``'s test per lane: the shifted Hessian
+    [[a, b], [b, c]] is finite and its determinant ``a*c - b*b`` is not 0.0."""
+    return (a * c - b * b != 0.0) & np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+
+
+def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
+    """BNQN's (``_admits_bnqn``) or NQN's (``_admits_nqn``) direction per
+    lane for the Hessian [[a, b], [b, c]]; returns (wx, wy, failed).
+
+    The first shift that ``admits`` passes, given the shifted Hessian and
+    kappa*|grad|^tau, wins, and its eigensystem gives the reflected solve.
+    Lanes that no shift passes fail, as do those with a zero eigenvalue.
     """
     n = len(gx)
-    scale = _shift_scale(gn, cfg)
+    # |grad|**tau by Python's ``**``; x**1.0 is x for every float (0, inf and
+    # NaN included), so the default tau = 1 skips the pow
+    scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, n)
     threshold = cfg.kappa * scale
-    chosen = np.zeros(n, dtype=bool)
-    sa, sc, half_diff, r, l1, l2 = (np.empty(n) for _ in range(6))
-    for d in cfg.deltas:
-        todo = np.flatnonzero(~chosen)
-        if not todo.size:
-            break
-        shift = d * scale[todo]
-        ap, cp = a[todo] + shift, c[todo] + shift
-        e1, e2, hd, rp = _eig2(ap, b[todo], cp)
-        m1, m2 = np.abs(e1), np.abs(e2)
-        ok = np.where(m2 < m1, m2, m1) >= threshold[todo]
-        win = todo[ok]
-        chosen[win] = True
-        sa[win], sc[win], half_diff[win], r[win] = ap[ok], cp[ok], hd[ok], rp[ok]
-        l1[win], l2[win] = e1[ok], e2[ok]
-    wx, wy, singular = _reflected_solve(gx, gy, sa, b, sc, l1, l2, half_diff, r)
-    return wx, wy, ~chosen | singular
-
-
-def _nqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
-    """NQN direction per lane for the Hessian [[a, b], [b, c]]; returns
-    (wx, wy, failed).
-
-    Mirrors ``solvers._nqn_step``: the first shift whose determinant
-    ``a*c - b*b`` is not 0.0 wins (NaN is not 0.0), and the shifted
-    Hessian gives the reflected solve.
-    """
-    n = len(gx)
-    scale = _shift_scale(gn, cfg)
     chosen = np.zeros(n, dtype=bool)
     sa, sc = np.empty(n), np.empty(n)
     for d in cfg.deltas:
@@ -583,8 +278,8 @@ def _nqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
         if not todo.size:
             break
         shift = d * scale[todo]
-        ap, bp, cp = a[todo] + shift, b[todo], c[todo] + shift
-        ok = ap * cp - bp * bp != 0.0
+        ap, cp = a[todo] + shift, c[todo] + shift
+        ok = admits(ap, b[todo], cp, threshold[todo])
         win = todo[ok]
         chosen[win] = True
         sa[win], sc[win] = ap[ok], cp[ok]
@@ -594,8 +289,8 @@ def _nqn_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
 
 def _newton_direction(gx, gy, a, b, c):
     """H^-1 grad per lane for the Hessian H = [[a, b], [b, c]]; returns
-    (wx, wy, failed), failed where H is singular and ``solvers._newton_opt_step``
-    raises.
+    (wx, wy, failed), failed where H is singular or not finite and
+    ``solvers._newton_opt_step`` raises.
 
     One ``numpy.linalg.solve`` of the stack gives what one per matrix gives
     (both call LAPACK's ``gesv``).  A singular matrix makes it raise for the
@@ -603,7 +298,7 @@ def _newton_direction(gx, gy, a, b, c):
     """
     h = np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
     grad = np.stack([gx, gy], axis=-1)
-    failed = np.zeros(len(gx), dtype=bool)
+    failed = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
     try:
         # numpy 1.24 and 2 both read an (n, 2, 1) right-hand side as matrices
         w = np.linalg.solve(h, grad[:, :, None])[:, :, 0]
@@ -660,11 +355,11 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     This is the scalar loop's arithmetic without its arrays and trace:
     Python's complex Horner and product, ``linalg.hypot`` norms, the
     2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta cap and
-    the Armijo test in the form ``f(trial) <= f(z) - gamma*slope*factor``.
+    the Armijo test in the form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
     g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
     radius = obj.divergence_radius
-    theta, gamma0, armijo, shrink = cfg.theta, cfg.gamma0, cfg.armijo_factor, cfg.shrink_factor
+    theta, gamma0 = cfg.theta, cfg.gamma0
     z = complex(x, y)
     gz = _horner1(g, z)
     while True:
@@ -695,9 +390,9 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
         while True:
             trial = complex(x - gamma * wx, y - gamma * wy)
             gt = _horner1(g, trial)
-            if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * armijo:
+            if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * _ARMIJO_FACTOR:
                 break
-            gamma = gamma * shrink
+            gamma = gamma * _SHRINK_FACTOR
             if gamma < _UNDERFLOW_LIMIT:
                 return x, y, k, FAILED
         # the accepted trial is the next point, and g there is already known
@@ -724,14 +419,13 @@ def iterate(
 
     Random relaxed Newton needs ``streams``, one per lane, in the state
     ``run``'s generator would be in, and the ``relaxation`` disk; its lanes
-    run in blocks of ``_RRN_LANES``.
+    run in blocks of ``streams.lane_blocks``.
     """
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     if method is not Method.RANDOM_RELAXED_NEWTON_1D:
         return _sweep(obj, method, cfg, x0, y0)
     blocks = []
-    for first in range(0, len(x0), _RRN_LANES):
-        stop = min(first + _RRN_LANES, len(x0))
+    for first, stop in lane_blocks(len(x0)):
         draws = _RelaxationDraws(streams, relaxation, first, stop)
         blocks.append(_sweep(obj, method, cfg, x0[first:stop], y0[first:stop], draws))
     return tuple(np.concatenate(v) for v in zip(*blocks))
@@ -786,7 +480,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 a, b, c = ur + s, -ui, s - ur
             if armijo:
                 if hessian:
-                    wx, wy, failed = _bnqn_direction(gx, gy, gn, a, b, c, cfg)
+                    wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_bnqn)
                     # theta = 0 leaves the divisor at 1.0 whatever |w| is
                     # (0*inf is NaN, and max(1.0, NaN) is 1.0), so skip the norm
                     if cfg.theta != 0.0:
@@ -798,7 +492,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 xn, yn, gr, gi, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             elif hessian:
                 if method is Method.NQN:
-                    wx, wy, failed = _nqn_direction(gx, gy, gn, a, b, c, cfg)
+                    wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_nqn)
                 else:
                     wx, wy, failed = _newton_direction(gx, gy, a, b, c)
                 xn, yn = x - wx, y - wy

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 _UNDERFLOW_LIMIT = 1e-300
+# The paper's Armijo rule: accept a step that gains a third of its slope,
+# else shrink gamma by a third
+_ARMIJO_FACTOR = 1.0 / 3.0
+_SHRINK_FACTOR = 1.0 / 3.0
 
 
 class Method(enum.Enum):
@@ -65,9 +70,7 @@ class SolverConfig:
     gamma0: float = 1.0
     grad_tol: float = 1e-10
     max_iter: int = 10000
-    armijo_factor: float = 1.0 / 3.0
-    shrink_factor: float = 1.0 / 3.0
-    seed: int | None = None
+    seed: int = 0
     kappa: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -88,8 +91,6 @@ class SolverConfig:
             raise ValueError("grad_tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not 0.0 < self.armijo_factor < 1.0 or not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("line-search factors must lie in (0, 1)")
         object.__setattr__(self, "kappa", 0.5 * gap)
 
 
@@ -185,9 +186,9 @@ def _armijo(f, z, w_hat, grad, cfg: SolverConfig):
     gamma = cfg.gamma0
     while True:
         trial = z - gamma * w_hat
-        if f.value(trial) <= f_z - gamma * slope * cfg.armijo_factor:
+        if f.value(trial) <= f_z - gamma * slope * _ARMIJO_FACTOR:
             return trial, gamma
-        gamma = gamma * cfg.shrink_factor
+        gamma = gamma * _SHRINK_FACTOR
         if gamma < _UNDERFLOW_LIMIT:
             raise LineSearchUnderflow(
                 "step size underflow; direction is not a descent direction or values are NaN"
@@ -209,14 +210,15 @@ def _btgd_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
 
 
 def _nqn_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
-    """Determinant-tested shift, full reflected step, no line search."""
+    """Full reflected step, no line search, on the first shift that leaves
+    the Hessian finite with a determinant other than 0.0."""
     scale = grad_norm**cfg.tau
     for j, d in enumerate(cfg.deltas):
         shifted = hess.shifted(d * scale)
-        if _determinant(shifted) != 0.0:
+        if all(map(math.isfinite, shifted.upper)) and _determinant(shifted) != 0.0:
             break
     else:
-        raise NoAdmissibleDelta(f"every shift in {cfg.deltas} left the matrix singular")
+        raise NoAdmissibleDelta(f"every shift in {cfg.deltas} left the matrix singular or non-finite")
     return z - reflected_direction(shifted, grad), 1.0, j
 
 
@@ -229,6 +231,8 @@ def _determinant(matrix: SymmetricMatrix) -> float:
 
 def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
     """Classical Newton optimization step z - H^-1 grad."""
+    if not all(map(math.isfinite, hess.upper)):
+        raise SingularMatrix(f"Hessian has a non-finite entry at {z}")
     try:
         step = np.linalg.solve(hess.full(), grad)
     except np.linalg.LinAlgError as exc:
@@ -277,8 +281,8 @@ def run(
 
     The one-complex-variable methods need a polynomial-modulus objective and
     iterate its polynomial directly; the random relaxed variant draws a fresh
-    relaxation factor per step from ``rng`` (seeded from cfg.seed when not
-    given).
+    relaxation factor per step from ``rng`` (``default_rng(cfg.seed)`` when
+    not given).
     """
     if cfg is None:
         cfg = SolverConfig()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 from collections import Counter
 
@@ -139,6 +140,11 @@ def one_step(obj, z, method, cfg=None):
     return trace.points[1], trace.step_sizes[0], trace.delta_indices[0], trace.grad_norms[0]
 
 
+def same_bits(a, b):
+    """Bit for bit equal floats; NaN matches any NaN (payloads are not kept)."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # per-step contract checks (recompute everything the solver promised)
 
@@ -153,7 +159,7 @@ def check_bnqn_trace(obj, trace, cfg):
     of f in doubles).
     """
     v = Counter()
-    af = cfg.armijo_factor
+    af = 1.0 / 3.0  # the paper's Armijo constant
     for k in range(trace.iterations):
         z = trace.points[k]
         z1 = trace.points[k + 1]
@@ -195,7 +201,7 @@ def check_bnqn_trace(obj, trace, cfg):
 def check_btgd_trace(obj, trace, cfg):
     """Armijo/monotone checks for backtracking gradient descent traces."""
     v = Counter()
-    af = cfg.armijo_factor
+    af = 1.0 / 3.0  # the paper's Armijo constant
     for k in range(trace.iterations):
         z = trace.points[k]
         z1 = trace.points[k + 1]

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from bnqn import lockstep
 from bnqn.basins import (
     CRITICAL_COLOR,
     ROOT_COLORS,
@@ -17,6 +16,7 @@ from bnqn.basins import (
 from bnqn.complexpoly import Polynomial
 from bnqn.objective import LimitClass, PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig
+from bnqn.streams import TrialStreams, cell_states
 from support import nearest_root_index
 
 Z2M1 = Polynomial([-1, 0, 1])
@@ -215,12 +215,12 @@ def test_cell_rng_streams_differ_across_seeds_and_cells():
     # default_rng((s, i, j)); seeding with seed ^ (i*ny + j) gave seed 0 at
     # cell (0, 1) the stream of seed 1 at cell (0, 0)
     for seed in (0, 1, 5, 2**32, 2**64 + 3):
-        streams = lockstep.TrialStreams(lockstep.cell_states(seed, 3, 4))
+        streams = TrialStreams(cell_states(seed, 3, 4))
         for n in range(12):
             want = np.random.default_rng((seed, *divmod(n, 4))).bit_generator.state["state"]
             got = [int(v[n]) for v in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)]
             assert (got[0] << 64 | got[1], got[2] << 64 | got[3]) == (want["state"], want["inc"]), (seed, n)
-    assert lockstep.cell_states(0, 1, 2)[1].tolist() != lockstep.cell_states(1, 1, 1)[0].tolist()
+    assert cell_states(0, 1, 2)[1].tolist() != cell_states(1, 1, 1)[0].tolist()
 
 
 def test_render_basin_per_point_failures_recorded_not_raised():

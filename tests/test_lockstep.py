@@ -9,10 +9,8 @@ Newton directions are checked against the scalar step on crafted singular
 and non-finite Hessians.  Random relaxed Newton is checked trial by trial
 against ``run`` with the trial's own generator, straight out of ``iterate``
 and through the ``rrn`` experiment, cell by cell through ``render_basin``,
-and its primitives against Python's and numpy's: the complex quotient, the
-block draws, the numpy-side PCG64 streams (seeding and draws against
-``default_rng((seed, t))`` and ``default_rng((seed, i, j))``) and the
-screened pole test.
+and its primitives against Python's: the complex quotient and the screened
+pole test.  The random streams themselves are checked in ``test_streams.py``.
 """
 
 import functools
@@ -23,11 +21,13 @@ import pytest
 
 from bnqn import cli, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
-from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale, sample_relaxed_alpha
+from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale
 from bnqn.errors import BnqnError, DerivativeVanishes, NoConvergence
 from bnqn.linalg import SymmetricMatrix
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
 from bnqn.solvers import _STEPS, Method, SolverConfig, run
+from bnqn.streams import _BLOCK_LANES, TrialStreams, cell_states, trial_states
+from support import same_bits
 
 BNQN = Method.BNQN_NEW_VARIANT
 BTGD = Method.BACKTRACKING_GD
@@ -93,8 +93,9 @@ CASES = {
 }
 # The full-step methods on four grids: on z^2-1 two newton-opt cells meet a
 # singular Hessian and the 38 imaginary-axis newton1d cells hit the cap; on
-# z^25-1 far out, 24 nqn and newton-opt lanes go NaN and hit the cap.  Only
-# NQN reads tau and the shifts, so only NQN takes every config.
+# z^25-1 far out, the Hessian of 24 nqn and newton-opt lanes overflows and
+# their first step fails.  Only NQN reads tau and the shifts, so only NQN
+# takes every config.
 FULL_STEP_GRIDS = {
     "z2m1": (Z2M1, GridSpec(*SQUARE, 41, 41)),
     "z3m1": (Z3M1, GridSpec(*SQUARE, 41, 41)),
@@ -173,7 +174,7 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
         code = int(codes[n])
         outcomes.add(code)
         fx, fy = want.final_point
-        assert _same_bits(x[n], fx) and _same_bits(y[n], fy), z0
+        assert same_bits(x[n], fx) and same_bits(y[n], fy), z0
         assert steps[n] == want.iterations, z0
         assert (code == lockstep.FAILED) == (want.failure is not None), z0
         if code == lockstep.STOPPED:
@@ -222,7 +223,7 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     if case == "newton1d-z2m1-cap300":
         assert np.count_nonzero(codes == lockstep.CAPPED) == 38
     if case.startswith(("nqn-z25m1", "newton-opt-z25m1")):
-        assert np.count_nonzero((codes == lockstep.CAPPED) & np.isnan(x)) == 24
+        assert np.count_nonzero(codes == lockstep.FAILED) == 24
 
 
 @pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])
@@ -317,30 +318,29 @@ def test_full_step_directions_fail_where_the_scalar_step_raises(cfg):
     gn = np.hypot(gx, gy)
     with np.errstate(all="ignore"):
         got = {
-            NQN: lockstep._nqn_direction(gx, gy, gn, a, b, c, cfg),
+            NQN: lockstep._shift_search(gx, gy, gn, a, b, c, cfg, lockstep._admits_nqn),
             NEWTON_OPT: lockstep._newton_direction(gx, gy, a, b, c),
         }
     failures = set()
     for n, lane in enumerate(DIRECTION_LANES):
         z, grad, hess = np.zeros(2), np.array(lane[:2]), SymmetricMatrix(2, lane[2:])
+        finite = all(map(math.isfinite, lane))
         for method, (wx, wy, failed) in got.items():
             try:
                 with np.errstate(all="ignore"):
                     want = _STEPS[method][1](None, z, grad, float(gn[n]), hess, cfg, None, None)[0]
             except BnqnError as exc:
-                failures.add((method, type(exc).__name__))
+                failures.add((method, type(exc).__name__, finite))
                 assert failed[n], (method, lane)
                 continue
             assert not failed[n], (method, lane)
+            # a Hessian with a NaN or infinite entry fails the step
+            assert all(map(math.isfinite, lane[2:])), (method, lane)
             # the scalar step is z - w from z = 0
-            assert _same_bits(0.0 - wx[n], want[0]) and _same_bits(0.0 - wy[n], want[1]), (method, lane)
-    assert {(NQN, "SingularMatrix"), (NEWTON_OPT, "SingularMatrix")} <= failures
-    assert ((NQN, "NoAdmissibleDelta") in failures) == (cfg.deltas == (0.0, 1.0))
-
-
-def _same_bits(a, b):
-    """Bit for bit equal floats; NaN matches any NaN (payloads are not kept)."""
-    return (math.isnan(a) and math.isnan(b)) or np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+            assert same_bits(0.0 - wx[n], want[0]) and same_bits(0.0 - wy[n], want[1]), (method, lane)
+    assert {(NQN, "SingularMatrix", True), (NEWTON_OPT, "SingularMatrix", True)} <= failures
+    assert ((NQN, "NoAdmissibleDelta", True) in failures) == (cfg.deltas == (0.0, 1.0))
+    assert {f for f in failures if not f[2]} == {(NQN, "NoAdmissibleDelta", False), (NEWTON_OPT, "SingularMatrix", False)}
 
 
 def test_quot_is_python_complex_division_bitwise():
@@ -364,99 +364,7 @@ def test_quot_is_python_complex_division_bitwise():
         qr, qi = lockstep._quot(a, b, c, d)
     for n, (a, b, c, d) in enumerate(cases):
         want = complex(a, b) / complex(c, d)
-        assert _same_bits(qr[n], want.real) and _same_bits(qi[n], want.imag), (a, b, c, d)
-
-
-@pytest.mark.parametrize("pairs", [64, 1])
-@pytest.mark.parametrize("rho", [0.51, 0.7, 0.99])
-def test_block_draws_are_successive_sample_relaxed_alpha(monkeypatch, rho, pairs):
-    # a lane holds at most ``pairs`` accepted factors, so 150 takes refill
-    # every lane; with one pair per block, a fifth of the refills accept
-    # nothing and must draw again
-    monkeypatch.setattr(lockstep, "_ALPHA_PAIRS", pairs)
-    disk = RelaxationDisk(rho)
-    lanes = np.arange(30)
-    draws = lockstep._RelaxationDraws(lockstep.TrialStreams(lockstep.trial_states(5, 0, 30)), disk, 0, 30)
-    scalar = [np.random.default_rng((5, t)) for t in lanes]
-    for step in range(150):
-        active = lanes[(lanes % 3 != 0) | (step % 2 == 0)]  # lanes take at different rates
-        re, im = draws.take(active)
-        for lane, a, b in zip(active.tolist(), re.tolist(), im.tolist()):
-            want = sample_relaxed_alpha(disk, scalar[lane])
-            assert _same_bits(a, want.real) and _same_bits(b, want.imag), (lane, step)
-
-
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3, 2**130 + 1]
-
-
-def _pcg64_state(streams, lane):
-    """A lane's PCG64 (state, inc) as 128-bit ints."""
-    hi, lo, inc_hi, inc_lo = (int(v[lane]) for v in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo))
-    return hi << 64 | lo, inc_hi << 64 | inc_lo
-
-
-def _assert_default_rng_streams(seed, first, stop):
-    """Block-hashed states equal SeedSequence's, the trial streams' seeded
-    PCG64 (state, inc) equal ``default_rng((seed, t))``'s, and so do their
-    first draws."""
-    states = lockstep.trial_states(seed, first, stop)
-    streams = lockstep.TrialStreams(states)
-    assert len(states) == len(streams.lo) == stop - first
-    seeded = [_pcg64_state(streams, lane) for lane in range(stop - first)]
-    starts = streams.uniform(-3.0, 3.0, 2).T
-    relaxations = streams.uniform(-0.7, 0.7, 128).T
-    for t, state, pcg64, start, relax in zip(range(first, stop), states, seeded, starts, relaxations):
-        want = np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
-        assert state.tolist() == want.tolist(), t
-        want = np.random.default_rng((seed, t))
-        # numpy's pcg64_set_seed: inc from the last two state words, then a
-        # step, the first two words added, and another step
-        assert pcg64 == (want.bit_generator.state["state"]["state"], want.bit_generator.state["state"]["inc"]), t
-        assert start.tolist() == want.uniform(-3.0, 3.0, 2).tolist(), t
-        assert relax.tolist() == want.uniform(-0.7, 0.7, 128).tolist(), t
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_trial_generators_are_default_rng(seed):
-    _assert_default_rng_streams(seed, 0, 40)
-
-
-@pytest.mark.parametrize("seed", [0, 2**64 + 3])
-@pytest.mark.parametrize("edge", [2**32, 2**64], ids=["t=2^32", "t=2^64"])
-def test_trial_generators_across_a_word_boundary(seed, edge):
-    # t gains a word of entropy within the block
-    _assert_default_rng_streams(seed, edge - 5, edge + 3)
-
-
-@pytest.mark.parametrize("lanes", [1, 5, 40, 300])
-def test_stream_draws_are_successive_uniform_draws(lanes):
-    # lane subsets of every size take blocks of 1 to 130 draws at uneven
-    # rates; every lane's draws continue its own Generator's, whatever
-    # layout of rows its block took
-    streams = lockstep.TrialStreams(lockstep.trial_states(2**64 + 3, 7, 7 + lanes))
-    rngs = [np.random.default_rng((2**64 + 3, t)) for t in range(7, 7 + lanes)]
-    pick = np.random.default_rng(lanes)
-    for step, n in enumerate([1, 2, 127, 128, 130, 2, 1, 130, 128, 127]):
-        low, high = [(-3.0, 3.0), (-0.7, 0.7), (-0.99, 0.99)][step % 3]
-        every = step % 4 == 0
-        subset = np.arange(lanes) if every else np.flatnonzero(pick.random(lanes) < 0.6)
-        draws = streams.uniform(low, high, n, slice(None) if every else subset)
-        assert draws.shape == (n, len(subset))
-        for j, lane in enumerate(subset.tolist()):
-            want = rngs[lane].uniform(low, high, n)
-            assert draws[:, j].tolist() == want.tolist(), (lane, step, n)
-    for lane, rng in enumerate(rngs):
-        want = rng.bit_generator.state["state"]
-        assert _pcg64_state(streams, lane) == (want["state"], want["inc"]), lane
-
-
-def test_trial_generators_reject_a_negative_seed():
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        lockstep.trial_states(-1, 0, 4)
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        lockstep.cell_states(-1, 2, 2)
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        np.random.default_rng((-1, 0))
+        assert same_bits(qr[n], want.real) and same_bits(qi[n], want.imag), (a, b, c, d)
 
 
 def _pole_lanes():
@@ -543,7 +451,7 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     n = trials if starts is None else len(starts)
     obj, disk = PolyModulusObjective(poly), RelaxationDisk(rho)
     scalar = [_scalar_rrn(obj, disk, cfg, t, None if starts is None else starts[t]) for t in range(n)]
-    streams = lockstep.TrialStreams(lockstep.trial_states(cfg.seed, 0, n))
+    streams = TrialStreams(trial_states(cfg.seed, 0, n))
     if starts is None:
         streams.uniform(-3.0, 3.0, 2)  # the start comes first
     x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
@@ -553,7 +461,7 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     roots[stopped] = obj.root_indices(x[stopped], y[stopped], 1e-6)
     for t, (trace, z0, root) in enumerate(scalar):
         fx, fy = trace.final_point
-        assert _same_bits(x[t], fx) and _same_bits(y[t], fy), (t, z0)
+        assert same_bits(x[t], fx) and same_bits(y[t], fy), (t, z0)
         assert steps[t] == trace.iterations, (t, z0)
         assert (codes[t] == lockstep.FAILED) == (trace.failure is not None), (t, z0)
         capped = trace.failure is None and not trace.converged and trace.terminal != DIVERGED
@@ -568,10 +476,10 @@ def test_relaxed_lockstep_matches_scalar_run(case):
         assert codes[0] == lockstep.CAPPED and math.isnan(x[0])
 
 
-@pytest.mark.parametrize("lanes", [lockstep._RRN_LANES, 10])
+@pytest.mark.parametrize("lanes", [_BLOCK_LANES, 10])
 def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes):
     # one trial past full blocks: the last trial runs alone in the last block
-    monkeypatch.setattr(lockstep, "_RRN_LANES", lanes)
+    monkeypatch.setattr("bnqn.streams._BLOCK_LANES", lanes)
     trials = lanes + 1 if lanes > 10 else 3 * lanes + 1
     cfg = SolverConfig(max_iter=40, seed=31)
     obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(0.7)
@@ -594,21 +502,21 @@ def _cell_oracle(seed, grid, rho, cfg):
     }
 
 
-@pytest.mark.parametrize("lanes", [lockstep._RRN_LANES, 100])
+@pytest.mark.parametrize("lanes", [_BLOCK_LANES, 100])
 def test_relaxed_basin_cells_match_scalar_run(monkeypatch, lanes):
     # the grid is not square, so that swapped cell indices would show; with
     # 100-lane blocks the cells span nine blocks
-    monkeypatch.setattr(lockstep, "_RRN_LANES", lanes)
+    monkeypatch.setattr("bnqn.streams._BLOCK_LANES", lanes)
     grid, cfg, rho = GridSpec(*SQUARE, 31, 27), SolverConfig(max_iter=300, seed=5), 0.7
     obj = PolyModulusObjective(Z3M1)
     traces = _cell_oracle(5, grid, rho, cfg)
     x0, y0 = np.array(list(map(grid.point, *zip(*traces)))).T
-    streams = lockstep.TrialStreams(lockstep.cell_states(5, grid.nx, grid.ny))
+    streams = TrialStreams(cell_states(5, grid.nx, grid.ny))
     x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams, relaxation=RelaxationDisk(rho))
     basin = render_basin(Z3M1, grid, RRN, cfg, rho=rho)
     for n, ((i, j), want) in enumerate(traces.items()):
         fx, fy = want.final_point
-        assert _same_bits(x[n], fx) and _same_bits(y[n], fy), (i, j)
+        assert same_bits(x[n], fx) and same_bits(y[n], fy), (i, j)
         assert steps[n] == want.iterations, (i, j)
         assert (codes[n] == lockstep.FAILED) == (want.failure is not None), (i, j)
         assert (basin.classes[i][j], basin.iterations[i, j]) == (want.terminal, want.iterations), (i, j)

@@ -9,6 +9,8 @@ from bnqn.solvers import (
     IterationTrace,
     Method,
     SolverConfig,
+    _ARMIJO_FACTOR,
+    _SHRINK_FACTOR,
     _armijo,
     export_trace_csv,
     random_deltas,
@@ -37,7 +39,8 @@ def test_config_defaults_and_kappa():
     assert cfg.deltas == (0.0, 1.0, -1.0)
     assert cfg.kappa == 0.5  # half the minimal gap between shifts
     assert cfg.tau == 1.0 and cfg.theta == 0.0 and cfg.gamma0 == 1.0
-    assert cfg.armijo_factor == 1.0 / 3.0 and cfg.shrink_factor == 1.0 / 3.0
+    assert _ARMIJO_FACTOR == 1.0 / 3.0 and _SHRINK_FACTOR == 1.0 / 3.0
+    assert cfg.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -108,6 +111,18 @@ def test_nan_hessian_admits_no_shift():
         select_delta(hess, 1.0, SolverConfig(deltas=(0.0, 1.0, -1.0, 2.0)))
     trace = run(NaNHessian3D(), (1.0, 0.0, 0.0), BNQN)
     assert trace.failure.startswith("NoAdmissibleDelta:")
+    assert trace.iterations == 0 and not trace.converged
+    assert trace.terminal == UNDECIDED
+
+
+@pytest.mark.parametrize(
+    "method, error", [(Method.NQN, "NoAdmissibleDelta"), (Method.NEWTON_OPT, "SingularMatrix")], ids=["nqn", "newton-opt"]
+)
+def test_nan_hessian_fails_the_full_step(method, error):
+    # numpy.linalg.solve and the determinant test both pass NaN through, so
+    # without a finiteness test these methods step on NaN up to the cap
+    trace = run(NaNHessian3D(), (1.0, 0.0, 0.0), method)
+    assert trace.failure.startswith(f"{error}:")
     assert trace.iterations == 0 and not trace.converged
     assert trace.terminal == UNDECIDED
 
@@ -327,6 +342,15 @@ def test_run_random_relaxed_1d_deterministic_given_rng():
     assert t1.terminal == t2.terminal
     assert [tuple(p) for p in t1.points] == [tuple(p) for p in t2.points]
     assert t1.converged and t1.terminal.is_root
+
+
+def test_run_random_relaxed_1d_default_seed_is_zero():
+    # the default config seeds run's generator with 0, as render_basin seeds
+    # its cells; a seed of None drew fresh entropy on every call
+    runs = [run(Z3M1, (1.5, 1.5), Method.RANDOM_RELAXED_NEWTON_1D) for _ in range(2)]
+    seeded = run(Z3M1, (1.5, 1.5), Method.RANDOM_RELAXED_NEWTON_1D, rng=np.random.default_rng(0))
+    for trace in runs:
+        assert [tuple(p) for p in trace.points] == [tuple(p) for p in seeded.points]
 
 
 def test_run_method_accepts_string_values():
