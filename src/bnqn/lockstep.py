@@ -266,14 +266,15 @@ def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
     kappa*|grad|^tau, wins, and its eigensystem gives the reflected solve.
     Lanes that no shift passes fail, as do those with a zero eigenvalue.
     """
-    n = len(gx)
     # |grad|**tau by Python's ``**``; x**1.0 is x for every float (0, inf and
     # NaN included), so the default tau = 1 skips the pow
-    scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, n)
+    scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, len(gn))
     threshold = cfg.kappa * scale
-    chosen = np.zeros(n, dtype=bool)
-    sa, sc = np.empty(n), np.empty(n)
-    for d in cfg.deltas:
+    # the first shift takes every lane as it is, with no gather or scatter
+    shift = cfg.deltas[0] * scale
+    sa, sc = a + shift, c + shift
+    chosen = admits(sa, b, sc, threshold)
+    for d in cfg.deltas[1:]:
         todo = np.flatnonzero(~chosen)
         if not todo.size:
             break
