@@ -223,6 +223,13 @@ def _parse_config(args) -> SolverConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _class_tol(args) -> float:
+    # not x >= 0 also rejects NaN, with which no cell could ever classify
+    if not args.class_tol >= 0:
+        raise UsageError(f"--class-tol must be nonnegative, got {args.class_tol}")
+    return args.class_tol
+
+
 def _parse_poly(args) -> Polynomial:
     try:
         return parse_polynomial(args.poly, highest_first=args.highest_first)
@@ -243,7 +250,7 @@ def _cmd_solve(args, out) -> int:
             raise UsageError(str(exc)) from exc
     z0 = _parse_pair(args.z0, "--z0")
     # rrn1d draws from run's own default_rng(cfg.seed), and cfg.seed is --seed
-    trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=args.class_tol)
+    trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=_class_tol(args))
     if args.trace:
         export_trace_csv(trace, args.trace)
     final = trace.final_point
@@ -283,7 +290,7 @@ def _cmd_basin(args, out) -> int:
     if method is Method.RANDOM_RELAXED_NEWTON_1D and not 0.5 < args.rho < 1.0:
         raise UsageError(f"rho must lie in (0.5, 1), got {args.rho}")
     basin_map = render_basin(
-        poly, grid, method, cfg, class_tol=args.class_tol, rho=args.rho
+        poly, grid, method, cfg, class_tol=_class_tol(args), rho=args.rho
     )
     export_ppm(basin_map, args.out)
     export_csv(basin_map, args.csv)

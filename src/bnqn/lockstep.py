@@ -7,9 +7,13 @@ on the split real/imaginary arrays, tests convergence, divergence and the
 iteration cap, and then takes one step on the lanes still running.  BNQN
 and NQN share one shift search by mask, BNQN admitting a shift by its
 eigenvalues and NQN by its determinant, and then solve with the closed-form
-2x2 eigensystem of the chosen shifted Hessian; BNQN and GD then run an
-Armijo search in which the lanes that have accepted drop out of the
-backtracking loop.  NQN and Newton optimization (one batched
+2x2 eigensystem of the chosen shifted Hessian.  The first shift runs on the
+whole arrays and its eigensystem serves both the test and the solve; only
+the lanes it does not admit try later shifts, and the lanes with a diagonal
+Hessian are fixed by index.  BNQN and GD then take the first Armijo trial on
+the whole arrays, and only the lanes that reject it backtrack, dropping out
+of the loop as they accept.  A sweep compacts its arrays only when some lane
+stops or fails.  NQN and Newton optimization (one batched
 ``numpy.linalg.solve``) take the full step z - w.  Newton's map takes
 z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with each
 lane drawing alpha from its own random stream (``bnqn.streams``).
@@ -45,6 +49,7 @@ methods' lanes always stay in the sweep.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 
 import numpy as np
@@ -66,14 +71,15 @@ _ARMIJO = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
 STOPPED, CAPPED, FAILED = 0, 1, 2
 
 # BNQN and GD lanes go to ``_finish_lane`` once a sweep starts with at most
-# this many.  On one core, a sweep costs nearly the same for 1 to 64 lanes:
-# 85-160 us for GD on the z^3-1 negative axis, 240-320 us for BNQN at degree
-# 3 and 8.  A per-lane step costs 1.9-2.4 us and 6-7 us there, so the kernel
-# wins above about 43-62 lanes.  Whole sweeps (z^3-1 BNQN 51x51 and 101x101,
-# GD 9x9, four degree-8 clusters at 25x25) took the same time, within noise,
-# with any tail from 24 to 64; GD on z^3-1 at 51x51, whose 25 capped axis
-# lanes run 10 000 steps each, took 0.7-0.8 s with a tail of 32 or more
-# against 1.0-1.5 s with them in the sweep.
+# this many.  On one pinned core, a sweep costs nearly the same for 1 to 64
+# lanes: 63-72 us for GD on the z^3-1 negative axis, 120-190 us for BNQN at
+# degree 3 and 185-270 us at degree 8.  A per-lane step costs 2.0-2.3 us
+# and 5.7-7.9 us there, so the kernel wins above about 23-37 lanes.  Whole
+# sweeps (z^3-1 BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25) took
+# the same time, within noise, with any tail from 24 to 64, and longer with
+# 96 on the clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes run
+# 10 000 steps each, took 0.7-0.8 s with a tail of 32 or more against
+# 1.0-1.5 s with them in the sweep.
 _TAIL_LANES = 48
 
 def _horner(coeffs, zr, zi):
@@ -140,7 +146,7 @@ def _pole_failed(zn, dr, di, degree):
     power = np.power(1.0 + zn, max(degree - 1, 0))
     scale = _POLE_TOL * power
     failed = size < scale
-    unsure = np.flatnonzero(~((power < _POWER_SURE) & (np.abs(size - scale) > _POLE_BAND * scale)))
+    unsure = (~((power < _POWER_SURE) & (np.abs(size - scale) > _POLE_BAND * scale))).nonzero()[0]
     if unsure.size:
         exact = np.fromiter(map(pole_scale, zn[unsure].tolist(), repeat(degree)), float, unsure.size)
         failed[unsure] = size[unsure] < exact
@@ -168,39 +174,31 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     """z - gamma*w per lane with Armijo's gamma; returns (x, y, gr, gi,
     failed), with g = gr + i gi at the new point.
 
-    Lanes already failed skip the search; lanes whose search underflows fail.
+    The first trial, gamma0, runs on every lane at once; only the lanes that
+    reject it backtrack, leaving the loop as they accept.  gamma is the same
+    on every lane of a pass, so the underflow test fails all the lanes left
+    at once.  Lanes already failed skip the search.  The test keeps the
+    scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
     slope = wx * gx + wy * gy
     fz = 0.5 * (gr * gr + gi * gi)
-    ok = ~failed
-    gamma, gr, gi = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))
-    gamma[ok], gr[ok], gi[ok], failed[ok] = _armijo(g, x[ok], y[ok], wx[ok], wy[ok], fz[ok], slope[ok], cfg)
-    return x - gamma * wx, y - gamma * wy, gr, gi, failed
-
-
-def _armijo(g, x, y, wx, wy, fz, slope, cfg: SolverConfig):
-    """Per-lane Armijo search; returns (gamma, gr, gi, failed) arrays, with
-    g = gr + i gi at the accepted trial, which is the lane's next point.
-
-    Lanes leave the backtracking loop as they accept.  The test keeps the
-    scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
-    """
-    gamma = np.full(len(x), cfg.gamma0)
-    gr, gi = np.empty(len(x)), np.empty(len(x))
-    failed = np.zeros(len(x), dtype=bool)
-    todo = np.arange(len(x))
+    gamma = cfg.gamma0
+    xn, yn = x - gamma * wx, y - gamma * wy
+    gr, gi = _horner(g, xn, yn)
+    ok = 0.5 * (gr * gr + gi * gi) <= fz - gamma * slope * _ARMIJO_FACTOR
+    todo = (~(ok | failed)).nonzero()[0]
     while todo.size:
-        gt = gamma[todo]
-        vr, vi = _horner(g, x[todo] - gt * wx[todo], y[todo] - gt * wy[todo])
-        ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gt * slope[todo] * _ARMIJO_FACTOR
+        gamma = gamma * _SHRINK_FACTOR
+        if gamma < _UNDERFLOW_LIMIT:
+            failed[todo] = True
+            break
+        xt, yt = x[todo] - gamma * wx[todo], y[todo] - gamma * wy[todo]
+        vr, vi = _horner(g, xt, yt)
+        ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gamma * slope[todo] * _ARMIJO_FACTOR
         done = todo[ok]
-        gr[done], gi[done] = vr[ok], vi[ok]
+        xn[done], yn[done], gr[done], gi[done] = xt[ok], yt[ok], vr[ok], vi[ok]
         todo = todo[~ok]
-        gamma[todo] = gamma[todo] * _SHRINK_FACTOR
-        under = gamma[todo] < _UNDERFLOW_LIMIT
-        failed[todo[under]] = True
-        todo = todo[~under]
-    return gamma, gr, gi, failed
+    return xn, yn, gr, gi, failed
 
 
 def _eig2(a, b, c):
@@ -209,11 +207,14 @@ def _eig2(a, b, c):
     radius its eigenvectors take; returns (l1, l2, half_diff, r)."""
     half_diff = 0.5 * (a - c)
     r = np.hypot(half_diff, b)
-    diag = b == 0.0
-    ordered = a <= c
     t = 0.5 * (a + c)
-    l1 = np.where(diag, np.where(ordered, a, c), t - r)
-    l2 = np.where(diag, np.where(ordered, c, a), t + r)
+    l1, l2 = t - r, t + r
+    # a diagonal matrix keeps its diagonal, in order
+    diag = (b == 0.0).nonzero()[0]
+    if diag.size:
+        ad, cd = a[diag], c[diag]
+        ordered = ad <= cd
+        l1[diag], l2[diag] = np.where(ordered, ad, cd), np.where(ordered, cd, ad)
     return l1, l2, half_diff, r
 
 
@@ -233,26 +234,25 @@ def _reflected_solve(gx, gy, a, b, c, l1, l2, half_diff, r):
     flip = (u1x < 0.0) | ((u1x == 0.0) & (u1y < 0.0))
     u1x, u1y = np.where(flip, -u1x, u1x), np.where(flip, -u1y, u1y)
     # a diagonal matrix keeps the coordinate axes
-    diag = b == 0.0
-    ordered = a <= c
-    u1x = np.where(diag, np.where(ordered, 1.0, 0.0), u1x)
-    u1y = np.where(diag, np.where(ordered, 0.0, 1.0), u1y)
-    u2x = np.where(diag, np.where(ordered, 0.0, 1.0), u2x)
-    u2y = np.where(diag, np.where(ordered, 1.0, 0.0), u2y)
+    diag = (b == 0.0).nonzero()[0]
+    if diag.size:
+        ordered = a[diag] <= c[diag]
+        u1x[diag] = u2y[diag] = np.where(ordered, 1.0, 0.0)
+        u1y[diag] = u2x[diag] = np.where(ordered, 0.0, 1.0)
     c1 = (gx * u1x + gy * u1y) / np.abs(l1)
     c2 = (gx * u2x + gy * u2y) / np.abs(l2)
     return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y, (l1 == 0.0) | (l2 == 0.0)
 
 
-def _admits_bnqn(a, b, c, threshold):
+def _admits_bnqn(a, b, c, l1, l2, threshold):
     """``select_delta``'s test per lane: the smallest |eigenvalue| of the
-    shifted Hessian [[a, b], [b, c]] clears ``threshold``."""
-    l1, l2, _, _ = _eig2(a, b, c)
+    shifted Hessian [[a, b], [b, c]], whose eigenvalues are l1 <= l2,
+    clears ``threshold``."""
     m1, m2 = np.abs(l1), np.abs(l2)
     return np.where(m2 < m1, m2, m1) >= threshold
 
 
-def _admits_nqn(a, b, c, threshold):
+def _admits_nqn(a, b, c, l1, l2, threshold):
     """``solvers._nqn_step``'s test per lane: the shifted Hessian
     [[a, b], [b, c]] is finite and its determinant ``a*c - b*b`` is not 0.0."""
     return (a * c - b * b != 0.0) & np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
@@ -262,29 +262,35 @@ def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
     """BNQN's (``_admits_bnqn``) or NQN's (``_admits_nqn``) direction per
     lane for the Hessian [[a, b], [b, c]]; returns (wx, wy, failed).
 
-    The first shift that ``admits`` passes, given the shifted Hessian and
-    kappa*|grad|^tau, wins, and its eigensystem gives the reflected solve.
-    Lanes that no shift passes fail, as do those with a zero eigenvalue.
+    The first shift that ``admits`` passes, given the shifted Hessian, its
+    eigenvalues and kappa*|grad|^tau, wins, and its eigensystem gives the
+    reflected solve.  Lanes that no shift passes fail, as do those with a
+    zero eigenvalue.
     """
     # |grad|**tau by Python's ``**``; x**1.0 is x for every float (0, inf and
     # NaN included), so the default tau = 1 skips the pow
     scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, len(gn))
     threshold = cfg.kappa * scale
-    # the first shift takes every lane as it is, with no gather or scatter
+    # the first shift takes every lane as it is, with no gather or scatter,
+    # and its eigensystem stays for the lanes it wins
     shift = cfg.deltas[0] * scale
     sa, sc = a + shift, c + shift
-    chosen = admits(sa, b, sc, threshold)
+    eig = _eig2(sa, b, sc)
+    chosen = admits(sa, b, sc, *eig[:2], threshold)
     for d in cfg.deltas[1:]:
-        todo = np.flatnonzero(~chosen)
+        todo = (~chosen).nonzero()[0]
         if not todo.size:
             break
         shift = d * scale[todo]
-        ap, cp = a[todo] + shift, c[todo] + shift
-        ok = admits(ap, b[todo], cp, threshold[todo])
+        ap, bp, cp = a[todo] + shift, b[todo], c[todo] + shift
+        eigp = _eig2(ap, bp, cp)
+        ok = admits(ap, bp, cp, *eigp[:2], threshold[todo])
         win = todo[ok]
         chosen[win] = True
         sa[win], sc[win] = ap[ok], cp[ok]
-    wx, wy, singular = _reflected_solve(gx, gy, sa, b, sc, *_eig2(sa, b, sc))
+        for v, vp in zip(eig, eigp):
+            v[win] = vp[ok]
+    wx, wy, singular = _reflected_solve(gx, gy, sa, b, sc, *eig)
     return wx, wy, ~chosen | singular
 
 
@@ -311,13 +317,6 @@ def _newton_direction(gx, gy, a, b, c):
             except np.linalg.LinAlgError:
                 failed[m] = True
     return w[:, 0], w[:, 1], failed
-
-
-def _cap(wx, wy, norm, theta):
-    """w / max(1.0, theta*|w|), the theta cap on the step direction."""
-    div = theta * norm
-    div = np.where(div > 1.0, div, 1.0)
-    return wx / div, wy / div
 
 
 def _horner1(coeffs, z):
@@ -357,10 +356,13 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     Python's complex Horner and product, ``linalg.hypot`` norms, the
     2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta cap and
     the Armijo test in the form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
+    |grad| is ``abs(w)`` for w = g'(z)*conj(g(z)): the C ``hypot`` ignores
+    signs, so it equals ``hypot(w.real, -w.imag)``, and an overflow gives
+    inf as ``linalg.hypot`` does.
     """
     g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
     radius = obj.divergence_radius
-    theta, gamma0 = cfg.theta, cfg.gamma0
+    theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
     z = complex(x, y)
     gz = _horner1(g, z)
     while True:
@@ -368,10 +370,13 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
         gc = gz.conjugate()
         w = dgz * gc
         gx, gy = w.real, -w.imag
-        gn = hypot(gx, gy)
-        if gn <= cfg.grad_tol or hypot(x, y) > radius:
+        try:
+            gn = abs(w)
+        except OverflowError:
+            gn = math.inf
+        if gn <= grad_tol or hypot(x, y) > radius:
             return x, y, k, STOPPED
-        if k >= cfg.max_iter:
+        if k >= max_iter:
             return x, y, k, CAPPED
         if hessian:
             u = _horner1(ddg, z) * gc
@@ -380,11 +385,12 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
             if direction is None:
                 return x, y, k, FAILED
             wx, wy = direction
-            div = max(1.0, theta * hypot(wx, wy))
         else:
             wx, wy = gx, gy
-            div = max(1.0, theta * gn)
-        wx, wy = wx / div, wy / div
+        # theta = 0 leaves the divisor at 1.0, as in the sweep
+        if theta != 0.0:
+            div = max(1.0, theta * (hypot(wx, wy) if hessian else gn))
+            wx, wy = wx / div, wy / div
         slope = wx * gx + wy * gy
         fz = 0.5 * (gz.real * gz.real + gz.imag * gz.imag)
         gamma = gamma0
@@ -448,10 +454,11 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
     x, y = x0.copy(), y0.copy()
     k = 0
 
-    def retire(mask, code):
-        out_x[lane[mask]], out_y[lane[mask]] = x[mask], y[mask]
-        out_k[lane[mask]] = k
-        out_code[lane[mask]] = code
+    def retire(sel, code):
+        m = lane[sel]
+        out_x[m], out_y[m] = x[sel], y[sel]
+        out_k[m] = k
+        out_code[m] = code
 
     with np.errstate(all="ignore"):
         gr, gi = _horner(g, x, y)
@@ -466,14 +473,18 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
             gn = np.hypot(gx, gy)
             zn = np.hypot(x, y)
             stop = (gn <= cfg.grad_tol) | (zn > radius)
-            retire(stop, STOPPED)
-            run_on = ~stop
             if k >= cfg.max_iter:
-                retire(run_on, CAPPED)
+                retire(stop, STOPPED)
+                retire(~stop, CAPPED)
                 break
-            x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
-                v[run_on] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
-            )
+            # compact only in the sweeps where some lane stops
+            gone = stop.nonzero()[0]
+            if gone.size:
+                retire(gone, STOPPED)
+                keep = (~stop).nonzero()[0]
+                x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
+                    v[keep] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
+                )
             if hessian:
                 er, ei = _horner(ddg, x, y)
                 ur, ui = _times_conj(er, ei, gr, gi)
@@ -482,13 +493,15 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
             if armijo:
                 if hessian:
                     wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_bnqn)
-                    # theta = 0 leaves the divisor at 1.0 whatever |w| is
-                    # (0*inf is NaN, and max(1.0, NaN) is 1.0), so skip the norm
-                    if cfg.theta != 0.0:
-                        wx, wy = _cap(wx, wy, np.hypot(wx, wy), cfg.theta)
                 else:
-                    wx, wy = _cap(gx, gy, gn, cfg.theta)
-                    failed = np.zeros(len(x), dtype=bool)
+                    wx, wy, failed = gx, gy, np.zeros(len(x), dtype=bool)
+                # the theta cap w / max(1.0, theta*|w|); theta = 0 leaves the
+                # divisor at 1.0 whatever |w| is (0*inf is NaN, and
+                # max(1.0, NaN) is 1.0), so skip the norm
+                if cfg.theta != 0.0:
+                    div = cfg.theta * (np.hypot(wx, wy) if hessian else gn)
+                    div = np.where(div > 1.0, div, 1.0)
+                    wx, wy = wx / div, wy / div
                 # the Armijo search has evaluated g at every new point
                 xn, yn, gr, gi, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             elif hessian:
@@ -500,9 +513,14 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
             else:
                 alpha = None if draws is None else draws.take(lane)
                 xn, yn, failed = _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, obj.g.degree)
-            retire(failed, FAILED)
-            ok = ~failed
-            x, y, lane = xn[ok], yn[ok], lane[ok]
-            gr, gi = (gr[ok], gi[ok]) if armijo else _horner(g, x, y)
+            gone = failed.nonzero()[0]
+            if gone.size:
+                # a failed lane ends at the point it could not leave
+                retire(gone, FAILED)
+                keep = (~failed).nonzero()[0]
+                xn, yn, lane, gr, gi = (v[keep] for v in (xn, yn, lane, gr, gi))
+            x, y = xn, yn
+            if not armijo:
+                gr, gi = _horner(g, x, y)
             k += 1
     return out_x, out_y, out_k, out_code

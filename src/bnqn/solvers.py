@@ -83,11 +83,12 @@ class SolverConfig:
             raise ValueError("shift candidates must be pairwise distinct")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.theta < 0:
+        # not x >= 0 also rejects NaN; theta = inf stays allowed
+        if not self.theta >= 0:
             raise ValueError("theta must be nonnegative")
         if not 0.0 < self.gamma0 <= 1.0:
             raise ValueError("gamma0 must lie in (0, 1]")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:
             raise ValueError("grad_tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")

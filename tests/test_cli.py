@@ -477,6 +477,22 @@ def test_usage_errors_exit_one():
         assert err != ""
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--tol", "nan"], ["--theta", "nan"], ["--class-tol", "nan"], ["--class-tol", "-1"]],
+    ids=["tol-nan", "theta-nan", "class-tol-nan", "class-tol-negative"],
+)
+@pytest.mark.parametrize("command", ["solve", "basin"])
+def test_nan_and_negative_tolerances_are_usage_errors(tmp_path, command, flags):
+    # NaN passes a test of the form x < 0; before it was refused, --tol nan
+    # ran every basin cell to the cap, and --class-tol nan or -1 left every
+    # converged cell Undecided, each with exit status 0
+    files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")] if command == "basin" else []
+    code, out, err = invoke([command, "--poly", "-1,0,0,1", *(["--res", "5,5"] if files else []), *files, *flags])
+    assert code == 1 and out == "" and "nonnegative" in err, (command, flags)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("method", ["bnqn", "newton1d"])
 def test_basin_window_bounds(tmp_path, method):
     files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")]

@@ -22,10 +22,10 @@ import pytest
 from bnqn import cli, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
 from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale
-from bnqn.errors import BnqnError, DerivativeVanishes, NoConvergence
-from bnqn.linalg import SymmetricMatrix
+from bnqn.errors import BnqnError, DerivativeVanishes, NoAdmissibleDelta, NoConvergence, SingularMatrix
+from bnqn.linalg import SymmetricMatrix, _eig2_system, _eig2_values, minsp, reflected_direction
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
-from bnqn.solvers import _STEPS, Method, SolverConfig, run
+from bnqn.solvers import _STEPS, Method, SolverConfig, run, select_delta
 from bnqn.streams import _BLOCK_LANES, TrialStreams, cell_states, trial_states
 from support import same_bits
 
@@ -341,6 +341,102 @@ def test_full_step_directions_fail_where_the_scalar_step_raises(cfg):
     assert {(NQN, "SingularMatrix", True), (NEWTON_OPT, "SingularMatrix", True)} <= failures
     assert ((NQN, "NoAdmissibleDelta", True) in failures) == (cfg.deltas == (0.0, 1.0))
     assert {f for f in failures if not f[2]} == {(NQN, "NoAdmissibleDelta", False), (NEWTON_OPT, "SingularMatrix", False)}
+
+
+# (a, b, c) Hessians on which the eigen primitives take their rare
+# branches: a diagonal matrix (b = +-0.0) with a < c, a > c and a == c;
+# half_diff = +0.0 and -0.0; a subnormal b; NaN and infinite entries; and
+# zero eigenvalues, which make the solve singular
+EIGEN_LANES = [
+    *((a, b, c) for b in (0.0, -0.0) for a, c in ((1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (-3.0, -3.0), (-0.0, 0.0))),
+    (1.0, 2.0, 1.0),
+    (-0.0, 1.0, 0.0),
+    (0.0, -1.0, -0.0),
+    (1.0, 5e-324, 2.0),
+    (2.0, -5e-324, 1.0),
+    (1.0, 5e-324, 1.0),
+    (0.0, 1e-310, 0.0),
+    (-1e-310, 1e-310, 1e-310),
+    (math.nan, 1.0, 1.0),
+    (1.0, math.nan, 1.0),
+    (1.0, 1.0, math.nan),
+    (math.nan, 0.0, 1.0),
+    (1.0, 0.0, math.nan),
+    (math.inf, 1.0, 1.0),
+    (1.0, 1.0, -math.inf),
+    (1.0, math.inf, 1.0),
+    (math.inf, 0.0, 1.0),
+    (-math.inf, -0.0, math.inf),
+    (math.inf, 1.0, math.inf),
+    (1.0, 1.0, 1.0),
+    (4.0, 2.0, 1.0),
+    (0.0, 0.0, 1.0),
+    (1.0, -0.0, 0.0),
+    (0.0, 0.0, 0.0),
+    (3.0, 0.5, -1.0),
+]
+EIGEN_GRADS = [(1.0, -2.0), (0.3, 0.7), (-0.0, 5.0)]
+
+
+@pytest.mark.parametrize("together", [True, False], ids=["all-lanes", "lane-by-lane"])
+def test_eigen_primitives_match_linalg_on_rare_lanes(together):
+    # all lanes in one call, where the diagonal lanes are fixed by index
+    # among the others, and each lane alone, where a call may have none
+    groups = [EIGEN_LANES] if together else [[lane] for lane in EIGEN_LANES]
+    singular_seen = set()
+    for gx_, gy_ in EIGEN_GRADS:
+        for group in groups:
+            a, b, c = (np.array(v) for v in zip(*group))
+            gx, gy = np.full(len(a), gx_), np.full(len(a), gy_)
+            with np.errstate(all="ignore"):
+                eig = lockstep._eig2(a, b, c)
+                wx, wy, singular = lockstep._reflected_solve(gx, gy, a, b, c, *eig)
+                admitted = {t: lockstep._admits_bnqn(a, b, c, *eig[:2], t) for t in (0.0, 0.5, 1.0, math.inf)}
+            for n, lane in enumerate(group):
+                l1, l2 = _eig2_values(*lane)
+                assert same_bits(eig[0][n], l1) and same_bits(eig[1][n], l2), lane
+                assert _eig2_system(*lane)[:2] == (l1, l2) or math.isnan(l1) or math.isnan(l2), lane
+                for t, got in admitted.items():
+                    assert got[n] == (minsp(SymmetricMatrix(2, lane)) >= t), (lane, t)
+                try:
+                    want = reflected_direction(SymmetricMatrix(2, lane), (gx_, gy_))
+                except SingularMatrix:
+                    assert singular[n], lane
+                    singular_seen.add(lane)
+                    continue
+                assert not singular[n], lane
+                assert same_bits(wx[n], want[0]) and same_bits(wy[n], want[1]), (lane, gx_, gy_)
+    assert singular_seen == {
+        (1.0, 1.0, 1.0), (4.0, 2.0, 1.0), (0.0, 0.0, 1.0), (1.0, -0.0, 0.0), (0.0, 0.0, 0.0),
+        *((a, b, c) for b in (0.0, -0.0) for a, c in ((-0.0, 0.0),)),
+    }
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(tau=0.7, deltas=(0.0, 0.5, -0.8))], ids=["default", "tau-deltas"])
+def test_bnqn_shift_search_matches_select_delta(cfg):
+    # lanes that each shift wins, so the later shifts' eigensystems are
+    # scattered into the first's, plus the rare lanes above
+    lanes = [(g, lane) for g in EIGEN_GRADS for lane in EIGEN_LANES]
+    lanes += [((1.0, 0.0), (d, 0.0, 5.0)) for d in (-1.0, 0.0, 1.0, -0.5, 0.8, 0.2)]
+    lanes += [((0.6, -0.8), (-0.5, 0.3, 2.0)), ((0.6, -0.8), (0.1, 1e-9, 0.1))]
+    # eigenvalues 0 and -1, or 0 and -0.5: only the last shift clears the bar
+    lanes += [((1.0, 0.0), h) for h in ((0.0, 0.0, -1.0), (-0.5, 0.5, -0.5), (0.0, 0.0, -0.5), (-0.25, 0.25, -0.25))]
+    (gx, gy), (a, b, c) = ((np.array(v) for v in zip(*part)) for part in zip(*lanes))
+    gn = np.hypot(gx, gy)
+    with np.errstate(all="ignore"):
+        wx, wy, failed = lockstep._shift_search(gx, gy, gn, a, b, c, cfg, lockstep._admits_bnqn)
+    shifts = set()
+    for n, (grad, hess) in enumerate(lanes):
+        try:
+            j, shifted = select_delta(SymmetricMatrix(2, hess), float(gn[n]), cfg)
+            want = reflected_direction(shifted, grad)
+        except (NoAdmissibleDelta, SingularMatrix):
+            assert failed[n], (grad, hess)
+            continue
+        shifts.add(j)
+        assert not failed[n], (grad, hess)
+        assert same_bits(wx[n], want[0]) and same_bits(wy[n], want[1]), (grad, hess)
+    assert shifts == set(range(len(cfg.deltas)))
 
 
 def test_quot_is_python_complex_division_bitwise():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,9 @@ def test_config_defaults_and_kappa():
         {"gamma0": 1.5},
         {"max_iter": 0},
         {"grad_tol": -1.0},
+        # NaN fails every comparison, so a test of the form x < 0 lets it in
+        {"theta": math.nan},
+        {"grad_tol": math.nan},
     ],
 )
 def test_config_validation(kwargs):
