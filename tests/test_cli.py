@@ -275,7 +275,9 @@ def test_rrn_output_is_golden(case):
 # bnqn basin output of every method, pinned as the sha256 of the CSV, the
 # PPM and stdout.  The grid is not square, so that an i/j swap in the rrn1d
 # cell seeds default_rng((seed, i, j)) shows; on z^2-1 the 21 cells of the
-# imaginary axis, where Newton's map is chaotic, run newton1d to the cap
+# imaginary axis, where Newton's map is chaotic, run newton1d to the cap;
+# z^10-1 has ten root classes, so Root(8) and Root(9) reuse the first two
+# of the eight palette colours, and 13 of its cells end Undecided
 BASIN_Z3M1 = ["--poly", "-1,0,0,1", "--res", "33,32", "--max-iter", "500", "--seed", "21"]
 BASIN_GOLDEN = {
     "bnqn": (
@@ -319,6 +321,12 @@ BASIN_GOLDEN = {
         "76966770230f660dd8a808699afc224cc4425687f905a03216133f5cd67ba9a3",
         "39622f9d9dd37de23fbb47b16c0571c578737dfc0bb0e2894c327ae3ecf31e6e",
         "1075daa8bf4d5e7a7653f1b3ce1deb4580cca82b420bc7676e34ad0226bbc37e",
+    ),
+    "z10m1-palette-cycle": (
+        ["--method", "newton1d", "--poly", "-1,0,0,0,0,0,0,0,0,0,1", "--res", "13,7", "--max-iter", "40"],
+        "6811b8ebbe4ff6793f6761987d120d64218f94dce00e032cec1b4f03f77328cf",
+        "223db44dca6feb80668c3659dadbfc984da6315d3adce598c5aa729a2db1dca1",
+        "4da0aec2bb96c2a98c15606ff0e92580f9bed000838a6f27762297da9677d59d",
     ),
 }
 
