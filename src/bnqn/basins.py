@@ -4,15 +4,17 @@ Each grid point is an independent solver run.  Every method advances all
 points together in one serial pass of the lockstep kernel in
 ``bnqn.lockstep``, which ends each cell exactly where the scalar ``run``
 would, and the stopped cells are then classified in one numpy pass.
-Output goes to binary PPM images (escape-time shaded) and CSV tables.
+A map holds one integer label per cell, indexing a small table of classes,
+so the exports and the class counts work on arrays, not on one Python
+object per cell.  Output goes to binary PPM images (escape-time shaded)
+and CSV tables.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -96,19 +98,43 @@ class GridSpec:
         return self.x_coord(i), self.y_coord(j)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasinMap:
-    """Per-grid-point terminal classes and iteration counts, indexed [i][j]."""
+    """Per-grid-point terminal classes and iteration counts, indexed [i, j].
+
+    ``labels[i, j]`` indexes ``table``, the distinct classes of the map;
+    every critical point is its own entry and keeps its ``.point``.
+    """
 
     grid: GridSpec
-    classes: list[list[LimitClass]]
+    table: tuple[LimitClass, ...]
+    labels: np.ndarray
     iterations: np.ndarray
+
+    @classmethod
+    def from_classes(cls, grid: GridSpec, classes, iterations) -> "BasinMap":
+        """The map of ``classes[i][j]``, one table entry per distinct
+        (kind, root_index, point)."""
+        entries: dict = {}
+        labels = [
+            entries.setdefault((c.kind, c.root_index, c.point), (len(entries), c))[0]
+            for column in classes
+            for c in column
+        ]
+        table = tuple(c for _, c in entries.values())
+        return cls(grid, table, np.array(labels).reshape(grid.nx, grid.ny), np.asarray(iterations))
+
+    @cached_property
+    def classes(self) -> list[list[LimitClass]]:
+        """``table[labels]`` as lists, built on first use."""
+        return np.array(self.table, dtype=object)[self.labels].tolist()
 
     def class_counts(self) -> dict[str, int]:
         # equal classes print alike (CriticalNonRoot equality ignores .point)
         counts: dict[str, int] = {}
-        for cls, n in Counter(chain.from_iterable(self.classes)).items():
-            counts[str(cls)] = counts.get(str(cls), 0) + n
+        for cls, n in zip(self.table, np.bincount(self.labels.ravel(), minlength=len(self.table)).tolist()):
+            if n:
+                counts[str(cls)] = counts.get(str(cls), 0) + n
         return counts
 
 
@@ -141,16 +167,17 @@ def render_basin(
         relaxation = RelaxationDisk(rho)
         lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
     x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=lanes, relaxation=relaxation)
-    # CAPPED and FAILED lanes end Undecided after the steps they took
-    classes = np.full(len(codes), UNDECIDED, dtype=object)
+    # CAPPED and FAILED lanes end Undecided, table[0], after the steps they took
+    labels = np.zeros(len(codes), dtype=np.intp)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)
-    found = obj.classify_many(x[stopped], y[stopped], class_tol, roots_only=method in _ONE_DIM)
-    classes[stopped] = found
-    # None (the only falsy entry) marks where the scalar classification
-    # raises, and there the cell records (Undecided, max_iter)
-    raised = stopped[~found.astype(bool)]
-    classes[raised], iterations[raised] = UNDECIDED, cfg.max_iter
-    return BasinMap(grid, classes.reshape(grid.nx, grid.ny).tolist(), iterations.reshape(grid.nx, grid.ny))
+    found, table = obj.classify_many(x[stopped], y[stopped], class_tol, roots_only=method in _ONE_DIM)
+    labels[stopped] = found
+    # -1 marks where the scalar classification raises, and there the cell
+    # records (Undecided, max_iter)
+    raised = stopped[found < 0]
+    labels[raised], iterations[raised] = 0, cfg.max_iter
+    shape = (grid.nx, grid.ny)
+    return BasinMap(grid, table, labels.reshape(shape), iterations.reshape(shape))
 
 
 def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:
@@ -180,40 +207,29 @@ def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:
             else:
                 column.append(LimitClass.root(1))
         classes.append(column)
-    iterations = np.zeros((grid.nx, grid.ny), dtype=int)
-    return BasinMap(grid, classes, iterations)
+    return BasinMap.from_classes(grid, classes, np.zeros((grid.nx, grid.ny), dtype=int))
 
 
-def _pixel(cls: LimitClass, iters: int) -> bytes:
+def _base_color(cls: LimitClass) -> tuple[int, int, int]:
     if cls.kind == "Root":
-        base = ROOT_COLORS[cls.root_index % len(ROOT_COLORS)]
-    elif cls.kind == "CriticalNonRoot":
-        base = CRITICAL_COLOR
-    elif cls.kind == "Diverged":
-        base = DIVERGED_COLOR
-    else:
-        base = UNDECIDED_COLOR
-    # escape-time shading, presentation only; iters=0 keeps the base color
-    factor = 1.0 / (1.0 + 0.25 * math.log1p(iters))
-    return bytes(min(255, max(0, int(round(channel * factor)))) for channel in base)
+        return ROOT_COLORS[cls.root_index % len(ROOT_COLORS)]
+    return {"CriticalNonRoot": CRITICAL_COLOR, "Diverged": DIVERGED_COLOR}.get(cls.kind, UNDECIDED_COLOR)
 
 
 def export_ppm(basin_map: BasinMap, path) -> None:
     """Binary PPM (P6), one pixel per grid point, top row at y_max."""
     grid = basin_map.grid
-    iterations = basin_map.iterations.tolist()
-    # a pixel depends only on the color slot and the iteration count
-    pixels: dict = {}
-    payload = bytearray()
-    for j in range(grid.ny - 1, -1, -1):
-        for i in range(grid.nx):
-            cls, iters = basin_map.classes[i][j], iterations[i][j]
-            slot = cls.root_index % len(ROOT_COLORS) if cls.kind == "Root" else None
-            key = (cls.kind, slot, iters)
-            pixel = pixels.get(key)
-            if pixel is None:
-                pixel = pixels[key] = _pixel(cls, iters)
-            payload += pixel
+    # pixel row r holds the cells (i, ny-1-r); ravel first, since numpy 1.24
+    # gives np.unique's inverse the shape of a raveled input
+    labels = basin_map.labels.T[::-1].ravel()
+    counts, inverse = np.unique(basin_map.iterations.T[::-1].ravel(), return_inverse=True)
+    # escape-time shading, presentation only; iters=0 keeps the base color.
+    # math.log1p, once per distinct count: np.log1p need not round alike
+    factor = np.array([1.0 / (1.0 + 0.25 * math.log1p(n)) for n in counts.tolist()])
+    base = np.array([_base_color(cls) for cls in basin_map.table], dtype=float)
+    # np.rint rounds half to even, as round does
+    pixels = np.rint(base[labels] * factor[inverse, None])
+    payload = np.clip(pixels, 0, 255).astype(np.uint8).tobytes()
     header = f"P6\n{grid.nx} {grid.ny}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as handle:
@@ -226,14 +242,14 @@ def export_ppm(basin_map: BasinMap, path) -> None:
 def export_csv(basin_map: BasinMap, path) -> None:
     """Row-major CSV: ``i,j,x,y,class,root_index,iterations``."""
     grid = basin_map.grid
-    iterations = basin_map.iterations.tolist()
-    ys = [f"{grid.y_coord(j):.17g}" for j in range(grid.ny)]
+    # every piece but the iteration count is formatted once per row, column or class
+    js = [str(j) for j in range(grid.ny)]
+    ys = [f"{grid.y_coord(j):.17g}," for j in range(grid.ny)]
+    kinds = [f"{cls.kind},{'' if cls.root_index is None else cls.root_index}," for cls in basin_map.table]
     lines = ["i,j,x,y,class,root_index,iterations"]
-    for i in range(grid.nx):
-        x = f"{grid.x_coord(i):.17g}"
-        for j, (cls, iters) in enumerate(zip(basin_map.classes[i], iterations[i])):
-            root_index = "" if cls.root_index is None else str(cls.root_index)
-            lines.append(f"{i},{j},{x},{ys[j]},{cls.kind},{root_index},{iters}")
+    for i, (row, counts) in enumerate(zip(basin_map.labels.tolist(), basin_map.iterations.tolist())):
+        head, x = f"{i},", f",{grid.x_coord(i):.17g},"
+        lines += [f"{head}{j}{x}{y}{kinds[k]}{n}" for j, y, k, n in zip(js, ys, row, counts)]
     try:
         with open(path, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")

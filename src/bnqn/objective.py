@@ -185,43 +185,43 @@ class PolyModulusObjective(ObjectiveFunction):
         return np.where(dist <= tol, index, -1)
 
     @np.errstate(over="ignore")
-    def classify_many(self, x, y, tol: float, roots_only: bool = False) -> np.ndarray:
+    def classify_many(self, x, y, tol: float, roots_only: bool = False):
         """``classify_limit`` of every point (x[i], y[i]) in one numpy pass,
         or ``classify_roots_only`` where ``roots_only`` is set.
 
-        Returns an object array holding, per point, the class that
-        ``classify_limit`` gives (one shared instance per root and per
-        critical point, ``.point`` included), or None where it raises
-        ``BnqnError`` because the root finder failed: every point when the
-        roots of g fail, and the points that match no root when only the
-        roots of g' fail.  Distances are ``numpy.hypot``, which rounds as
-        ``linalg.hypot`` (the C library's ``hypot``) does, so ties, NaN and
-        distances that overflow to inf resolve as in the scalar path.
+        Returns ``(labels, table)``.  ``table`` holds UNDECIDED, DIVERGED,
+        one class per root and one per critical point, ``.point`` included;
+        ``labels[i]`` indexes the class that ``classify_limit`` gives point
+        i, or is -1 where it raises ``BnqnError`` because the root finder
+        failed: every point when the roots of g fail, and the points that
+        match no root when only the roots of g' fail.  Distances are
+        ``numpy.hypot``, which rounds as ``linalg.hypot`` (the C library's
+        ``hypot``) does, so ties, NaN and distances that overflow to inf
+        resolve as in the scalar path.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.full(len(x), None, dtype=object)
+        labels = np.full(len(x), -1)
+        table = (UNDECIDED, DIVERGED)
         try:
             roots = self.roots()
         except BnqnError:
-            return out
+            return labels, table
+        table += tuple(map(LimitClass.root, range(len(roots))))
         index, dist = _nearest_many(roots, x, y)
         near = dist <= tol
-        out[near] = np.array([LimitClass.root(i) for i in range(len(roots))], dtype=object)[index[near]]
+        labels[near] = 2 + index[near]
         rest = np.flatnonzero(~near)
         if not rest.size:
-            return out
+            return labels, table
         try:
             crits = () if roots_only else self.critical_points()
         except BnqnError:
-            return out
+            return labels, table
         x, y = x[rest], y[rest]
         index, dist = _nearest_many(crits, x, y)
-        # the critical points, then DIVERGED and UNDECIDED
-        k = len(crits)
-        index = np.where(dist <= tol, index, np.where(np.hypot(x, y) > self.divergence_radius, k, k + 1))
-        out[rest] = np.array([*map(LimitClass.critical, crits), DIVERGED, UNDECIDED], dtype=object)[index]
-        return out
+        labels[rest] = np.where(dist <= tol, len(table) + index, np.where(np.hypot(x, y) > self.divergence_radius, 1, 0))
+        return labels, table + tuple(map(LimitClass.critical, crits))
 
 
 def _nearest(candidates, z):

@@ -6,11 +6,13 @@ import dataclasses
 import math
 import multiprocessing
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
+from bnqn.basins import CRITICAL_COLOR, DIVERGED_COLOR, ROOT_COLORS, UNDECIDED_COLOR, BasinMap
 from bnqn.linalg import SymmetricMatrix, minsp, reflected_direction
-from bnqn.objective import ObjectiveFunction, PolyModulusObjective
+from bnqn.objective import LimitClass, ObjectiveFunction, PolyModulusObjective
 from bnqn.complexpoly import Polynomial
 from bnqn.solvers import Method, SolverConfig, run, select_delta
 from bnqn.solvers import _dot, _norm  # same arithmetic as the solver uses
@@ -288,3 +290,74 @@ def checked_sweep(poly, grid, cfg, class_tol=1e-6, check_half_plane=False, worke
 
 def nearest_root_index(roots, target):
     return min(range(len(roots)), key=lambda i: abs(roots[i] - complex(target)))
+
+
+# ---------------------------------------------------------------------------
+# per-cell basin exports and class counts: the reference that the array
+# versions in bnqn.basins are checked against; they read only .grid,
+# .classes[i][j] and .iterations
+
+
+def class_counts(basin_map: BasinMap) -> dict[str, int]:
+    # equal classes print alike (CriticalNonRoot equality ignores .point)
+    counts: dict[str, int] = {}
+    for cls, n in Counter(chain.from_iterable(basin_map.classes)).items():
+        counts[str(cls)] = counts.get(str(cls), 0) + n
+    return counts
+
+
+def _pixel(cls: LimitClass, iters: int) -> bytes:
+    if cls.kind == "Root":
+        base = ROOT_COLORS[cls.root_index % len(ROOT_COLORS)]
+    elif cls.kind == "CriticalNonRoot":
+        base = CRITICAL_COLOR
+    elif cls.kind == "Diverged":
+        base = DIVERGED_COLOR
+    else:
+        base = UNDECIDED_COLOR
+    # escape-time shading, presentation only; iters=0 keeps the base color
+    factor = 1.0 / (1.0 + 0.25 * math.log1p(iters))
+    return bytes(min(255, max(0, int(round(channel * factor)))) for channel in base)
+
+
+def export_ppm(basin_map: BasinMap, path) -> None:
+    """Binary PPM (P6), one pixel per grid point, top row at y_max."""
+    grid = basin_map.grid
+    iterations = basin_map.iterations.tolist()
+    # a pixel depends only on the color slot and the iteration count
+    pixels: dict = {}
+    payload = bytearray()
+    for j in range(grid.ny - 1, -1, -1):
+        for i in range(grid.nx):
+            cls, iters = basin_map.classes[i][j], iterations[i][j]
+            slot = cls.root_index % len(ROOT_COLORS) if cls.kind == "Root" else None
+            key = (cls.kind, slot, iters)
+            pixel = pixels.get(key)
+            if pixel is None:
+                pixel = pixels[key] = _pixel(cls, iters)
+            payload += pixel
+    header = f"P6\n{grid.nx} {grid.ny}\n255\n".encode("ascii")
+    try:
+        with open(path, "wb") as handle:
+            handle.write(header)
+            handle.write(payload)
+    except OSError as exc:
+        raise OSError(f"cannot write PPM to {path}: {exc}") from exc
+
+
+def export_csv(basin_map: BasinMap, path) -> None:
+    """Row-major CSV: ``i,j,x,y,class,root_index,iterations``."""
+    grid = basin_map.grid
+    iterations = basin_map.iterations.tolist()
+    ys = [f"{grid.y_coord(j):.17g}" for j in range(grid.ny)]
+    lines = ["i,j,x,y,class,root_index,iterations"]
+    for i in range(grid.nx):
+        x = f"{grid.x_coord(i):.17g}"
+        for j, (cls, iters) in enumerate(zip(basin_map.classes[i], iterations[i])):
+            root_index = "" if cls.root_index is None else str(cls.root_index)
+            lines.append(f"{i},{j},{x},{ys[j]},{cls.kind},{root_index},{iters}")
+    try:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc

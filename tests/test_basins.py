@@ -1,7 +1,11 @@
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import support
 
 from bnqn.basins import (
     CRITICAL_COLOR,
@@ -14,7 +18,7 @@ from bnqn.basins import (
     render_basin,
 )
 from bnqn.complexpoly import Polynomial
-from bnqn.objective import LimitClass, PolyModulusObjective
+from bnqn.objective import DIVERGED, UNDECIDED, LimitClass, PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig
 from bnqn.streams import TrialStreams, cell_states
 from support import nearest_root_index
@@ -234,7 +238,7 @@ def test_render_basin_per_point_failures_recorded_not_raised():
 def test_export_ppm(tmp_path):
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
     classes = [[LimitClass.root(0), LimitClass.root(0)], [LimitClass.root(0), LimitClass.root(0)]]
-    basin = BasinMap(grid, classes, np.zeros((2, 2), dtype=int))
+    basin = BasinMap.from_classes(grid, classes, np.zeros((2, 2), dtype=int))
     path = tmp_path / "map.ppm"
     export_ppm(basin, path)
     data = path.read_bytes()
@@ -265,7 +269,7 @@ def test_export_csv(tmp_path):
         [LimitClass.root(0), LimitClass.critical(0j)],
         [LimitClass("Diverged"), LimitClass("Undecided")],
     ]
-    basin = BasinMap(grid, classes, np.array([[1, 2], [3, 4]]))
+    basin = BasinMap.from_classes(grid, classes, np.array([[1, 2], [3, 4]]))
     path = tmp_path / "map.csv"
     export_csv(basin, path)
     lines = path.read_text().splitlines()
@@ -279,7 +283,7 @@ def test_export_csv(tmp_path):
 
 def test_export_errors_carry_path(tmp_path):
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1)
-    basin = BasinMap(grid, [[LimitClass.root(0)]], np.zeros((1, 1), dtype=int))
+    basin = BasinMap.from_classes(grid, [[LimitClass.root(0)]], np.zeros((1, 1), dtype=int))
     missing = tmp_path / "no_such_dir" / "map.ppm"
     with pytest.raises(OSError, match="no_such_dir"):
         export_ppm(basin, missing)
@@ -293,5 +297,60 @@ def test_class_counts():
         [LimitClass.root(0), LimitClass.root(1)],
         [LimitClass.root(0), LimitClass("Undecided")],
     ]
-    basin = BasinMap(grid, classes, np.zeros((2, 2), dtype=int))
+    basin = BasinMap.from_classes(grid, classes, np.zeros((2, 2), dtype=int))
     assert basin.class_counts() == {"Root(0)": 2, "Root(1)": 1, "Undecided": 1}
+
+
+def _random_map(rng):
+    """Random classes and iteration counts on a random grid: 1x1, 1xn, nx1 or
+    up to 40x33 cells; roots with indices up to 19, so the palette cycles,
+    2-4 distinct critical points, Diverged and Undecided.  Returns the grid,
+    a table, labels into it (not every entry need occur) and iterations."""
+    nx, ny = [(1, 1), (1, 33), (40, 1), (40, 33)][rng.integers(4)]
+    nx, ny = int(rng.integers(1, nx + 1)), int(rng.integers(1, ny + 1))
+    x_min, y_min = rng.uniform(-5.0, 5.0, 2)
+    grid = GridSpec(x_min, x_min + rng.uniform(0.1, 5.0), y_min, y_min + rng.uniform(0.1, 5.0), nx, ny)
+    roots = rng.choice(20, int(rng.integers(1, 21)), replace=False).tolist()
+    crits = [complex(*rng.normal(0.0, 1.0, 2)) for _ in range(int(rng.integers(2, 5)))]
+    table = (*map(LimitClass.root, roots), *map(LimitClass.critical, crits), DIVERGED, UNDECIDED)
+    labels = rng.choice(len(table), (nx, ny), p=rng.dirichlet(np.full(len(table), 0.5)))
+    iterations = rng.integers(0, [1, 40, 10_001][rng.integers(3)], (nx, ny))
+    return grid, table, labels, iterations
+
+
+def test_array_exports_match_the_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(2024)
+    for n in range(200):
+        grid, table, labels, iterations = _random_map(rng)
+        classes = [[table[k] for k in column] for column in labels.tolist()]
+        reference = SimpleNamespace(grid=grid, classes=classes, iterations=iterations)
+        support.export_ppm(reference, tmp_path / "want.ppm")
+        support.export_csv(reference, tmp_path / "want.csv")
+        # as render_basin builds a map, and from the classes alone
+        for basin in (BasinMap(grid, table, labels, iterations), BasinMap.from_classes(grid, classes, iterations)):
+            assert [[(c, c.point) for c in column] for column in basin.classes] == [
+                [(c, c.point) for c in column] for column in classes
+            ], n
+            assert basin.class_counts() == support.class_counts(reference), n
+            export_ppm(basin, tmp_path / "got.ppm")
+            export_csv(basin, tmp_path / "got.csv")
+            for name in ("ppm", "csv"):
+                assert (tmp_path / f"got.{name}").read_bytes() == (tmp_path / f"want.{name}").read_bytes(), (n, name)
+
+
+def test_render_basin_builds_no_class_per_cell(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LimitClass, "__init__", counted("init", LimitClass.__init__))
+    monkeypatch.setattr(LimitClass, "root", classmethod(counted("root", LimitClass.root.__func__)))
+    monkeypatch.setattr(LimitClass, "critical", classmethod(counted("critical", LimitClass.critical.__func__)))
+    basin = render_basin(Z3M1, GridSpec(-2.0, 2.0, -2.0, 2.0, 101, 101), Method.BNQN_NEW_VARIANT, SolverConfig())
+    assert calls["root"] == 3 and calls["critical"] >= 1
+    assert max(calls.values()) <= len(basin.table)
+    assert sum(basin.class_counts().values()) == 101 * 101
