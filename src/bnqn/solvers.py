@@ -78,6 +78,8 @@ class SolverConfig:
         object.__setattr__(self, "deltas", deltas)
         if len(deltas) < 2:
             raise ValueError("need at least two candidate shifts")
+        if not all(map(math.isfinite, deltas)):
+            raise ValueError("shift candidates must be finite")
         gap = min(abs(a - b) for a, b in itertools.combinations(deltas, 2))
         if gap == 0.0:
             raise ValueError("shift candidates must be pairwise distinct")

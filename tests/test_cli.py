@@ -501,6 +501,17 @@ def test_nan_and_negative_tolerances_are_usage_errors(tmp_path, command, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("deltas", ["nan,1", "0,inf", "-inf,0,1"])
+@pytest.mark.parametrize("command", ["solve", "basin"])
+def test_non_finite_shifts_are_usage_errors(tmp_path, command, deltas):
+    # before they were refused, --deltas nan,1 and 0,inf left 23 of the 25
+    # cells Undecided, with exit status 0
+    files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")] if command == "basin" else []
+    code, out, err = invoke([command, "--poly", "-1,0,0,1", *(["--res", "5,5"] if files else []), *files, f"--deltas={deltas}"])
+    assert code == 1 and out == "" and "finite" in err, (command, deltas)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("method", ["bnqn", "newton1d"])
 def test_basin_window_bounds(tmp_path, method):
     files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")]

@@ -59,6 +59,10 @@ def test_config_defaults_and_kappa():
         # NaN fails every comparison, so a test of the form x < 0 lets it in
         {"theta": math.nan},
         {"grad_tol": math.nan},
+        # a NaN or infinite shift makes kappa NaN or inf, and no shift is admitted
+        {"deltas": (math.nan, 1.0)},
+        {"deltas": (0.0, math.inf)},
+        {"deltas": (-math.inf, 0.0, 1.0)},
     ],
 )
 def test_config_validation(kwargs):
