@@ -319,14 +319,6 @@ def _newton_direction(gx, gy, a, b, c):
     return w[:, 0], w[:, 1], failed
 
 
-def _horner1(coeffs, z):
-    """Python's complex Horner loop for one point; ``coeffs`` highest first."""
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
 def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     """``select_delta`` then ``reflected_direction`` on floats; None where
     they raise (no admissible shift, or a zero eigenvalue)."""
@@ -353,20 +345,26 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     end on Python floats; returns (x, y, steps, outcome).
 
     This is the scalar loop's arithmetic without its arrays and trace:
-    Python's complex Horner and product, ``linalg.hypot`` norms, the
-    2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta cap and
-    the Armijo test in the form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
-    |grad| is ``abs(w)`` for w = g'(z)*conj(g(z)): the C ``hypot`` ignores
-    signs, so it equals ``hypot(w.real, -w.imag)``, and an overflow gives
-    inf as ``linalg.hypot`` does.
+    Python's complex Horner loop (inline) and product, ``linalg.hypot``
+    norms, the 2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta
+    cap and the Armijo test in the form
+    ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.  |grad| is ``abs(w)``
+    for w = g'(z)*conj(g(z)): the C ``hypot`` ignores signs, so it equals
+    ``hypot(w.real, -w.imag)``.  The radius test takes ``abs(z)``, as
+    ``linalg.hypot(x, y)`` does for z = complex(x, y).  Where either
+    overflows, the norm is inf, as in ``linalg.hypot``.
     """
     g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
     radius = obj.divergence_radius
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
     z = complex(x, y)
-    gz = _horner1(g, z)
+    gz = 0j
+    for c in g:
+        gz = gz * z + c
     while True:
-        dgz = _horner1(dg, z)
+        dgz = 0j
+        for c in dg:
+            dgz = dgz * z + c
         gc = gz.conjugate()
         w = dgz * gc
         gx, gy = w.real, -w.imag
@@ -374,12 +372,19 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
             gn = abs(w)
         except OverflowError:
             gn = math.inf
-        if gn <= grad_tol or hypot(x, y) > radius:
+        try:
+            far = abs(z) > radius
+        except OverflowError:
+            far = math.inf > radius
+        if gn <= grad_tol or far:
             return x, y, k, STOPPED
         if k >= max_iter:
             return x, y, k, CAPPED
         if hessian:
-            u = _horner1(ddg, z) * gc
+            u = 0j
+            for c in ddg:
+                u = u * z + c
+            u *= gc
             s = dgz.real * dgz.real + dgz.imag * dgz.imag
             direction = _lane_direction(gx, gy, gn, u.real + s, -u.imag, s - u.real, cfg)
             if direction is None:
@@ -396,7 +401,9 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
         gamma = gamma0
         while True:
             trial = complex(x - gamma * wx, y - gamma * wy)
-            gt = _horner1(g, trial)
+            gt = 0j
+            for c in g:
+                gt = gt * trial + c
             if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * _ARMIJO_FACTOR:
                 break
             gamma = gamma * _SHRINK_FACTOR
