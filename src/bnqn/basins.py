@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lockstep, streams
 from .complexpoly import Polynomial, RelaxationDisk
-from .objective import UNDECIDED, LimitClass, PolyModulusObjective
+from .objective import LimitClass, PolyModulusObjective
 from .solvers import _ONE_DIM, Method, SolverConfig
 
 __all__ = [

@@ -207,10 +207,10 @@ class PolyModulusObjective(ObjectiveFunction):
             roots = self.roots()
         except BnqnError:
             return labels, table
-        table += tuple(map(LimitClass.root, range(len(roots))))
         index, dist = _nearest_many(roots, x, y)
         near = dist <= tol
-        labels[near] = 2 + index[near]
+        labels[near] = len(table) + index[near]
+        table += tuple(map(LimitClass.root, range(len(roots))))
         rest = np.flatnonzero(~near)
         if not rest.size:
             return labels, table
@@ -220,7 +220,8 @@ class PolyModulusObjective(ObjectiveFunction):
             return labels, table
         x, y = x[rest], y[rest]
         index, dist = _nearest_many(crits, x, y)
-        labels[rest] = np.where(dist <= tol, len(table) + index, np.where(np.hypot(x, y) > self.divergence_radius, 1, 0))
+        far = np.hypot(x, y) > self.divergence_radius
+        labels[rest] = np.where(dist <= tol, len(table) + index, np.where(far, 1, 0))  # DIVERGED, UNDECIDED
         return labels, table + tuple(map(LimitClass.critical, crits))
 
 
