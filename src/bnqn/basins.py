@@ -102,8 +102,9 @@ class GridSpec:
 class BasinMap:
     """Per-grid-point terminal classes and iteration counts, indexed [i, j].
 
-    ``labels[i, j]`` indexes ``table``, the distinct classes of the map;
-    every critical point is its own entry and keeps its ``.point``.
+    ``labels[i, j]`` indexes ``table``, which holds each class at most once
+    (an entry may label no cell); every critical point is its own entry
+    and keeps its ``.point``.
     """
 
     grid: GridSpec
