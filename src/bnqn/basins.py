@@ -194,21 +194,14 @@ def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:
     midpoint = 0.5 * (z1 + z2)
     axis = z1 - z2
     axis_norm = abs(axis)
-    classes: list[list[LimitClass]] = []
-    for i in range(grid.nx):
-        column = []
-        for j in range(grid.ny):
-            x, y = grid.point(i, j)
-            p = complex(x, y) - midpoint
-            side = p.real * axis.real + p.imag * axis.imag
-            if abs(side) / axis_norm <= 1e-12:
-                column.append(LimitClass.critical(midpoint))
-            elif side > 0:
-                column.append(LimitClass.root(0))
-            else:
-                column.append(LimitClass.root(1))
-        classes.append(column)
-    return BasinMap.from_classes(grid, classes, np.zeros((grid.nx, grid.ny), dtype=int))
+    # complex(x, y) - midpoint, part by part, as Python's complex subtraction
+    px = np.array([grid.x_coord(i) for i in range(grid.nx)])[:, None] - midpoint.real
+    py = np.array([grid.y_coord(j) for j in range(grid.ny)])[None, :] - midpoint.imag
+    with np.errstate(all="ignore"):
+        side = px * axis.real + py * axis.imag
+        labels = np.where(np.abs(side) / axis_norm <= 1e-12, 2, np.where(side > 0, 0, 1))
+    table = (LimitClass.root(0), LimitClass.root(1), LimitClass.critical(midpoint))
+    return BasinMap(grid, table, labels, np.zeros((grid.nx, grid.ny), dtype=int))
 
 
 def _base_color(cls: LimitClass) -> tuple[int, int, int]:

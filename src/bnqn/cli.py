@@ -40,8 +40,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # values like "-1,0,1" or "-2,2,-2,2" are data, not option strings
-        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
+        # values like "-1,0,1", "-2,2,-2,2" or "-inf,0,1" are data, not option
+        # strings; float() takes inf, infinity and nan in any case
+        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d|^-(?:inf|infinity|nan)\b", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)
@@ -372,3 +373,7 @@ def run_command(argv, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

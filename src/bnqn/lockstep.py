@@ -12,9 +12,11 @@ whole arrays and its eigensystem serves both the test and the solve; only
 the lanes it does not admit try later shifts, and the lanes with a diagonal
 Hessian are fixed by index.  BNQN and GD then take the first Armijo trial on
 the whole arrays, and only the lanes that reject it backtrack, dropping out
-of the loop as they accept.  A sweep compacts its arrays only when some lane
-stops or fails.  NQN and Newton optimization (one batched
-``numpy.linalg.solve``) take the full step z - w.  Newton's map takes
+of the loop as they accept; once at most ``_TAIL_LANES`` lanes still reject,
+each finishes its search alone on Python floats (``_backtrack_lane``).  A
+sweep compacts its arrays only when some lane stops or fails.  NQN and
+Newton optimization (one batched ``numpy.linalg.solve``) take the full step
+z - w.  Newton's map takes
 z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with each
 lane drawing alpha from its own random stream (``bnqn.streams``).
 
@@ -79,7 +81,11 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # the same time, within noise, with any tail from 24 to 64, and longer with
 # 96 on the clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes run
 # 10 000 steps each, took 0.7-0.8 s with a tail of 32 or more against
-# 1.0-1.5 s with them in the sweep.
+# 1.0-1.5 s with them in the sweep.  The same bound sends a sweep's last
+# Armijo rejecters to ``_backtrack_lane``.  With that in place, a
+# basin-cluster8-bnqn cycle (seeds 3, 7 and 41, one pinned core) ran faster
+# with 48 than with 64 in 32 of 48 alternations and than with 96 in 27 of
+# 32; 24 and 32 were within 3% of 48.
 _TAIL_LANES = 48
 
 def _horner(coeffs, zr, zi):
@@ -170,6 +176,22 @@ def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     return x - (ar * qr - ai * qi), y - (ar * qi + ai * qr), failed
 
 
+def _backtrack_lane(g, x, y, wx, wy, fz, slope, gamma):
+    """Armijo's search for one lane on Python floats, from the rejected trial
+    ``gamma`` on; returns (x, y, gr, gi) at the accepted trial, or None where
+    gamma underflows.  ``g`` holds the coefficients highest first."""
+    while True:
+        gamma = gamma * _SHRINK_FACTOR
+        if gamma < _UNDERFLOW_LIMIT:
+            return None
+        trial = complex(x - gamma * wx, y - gamma * wy)
+        gt = 0j
+        for c in g:
+            gt = gt * trial + c
+        if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * _ARMIJO_FACTOR:
+            return trial.real, trial.imag, gt.real, gt.imag
+
+
 def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     """z - gamma*w per lane with Armijo's gamma; returns (x, y, gr, gi,
     failed), with g = gr + i gi at the new point.
@@ -177,8 +199,10 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     The first trial, gamma0, runs on every lane at once; only the lanes that
     reject it backtrack, leaving the loop as they accept.  gamma is the same
     on every lane of a pass, so the underflow test fails all the lanes left
-    at once.  Lanes already failed skip the search.  The test keeps the
-    scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
+    at once.  Once at most ``_TAIL_LANES`` lanes are left, a numpy pass costs
+    more than their trials on Python floats, so each finishes its search alone
+    in ``_backtrack_lane``.  Lanes already failed skip the search.  The test
+    keeps the scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
     slope = wx * gx + wy * gy
     fz = 0.5 * (gr * gr + gi * gi)
@@ -188,6 +212,16 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     ok = 0.5 * (gr * gr + gi * gi) <= fz - gamma * slope * _ARMIJO_FACTOR
     todo = (~(ok | failed)).nonzero()[0]
     while todo.size:
+        if todo.size <= _TAIL_LANES:
+            coeffs = g[::-1]
+            lanes = (v[todo].tolist() for v in (x, y, wx, wy, fz, slope))
+            for m, *lane in zip(todo.tolist(), *lanes):
+                accepted = _backtrack_lane(coeffs, *lane, gamma)
+                if accepted is None:
+                    failed[m] = True
+                else:
+                    xn[m], yn[m], gr[m], gi[m] = accepted
+            break
         gamma = gamma * _SHRINK_FACTOR
         if gamma < _UNDERFLOW_LIMIT:
             failed[todo] = True
@@ -348,7 +382,9 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     Python's complex Horner loop (inline) and product, ``linalg.hypot``
     norms, the 2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta
     cap and the Armijo test in the form
-    ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.  |grad| is ``abs(w)``
+    ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``, whose f(z) is the
+    f(trial) of the step before (the same expression on the same g).
+    |grad| is ``abs(w)``
     for w = g'(z)*conj(g(z)): the C ``hypot`` ignores signs, so it equals
     ``hypot(w.real, -w.imag)``.  The radius test takes ``abs(z)``, as
     ``linalg.hypot(x, y)`` does for z = complex(x, y).  Where either
@@ -357,10 +393,12 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
     radius = obj.divergence_radius
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
+    armijo_factor = _ARMIJO_FACTOR
     z = complex(x, y)
     gz = 0j
     for c in g:
         gz = gz * z + c
+    fz = 0.5 * (gz.real * gz.real + gz.imag * gz.imag)
     while True:
         dgz = 0j
         for c in dg:
@@ -397,20 +435,23 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
             div = max(1.0, theta * (hypot(wx, wy) if hessian else gn))
             wx, wy = wx / div, wy / div
         slope = wx * gx + wy * gy
-        fz = 0.5 * (gz.real * gz.real + gz.imag * gz.imag)
+        # _backtrack_lane's search from gamma0, kept inline: calling a shared
+        # search once per step made basin-cubic-btgd slower (in-process
+        # medians 1140 -> 1042 starts/s)
         gamma = gamma0
         while True:
             trial = complex(x - gamma * wx, y - gamma * wy)
             gt = 0j
             for c in g:
                 gt = gt * trial + c
-            if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * _ARMIJO_FACTOR:
+            ft = 0.5 * (gt.real * gt.real + gt.imag * gt.imag)
+            if ft <= fz - gamma * slope * armijo_factor:
                 break
             gamma = gamma * _SHRINK_FACTOR
             if gamma < _UNDERFLOW_LIMIT:
                 return x, y, k, FAILED
-        # the accepted trial is the next point, and g there is already known
-        x, y, z, gz = trial.real, trial.imag, trial, gt
+        # the accepted trial is the next point, and g and F there are known
+        x, y, z, gz, fz = trial.real, trial.imag, trial, gt, ft
         k += 1
 
 

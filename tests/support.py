@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from bnqn.basins import CRITICAL_COLOR, DIVERGED_COLOR, ROOT_COLORS, UNDECIDED_COLOR, BasinMap
+from bnqn.basins import CRITICAL_COLOR, DIVERGED_COLOR, ROOT_COLORS, UNDECIDED_COLOR, BasinMap, GridSpec
 from bnqn.linalg import SymmetricMatrix, minsp, reflected_direction
 from bnqn.objective import LimitClass, ObjectiveFunction, PolyModulusObjective
 from bnqn.complexpoly import Polynomial
@@ -290,6 +290,41 @@ def checked_sweep(poly, grid, cfg, class_tol=1e-6, check_half_plane=False, worke
 
 def nearest_root_index(roots, target):
     return min(range(len(roots)), key=lambda i: abs(roots[i] - complex(target)))
+
+
+# ---------------------------------------------------------------------------
+# the per-cell degree-2 picture: the reference that the array version,
+# bnqn.basins.degree2_reference, is checked against
+
+
+def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:
+    """Analytic degree-2 picture: half-planes cut by the perpendicular bisector.
+
+    Root(0) marks the z1 side, Root(1) the z2 side; points within 1e-12 of
+    the bisector classify as CriticalNonRoot at the midpoint.
+    """
+    z1 = complex(z1)
+    z2 = complex(z2)
+    if z1 == z2:
+        raise ValueError("need two distinct roots")
+    midpoint = 0.5 * (z1 + z2)
+    axis = z1 - z2
+    axis_norm = abs(axis)
+    classes: list[list[LimitClass]] = []
+    for i in range(grid.nx):
+        column = []
+        for j in range(grid.ny):
+            x, y = grid.point(i, j)
+            p = complex(x, y) - midpoint
+            side = p.real * axis.real + p.imag * axis.imag
+            if abs(side) / axis_norm <= 1e-12:
+                column.append(LimitClass.critical(midpoint))
+            elif side > 0:
+                column.append(LimitClass.root(0))
+            else:
+                column.append(LimitClass.root(1))
+        classes.append(column)
+    return BasinMap.from_classes(grid, classes, np.zeros((grid.nx, grid.ny), dtype=int))
 
 
 # ---------------------------------------------------------------------------

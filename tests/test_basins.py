@@ -122,6 +122,40 @@ def test_degree2_reference_examples():
     assert near.classes[0][0] == LimitClass.root(0)
 
 
+def test_degree2_reference_matches_the_per_cell_reference(monkeypatch):
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(20):
+        z1, z2 = (complex(*rng.uniform(-3.0, 3.0, 2).tolist()) for _ in range(2))
+        (x0, y0), (w, h) = rng.uniform(-4.0, 0.0, 2).tolist(), rng.uniform(0.5, 8.0, 2).tolist()
+        cases.append((z1, z2, GridSpec(x0, x0 + w, y0, y0 + h, *rng.integers(1, 40, 2).tolist())))
+    # z2 = -z1 on odd symmetric grids: the bisector runs through the origin,
+    # and for these z1 through whole rows of samples, each exactly on it
+    for a, h, half in zip(*rng.uniform([0.1, 0.5], [3.0, 4.0], (8, 2)).T.tolist(), rng.integers(1, 20, 8).tolist()):
+        for z1 in (complex(a, 0.0), complex(0.0, a), complex(a, a), complex(a, -a), complex(a, 0.3 * a)):
+            cases.append((z1, -z1, GridSpec(-h, h, -h, h, 2 * half + 1, 2 * half + 1)))
+    built = []
+    init = LimitClass.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    critical = 0
+    for z1, z2, grid in cases:
+        want = support.degree2_reference(z1, z2, grid)
+        built.clear()
+        monkeypatch.setattr(LimitClass, "__init__", counted)
+        got = degree2_reference(z1, z2, grid)
+        monkeypatch.undo()
+        assert len(built) <= 3, (z1, z2, grid)
+        assert got.classes == want.classes, (z1, z2, grid)
+        assert [c.point for col in got.classes for c in col] == [c.point for col in want.classes for c in col]
+        assert np.array_equal(got.iterations, want.iterations)
+        critical += sum(c.kind == "CriticalNonRoot" for col in want.classes for c in col)
+    assert critical > 0
+
+
 def test_degree2_reference_rejects_equal_roots():
     with pytest.raises(ValueError):
         degree2_reference(1.0, 1.0, GridSpec(-1, 1, -1, 1, 3, 3))

@@ -429,6 +429,12 @@ def test_solve_and_invariance_output_is_golden(tmp_path, monkeypatch, case):
     assert [hashlib.sha256(blob).hexdigest() for blob in blobs] == want
 
 
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(bnqn.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_leaves_numpy_random_unloaded(tmp_path):
     # setup cost: importing the package, a whole rrn experiment and an rrn1d
     # basin import no more of numpy.random than importing numpy does (numpy
@@ -444,13 +450,28 @@ def test_import_leaves_numpy_random_unloaded(tmp_path):
         "bnqn.cli.run_command(['basin', '--method', 'rrn1d', '--res', '5,4', '--max-iter', '50'], out=io.StringIO())\n"
         "print(before, imported, after_rrn, 'numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
-    src = str(Path(bnqn.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", script], env=_package_env(), cwd=tmp_path, capture_output=True, text=True, check=True)
     before, imported, after_rrn, after_basin, multiprocessing = run.stdout.split()
     assert imported == after_rrn == after_basin == before
     assert multiprocessing == "False"
     assert (tmp_path / "basin.csv").read_text().count("\n") == 21
+
+
+@pytest.mark.parametrize("module", ["bnqn", "bnqn.cli"])
+def test_python_m_runs_the_command_line(tmp_path, monkeypatch, module):
+    # python -m bnqn used to fail for want of bnqn/__main__.py, and python -m
+    # bnqn.cli to do nothing and exit 0; stderr is not compared, since runpy
+    # warns there that the package has already imported bnqn.cli
+    argv = ["basin", "--poly", "-1,0,0,1", "--res", "3,3", "--out", "a.ppm", "--csv", "a.csv"]
+    ran, direct = tmp_path / "ran", tmp_path / "direct"
+    ran.mkdir()
+    direct.mkdir()
+    run = subprocess.run([sys.executable, "-m", module, *argv], env=_package_env(), cwd=ran, capture_output=True, text=True)
+    monkeypatch.chdir(direct)
+    code, out, _ = invoke(argv)
+    assert run.returncode == code == 0 and run.stdout == out
+    for name in ("a.ppm", "a.csv"):
+        assert (ran / name).read_bytes() == (direct / name).read_bytes()
 
 
 @pytest.mark.parametrize("method", ["newton1d", "rrn1d"])
@@ -501,15 +522,17 @@ def test_nan_and_negative_tolerances_are_usage_errors(tmp_path, command, flags):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("deltas", ["nan,1", "0,inf", "-inf,0,1"])
+@pytest.mark.parametrize("deltas", ["nan,1", "0,inf", "-inf,0,1", "-nan,1", "-Infinity,0,1", "-INF,0"])
 @pytest.mark.parametrize("command", ["solve", "basin"])
 def test_non_finite_shifts_are_usage_errors(tmp_path, command, deltas):
     # before they were refused, --deltas nan,1 and 0,inf left 23 of the 25
-    # cells Undecided, with exit status 0
+    # cells Undecided, with exit status 0; a value after a space that starts
+    # with -inf or -nan was taken for an option string
     files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")] if command == "basin" else []
-    code, out, err = invoke([command, "--poly", "-1,0,0,1", *(["--res", "5,5"] if files else []), *files, f"--deltas={deltas}"])
-    assert code == 1 and out == "" and "finite" in err, (command, deltas)
-    assert list(tmp_path.iterdir()) == []
+    for flag in ([f"--deltas={deltas}"], ["--deltas", deltas]):
+        code, out, err = invoke([command, "--poly", "-1,0,0,1", *(["--res", "5,5"] if files else []), *files, *flag])
+        assert code == 1 and out == "" and "finite" in err, (command, flag, err)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("method", ["bnqn", "newton1d"])
@@ -517,6 +540,10 @@ def test_basin_window_bounds(tmp_path, method):
     files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")]
     code, out, err = invoke(["basin", "--method", method, "--res", "3,3", "--window=-inf,inf,-1,1", *files])
     assert code == 1 and "finite" in err
+    for window in ("-inf,1,-1,1", "-nan,1,-1,1", "-Infinity,1,-1,1", "-NaN,1,-1,1"):
+        code, out, err = invoke(["basin", "--method", method, "--res", "3,3", "--window", window, *files])
+        assert code == 1 and out == "" and "finite" in err, (window, err)
+        assert list(tmp_path.iterdir()) == []
     code, out, err = invoke(
         ["basin", "--poly", "-1,0,0,1", "--method", method, "--res", "3,3",
          "--window=-1.7e308,1.7e308,-1.7e308,1.7e308", *files]

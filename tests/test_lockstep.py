@@ -4,7 +4,10 @@ Every case checks, for every grid cell, the terminal class, the iteration
 count and the bits of the final point, both straight out of
 ``lockstep.iterate`` and through ``render_basin`` (which adds the
 classification); BNQN and GD also with every lane kept in the numpy sweep,
-and with every lane run by the per-lane float loop alone.  The NQN and
+and with every lane run by the per-lane float loop alone.  The few-lane
+Armijo backtracks inside a sweep are counted: they must run where few lanes
+reject the first trial, never in the sweep-only mode, and one case drives
+them to a gamma underflow.  The NQN and
 Newton directions are checked against the scalar step on crafted singular
 and non-finite Hessians.  Random relaxed Newton is checked trial by trial
 against ``run`` with the trial's own generator, straight out of ``iterate``
@@ -80,6 +83,9 @@ CASES = {
     # ... and F overflowing to inf far out on a degree-25 polynomial
     "overflow-bnqn": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BNQN, SolverConfig()),
     "overflow-btgd": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5), BTGD, SolverConfig()),
+    # one lane more than _TAIL_LANES: the 48 off the centre reject every
+    # trial, so they backtrack lane by lane until gamma underflows
+    "underflow-per-lane": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 7, 7), BTGD, SolverConfig()),
     # z^37-1 from +-2.7e8 on the axes: g overflows and g' does not, so
     # z - g/g' is -inf (or inf) and those cells end Diverged after one step;
     # a factor 1 + 0i would make them NaN (0*inf) and run them to the cap
@@ -156,17 +162,23 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     starts, traces = _oracle(case)
     if tail is not None:
         monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
-    finished = []
-    finish_lane = lockstep._finish_lane
+    finished, backtracked = [], []
+    finish_lane, backtrack_lane = lockstep._finish_lane, lockstep._backtrack_lane
 
     def counted(*args):
         finished.append(args)
         return finish_lane(*args)
 
+    def counted_backtrack(*args):
+        backtracked.append(backtrack_lane(*args))
+        return backtracked[-1]
+
     monkeypatch.setattr(lockstep, "_finish_lane", counted)
+    monkeypatch.setattr(lockstep, "_backtrack_lane", counted_backtrack)
     x0, y0 = np.array(starts).T
     x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0)
     per_lane = len(finished)
+    underflows = backtracked.count(None)
     basin = render_basin(poly, grid, method, cfg, class_tol=class_tol)
     classify = obj.classify_roots_only if method in ONE_DIM else obj.classify
     outcomes = set()
@@ -191,11 +203,19 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
             assert basin.iterations[i, j] == want.iterations, z0
     if tail == 0 or method not in (BNQN, BTGD):
         assert per_lane == 0
+        assert not backtracked
     elif tail == ALL_LANES:
         assert per_lane == len(starts)
         assert all(args[-1] == 0 for args in finished)  # from step 0
     elif case in ("btgd-cap300", "btgd-9-default", "diverged-bnqn"):
         assert 0 < per_lane <= lockstep._TAIL_LANES
+    if tail is None and case in ("z3m1-51-default", "cluster8"):
+        assert backtracked
+    if case == "underflow-per-lane":
+        failed = codes == lockstep.FAILED
+        assert np.count_nonzero(failed) == 48 and not steps[failed].any()
+        assert all(traces[n].failure.startswith("LineSearchUnderflow") for n in np.flatnonzero(failed).tolist())
+        assert underflows == (48 if tail is None else 0)
     if case == "z3m1-51-default":
         assert basin.class_counts()["Undecided"] == 25
     if case == "z3m1-critical":
