@@ -6,7 +6,7 @@ descent, runs the one-variable Newton and random relaxed Newton maps, and
 renders basins of attraction.
 """
 
-from .basins import BasinMap, GridSpec, degree2_reference, export_csv, export_ppm, render_basin
+from .basins import BasinMap, GridSpec, degree2_reference, export_csv, export_ppm, render_basin, run_rrn_experiment
 from .complexpoly import (
     Polynomial,
     RelaxationDisk,
@@ -56,6 +56,5 @@ from .solvers import (
     run,
     select_delta,
 )
-from .cli import run_command, run_rrn_experiment
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ would, and the stopped cells are then classified in one numpy pass.
 A map holds one integer label per cell, indexing a small table of classes,
 so the exports and the class counts work on arrays, not on one Python
 object per cell.  Output goes to binary PPM images (escape-time shaded)
-and CSV tables.
+and CSV tables.  The random relaxed Newton experiment (``bnqn rrn``) runs
+its trials through the same kernel and the same labelling.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .solvers import _ONE_DIM, Method, SolverConfig
 __all__ = [
     "BasinMap",
     "GridSpec",
+    "RrnReport",
     "degree2_reference",
     "export_csv",
     "export_ppm",
     "render_basin",
+    "run_rrn_experiment",
 ]
 
 # Fixed palette: root basins by root index (cycled), criticals black,
@@ -167,18 +170,67 @@ def render_basin(
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
         relaxation = RelaxationDisk(rho)
         lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
+    labels, iterations, table = _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes, relaxation)
+    shape = (grid.nx, grid.ny)
+    return BasinMap(grid, table, labels.reshape(shape), iterations.reshape(shape))
+
+
+def _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes, relaxation):
+    """``(labels, iterations, table)``: each start run as a lockstep lane and
+    labelled in ``classify_many``'s table as the scalar ``run`` classifies it."""
     x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=lanes, relaxation=relaxation)
     # CAPPED and FAILED lanes end Undecided, table[0], after the steps they took
     labels = np.zeros(len(codes), dtype=np.intp)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)
     found, table = obj.classify_many(x[stopped], y[stopped], class_tol, roots_only=method in _ONE_DIM)
     labels[stopped] = found
-    # -1 marks where the scalar classification raises, and there the cell
+    # -1 marks where the scalar classification raises, and there the lane
     # records (Undecided, max_iter)
     raised = stopped[found < 0]
     labels[raised], iterations[raised] = 0, cfg.max_iter
-    shape = (grid.nx, grid.ny)
-    return BasinMap(grid, table, labels.reshape(shape), iterations.reshape(shape))
+    return labels, iterations, table
+
+
+@dataclass(frozen=True)
+class RrnReport:
+    roots: tuple[complex, ...]
+    per_root_counts: tuple[int, ...]
+    trials: int
+
+    @property
+    def converged_fraction(self) -> float:
+        return sum(self.per_root_counts) / self.trials
+
+
+def _trial_labels(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverConfig, trials: int):
+    """``(labels, table)`` of the trials, as ``_lane_labels`` gives them.
+
+    Trial t draws its start and its relaxation factors from the stream of
+    ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
+    would, and ends and classifies (at run's default ``class_tol``) as it does.
+    """
+    lanes = streams.TrialStreams(streams.trial_states(cfg.seed, 0, trials))
+    x0, y0 = lanes.uniform(-3.0, 3.0, 2)
+    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, 1e-6, lanes, disk)
+    return labels, table
+
+
+def run_rrn_experiment(p: Polynomial, rho: float, trials: int, max_iter: int, seed: int) -> RrnReport:
+    """Sample starts uniformly in [-3, 3]^2 and iterate with a fresh random
+    relaxation factor per step; count which root each trial reaches.
+
+    Trials are independent (per-trial derived seeds) and run serially in
+    lockstep; non-convergence is data, not an error.
+    """
+    disk = RelaxationDisk(rho)  # validates 0.5 < rho < 1
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    obj = PolyModulusObjective(p)
+    roots = obj.roots()
+    labels, _ = _trial_labels(obj, disk, SolverConfig(max_iter=max_iter, seed=seed), trials)
+    # the table holds Undecided, Diverged, then the roots in order
+    counts = np.bincount(labels, minlength=2 + len(roots))[2:]
+    return RrnReport(roots, tuple(counts.tolist()), trials)
 
 
 def degree2_reference(z1, z2, grid: GridSpec) -> BasinMap:

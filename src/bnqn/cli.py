@@ -2,9 +2,11 @@
 
 Subcommands: ``solve`` (one initial point, one method), ``basin`` (grid
 sweep to PPM + CSV), ``invariance`` (conjugation deviation harness), and
-``rrn`` (random relaxed Newton statistics).  Exit codes: 0 success, 1 usage
-error, 2 runtime failure.  All numeric output uses 17 significant digits,
-and reruns with the same flags and seed are byte-identical.
+``rrn`` (random relaxed Newton statistics).  Each parses its flags, calls
+the library (``bnqn.solvers``, ``bnqn.basins``, ``bnqn.invariance``) and
+prints the result.  Exit codes: 0 success, 1 usage error, 2 runtime
+failure.  All numeric output uses 17 significant digits, and reruns with
+the same flags and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
 
-import numpy as np
-
-from . import lockstep, streams
-from .basins import GridSpec, export_csv, export_ppm, render_basin
+from .basins import GridSpec, export_csv, export_ppm, render_basin, run_rrn_experiment
 from .complexpoly import (
     Polynomial,
     RelaxationDisk,
@@ -30,7 +28,7 @@ from .invariance import ConjugationSpec, check_invariance, rotation
 from .objective import PolyModulusObjective
 from .solvers import Method, SolverConfig, export_trace_csv, run
 
-__all__ = ["RrnReport", "main", "run_command", "run_rrn_experiment"]
+__all__ = ["main", "run_command"]
 
 
 class UsageError(Exception):
@@ -50,60 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-# ---------------------------------------------------------------------------
-# random relaxed Newton experiment
-
-_CLASS_TOL = 1e-6  # the class_tol of a trial's scalar run (its default)
-
-
-@dataclass(frozen=True)
-class RrnReport:
-    roots: tuple[complex, ...]
-    per_root_counts: tuple[int, ...]
-    trials: int
-
-    @property
-    def converged_fraction(self) -> float:
-        return sum(self.per_root_counts) / self.trials
-
-
-def _trial_roots(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverConfig, trials: int) -> np.ndarray:
-    """Per trial, the index of the root it reaches, or -1.
-
-    Trial t draws its start and its relaxation factors from the stream of
-    ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
-    would, and ends where that run ends.  The trials run as the lanes of the
-    lockstep kernel, which holds their streams as arrays
-    (``streams.TrialStreams``).
-    """
-    lanes = streams.TrialStreams(streams.trial_states(cfg.seed, 0, trials))
-    x0, y0 = lanes.uniform(-3.0, 3.0, 2)
-    x, y, _, codes = lockstep.iterate(
-        obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=lanes, relaxation=disk
-    )
-    out = np.full(trials, -1)
-    stopped = np.flatnonzero(codes == lockstep.STOPPED)
-    out[stopped] = obj.root_indices(x[stopped], y[stopped], _CLASS_TOL)
-    return out
-
-
-def run_rrn_experiment(p: Polynomial, rho: float, trials: int, max_iter: int, seed: int) -> RrnReport:
-    """Sample starts uniformly in [-3, 3]^2 and iterate with a fresh random
-    relaxation factor per step; count which root each trial reaches.
-
-    Trials are independent (per-trial derived seeds) and run serially in
-    lockstep; non-convergence is data, not an error.
-    """
-    disk = RelaxationDisk(rho)  # validates 0.5 < rho < 1
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    obj = PolyModulusObjective(p)
-    roots = obj.roots()
-    index = _trial_roots(obj, disk, SolverConfig(max_iter=max_iter, seed=seed), trials)
-    counts = np.bincount(index[index >= 0], minlength=len(roots))
-    return RrnReport(roots, tuple(counts.tolist()), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +175,13 @@ def _class_tol(args) -> float:
     return args.class_tol
 
 
+def _relaxation(args) -> RelaxationDisk:
+    try:
+        return RelaxationDisk(args.rho)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _parse_poly(args) -> Polynomial:
     try:
         return parse_polynomial(args.poly, highest_first=args.highest_first)
@@ -243,12 +194,7 @@ def _cmd_solve(args, out) -> int:
     cfg = _parse_config(args)
     obj = PolyModulusObjective(poly)
     method = Method(args.method)
-    relaxation = None
-    if method is Method.RANDOM_RELAXED_NEWTON_1D:
-        try:
-            relaxation = RelaxationDisk(args.rho)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    relaxation = _relaxation(args) if method is Method.RANDOM_RELAXED_NEWTON_1D else None
     z0 = _parse_pair(args.z0, "--z0")
     # rrn1d draws from run's own default_rng(cfg.seed), and cfg.seed is --seed
     trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=_class_tol(args))
@@ -288,8 +234,8 @@ def _cmd_basin(args, out) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if method is Method.RANDOM_RELAXED_NEWTON_1D and not 0.5 < args.rho < 1.0:
-        raise UsageError(f"rho must lie in (0.5, 1), got {args.rho}")
+    if method is Method.RANDOM_RELAXED_NEWTON_1D:
+        _relaxation(args)
     basin_map = render_basin(
         poly, grid, method, cfg, class_tol=_class_tol(args), rho=args.rho
     )
@@ -327,8 +273,7 @@ def _cmd_invariance(args, out) -> int:
 
 def _cmd_rrn(args, out) -> int:
     poly = _parse_poly(args)
-    if not 0.5 < args.rho < 1.0:
-        raise UsageError(f"rho must lie in (0.5, 1), got {args.rho}")
+    _relaxation(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be positive, got {args.trials}")
     if args.max_iter < 1:

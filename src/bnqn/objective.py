@@ -178,13 +178,6 @@ class PolyModulusObjective(ObjectiveFunction):
         return UNDECIDED
 
     @np.errstate(over="ignore")
-    def root_indices(self, x, y, tol: float) -> np.ndarray:
-        """Per point (x[i], y[i]), the root index ``classify_roots_only``
-        gives, or -1 where it gives no root."""
-        index, dist = _nearest_many(self.roots(), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.where(dist <= tol, index, -1)
-
-    @np.errstate(over="ignore")
     def classify_many(self, x, y, tol: float, roots_only: bool = False):
         """``classify_limit`` of every point (x[i], y[i]) in one numpy pass,
         or ``classify_roots_only`` where ``roots_only`` is set.

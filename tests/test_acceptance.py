@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bnqn.basins import GridSpec, render_basin
+from bnqn.basins import GridSpec, render_basin, run_rrn_experiment
 from bnqn.complexpoly import Polynomial, bisector_newton_map, schroder_conjugacy_defect
 from bnqn.invariance import (
     ConjugationSpec,
@@ -22,7 +22,6 @@ from bnqn.invariance import (
 )
 from bnqn.linalg import SymmetricMatrix, eigh
 from bnqn.objective import PolyModulusObjective
-from bnqn.cli import run_rrn_experiment
 from bnqn.solvers import Method, SolverConfig, run
 from support import (
     check_bnqn_trace,

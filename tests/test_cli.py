@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import bnqn
-from bnqn.cli import build_parser, run_command, run_rrn_experiment
+from bnqn.basins import run_rrn_experiment
+from bnqn.cli import build_parser, run_command
 from bnqn.complexpoly import Polynomial
 
 
@@ -102,11 +103,17 @@ def test_invariance_command():
     assert kv["steps"] == "100"
 
 
-def test_rrn_rho_out_of_range_is_usage_error():
-    for bad in ("0.49", "0.5", "1.0", "1.99"):
-        code, out, err = invoke(["rrn", "--rho", bad])
-        assert code == 1
-        assert "rho" in err
+def test_rrn_rho_out_of_range_is_usage_error(tmp_path):
+    # every command checks rho by building a RelaxationDisk, so the range
+    # and its message are written down once
+    files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")]
+    for argv in (["rrn"], ["solve", "--method", "rrn1d"], ["basin", "--method", "rrn1d", *files]):
+        for bad in ("0.49", "0.5", "1.0", "1.99", "nan"):
+            code, out, err = invoke([*argv, "--rho", bad])
+            assert code == 1, argv
+            assert out == ""
+            assert err == f"error: rho must lie in (0.5, 1), got {float(bad)}\n", argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rrn_small_experiment():
@@ -436,22 +443,26 @@ def _package_env():
 
 
 def test_import_leaves_numpy_random_unloaded(tmp_path):
-    # setup cost: importing the package, a whole rrn experiment and an rrn1d
-    # basin import no more of numpy.random than importing numpy does (numpy
-    # 1.24 imports it with numpy itself; numpy 2 loads it on first use), and
-    # no multiprocessing: every basin runs in the one process
+    # setup cost: importing the package loads neither bnqn.cli nor argparse;
+    # it, a whole rrn experiment and an rrn1d basin import no more of
+    # numpy.random than importing numpy does (numpy 1.24 imports it with
+    # numpy itself; numpy 2 loads it on first use), and no multiprocessing:
+    # every basin runs in the one process
     script = (
         "import io, sys, numpy\n"
         "before = 'numpy.random' in sys.modules\n"
-        "import bnqn, bnqn.cli\n"
+        "import bnqn\n"
+        "lean = not {'bnqn.cli', 'argparse'} & set(sys.modules)\n"
+        "import bnqn.cli\n"
         "imported = 'numpy.random' in sys.modules\n"
         "bnqn.cli.run_command(['rrn', '--trials', '20', '--max-iter', '50'], out=io.StringIO())\n"
         "after_rrn = 'numpy.random' in sys.modules\n"
         "bnqn.cli.run_command(['basin', '--method', 'rrn1d', '--res', '5,4', '--max-iter', '50'], out=io.StringIO())\n"
-        "print(before, imported, after_rrn, 'numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        "print(lean, before, imported, after_rrn, 'numpy.random' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     run = subprocess.run([sys.executable, "-c", script], env=_package_env(), cwd=tmp_path, capture_output=True, text=True, check=True)
-    before, imported, after_rrn, after_basin, multiprocessing = run.stdout.split()
+    lean, before, imported, after_rrn, after_basin, multiprocessing = run.stdout.split()
+    assert lean == "True"  # the library does not load its command line
     assert imported == after_rrn == after_basin == before
     assert multiprocessing == "False"
     assert (tmp_path / "basin.csv").read_text().count("\n") == 21
@@ -460,8 +471,7 @@ def test_import_leaves_numpy_random_unloaded(tmp_path):
 @pytest.mark.parametrize("module", ["bnqn", "bnqn.cli"])
 def test_python_m_runs_the_command_line(tmp_path, monkeypatch, module):
     # python -m bnqn used to fail for want of bnqn/__main__.py, and python -m
-    # bnqn.cli to do nothing and exit 0; stderr is not compared, since runpy
-    # warns there that the package has already imported bnqn.cli
+    # bnqn.cli to do nothing and exit 0; neither may write to stderr
     argv = ["basin", "--poly", "-1,0,0,1", "--res", "3,3", "--out", "a.ppm", "--csv", "a.csv"]
     ran, direct = tmp_path / "ran", tmp_path / "direct"
     ran.mkdir()
@@ -470,6 +480,7 @@ def test_python_m_runs_the_command_line(tmp_path, monkeypatch, module):
     monkeypatch.chdir(direct)
     code, out, _ = invoke(argv)
     assert run.returncode == code == 0 and run.stdout == out
+    assert run.stderr == ""
     for name in ("a.ppm", "a.csv"):
         assert (ran / name).read_bytes() == (direct / name).read_bytes()
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from bnqn import cli, lockstep, objective
+from bnqn import basins, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
 from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale
 from bnqn.errors import BnqnError, DerivativeVanishes, NoAdmissibleDelta, NoConvergence, SingularMatrix
@@ -573,8 +573,9 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
     x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams, relaxation=disk)
     stopped = codes == lockstep.STOPPED
+    labels, table = obj.classify_many(x[stopped], y[stopped], 1e-6, roots_only=True)
     roots = np.full(n, -1)
-    roots[stopped] = obj.root_indices(x[stopped], y[stopped], 1e-6)
+    roots[stopped] = [table[k].root_index if table[k].is_root else -1 for k in labels]
     for t, (trace, z0, root) in enumerate(scalar):
         fx, fy = trace.final_point
         assert same_bits(x[t], fx) and same_bits(y[t], fy), (t, z0)
@@ -599,11 +600,14 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
     trials = lanes + 1 if lanes > 10 else 3 * lanes + 1
     cfg = SolverConfig(max_iter=40, seed=31)
     obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(0.7)
-    got = cli._trial_roots(obj, disk, cfg, trials)
-    want = [_scalar_rrn(obj, disk, cfg, t)[2] for t in range(trials)]
-    assert got.tolist() == want
+    labels, table = basins._trial_labels(obj, disk, cfg, trials)
+    scalar = [_scalar_rrn(obj, disk, cfg, t) for t in range(trials)]
+    assert [table[k] for k in labels] == [trace.terminal for trace, _, _ in scalar]
+    got = [table[k].root_index if table[k].is_root else -1 for k in labels]
+    want = [root for _, _, root in scalar]
+    assert got == want
     assert want[-1] >= 0 and -1 in want  # the last trial reaches a root; some do not
-    report = cli.run_rrn_experiment(Z3M1, 0.7, trials, 40, 31)
+    report = basins.run_rrn_experiment(Z3M1, 0.7, trials, 40, 31)
     assert report.per_root_counts == tuple(want.count(k) for k in range(3))
 
 

@@ -317,6 +317,7 @@ def test_classify_many_double_root_of_z2():
 
 
 def test_root_indices_is_classify_roots_only_per_point():
+    # classify_many with roots_only labels every point as classify_roots_only
     for obj in (Z2M1, Z3M1, Z2):
         r = obj.roots()[-1]
         x = r.real - 2e-7
@@ -325,11 +326,12 @@ def test_root_indices_is_classify_roots_only_per_point():
         points += [(x, r.imag), (1e13, 0.0), (math.nan, 0.0), (math.inf, 1.0), (0.3, -0.4)]
         for t in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 1e-6):
             x_, y_ = np.array(points).T
-            got = obj.root_indices(x_, y_, t)
-            for point, index in zip(points, got.tolist()):
+            got = _classes(*obj.classify_many(x_, y_, t, roots_only=True))
+            for point, cls in zip(points, got):
                 want = obj.classify_roots_only(point, t)
-                assert index == (want.root_index if want.is_root else -1), (point, t)
-        assert obj.root_indices([x], [r.imag], tol)[0] == len(obj.roots()) - 1
+                assert (cls, cls.point) == (want, want.point), (point, t)
+        last = obj.classify_many([x], [r.imag], tol, roots_only=True)
+        assert _classes(*last)[0] == LimitClass.root(len(obj.roots()) - 1)
 
 
 def test_classify_many_empty_input():
