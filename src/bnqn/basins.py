@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import lockstep, streams
-from .complexpoly import Polynomial, RelaxationDisk
-from .objective import LimitClass, PolyModulusObjective
+from .complexpoly import DEFAULT_RHO, Polynomial, RelaxationDisk
+from .objective import CLASS_TOL, LimitClass, PolyModulusObjective, _check_class_tol
 from .solvers import _ONE_DIM, Method, SolverConfig
 
 __all__ = [
@@ -148,8 +148,8 @@ def render_basin(
     method: Method,
     cfg: SolverConfig | None = None,
     *,
-    class_tol: float = 1e-6,
-    rho: float = 0.7,
+    class_tol: float = CLASS_TOL,
+    rho: float = DEFAULT_RHO,
 ) -> BasinMap:
     """Run the method from every grid point and classify the outcomes.
 
@@ -160,6 +160,7 @@ def render_basin(
     (i, j) with ``default_rng((seed, i, j))``.
     Per-point failures land as Undecided; the sweep never aborts.
     """
+    _check_class_tol(class_tol)
     if cfg is None:
         cfg = SolverConfig()
     method = Method(method)
@@ -211,7 +212,7 @@ def _trial_labels(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverCo
     """
     lanes = streams.TrialStreams(streams.trial_states(cfg.seed, 0, trials))
     x0, y0 = lanes.uniform(-3.0, 3.0, 2)
-    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, 1e-6, lanes, disk)
+    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, CLASS_TOL, lanes, disk)
     return labels, table
 
 
@@ -224,10 +225,11 @@ def run_rrn_experiment(p: Polynomial, rho: float, trials: int, max_iter: int, se
     """
     disk = RelaxationDisk(rho)  # validates 0.5 < rho < 1
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ValueError(f"trials must be positive, got {trials}")
+    cfg = SolverConfig(max_iter=max_iter, seed=seed)
     obj = PolyModulusObjective(p)
     roots = obj.roots()
-    labels, _ = _trial_labels(obj, disk, SolverConfig(max_iter=max_iter, seed=seed), trials)
+    labels, _ = _trial_labels(obj, disk, cfg, trials)
     # the table holds Undecided, Diverged, then the roots in order
     counts = np.bincount(labels, minlength=2 + len(roots))[2:]
     return RrnReport(roots, tuple(counts.tolist()), trials)

@@ -17,22 +17,15 @@ import re
 import sys
 
 from .basins import GridSpec, export_csv, export_ppm, render_basin, run_rrn_experiment
-from .complexpoly import (
-    Polynomial,
-    RelaxationDisk,
-    format_complex,
-    parse_polynomial,
-)
+from .complexpoly import DEFAULT_RHO, Polynomial, RelaxationDisk, format_complex, parse_polynomial
 from .errors import BnqnError
 from .invariance import ConjugationSpec, check_invariance, rotation
-from .objective import PolyModulusObjective
+from .objective import CLASS_TOL, PolyModulusObjective
 from .solvers import Method, SolverConfig, export_trace_csv, run
 
 __all__ = ["main", "run_command"]
 
-
-class UsageError(Exception):
-    """Bad flags or flag values; maps to exit code 1."""
+_DEFAULTS = SolverConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d|^-\.\d|^-(?:inf|infinity|nan)\b", re.IGNORECASE)
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(value: float) -> str:
@@ -71,16 +64,20 @@ def _add_poly_flags(parser):
 def _add_solver_flags(parser):
     parser.add_argument(
         "--deltas",
-        default="0,1,-1",
+        default=",".join(f"{d:g}" for d in _DEFAULTS.deltas),
         help="candidate Hessian shifts, comma separated (default: %(default)s)",
     )
-    parser.add_argument("--tau", type=float, default=1.0, help="gradient-norm exponent in the shift (default: %(default)s)")
-    parser.add_argument("--theta", type=float, default=0.0, help="direction cap factor (default: %(default)s)")
-    parser.add_argument("--gamma0", type=float, default=1.0, help="initial backtracking step (default: %(default)s)")
-    parser.add_argument("--tol", type=float, default=1e-10, help="gradient-norm stopping tolerance (default: %(default)s)")
-    parser.add_argument("--max-iter", type=int, default=10000, help="iteration cap (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized pieces (default: %(default)s)")
-    parser.add_argument("--class-tol", type=float, default=1e-6, help="terminal classification radius (default: %(default)s)")
+    parser.add_argument("--tau", type=float, default=_DEFAULTS.tau, help="gradient-norm exponent in the shift (default: %(default)s)")
+    parser.add_argument("--theta", type=float, default=_DEFAULTS.theta, help="direction cap factor (default: %(default)s)")
+    parser.add_argument("--gamma0", type=float, default=_DEFAULTS.gamma0, help="initial backtracking step (default: %(default)s)")
+    parser.add_argument("--tol", type=float, default=_DEFAULTS.grad_tol, help="gradient-norm stopping tolerance (default: %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter, help="iteration cap (default: %(default)s)")
+
+
+def _add_run_flags(parser):
+    """The flags of the commands whose runs draw random numbers and classify."""
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="seed for randomized pieces (default: %(default)s)")
+    parser.add_argument("--class-tol", type=float, default=CLASS_TOL, help="terminal classification radius (default: %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -90,6 +87,7 @@ def build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="run one method from one initial point")
     _add_poly_flags(solve)
     _add_solver_flags(solve)
+    _add_run_flags(solve)
     solve.add_argument(
         "--method",
         choices=[m.value for m in Method],
@@ -97,12 +95,13 @@ def build_parser() -> _Parser:
         help="iteration method (default: %(default)s)",
     )
     solve.add_argument("--z0", default="0.5,0.5", help="initial point x,y (default: %(default)s)")
-    solve.add_argument("--rho", type=float, default=0.7, help="relaxation disk radius for rrn1d (default: %(default)s)")
+    solve.add_argument("--rho", type=float, default=DEFAULT_RHO, help="relaxation disk radius for rrn1d (default: %(default)s)")
     solve.add_argument("--trace", default="", help="write the iteration trace CSV here (default: no trace)")
 
     basin = sub.add_parser("basin", help="classify a grid of initial points")
     _add_poly_flags(basin)
     _add_solver_flags(basin)
+    _add_run_flags(basin)
     basin.add_argument(
         "--method",
         choices=[m.value for m in Method],
@@ -111,7 +110,7 @@ def build_parser() -> _Parser:
     )
     basin.add_argument("--window", default="-2,2,-2,2", help="x_min,x_max,y_min,y_max (default: %(default)s)")
     basin.add_argument("--res", default="400,400", help="nx,ny grid resolution (default: %(default)s)")
-    basin.add_argument("--rho", type=float, default=0.7, help="relaxation disk radius for rrn1d (default: %(default)s)")
+    basin.add_argument("--rho", type=float, default=DEFAULT_RHO, help="relaxation disk radius for rrn1d (default: %(default)s)")
     basin.add_argument("--out", default="basin.ppm", help="PPM output path (default: %(default)s)")
     basin.add_argument("--csv", default="basin.csv", help="CSV output path (default: %(default)s)")
 
@@ -125,7 +124,7 @@ def build_parser() -> _Parser:
 
     rrn = sub.add_parser("rrn", help="random relaxed Newton statistics")
     _add_poly_flags(rrn)
-    rrn.add_argument("--rho", type=float, default=0.7, help="relaxation disk radius, in (0.5, 1) (default: %(default)s)")
+    rrn.add_argument("--rho", type=float, default=DEFAULT_RHO, help="relaxation disk radius, in (0.5, 1) (default: %(default)s)")
     rrn.add_argument("--trials", type=int, default=500, help="number of sampled initial points (default: %(default)s)")
     rrn.add_argument("--max-iter", type=int, default=2000, help="iteration cap per trial (default: %(default)s)")
     rrn.add_argument("--seed", type=int, default=7, help="experiment seed (default: %(default)s)")
@@ -139,65 +138,42 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _numbers(text: str, flag: str, count: int | None = None, kind=float) -> list:
+    """The comma-separated numbers of a flag value, ``count`` of them if given."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{what} needs two comma-separated numbers, got {text!r}")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return [kind(part) for part in parts]
     except ValueError as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse {flag} {text!r}: {exc}") from exc
 
 
-def _parse_config(args) -> SolverConfig:
-    try:
-        deltas = tuple(float(t) for t in args.deltas.split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse --deltas {args.deltas!r}: {exc}") from exc
-    try:
-        return SolverConfig(
-            deltas=deltas,
-            tau=args.tau,
-            theta=args.theta,
-            gamma0=args.gamma0,
-            grad_tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _class_tol(args) -> float:
-    # not x >= 0 also rejects NaN, with which no cell could ever classify
-    if not args.class_tol >= 0:
-        raise UsageError(f"--class-tol must be nonnegative, got {args.class_tol}")
-    return args.class_tol
-
-
-def _relaxation(args) -> RelaxationDisk:
-    try:
-        return RelaxationDisk(args.rho)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _parse_config(args, **fields) -> SolverConfig:
+    return SolverConfig(
+        deltas=_numbers(args.deltas, "--deltas"),
+        tau=args.tau,
+        theta=args.theta,
+        gamma0=args.gamma0,
+        grad_tol=args.tol,
+        max_iter=args.max_iter,
+        **fields,
+    )
 
 
 def _parse_poly(args) -> Polynomial:
-    try:
-        return parse_polynomial(args.poly, highest_first=args.highest_first)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return parse_polynomial(args.poly, highest_first=args.highest_first)
 
 
 def _cmd_solve(args, out) -> int:
     poly = _parse_poly(args)
-    cfg = _parse_config(args)
+    cfg = _parse_config(args, seed=args.seed)
     obj = PolyModulusObjective(poly)
     method = Method(args.method)
-    relaxation = _relaxation(args) if method is Method.RANDOM_RELAXED_NEWTON_1D else None
-    z0 = _parse_pair(args.z0, "--z0")
+    relaxation = RelaxationDisk(args.rho) if method is Method.RANDOM_RELAXED_NEWTON_1D else None
+    z0 = _numbers(args.z0, "--z0", 2)
     # rrn1d draws from run's own default_rng(cfg.seed), and cfg.seed is --seed
-    trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=_class_tol(args))
+    trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=args.class_tol)
     if args.trace:
         export_trace_csv(trace, args.trace)
     final = trace.final_point
@@ -219,26 +195,10 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_basin(args, out) -> int:
     poly = _parse_poly(args)
-    cfg = _parse_config(args)
+    cfg = _parse_config(args, seed=args.seed)
     method = Method(args.method)
-    window = args.window.split(",")
-    if len(window) != 4:
-        raise UsageError(f"--window needs four comma-separated numbers, got {args.window!r}")
-    res = args.res.split(",")
-    if len(res) != 2:
-        raise UsageError(f"--res needs two comma-separated integers, got {args.res!r}")
-    try:
-        grid = GridSpec(
-            float(window[0]), float(window[1]), float(window[2]), float(window[3]),
-            int(res[0]), int(res[1]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if method is Method.RANDOM_RELAXED_NEWTON_1D:
-        _relaxation(args)
-    basin_map = render_basin(
-        poly, grid, method, cfg, class_tol=_class_tol(args), rho=args.rho
-    )
+    grid = GridSpec(*_numbers(args.window, "--window", 4), *_numbers(args.res, "--res", 2, int))
+    basin_map = render_basin(poly, grid, method, cfg, class_tol=args.class_tol, rho=args.rho)
     export_ppm(basin_map, args.out)
     export_csv(basin_map, args.csv)
     print(f"method={method.value}", file=out)
@@ -254,13 +214,9 @@ def _cmd_basin(args, out) -> int:
 def _cmd_invariance(args, out) -> int:
     poly = _parse_poly(args)
     cfg = _parse_config(args)
-    if args.c <= 0:
-        raise UsageError(f"--c must be positive, got {args.c}")
-    if args.steps < 1:
-        raise UsageError(f"--steps must be positive, got {args.steps}")
     spec = ConjugationSpec(args.c, rotation(args.rotation))
     obj = PolyModulusObjective(poly)
-    z0 = _parse_pair(args.z0, "--z0")
+    z0 = _numbers(args.z0, "--z0", 2)
     deviation = check_invariance(obj, spec, z0, cfg, args.steps)
     print(f"c={_fmt(args.c)}", file=out)
     print(f"rotation={_fmt(args.rotation)}", file=out)
@@ -273,11 +229,6 @@ def _cmd_invariance(args, out) -> int:
 
 def _cmd_rrn(args, out) -> int:
     poly = _parse_poly(args)
-    _relaxation(args)
-    if args.trials < 1:
-        raise UsageError(f"--trials must be positive, got {args.trials}")
-    if args.max_iter < 1:
-        raise UsageError(f"--max-iter must be positive, got {args.max_iter}")
     report = run_rrn_experiment(poly, args.rho, args.trials, args.max_iter, args.seed)
     print(f"rho={_fmt(args.rho)}", file=out)
     print(f"trials={report.trials}", file=out)
@@ -301,17 +252,14 @@ def run_command(argv, out=None, err=None) -> int:
     """Parse and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    # every ValueError is a rejected input; a BnqnError or OSError is a failed run
     try:
         args = _shared_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    try:
         return _COMMANDS[args.command](args, out)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except (BnqnError, ValueError, OSError) as exc:
+    except (BnqnError, OSError) as exc:
         print(f"failure: {exc}", file=err)
         return 2
 

@@ -14,6 +14,7 @@ from .errors import DerivativeVanishes, NoConvergence, PoleHit
 from .linalg import hypot
 
 __all__ = [
+    "DEFAULT_RHO",
     "Polynomial",
     "RelaxationDisk",
     "all_roots",
@@ -107,6 +108,9 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+DEFAULT_RHO = 0.7  # relaxation disk radius wherever none is given
 
 
 @dataclass(frozen=True)

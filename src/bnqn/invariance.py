@@ -33,8 +33,16 @@ __all__ = [
 _ORTHO_TOL = 1e-12
 
 
+def _check_scale(c: float) -> None:
+    # not 0 < c < inf also rejects NaN
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
+
+
 def rotation(angle: float) -> np.ndarray:
     """2x2 rotation by ``angle`` radians."""
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
 
@@ -73,8 +81,7 @@ class ConjugationSpec:
         r = np.array(self.rotation, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("rotation must be a square matrix")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        _check_scale(self.c)
         residual = float(np.linalg.norm(r @ r.T - np.eye(r.shape[0])))
         if residual > _ORTHO_TOL:
             raise ValueError(f"matrix is not orthogonal (residual {residual:.3e})")
@@ -126,8 +133,7 @@ class ConjugatedObjective(ObjectiveFunction):
 
 def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
     """Rescale parameters for conjugation by c*R: shifts by c^(2-tau), theta by c."""
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _check_scale(c)
     factor = c ** (2.0 - cfg.tau)
     return replace(
         cfg,
@@ -160,6 +166,8 @@ def check_invariance(
     over the common prefix (the runs may stop at different indices because
     the gradient-norm stopping test scales with c).
     """
+    if n < 1:
+        raise ValueError(f"step count n must be positive, got {n}")
     z0 = np.asarray(z0, dtype=float)
     capped = replace(cfg, max_iter=min(cfg.max_iter, n))
     a_inv = spec.inverse

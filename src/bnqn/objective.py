@@ -24,6 +24,7 @@ from .linalg import SymmetricMatrix, hypot
 
 __all__ = [
     "BilinearTestObjective",
+    "CLASS_TOL",
     "DIVERGED",
     "LimitClass",
     "ObjectiveFunction",
@@ -34,6 +35,13 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-12  # residual tolerance handed to all_roots for classification
+CLASS_TOL = 1e-6  # terminal classification radius wherever none is given
+
+
+def _check_class_tol(tol: float) -> None:
+    # not x >= 0 also rejects NaN, with which no point could ever classify
+    if not tol >= 0:
+        raise ValueError(f"class_tol must be nonnegative, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +250,7 @@ def _nearest_many(candidates, x, y):
     return best_index, best_dist
 
 
-def classify_limit(obj: PolyModulusObjective, point, tol: float = 1e-6) -> LimitClass:
+def classify_limit(obj: PolyModulusObjective, point, tol: float = CLASS_TOL) -> LimitClass:
     """Classify the terminal point of a converged run.
 
     Root wins over CriticalNonRoot when both are within tol (a multiple root

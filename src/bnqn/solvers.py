@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexpoly import RelaxationDisk, newton_map_1d, relaxed_newton_map, sample_relaxed_alpha
+from .complexpoly import DEFAULT_RHO, RelaxationDisk, newton_map_1d, relaxed_newton_map, sample_relaxed_alpha
 from .errors import BnqnError, LineSearchUnderflow, NoAdmissibleDelta, SingularMatrix
 from .linalg import SymmetricMatrix, hypot, minsp, reflected_direction
-from .objective import UNDECIDED, LimitClass, ObjectiveFunction, PolyModulusObjective
+from .objective import CLASS_TOL, UNDECIDED, LimitClass, ObjectiveFunction, PolyModulusObjective, _check_class_tol
 
 __all__ = [
     "IterationTrace",
@@ -273,7 +273,7 @@ def run(
     *,
     rng=None,
     relaxation: RelaxationDisk | None = None,
-    class_tol: float = 1e-6,
+    class_tol: float = CLASS_TOL,
 ) -> IterationTrace:
     """Iterate ``method`` from ``z0`` until convergence, divergence, or the cap.
 
@@ -287,6 +287,7 @@ def run(
     relaxation factor per step from ``rng`` (``default_rng(cfg.seed)`` when
     not given).
     """
+    _check_class_tol(class_tol)
     if cfg is None:
         cfg = SolverConfig()
     method = Method(method)
@@ -301,7 +302,7 @@ def run(
             raise TypeError("the one-variable methods need a PolyModulusObjective")
         if len(z) != 2:
             raise ValueError("the one-variable methods iterate in the complex plane")
-    disk = relaxation if relaxation is not None else RelaxationDisk(0.7)
+    disk = relaxation if relaxation is not None else RelaxationDisk(DEFAULT_RHO)
     if rng is None and method is Method.RANDOM_RELAXED_NEWTON_1D:
         rng = np.random.default_rng(cfg.seed)
 

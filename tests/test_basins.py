@@ -7,6 +7,7 @@ import pytest
 
 import support
 
+from bnqn import lockstep
 from bnqn.basins import (
     CRITICAL_COLOR,
     ROOT_COLORS,
@@ -259,6 +260,17 @@ def test_cell_rng_streams_differ_across_seeds_and_cells():
             got = [int(v[n]) for v in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)]
             assert (got[0] << 64 | got[1], got[2] << 64 | got[3]) == (want["state"], want["inc"]), (seed, n)
     assert cell_states(0, 1, 2)[1].tolist() != cell_states(1, 1, 1)[0].tolist()
+
+
+@pytest.mark.parametrize("class_tol", [math.nan, -1.0])
+def test_render_basin_rejects_a_bad_class_tol_before_the_sweep(monkeypatch, class_tol):
+    # with NaN no cell could classify: every converged cell would be Undecided
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(lockstep, "iterate", no_sweep)
+    with pytest.raises(ValueError, match="class_tol"):
+        render_basin(Z3M1, GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3), Method.BNQN_NEW_VARIANT, class_tol=class_tol)
 
 
 def test_render_basin_per_point_failures_recorded_not_raised():

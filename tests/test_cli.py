@@ -136,11 +136,48 @@ def test_rrn_experiment_function_deterministic():
     assert one.converged_fraction == two.converged_fraction
 
 
-def test_rrn_negative_seed_is_runtime_failure():
+def test_rrn_negative_seed_is_usage_error():
     code, out, err = invoke(["rrn", "--trials", "5", "--seed", "-1"])
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert err == "failure: expected non-negative integer\n"
+    assert err == "error: expected non-negative integer\n"
+
+
+_WRITES = {
+    "solve": ["--trace", "t.csv"],
+    "basin": ["--res", "3,3", "--out", "b.ppm", "--csv", "b.csv"],
+    "invariance": [],
+    "rrn": ["--trials", "5"],
+}
+REJECTED_INPUTS = [
+    ["solve", "--z0", "inf,0"],
+    ["solve", "--z0", "nan,0"],
+    *([command, "--poly", poly] for command in _WRITES for poly in ("5", "0,0")),
+    ["rrn", "--seed", "-1"],
+    ["basin", "--method", "rrn1d", "--seed", "-1"],
+    ["solve", "--method", "rrn1d", "--seed", "-1"],
+    *(["invariance", "--c", c] for c in ("0", "inf", "nan")),
+    ["invariance", "--rotation", "inf"],
+    ["invariance", "--steps", "0"],
+    ["rrn", "--trials", "0"],
+    ["rrn", "--max-iter", "0"],
+    ["solve", "--class-tol", "nan"],
+    ["basin", "--class-tol", "nan"],
+    ["invariance", "--seed", "3"],
+    ["invariance", "--class-tol", "1e-6"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_INPUTS, ids=" ".join)
+def test_rejected_inputs_exit_one_and_write_nothing(tmp_path, monkeypatch, argv):
+    # every ValueError is a rejected input, whichever layer raises it; only
+    # a failed run (BnqnError, OSError) exits 2
+    monkeypatch.chdir(tmp_path)
+    # the file flags go first, so that the input under test wins
+    code, out, err = invoke([argv[0], *_WRITES[argv[0]], *argv[1:]])
+    assert code == 1 and out == "", (argv, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert list(tmp_path.iterdir()) == []
 
 
 Z40M1 = ",".join(["-1"] + ["0"] * 39 + ["1"])

@@ -41,6 +41,24 @@ def test_transform_config_examples():
         transform_config(cfg, -2.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_scale_must_be_positive_and_finite(c):
+    for build in (lambda: ConjugationSpec(c, rotation(0.1)), lambda: transform_config(SolverConfig(), c)):
+        with pytest.raises(ValueError, match=f"c must be positive and finite, got {c}"):
+            build()
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rotation_angle_must_be_finite(angle):
+    with pytest.raises(ValueError, match=f"rotation angle must be finite, got {angle}"):
+        rotation(angle)
+
+
+def test_check_invariance_needs_a_step():
+    with pytest.raises(ValueError, match="step count"):
+        check_invariance(Z2M1, ConjugationSpec(2.0, rotation(0.7)), (0.4, 1.1), SolverConfig(), 0)
+
+
 def test_conjugation_spec_validation():
     spec = ConjugationSpec(2.0, rotation(0.7))
     assert np.allclose(spec.matrix @ spec.inverse, np.eye(2), atol=1e-14)

@@ -70,6 +70,12 @@ def test_config_validation(kwargs):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("class_tol", [-1.0, math.nan])
+def test_run_rejects_a_bad_class_tol(class_tol):
+    with pytest.raises(ValueError, match="class_tol must be nonnegative"):
+        run(Z2M1, (0.3, -1.7), BNQN, class_tol=class_tol)
+
+
 def test_random_deltas():
     ds = random_deltas(4, 11)
     assert ds == random_deltas(4, 11)
