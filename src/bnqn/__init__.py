@@ -9,7 +9,6 @@ renders basins of attraction.
 from .basins import BasinMap, GridSpec, degree2_reference, export_csv, export_ppm, render_basin, run_rrn_experiment
 from .complexpoly import (
     Polynomial,
-    RelaxationDisk,
     all_roots,
     bisector_newton_map,
     newton_map_1d,

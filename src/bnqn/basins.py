@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lockstep, streams
-from .complexpoly import DEFAULT_RHO, Polynomial, RelaxationDisk
+from .complexpoly import Polynomial
 from .objective import CLASS_TOL, LimitClass, PolyModulusObjective, _check_class_tol
 from .solvers import _ONE_DIM, Method, SolverConfig
 
@@ -149,7 +149,6 @@ def render_basin(
     cfg: SolverConfig | None = None,
     *,
     class_tol: float = CLASS_TOL,
-    rho: float = DEFAULT_RHO,
 ) -> BasinMap:
     """Run the method from every grid point and classify the outcomes.
 
@@ -157,7 +156,8 @@ def render_basin(
     (``bnqn.lockstep``), which reproduces the scalar ``run`` bit for bit.
 
     Deterministic given cfg.seed: the random relaxed variant seeds cell
-    (i, j) with ``default_rng((seed, i, j))``.
+    (i, j) with ``default_rng((seed, i, j))`` and draws its factors from the
+    disk |alpha - 1| <= cfg.rho.
     Per-point failures land as Undecided; the sweep never aborts.
     """
     _check_class_tol(class_tol)
@@ -167,19 +167,18 @@ def render_basin(
     obj = PolyModulusObjective(Polynomial(g.coeffs))
     x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
     y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
-    lanes = relaxation = None
+    lanes = None
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
-        relaxation = RelaxationDisk(rho)
         lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
-    labels, iterations, table = _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes, relaxation)
+    labels, iterations, table = _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes)
     shape = (grid.nx, grid.ny)
     return BasinMap(grid, table, labels.reshape(shape), iterations.reshape(shape))
 
 
-def _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes, relaxation):
+def _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes):
     """``(labels, iterations, table)``: each start run as a lockstep lane and
     labelled in ``classify_many``'s table as the scalar ``run`` classifies it."""
-    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=lanes, relaxation=relaxation)
+    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=lanes)
     # CAPPED and FAILED lanes end Undecided, table[0], after the steps they took
     labels = np.zeros(len(codes), dtype=np.intp)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)
@@ -203,16 +202,16 @@ class RrnReport:
         return sum(self.per_root_counts) / self.trials
 
 
-def _trial_labels(obj: PolyModulusObjective, disk: RelaxationDisk, cfg: SolverConfig, trials: int):
+def _trial_labels(obj: PolyModulusObjective, cfg: SolverConfig, trials: int):
     """``(labels, table)`` of the trials, as ``_lane_labels`` gives them.
 
     Trial t draws its start and its relaxation factors from the stream of
     ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
     would, and ends and classifies (at run's default ``class_tol``) as it does.
     """
-    lanes = streams.TrialStreams(streams.trial_states(cfg.seed, 0, trials))
+    lanes = streams.TrialStreams(streams.trial_states(cfg.seed, trials))
     x0, y0 = lanes.uniform(-3.0, 3.0, 2)
-    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, CLASS_TOL, lanes, disk)
+    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, CLASS_TOL, lanes)
     return labels, table
 
 
@@ -223,13 +222,14 @@ def run_rrn_experiment(p: Polynomial, rho: float, trials: int, max_iter: int, se
     Trials are independent (per-trial derived seeds) and run serially in
     lockstep; non-convergence is data, not an error.
     """
-    disk = RelaxationDisk(rho)  # validates 0.5 < rho < 1
+    cfg = SolverConfig(max_iter=max_iter, seed=seed, rho=rho)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    cfg = SolverConfig(max_iter=max_iter, seed=seed)
+    if trials > 2**32:  # trial t's stream index is one uint32 word
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
     obj = PolyModulusObjective(p)
     roots = obj.roots()
-    labels, _ = _trial_labels(obj, disk, cfg, trials)
+    labels, _ = _trial_labels(obj, cfg, trials)
     # the table holds Undecided, Diverged, then the roots in order
     counts = np.bincount(labels, minlength=2 + len(roots))[2:]
     return RrnReport(roots, tuple(counts.tolist()), trials)

@@ -17,7 +17,7 @@ import re
 import sys
 
 from .basins import GridSpec, export_csv, export_ppm, render_basin, run_rrn_experiment
-from .complexpoly import DEFAULT_RHO, Polynomial, RelaxationDisk, format_complex, parse_polynomial
+from .complexpoly import Polynomial, format_complex, parse_polynomial
 from .errors import BnqnError
 from .invariance import ConjugationSpec, check_invariance, rotation
 from .objective import CLASS_TOL, PolyModulusObjective
@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
         help="iteration method (default: %(default)s)",
     )
     solve.add_argument("--z0", default="0.5,0.5", help="initial point x,y (default: %(default)s)")
-    solve.add_argument("--rho", type=float, default=DEFAULT_RHO, help="relaxation disk radius for rrn1d (default: %(default)s)")
+    solve.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius for rrn1d (default: %(default)s)")
     solve.add_argument("--trace", default="", help="write the iteration trace CSV here (default: no trace)")
 
     basin = sub.add_parser("basin", help="classify a grid of initial points")
@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     )
     basin.add_argument("--window", default="-2,2,-2,2", help="x_min,x_max,y_min,y_max (default: %(default)s)")
     basin.add_argument("--res", default="400,400", help="nx,ny grid resolution (default: %(default)s)")
-    basin.add_argument("--rho", type=float, default=DEFAULT_RHO, help="relaxation disk radius for rrn1d (default: %(default)s)")
+    basin.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius for rrn1d (default: %(default)s)")
     basin.add_argument("--out", default="basin.ppm", help="PPM output path (default: %(default)s)")
     basin.add_argument("--csv", default="basin.csv", help="CSV output path (default: %(default)s)")
 
@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
 
     rrn = sub.add_parser("rrn", help="random relaxed Newton statistics")
     _add_poly_flags(rrn)
-    rrn.add_argument("--rho", type=float, default=DEFAULT_RHO, help="relaxation disk radius, in (0.5, 1) (default: %(default)s)")
+    rrn.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius, in (0.5, 1) (default: %(default)s)")
     rrn.add_argument("--trials", type=int, default=500, help="number of sampled initial points (default: %(default)s)")
     rrn.add_argument("--max-iter", type=int, default=2000, help="iteration cap per trial (default: %(default)s)")
     rrn.add_argument("--seed", type=int, default=7, help="experiment seed (default: %(default)s)")
@@ -167,13 +167,12 @@ def _parse_poly(args) -> Polynomial:
 
 def _cmd_solve(args, out) -> int:
     poly = _parse_poly(args)
-    cfg = _parse_config(args, seed=args.seed)
+    cfg = _parse_config(args, seed=args.seed, rho=args.rho)
     obj = PolyModulusObjective(poly)
     method = Method(args.method)
-    relaxation = RelaxationDisk(args.rho) if method is Method.RANDOM_RELAXED_NEWTON_1D else None
     z0 = _numbers(args.z0, "--z0", 2)
     # rrn1d draws from run's own default_rng(cfg.seed), and cfg.seed is --seed
-    trace = run(obj, z0, method, cfg, relaxation=relaxation, class_tol=args.class_tol)
+    trace = run(obj, z0, method, cfg, class_tol=args.class_tol)
     if args.trace:
         export_trace_csv(trace, args.trace)
     final = trace.final_point
@@ -195,10 +194,10 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_basin(args, out) -> int:
     poly = _parse_poly(args)
-    cfg = _parse_config(args, seed=args.seed)
+    cfg = _parse_config(args, seed=args.seed, rho=args.rho)
     method = Method(args.method)
     grid = GridSpec(*_numbers(args.window, "--window", 4), *_numbers(args.res, "--res", 2, int))
-    basin_map = render_basin(poly, grid, method, cfg, class_tol=args.class_tol, rho=args.rho)
+    basin_map = render_basin(poly, grid, method, cfg, class_tol=args.class_tol)
     export_ppm(basin_map, args.out)
     export_csv(basin_map, args.csv)
     print(f"method={method.value}", file=out)

@@ -8,15 +8,12 @@ e.g. ``-1,0,1`` for z^2 - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DerivativeVanishes, NoConvergence, PoleHit
 from .linalg import hypot
 
 __all__ = [
-    "DEFAULT_RHO",
     "Polynomial",
-    "RelaxationDisk",
     "all_roots",
     "bisector_newton_map",
     "format_complex",
@@ -110,20 +107,6 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-DEFAULT_RHO = 0.7  # relaxation disk radius wherever none is given
-
-
-@dataclass(frozen=True)
-class RelaxationDisk:
-    """Disk |alpha - 1| <= rho from which relaxed-Newton factors are drawn."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not 0.5 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0.5, 1), got {self.rho}")
-
-
 def pole_scale(abs_z: float, degree: int) -> float:
     """|p'(z)| below which a Newton step at z counts as hitting a pole.
 
@@ -159,17 +142,16 @@ def relaxed_newton_map(p: Polynomial, z, alpha) -> complex:
     return z - complex(alpha) * (p(z) / dpz)
 
 
-def sample_relaxed_alpha(disk: RelaxationDisk, rng) -> complex:
+def sample_relaxed_alpha(rho: float, rng) -> complex:
     """Draw alpha uniformly (area measure) from |alpha - 1| <= rho.
 
     Rejection sampling from the bounding square; deterministic for a fixed
     ``numpy.random.Generator``.
     """
-    r = disk.rho
-    rr = r * r
+    rr = rho * rho
     while True:
-        u = rng.uniform(-r, r)
-        v = rng.uniform(-r, r)
+        u = rng.uniform(-rho, rho)
+        v = rng.uniform(-rho, rho)
         if u * u + v * v <= rr:
             return complex(1.0 + u, v)
 

@@ -1,9 +1,10 @@
 """Executable checks of how the methods behave under linear conjugation.
 
 BNQN commutes with coordinate changes A = c*R (R orthogonal, c > 0) once its
-parameters are rescaled (shifts by c^(2-tau), theta by c); Newton's method
-commutes with every invertible A.  The shear example shows the restriction
-on A is real: already the first BNQN direction fails to transform.
+parameters are rescaled (shifts by c^(2-tau), theta and grad_tol by c);
+Newton's method commutes with every invertible A.  The shear example shows
+the restriction on A is real: already the first BNQN direction fails to
+transform.
 """
 
 from __future__ import annotations
@@ -132,19 +133,22 @@ class ConjugatedObjective(ObjectiveFunction):
 
 
 def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
-    """Rescale parameters for conjugation by c*R: shifts by c^(2-tau), theta by c."""
+    """Rescale parameters for conjugation by c*R: shifts by c^(2-tau), theta
+    by c, and grad_tol by c, since |grad G| = c |grad F| for G(z) = F(cRz)."""
     _check_scale(c)
     factor = c ** (2.0 - cfg.tau)
     return replace(
         cfg,
         deltas=tuple(d * factor for d in cfg.deltas),
         theta=cfg.theta * c,
+        grad_tol=cfg.grad_tol * c,
     )
 
 
 def _max_deviation(base_trace, mapped_trace, a_inv) -> float:
-    """max_k |z'_k - A^-1 z_k| / (1 + |z_k|) over the common prefix of the
-    base run's points z_k and the mapped run's points z'_k."""
+    """max_k |z'_k - A^-1 z_k| / (1 + |z_k|) over the base run's points z_k
+    and the mapped run's points z'_k, up to the shorter run's end; the two
+    BNQN runs of ``check_invariance`` stop together."""
     deviation = 0.0
     for p, q in zip(base_trace.points, mapped_trace.points):
         d = float(np.linalg.norm(q - a_inv @ p)) / (1.0 + float(np.linalg.norm(p)))
@@ -163,8 +167,8 @@ def check_invariance(
 
         max_k |z'_k - A^-1 z_k| / (1 + |z_k|)
 
-    over the common prefix (the runs may stop at different indices because
-    the gradient-norm stopping test scales with c).
+    over every step: the two runs stop together, because ``transform_config``
+    scales ``grad_tol``, and with it the gradient-norm stopping test, by c.
     """
     if n < 1:
         raise ValueError(f"step count n must be positive, got {n}")

@@ -56,7 +56,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .complexpoly import _POLE_TOL, RelaxationDisk, pole_scale
+from .complexpoly import _POLE_TOL, pole_scale
 from .linalg import _eig2_system, _eig2_values, hypot
 from .objective import PolyModulusObjective
 from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig
@@ -463,7 +463,6 @@ def iterate(
     y0,
     *,
     streams: TrialStreams | None = None,
-    relaxation: RelaxationDisk | None = None,
 ):
     """Run ``method`` from every start (x0[i], y0[i]) in lockstep.
 
@@ -473,15 +472,16 @@ def iterate(
     with at most ``_TAIL_LANES`` of them.
 
     Random relaxed Newton needs ``streams``, one per lane, in the state
-    ``run``'s generator would be in, and the ``relaxation`` disk; its lanes
-    run in blocks of ``streams.lane_blocks``.
+    ``run``'s generator would be in, and draws its factors from the disk
+    |alpha - 1| <= cfg.rho; its lanes run in blocks of
+    ``streams.lane_blocks``.
     """
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     if method is not Method.RANDOM_RELAXED_NEWTON_1D:
         return _sweep(obj, method, cfg, x0, y0)
     blocks = []
     for first, stop in lane_blocks(len(x0)):
-        draws = _RelaxationDraws(streams, relaxation, first, stop)
+        draws = _RelaxationDraws(streams, cfg.rho, first, stop)
         blocks.append(_sweep(obj, method, cfg, x0[first:stop], y0[first:stop], draws))
     return tuple(np.concatenate(v) for v in zip(*blocks))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexpoly import DEFAULT_RHO, RelaxationDisk, newton_map_1d, relaxed_newton_map, sample_relaxed_alpha
+from .complexpoly import newton_map_1d, relaxed_newton_map, sample_relaxed_alpha
 from .errors import BnqnError, LineSearchUnderflow, NoAdmissibleDelta, SingularMatrix
 from .linalg import SymmetricMatrix, hypot, minsp, reflected_direction
 from .objective import CLASS_TOL, UNDECIDED, LimitClass, ObjectiveFunction, PolyModulusObjective, _check_class_tol
@@ -62,6 +62,9 @@ class SolverConfig:
     ``deltas`` are the candidate Hessian shifts (pairwise distinct; supply
     m+1 of them for an m-dimensional objective so admissibility is
     guaranteed).  ``kappa`` is derived: half the minimal gap between shifts.
+    ``seed`` and ``rho``, the radius of the disk |alpha - 1| <= rho from
+    which random relaxed Newton draws its factors, are read by rrn1d alone
+    but checked for every method.
     """
 
     deltas: tuple[float, ...] = (0.0, 1.0, -1.0)
@@ -71,6 +74,7 @@ class SolverConfig:
     grad_tol: float = 1e-10
     max_iter: int = 10000
     seed: int = 0
+    rho: float = 0.7
     kappa: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -94,6 +98,10 @@ class SolverConfig:
             raise ValueError("grad_tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if not self.seed >= 0:  # numpy's SeedSequence message
+            raise ValueError("expected non-negative integer")
+        if not 0.5 < self.rho < 1.0:
+            raise ValueError(f"rho must lie in (0.5, 1), got {self.rho}")
         object.__setattr__(self, "kappa", 0.5 * gap)
 
 
@@ -198,21 +206,21 @@ def _armijo(f, z, w_hat, grad, cfg: SolverConfig):
             )
 
 
-# Every step takes (f, z, grad, grad_norm, hess, cfg, disk, rng) and returns
+# Every step takes (f, z, grad, grad_norm, hess, cfg, rng) and returns
 # (z_next, gamma, delta_index); hess is None for the methods that need none,
-# and disk and rng are read by rrn1d alone.
+# and rng is read by rrn1d alone.
 
-def _bnqn_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+def _bnqn_step(f, z, grad, grad_norm, hess, cfg, rng):
     j, shifted = select_delta(hess, grad_norm, cfg)
     w = reflected_direction(shifted, grad)
     return *_armijo(f, z, w / max(1.0, cfg.theta * _norm(w)), grad, cfg), j
 
 
-def _btgd_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+def _btgd_step(f, z, grad, grad_norm, hess, cfg, rng):
     return *_armijo(f, z, grad / max(1.0, cfg.theta * grad_norm), grad, cfg), -1
 
 
-def _nqn_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+def _nqn_step(f, z, grad, grad_norm, hess, cfg, rng):
     """Full reflected step, no line search, on the first shift that leaves
     the Hessian finite with a determinant other than 0.0."""
     scale = grad_norm**cfg.tau
@@ -232,7 +240,7 @@ def _determinant(matrix: SymmetricMatrix) -> float:
     return float(np.linalg.det(matrix.full()))
 
 
-def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, rng):
     """Classical Newton optimization step z - H^-1 grad."""
     if not all(map(math.isfinite, hess.upper)):
         raise SingularMatrix(f"Hessian has a non-finite entry at {z}")
@@ -243,13 +251,13 @@ def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
     return z - step, 1.0, -1
 
 
-def _newton_1d_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
+def _newton_1d_step(f, z, grad, grad_norm, hess, cfg, rng):
     w = newton_map_1d(f.g, complex(z[0], z[1]))
     return np.array([w.real, w.imag]), 1.0, -1
 
 
-def _relaxed_newton_1d_step(f, z, grad, grad_norm, hess, cfg, disk, rng):
-    w = relaxed_newton_map(f.g, complex(z[0], z[1]), sample_relaxed_alpha(disk, rng))
+def _relaxed_newton_1d_step(f, z, grad, grad_norm, hess, cfg, rng):
+    w = relaxed_newton_map(f.g, complex(z[0], z[1]), sample_relaxed_alpha(cfg.rho, rng))
     return np.array([w.real, w.imag]), 1.0, -1
 
 
@@ -272,7 +280,6 @@ def run(
     cfg: SolverConfig | None = None,
     *,
     rng=None,
-    relaxation: RelaxationDisk | None = None,
     class_tol: float = CLASS_TOL,
 ) -> IterationTrace:
     """Iterate ``method`` from ``z0`` until convergence, divergence, or the cap.
@@ -284,8 +291,8 @@ def run(
 
     The one-complex-variable methods need a polynomial-modulus objective and
     iterate its polynomial directly; the random relaxed variant draws a fresh
-    relaxation factor per step from ``rng`` (``default_rng(cfg.seed)`` when
-    not given).
+    relaxation factor per step from the disk |alpha - 1| <= cfg.rho, with
+    ``rng`` (``default_rng(cfg.seed)`` when not given).
     """
     _check_class_tol(class_tol)
     if cfg is None:
@@ -302,7 +309,6 @@ def run(
             raise TypeError("the one-variable methods need a PolyModulusObjective")
         if len(z) != 2:
             raise ValueError("the one-variable methods iterate in the complex plane")
-    disk = relaxation if relaxation is not None else RelaxationDisk(DEFAULT_RHO)
     if rng is None and method is Method.RANDOM_RELAXED_NEWTON_1D:
         rng = np.random.default_rng(cfg.seed)
 
@@ -331,7 +337,7 @@ def run(
             hit_cap = True
             break
         try:
-            z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, disk, rng)
+            z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, rng)
         except BnqnError as exc:
             failure = f"{type(exc).__name__}: {exc}"
             break

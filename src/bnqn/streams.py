@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-from .complexpoly import RelaxationDisk
-
 __all__ = ["TrialStreams", "cell_states", "lane_blocks", "trial_states"]
 
 # Relaxation draws per lane and refill: 64 (u, v) pairs, 1 KB, hold about 50
@@ -110,24 +108,14 @@ def _pcg64_states(seed: int, index_words):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])], axis=1)
 
 
-def trial_states(seed: int, first: int, stop: int):
+def trial_states(seed: int, n: int):
     """``SeedSequence((seed, t)).generate_state(4, uint64)`` for t in
-    ``range(first, stop)``, as one row per trial.
+    ``range(n)``, as one row per trial.
 
-    The entropy of trial t is the words of seed followed by the words of t,
-    so the block is hashed in runs split where t gains a word (at 2**32,
-    2**64, ...).
+    The entropy of trial t is the words of seed followed by t, one word for
+    every n up to 2**32.
     """
-    states = np.empty((stop - first, 4), dtype=np.uint64)
-    lo = first
-    while lo < stop:
-        t_words = len(_words(lo))
-        hi = min(stop, 1 << 32 * t_words)
-        t = np.arange(lo, hi, dtype=np.uint64 if hi <= 1 << 64 else object)
-        words = [((t >> s) & _MASK32).astype(np.uint32) for s in range(0, 32 * t_words, 32)]
-        states[lo - first : hi - first] = _pcg64_states(seed, words)
-        lo = hi
-    return states
+    return _pcg64_states(seed, [np.arange(n, dtype=np.uint32)])
 
 
 def cell_states(seed: int, nx: int, ny: int):
@@ -262,19 +250,20 @@ class TrialStreams:
 class _RelaxationDraws:
     """Relaxation factors per lane, each lane drawing from its own stream.
 
-    ``sample_relaxed_alpha`` draws (u, v) pairs by ``uniform(-rho, rho)``
-    until u*u + v*v <= rho*rho.  A lane here draws ``_ALPHA_PAIRS`` pairs at
+    ``sample_relaxed_alpha(rho, rng)`` draws (u, v) pairs by
+    ``uniform(-rho, rho)`` until u*u + v*v <= rho*rho, for the ``rho`` of the
+    run's ``SolverConfig``.  A lane here draws ``_ALPHA_PAIRS`` pairs at
     once, which consumes the same doubles in the same order, keeps the
     accepted ones in order, and draws the next block when it has used them.
     Lane k here is lane ``first + k`` of ``streams``, for k below
     ``stop - first``.
     """
 
-    def __init__(self, streams: TrialStreams, disk: RelaxationDisk, first: int, stop: int):
+    def __init__(self, streams: TrialStreams, rho: float, first: int, stop: int):
         n = stop - first
         self.streams = streams
         self.first = first
-        self.rho = disk.rho
+        self.rho = rho
         self.re = np.empty((_ALPHA_PAIRS, n))  # factor i of lane j at [i, j]
         self.im = np.empty((_ALPHA_PAIRS, n))
         self.accepted = np.zeros(n, dtype=int)  # factors held, in re[:accepted, lane]

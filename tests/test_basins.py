@@ -238,13 +238,13 @@ def test_render_basin_newton_1d_three_roots():
 
 def test_render_basin_deterministic_across_runs_and_seeds():
     grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 8, 8)
-    cfg = SolverConfig(max_iter=2000, seed=21)
-    one = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg, rho=0.7)
-    two = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg, rho=0.7)
+    cfg = SolverConfig(max_iter=2000, seed=21, rho=0.7)
+    one = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg)
+    two = render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg)
     assert one.classes == two.classes
     assert np.array_equal(one.iterations, two.iterations)
     other_seed = render_basin(
-        Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, SolverConfig(max_iter=2000, seed=22), rho=0.7
+        Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, SolverConfig(max_iter=2000, seed=22, rho=0.7)
     )
     assert other_seed.iterations.tolist() != one.iterations.tolist()
 

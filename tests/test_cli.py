@@ -104,8 +104,8 @@ def test_invariance_command():
 
 
 def test_rrn_rho_out_of_range_is_usage_error(tmp_path):
-    # every command checks rho by building a RelaxationDisk, so the range
-    # and its message are written down once
+    # every command checks rho in SolverConfig, so the range and its message
+    # are written down once
     files = ["--out", str(tmp_path / "b.ppm"), "--csv", str(tmp_path / "b.csv")]
     for argv in (["rrn"], ["solve", "--method", "rrn1d"], ["basin", "--method", "rrn1d", *files]):
         for bad in ("0.49", "0.5", "1.0", "1.99", "nan"):
@@ -156,11 +156,17 @@ REJECTED_INPUTS = [
     ["rrn", "--seed", "-1"],
     ["basin", "--method", "rrn1d", "--seed", "-1"],
     ["solve", "--method", "rrn1d", "--seed", "-1"],
+    # rho and the seed are checked for every method, though only rrn1d reads them
+    ["solve", "--rho", "5"],
+    ["basin", "--method", "btgd", "--rho", "0.3"],
+    ["solve", "--seed", "-1"],
+    ["basin", "--seed", "-1"],
     *(["invariance", "--c", c] for c in ("0", "inf", "nan")),
     ["invariance", "--rotation", "inf"],
     ["invariance", "--steps", "0"],
     ["rrn", "--trials", "0"],
     ["rrn", "--max-iter", "0"],
+    ["rrn", "--trials", "4294967297"],
     ["solve", "--class-tol", "nan"],
     ["basin", "--class-tol", "nan"],
     ["invariance", "--seed", "3"],

@@ -5,7 +5,6 @@ import pytest
 
 from bnqn.complexpoly import (
     Polynomial,
-    RelaxationDisk,
     all_roots,
     bisector_newton_map,
     format_complex,
@@ -18,6 +17,7 @@ from bnqn.complexpoly import (
     schroder_conjugacy_defect,
 )
 from bnqn.errors import DerivativeVanishes, NoConvergence, PoleHit
+from bnqn.solvers import SolverConfig
 
 Z2M1 = Polynomial([-1, 0, 1])  # z^2 - 1
 Z2 = Polynomial([0, 0, 1])
@@ -138,29 +138,29 @@ def test_newton_scaling_invariance():
 
 
 def test_relaxation_disk_validation():
-    RelaxationDisk(0.7)
-    for bad in (0.5, 1.0, 0.2, 1.3):
+    SolverConfig(rho=0.7)
+    for bad in (0.5, 1.0, 0.2, 1.3, math.nan):
         with pytest.raises(ValueError):
-            RelaxationDisk(bad)
+            SolverConfig(rho=bad)
 
 
 def test_sampler_membership_and_determinism():
-    disk = RelaxationDisk(0.7)
-    draws = [sample_relaxed_alpha(disk, np.random.default_rng(5)) for _ in range(10)]
+    rho = 0.7
+    draws = [sample_relaxed_alpha(rho, np.random.default_rng(5)) for _ in range(10)]
     assert all(d == draws[0] for d in draws)  # fixed seed, fixed draw
     rng = np.random.default_rng(5)
     for _ in range(2000):
-        d = sample_relaxed_alpha(disk, rng)
+        d = sample_relaxed_alpha(rho, rng)
         assert abs(d - 1.0) <= 0.7
 
 
 def test_sampler_statistics():
     # Monte-Carlo oracles: a uniform disk has its centroid at the center and
     # the concentric half-area disk holds half the mass.
-    disk = RelaxationDisk(0.7)
+    rho = 0.7
     rng = np.random.default_rng(123)
     n = 100_000
-    draws = [sample_relaxed_alpha(disk, rng) for _ in range(n)]
+    draws = [sample_relaxed_alpha(rho, rng) for _ in range(n)]
     mean = sum(draws) / n
     se = (0.7 / 2.0) / math.sqrt(n)  # per-coordinate std of a uniform disk is rho/2
     assert abs(mean - 1.0) <= 3.0 * se * math.sqrt(2.0)

@@ -16,7 +16,7 @@ from bnqn.invariance import (
     transform_config,
 )
 from bnqn.objective import BilinearTestObjective, PolyModulusObjective
-from bnqn.solvers import SolverConfig
+from bnqn.solvers import Method, SolverConfig, run
 from support import fd_gradient, fd_hessian, rel_err
 
 Z2M1 = PolyModulusObjective(Polynomial([-1, 0, 1]))
@@ -147,6 +147,25 @@ def test_check_invariance_random_tuples():
         dev = check_invariance(obj, spec, z0, SolverConfig(tau=tau, theta=theta), 100)
         worst = max(worst, dev)
     assert worst <= 1e-7
+
+
+@pytest.mark.parametrize("c", [1e-3, 2.0, 1e3, 1e6])
+def test_conjugated_run_stops_with_the_base_run(c):
+    # |grad G| = c |grad F| for G(z) = F(cRz), so transform_config scales
+    # grad_tol by c, and the two runs stop at the same step
+    rng = np.random.default_rng(23)
+    for obj in (Z2M1, Z3M1):
+        for theta in (0.0, 1.0):
+            for tau in (0.5, 1.0):
+                cfg = SolverConfig(tau=tau, theta=theta)
+                mapped_cfg = transform_config(cfg, c)
+                assert mapped_cfg.grad_tol == cfg.grad_tol * c
+                spec = ConjugationSpec(c, random_orthogonal(2, rng))
+                z0 = rng.uniform(-2.0, 2.0, 2)
+                base = run(obj, z0, Method.BNQN_NEW_VARIANT, cfg)
+                conjugated = ConjugatedObjective(obj, spec.matrix)
+                mapped = run(conjugated, spec.inverse @ z0, Method.BNQN_NEW_VARIANT, mapped_cfg)
+                assert mapped.iterations == base.iterations, (theta, tau, z0)
 
 
 def test_newton_conjugacy_examples():

@@ -18,13 +18,14 @@ pole test.  The random streams themselves are checked in ``test_streams.py``.
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bnqn import basins, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
-from bnqn.complexpoly import Polynomial, RelaxationDisk, _check_derivative, pole_scale
+from bnqn.complexpoly import Polynomial, _check_derivative, pole_scale
 from bnqn.errors import BnqnError, DerivativeVanishes, NoAdmissibleDelta, NoConvergence, SingularMatrix
 from bnqn.linalg import SymmetricMatrix, _eig2_system, _eig2_values, minsp, reflected_direction
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
@@ -348,7 +349,7 @@ def test_full_step_directions_fail_where_the_scalar_step_raises(cfg):
         for method, (wx, wy, failed) in got.items():
             try:
                 with np.errstate(all="ignore"):
-                    want = _STEPS[method][1](None, z, grad, float(gn[n]), hess, cfg, None, None)[0]
+                    want = _STEPS[method][1](None, z, grad, float(gn[n]), hess, cfg, None)[0]
             except BnqnError as exc:
                 failures.add((method, type(exc).__name__, finite))
                 assert failed[n], (method, lane)
@@ -551,12 +552,12 @@ RRN_CASES = {
 }
 
 
-def _scalar_rrn(obj, disk, cfg, t, z0=None):
+def _scalar_rrn(obj, cfg, t, z0=None):
     """Trial t as the scalar loop runs it: the trace, its start and root index."""
     rng = np.random.default_rng((cfg.seed, t))
     if z0 is None:
         z0 = rng.uniform(-3.0, 3.0, 2)
-    trace = run(obj, z0, RRN, cfg, rng=rng, relaxation=disk)
+    trace = run(obj, z0, RRN, cfg, rng=rng)
     return trace, z0, trace.terminal.root_index if trace.terminal.is_root else -1
 
 
@@ -565,13 +566,13 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     poly, rho, cfg, trials = RRN_CASES[case]
     starts = None if isinstance(trials, int) else trials
     n = trials if starts is None else len(starts)
-    obj, disk = PolyModulusObjective(poly), RelaxationDisk(rho)
-    scalar = [_scalar_rrn(obj, disk, cfg, t, None if starts is None else starts[t]) for t in range(n)]
-    streams = TrialStreams(trial_states(cfg.seed, 0, n))
+    obj, cfg = PolyModulusObjective(poly), replace(cfg, rho=rho)
+    scalar = [_scalar_rrn(obj, cfg, t, None if starts is None else starts[t]) for t in range(n)]
+    streams = TrialStreams(trial_states(cfg.seed, n))
     if starts is None:
         streams.uniform(-3.0, 3.0, 2)  # the start comes first
     x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
-    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams, relaxation=disk)
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams)
     stopped = codes == lockstep.STOPPED
     labels, table = obj.classify_many(x[stopped], y[stopped], 1e-6, roots_only=True)
     roots = np.full(n, -1)
@@ -598,10 +599,10 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
     # one trial past full blocks: the last trial runs alone in the last block
     monkeypatch.setattr("bnqn.streams._BLOCK_LANES", lanes)
     trials = lanes + 1 if lanes > 10 else 3 * lanes + 1
-    cfg = SolverConfig(max_iter=40, seed=31)
-    obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(0.7)
-    labels, table = basins._trial_labels(obj, disk, cfg, trials)
-    scalar = [_scalar_rrn(obj, disk, cfg, t) for t in range(trials)]
+    cfg = SolverConfig(max_iter=40, seed=31, rho=0.7)
+    obj = PolyModulusObjective(Z3M1)
+    labels, table = basins._trial_labels(obj, cfg, trials)
+    scalar = [_scalar_rrn(obj, cfg, t) for t in range(trials)]
     assert [table[k] for k in labels] == [trace.terminal for trace, _, _ in scalar]
     got = [table[k].root_index if table[k].is_root else -1 for k in labels]
     want = [root for _, _, root in scalar]
@@ -612,11 +613,11 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
 
 
 @functools.cache
-def _cell_oracle(seed, grid, rho, cfg):
+def _cell_oracle(seed, grid, cfg):
     """Each cell's scalar trace, cell (i, j) on ``default_rng((seed, i, j))``."""
-    obj, disk = PolyModulusObjective(Z3M1), RelaxationDisk(rho)
+    obj = PolyModulusObjective(Z3M1)
     return {
-        (i, j): run(obj, grid.point(i, j), RRN, cfg, rng=np.random.default_rng((seed, i, j)), relaxation=disk)
+        (i, j): run(obj, grid.point(i, j), RRN, cfg, rng=np.random.default_rng((seed, i, j)))
         for i in range(grid.nx)
         for j in range(grid.ny)
     }
@@ -627,13 +628,13 @@ def test_relaxed_basin_cells_match_scalar_run(monkeypatch, lanes):
     # the grid is not square, so that swapped cell indices would show; with
     # 100-lane blocks the cells span nine blocks
     monkeypatch.setattr("bnqn.streams._BLOCK_LANES", lanes)
-    grid, cfg, rho = GridSpec(*SQUARE, 31, 27), SolverConfig(max_iter=300, seed=5), 0.7
+    grid, cfg = GridSpec(*SQUARE, 31, 27), SolverConfig(max_iter=300, seed=5, rho=0.7)
     obj = PolyModulusObjective(Z3M1)
-    traces = _cell_oracle(5, grid, rho, cfg)
+    traces = _cell_oracle(5, grid, cfg)
     x0, y0 = np.array(list(map(grid.point, *zip(*traces)))).T
     streams = TrialStreams(cell_states(5, grid.nx, grid.ny))
-    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams, relaxation=RelaxationDisk(rho))
-    basin = render_basin(Z3M1, grid, RRN, cfg, rho=rho)
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams)
+    basin = render_basin(Z3M1, grid, RRN, cfg)
     for n, ((i, j), want) in enumerate(traces.items()):
         fx, fy = want.final_point
         assert same_bits(x[n], fx) and same_bits(y[n], fy), (i, j)

@@ -56,6 +56,8 @@ def test_config_defaults_and_kappa():
         {"gamma0": 1.5},
         {"max_iter": 0},
         {"grad_tol": -1.0},
+        # read by rrn1d alone, but checked for every method
+        {"seed": -1},
         # NaN fails every comparison, so a test of the form x < 0 lets it in
         {"theta": math.nan},
         {"grad_tol": math.nan},
