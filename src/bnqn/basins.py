@@ -1,9 +1,12 @@
 """Basin-of-attraction sweeps: per-point runs over a grid, plus exports.
 
-Each grid point is an independent solver run.  Every method advances all
+Each grid point is an independent solver run.  Every method advances the
 points together in one serial pass of the lockstep kernel in
 ``bnqn.lockstep``, which ends each cell exactly where the scalar ``run``
-would, and the stopped cells are then classified in one numpy pass.
+would, and the stopped cells are then classified in one numpy pass.  For a
+g with real coefficients on a window symmetric about the real axis, the
+pass runs only the rows with y >= 0 and mirrors the others, since the
+kernel commutes exactly with y -> -y there.
 A map holds one integer label per cell, indexing a small table of classes,
 so the exports and the class counts work on arrays, not on one Python
 object per cell.  Output goes to binary PPM images (escape-time shaded)
@@ -152,8 +155,18 @@ def render_basin(
 ) -> BasinMap:
     """Run the method from every grid point and classify the outcomes.
 
-    All cells advance together in one serial lockstep pass
-    (``bnqn.lockstep``), which reproduces the scalar ``run`` bit for bit.
+    The cells advance together in one serial lockstep pass
+    (``bnqn.lockstep``), which reproduces the scalar ``run`` bit for bit, and
+    are then labelled in one ``classify_many`` pass.
+
+    Where every coefficient of g is real and the y samples are exact
+    negations of each other (a window with y_min = -y_max), F(x, -y) =
+    F(x, y) and every kernel operation commutes with y -> -y, so the pass
+    runs only the rows j >= ny // 2 (the y = 0 row of an odd grid once),
+    and row ny-1-j takes row j's end point with y negated, its steps and its
+    outcome.  Each end point is still classified on its own: a mirrored
+    limit may match a different root.  Random relaxed Newton always runs
+    every cell.
 
     Deterministic given cfg.seed: the random relaxed variant seeds cell
     (i, j) with ``default_rng((seed, i, j))`` and draws its factors from the
@@ -165,20 +178,33 @@ def render_basin(
         cfg = SolverConfig()
     method = Method(method)
     obj = PolyModulusObjective(Polynomial(g.coeffs))
-    x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
-    y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
+    xs = np.array([grid.x_coord(i) for i in range(grid.nx)])
+    ys = np.array([grid.y_coord(j) for j in range(grid.ny)])
     lanes = None
+    half = 0
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
+        # each cell draws from its own stream, so no two cells mirror
         lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
-    labels, iterations, table = _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes)
+    elif not any(c.imag for c in obj.g.coeffs) and np.array_equal(ys[::-1], -ys):
+        half = grid.ny // 2
+    ends = lockstep.iterate(
+        obj, method, cfg, np.repeat(xs, grid.ny - half), np.tile(ys[half:], grid.nx), streams=lanes
+    )
+    # the swept row that each grid row takes: row j < half mirrors row ny-1-j
+    rows = np.r_[grid.ny - 1 : grid.ny - 1 - half : -1, half : grid.ny] - half
+    x, y, steps, codes = (v.reshape(grid.nx, -1)[:, rows] for v in ends)
+    y[:, :half] = -y[:, :half]
+    ends = (v.ravel() for v in (x, y, steps, codes))
+    labels, iterations, table = _lane_labels(obj, method, cfg, *ends, class_tol)
     shape = (grid.nx, grid.ny)
     return BasinMap(grid, table, labels.reshape(shape), iterations.reshape(shape))
 
 
-def _lane_labels(obj, method, cfg, x0, y0, class_tol, lanes):
-    """``(labels, iterations, table)``: each start run as a lockstep lane and
-    labelled in ``classify_many``'s table as the scalar ``run`` classifies it."""
-    x, y, iterations, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=lanes)
+def _lane_labels(obj, method, cfg, x, y, iterations, codes, class_tol):
+    """``(labels, iterations, table)`` of lanes that ended as
+    ``lockstep.iterate`` returns them, at (x, y) after ``iterations`` steps
+    with outcome ``codes``, each labelled in ``classify_many``'s table as the
+    scalar ``run`` classifies it."""
     # CAPPED and FAILED lanes end Undecided, table[0], after the steps they took
     labels = np.zeros(len(codes), dtype=np.intp)
     stopped = np.flatnonzero(codes == lockstep.STOPPED)
@@ -211,7 +237,8 @@ def _trial_labels(obj: PolyModulusObjective, cfg: SolverConfig, trials: int):
     """
     lanes = streams.TrialStreams(streams.trial_states(cfg.seed, trials))
     x0, y0 = lanes.uniform(-3.0, 3.0, 2)
-    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, CLASS_TOL, lanes)
+    ends = lockstep.iterate(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=lanes)
+    labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, *ends, CLASS_TOL)
     return labels, table
 
 

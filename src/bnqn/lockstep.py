@@ -42,11 +42,13 @@ that loop's exact floating-point operations:
 Lanes stop when they converge or diverge (the caller classifies them), hit
 the cap, or fail the step (no admissible shift, a singular or non-finite
 Hessian, an Armijo underflow, or a vanishing derivative), exactly where the
-scalar loop would stop them.  Once at most ``_TAIL_LANES`` BNQN or GD lanes
-are left, a sweep costs more than stepping them one by one, so each is
-finished by ``_finish_lane``: the same step on Python floats and Python
-``complex``, which is the arithmetic the scalar loop does.  The other
-methods' lanes always stay in the sweep.
+scalar loop would stop them.  A Newton or relaxed lane whose point turns
+NaN ends CAPPED at once, at (NaN, NaN) after ``max_iter`` steps, which is
+where the scalar loop's remaining NaN steps take it.  Once at most
+``_TAIL_LANES`` BNQN or GD lanes are left, a sweep costs more than stepping
+them one by one, so each is finished by ``_finish_lane``: the same step on
+Python floats and Python ``complex``, which is the arithmetic the scalar
+loop does.  The other methods' lanes always stay in the sweep.
 """
 
 from __future__ import annotations
@@ -491,6 +493,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
     from ``draws``."""
     hessian = method in _HESSIAN
     armijo = method in _ARMIJO
+    newton = not (hessian or armijo)
     tail = _TAIL_LANES if armijo else 0
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
     radius = obj.divergence_radius
@@ -525,10 +528,20 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 retire(stop, STOPPED)
                 retire(~stop, CAPPED)
                 break
+            if newton:
+                # at a NaN point (|z| NaN) g and g' are NaN, no test passes on
+                # NaN and the step leads to (NaN, NaN), where run keeps the
+                # lane up to the cap
+                lost = np.isnan(zn)
+                stop |= lost
             # compact only in the sweeps where some lane stops
             gone = stop.nonzero()[0]
             if gone.size:
                 retire(gone, STOPPED)
+                if newton and lost.any():
+                    m = lane[lost]
+                    out_x[m] = out_y[m] = math.nan
+                    out_k[m], out_code[m] = cfg.max_iter, CAPPED
                 keep = (~stop).nonzero()[0]
                 x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
                     v[keep] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)

@@ -7,7 +7,7 @@ import pytest
 
 import support
 
-from bnqn import lockstep
+from bnqn import basins, lockstep
 from bnqn.basins import (
     CRITICAL_COLOR,
     ROOT_COLORS,
@@ -81,6 +81,19 @@ def test_grid_spec_samples_of_the_widest_windows_stay_in_the_window(n):
             assert xs == [-v for v in reversed(xs)]
             if n % 2:
                 assert xs[n // 2] == 0.0
+
+
+def test_grid_spec_rows_of_a_symmetric_window_are_exact_negations():
+    # render_basin mirrors row j into row ny-1-j on exactly this property; on
+    # the +-1.5e308 window the weighted sum overflows and the halved bounds
+    # are weighted instead
+    for h in (1.0, 2.0, 0.3, 5e7, 1.5e308):
+        for n in range(2, 41):
+            grid = GridSpec(-h, h, -h, h, n, n)
+            for j in range(n):
+                assert grid.y_coord(n - 1 - j) == -grid.y_coord(j), (h, n, j)
+        # a single sample sits at y_min, which is not its own negation
+        assert GridSpec(-h, h, -h, h, 1, 1).y_coord(0) == -h
 
 
 def test_grid_spec_samples_unchanged_where_the_weighted_sum_is_finite():
@@ -400,3 +413,91 @@ def test_render_basin_builds_no_class_per_cell(monkeypatch):
     assert calls["root"] == 3 and calls["critical"] >= 1
     assert max(calls.values()) <= len(basin.table)
     assert sum(basin.class_counts().values()) == 101 * 101
+
+
+HALF_SWEEP_METHODS = (
+    Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD, Method.NQN, Method.NEWTON_OPT, Method.NEWTON_1D,
+)
+# the default settings, and theta, tau and the shifts changed; a cap of 500
+# (the default is 10 000) still caps lanes, and keeps the newton1d cycles
+# and the btgd creeps toward critical points short
+HALF_SWEEP_CONFIGS = (
+    SolverConfig(max_iter=500),
+    SolverConfig(max_iter=500, theta=1.0, tau=0.7, deltas=(0.0, 0.5, -0.8)),
+)
+
+
+def _full_sweep(poly, grid, method, cfg, class_tol=1e-6):
+    """``render_basin``'s map with every cell run, through ``_lane_labels``."""
+    obj = PolyModulusObjective(poly)
+    x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
+    y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
+    ends = lockstep.iterate(obj, method, cfg, x0, y0)
+    labels, iterations, table = basins._lane_labels(obj, method, cfg, *ends, class_tol)
+    shape = (grid.nx, grid.ny)
+    return BasinMap(grid, table, labels.reshape(shape), iterations.reshape(shape))
+
+
+def _swept_lanes(monkeypatch):
+    """The lane count of each ``lockstep.iterate`` call, as a list that grows."""
+    swept = []
+    iterate = lockstep.iterate
+
+    def counted(obj, method, cfg, x0, y0, **kwargs):
+        swept.append(len(x0))
+        return iterate(obj, method, cfg, x0, y0, **kwargs)
+
+    monkeypatch.setattr(lockstep, "iterate", counted)
+    return swept
+
+
+def test_half_sweep_matches_the_full_sweep(monkeypatch):
+    # real g on windows symmetric about the real axis: render_basin runs the
+    # rows j >= ny // 2 and mirrors the rest, and must give the full sweep's
+    # map value for value
+    rng = np.random.default_rng(1905)
+    polys = [Polynomial(rng.normal(0.0, 1.0, int(d) + 1).tolist()) for d in rng.permutation(np.arange(2, 9))]
+    cases = []
+    for n, poly in enumerate(polys):
+        h = float(rng.uniform(0.5, 3.0))
+        x_min = -h * float(rng.uniform(0.5, 1.5))
+        for nx, ny in ((7, 9), (8, 6), (1, 11), (10, 1), [(9, 9), (6, 10)][n % 2]):
+            cases.append((poly, GridSpec(x_min, h, -h, h, nx, ny)))
+    z25m1 = Polynomial([-1] + [0] * 24 + [1])
+    cases += [(z25m1, GridSpec(-5e7, 5e7, -5e7, 5e7, 5, 5)), (z25m1, GridSpec(-5e7, 5e7, -5e7, 5e7, 4, 6))]
+    swept = _swept_lanes(monkeypatch)
+    outcomes = set()
+    for poly, grid in cases:
+        for method in HALF_SWEEP_METHODS:
+            for cfg in HALF_SWEEP_CONFIGS:
+                want = _full_sweep(poly, grid, method, cfg)
+                swept.clear()
+                got = render_basin(poly, grid, method, cfg)
+                assert swept == [grid.nx * (grid.ny - grid.ny // 2)], (poly.coeffs, grid, method)
+                assert [(c, c.point) for c in got.table] == [(c, c.point) for c in want.table]
+                assert np.array_equal(got.labels, want.labels), (poly.coeffs, grid, method, cfg)
+                assert np.array_equal(got.iterations, want.iterations), (poly.coeffs, grid, method, cfg)
+                assert got.class_counts() == want.class_counts()
+                outcomes.update(cls.kind for cls in np.array(got.table)[np.unique(got.labels)])
+    assert outcomes == {"Root", "CriticalNonRoot", "Diverged", "Undecided"}
+
+
+@pytest.mark.parametrize(
+    "poly, grid, method",
+    [
+        # complex coefficients: F is not symmetric about the real axis
+        (Polynomial([-1, 1j, 0, 1]), GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9), Method.BNQN_NEW_VARIANT),
+        (Polynomial([-1, 0, 1e-300j, 1]), GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 8), Method.NEWTON_1D),
+        # windows not symmetric about y = 0
+        (Z3M1, GridSpec(-2.0, 2.0, -2.0, 2.5, 9, 9), Method.BNQN_NEW_VARIANT),
+        (Z3M1, GridSpec(-2.0, 2.0, -2.0, math.nextafter(2.0, 3.0), 9, 8), Method.NEWTON_1D),
+        # each rrn1d cell draws from its own stream
+        (Z3M1, GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9), Method.RANDOM_RELAXED_NEWTON_1D),
+    ],
+    ids=["complex", "complex-tiny", "window", "window-ulp", "rrn1d"],
+)
+def test_render_basin_sweeps_every_cell_where_rows_do_not_mirror(monkeypatch, poly, grid, method):
+    swept = _swept_lanes(monkeypatch)
+    cfg = SolverConfig(max_iter=300, seed=4)
+    render_basin(poly, grid, method, cfg)
+    assert swept == [grid.nx * grid.ny]

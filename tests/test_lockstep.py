@@ -43,6 +43,7 @@ ONE_DIM = (NEWTON_1D, RRN)
 Z2M1 = Polynomial([-1, 0, 1])
 Z3M1 = Polynomial([-1, 0, 0, 1])
 Z25M1 = Polynomial([-1] + [0] * 24 + [1])
+Z40M1 = Polynomial([-1] + [0] * 39 + [1])
 SQUARE = (-2.0, 2.0, -2.0, 2.0)
 # three roots 1e-3 apart plus five spread ones, like the degree-8 benchmark input
 CLUSTER8 = Polynomial.from_roots(
@@ -97,6 +98,9 @@ CASES = {
     # with class_tol = 1e-5 the 10 negative-axis cells and the origin end
     # CriticalNonRoot at 0
     "z3m1-critical": (Z3M1, GridSpec(*SQUARE, 21, 21), BNQN, SolverConfig()),
+    # z^40-1 far out: g and g' overflow, the first step is inf/inf, and 70
+    # of the 72 cells sit at NaN, which run steps on up to the cap
+    "newton1d-nan": (Z40M1, GridSpec(-2e8, 2e8, -2e8, 2e8, 9, 8), NEWTON_1D, SolverConfig(max_iter=300)),
 }
 # The full-step methods on four grids: on z^2-1 two newton-opt cells meet a
 # singular Hessian and the 38 imaginary-axis newton1d cells hit the cap; on
@@ -239,6 +243,10 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     if case == "newton1d-overflow":
         assert basin.iterations.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         assert basin.class_counts()["Diverged"] == 8
+    if case == "newton1d-nan":
+        lost = np.isnan(x) & np.isnan(y)
+        assert np.count_nonzero(lost) == 70
+        assert (codes[lost] == lockstep.CAPPED).all() and (steps[lost] == 300).all()
     if case == "newton-opt-z2m1-cap300":
         assert np.count_nonzero(codes == lockstep.FAILED) == 2
     if case == "newton1d-z2m1-cap300":
@@ -262,6 +270,70 @@ def test_first_step_from_zero_matches_run(monkeypatch, method, tail):
         want = run(obj, (0.0, 0.0), method, cfg).final_point
         x, y, _, _ = lockstep.iterate(obj, method, cfg, [0.0], [0.0])
         assert (x[0], y[0]) == tuple(want), r
+
+
+# real g on grids symmetric about the real axis, odd and even
+MIRROR_GRIDS = {
+    "z2m1": (Z2M1, GridSpec(*SQUARE, 61, 61)),
+    "z3m1": (Z3M1, GridSpec(*SQUARE, 64, 64)),
+    "degree7": (Polynomial([0.5, -1.2, 0.3, 2.0, -0.7, 0.1, 0.9, 1.0]), GridSpec(*SQUARE, 33, 32)),
+    "z25m1": (Z25M1, GridSpec(-5e7, 5e7, -5e7, 5e7, 9, 9)),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SolverConfig(max_iter=500), SolverConfig(max_iter=500, theta=1.0, tau=0.7, deltas=(0.0, 0.5, -0.8))],
+    ids=["cap500", "theta-tau-deltas"],
+)
+@pytest.mark.parametrize("method", [BNQN, BTGD, NQN, NEWTON_OPT, NEWTON_1D], ids=lambda m: m.value)
+def test_kernel_commutes_with_the_real_axis_mirror(method, cfg):
+    # F(x, -y) = F(x, y) for real g, and every kernel operation commutes with
+    # y -> -y: cell (i, ny-1-j) ends as cell (i, j) does, at the point with y
+    # negated.  render_basin runs only half of such a grid on this property
+    outcomes = set()
+    for name, (poly, grid) in MIRROR_GRIDS.items():
+        x0 = np.repeat([grid.x_coord(i) for i in range(grid.nx)], grid.ny)
+        y0 = np.tile([grid.y_coord(j) for j in range(grid.ny)], grid.nx)
+        ends = lockstep.iterate(PolyModulusObjective(poly), method, cfg, x0, y0)
+        x, y, steps, codes = (v.reshape(grid.nx, grid.ny) for v in ends)
+        assert np.array_equal(steps, steps[:, ::-1]), name
+        assert np.array_equal(codes, codes[:, ::-1]), name
+        # == ignores the sign of a zero
+        assert np.array_equal(x, x[:, ::-1], equal_nan=True), name
+        assert np.array_equal(y, -y[:, ::-1], equal_nan=True), name
+        outcomes.update(codes.ravel().tolist())
+    assert lockstep.STOPPED in outcomes and len(outcomes) > 1
+
+
+@pytest.mark.parametrize("method", [NEWTON_1D, RRN], ids=["newton1d", "rrn1d"])
+def test_nan_lanes_end_capped_without_stepping(monkeypatch, method):
+    # at a NaN point g and g' are NaN and no test passes on NaN, so run steps
+    # on NaN up to the cap; the kernel ends such a lane at once, as run does.
+    # A lane with x NaN and y infinite has |z| = inf and leaves the
+    # divergence radius instead
+    stepped = []
+    relaxed_step = lockstep._relaxed_step
+
+    def counted(x, *args):
+        stepped.append(len(x))
+        return relaxed_step(x, *args)
+
+    monkeypatch.setattr(lockstep, "_relaxed_step", counted)
+    nan, inf = math.nan, math.inf
+    x0, y0 = [nan, 1.0, nan, nan, inf, 0.5], [0.5, nan, inf, -inf, nan, 0.5]
+    cfg = SolverConfig(max_iter=3000, seed=2)
+    streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is RRN else None
+    obj = PolyModulusObjective(Z3M1)
+    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=streams)
+    assert codes.tolist() == [lockstep.CAPPED] * 2 + [lockstep.STOPPED] * 4
+    assert steps.tolist()[:5] == [3000, 3000, 0, 0, 0]
+    assert np.isnan(x[:2]).all() and np.isnan(y[:2]).all()
+    labels, table = obj.classify_many(x[2:5], y[2:5], 1e-6, roots_only=True)
+    assert [table[k] for k in labels] == [DIVERGED] * 3
+    # only the lane from 0.5 + 0.5i steps, once a step, and it converges
+    assert sum(stepped) == steps[5] and max(stepped) == 1
+    assert codes[5] == lockstep.STOPPED and 0 < steps[5] < 100
 
 
 @pytest.mark.parametrize("failing", ["g", "g'"])
@@ -525,7 +597,6 @@ def test_pole_screen_is_check_derivative():
         assert failed.tolist() == want, degree
 
 
-Z40M1 = Polynomial([-1] + [0] * 39 + [1])
 
 # (polynomial, rho, config, trials or explicit starts); starts drawn from the
 # trial generator as the rrn experiment draws them unless given
