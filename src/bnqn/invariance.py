@@ -49,26 +49,16 @@ def rotation(angle: float) -> np.ndarray:
 
 
 def random_orthogonal(dim: int, rng) -> np.ndarray:
-    """Random orthogonal matrix: Gram-Schmidt on uniform [-1, 1] entries.
+    """Random orthogonal matrix from one ``rng.uniform(-1, 1, (dim, dim))`` draw.
 
-    The determinant sign is unconstrained; reflections qualify.
+    It is the Q of the draw's QR factorization with R's diagonal made
+    positive (``numpy.linalg.qr``, each column of Q times the sign of R's
+    diagonal entry), which is the Gram-Schmidt basis of the draw's columns
+    up to rounding.  The determinant sign is unconstrained; reflections
+    qualify.
     """
-    while True:
-        m = rng.uniform(-1.0, 1.0, (dim, dim))
-        q = np.empty_like(m)
-        ok = True
-        for k in range(dim):
-            v = m[:, k].copy()
-            for _ in range(2):  # re-orthogonalize for a clean residual
-                for i in range(k):
-                    v -= (q[:, i] @ v) * q[:, i]
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-6:
-                ok = False
-                break
-            q[:, k] = v / norm
-        if ok and float(np.linalg.norm(q @ q.T - np.eye(dim))) <= _ORTHO_TOL:
-            return q
+    q, r = np.linalg.qr(rng.uniform(-1.0, 1.0, (dim, dim)))
+    return q * np.sign(np.diag(r))
 
 
 @dataclass(frozen=True)
@@ -121,9 +111,7 @@ class ConjugatedObjective(ObjectiveFunction):
         return self._transpose @ self.base.gradient(mapped)
 
     def hessian(self, point) -> SymmetricMatrix:
-        mapped = self.matrix @ np.asarray(point, dtype=float)
-        sandwich = self._transpose @ self.base.hessian(mapped).full() @ self.matrix
-        return SymmetricMatrix.from_full(sandwich)
+        return self.gradient_and_hessian(point)[1]
 
     def gradient_and_hessian(self, point):
         mapped = self.matrix @ np.asarray(point, dtype=float)

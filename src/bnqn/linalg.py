@@ -183,13 +183,9 @@ def eigh(matrix: SymmetricMatrix) -> EigenDecomposition:
     if not np.isfinite(full).all():
         return EigenDecomposition((math.nan,) * m, np.full((m, m), math.nan))
     values, vectors = np.linalg.eigh(full)
-    for k in range(m):
-        col = vectors[:, k]
-        for entry in col:
-            if entry != 0.0:
-                if entry < 0.0:
-                    vectors[:, k] = -col
-                break
+    # each column's first nonzero entry (argmax finds the first True)
+    first = vectors[(vectors != 0.0).argmax(axis=0), range(m)]
+    vectors[:, first < 0.0] *= -1.0
     return EigenDecomposition(tuple(float(v) for v in values), vectors)
 
 

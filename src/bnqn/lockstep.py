@@ -14,11 +14,11 @@ Hessian are fixed by index.  BNQN and GD then take the first Armijo trial on
 the whole arrays, and only the lanes that reject it backtrack, dropping out
 of the loop as they accept; once at most ``_TAIL_LANES`` lanes still reject,
 each finishes its search alone on Python floats (``_backtrack_lane``).  A
-sweep compacts its arrays only when some lane stops or fails.  NQN and
-Newton optimization (one batched ``numpy.linalg.solve``) take the full step
-z - w.  Newton's map takes
-z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with each
-lane drawing alpha from its own random stream (``bnqn.streams``).
+sweep compacts its arrays only when some lane stops or fails, and ends as
+soon as a compaction leaves no lane.  NQN and Newton optimization (one
+batched ``numpy.linalg.solve``) take the full step z - w.  Newton's map
+takes z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with
+each lane drawing alpha from its own random stream (``bnqn.streams``).
 
 The kernel reproduces the scalar ``solvers.run`` bit for bit, so it keeps
 that loop's exact floating-point operations:
@@ -59,7 +59,7 @@ from itertools import repeat
 import numpy as np
 
 from .complexpoly import _POLE_TOL, pole_scale
-from .linalg import _eig2_system, _eig2_values, hypot
+from .linalg import _eig2_system, hypot
 from .objective import PolyModulusObjective
 from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig
 from .streams import TrialStreams, _RelaxationDraws, lane_blocks
@@ -362,13 +362,11 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     threshold = cfg.kappa * scale
     for d in cfg.deltas:
         shift = d * scale
-        sa, sc = a + shift, c + shift
-        l1, l2 = _eig2_values(sa, b, sc)
+        l1, l2, u1x, u1y, u2x, u2y = _eig2_system(a + shift, b, c + shift)
         if min(abs(l1), abs(l2)) >= threshold:
             break
     else:
         return None
-    l1, l2, u1x, u1y, u2x, u2y = _eig2_system(sa, b, sc)
     if l1 == 0.0 or l2 == 0.0:
         return None
     c1 = (gx * u1x + gy * u1y) / abs(l1)
@@ -479,7 +477,8 @@ def iterate(
     ``streams.lane_blocks``.
     """
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    if method is not Method.RANDOM_RELAXED_NEWTON_1D:
+    # no starts make no blocks, but still four empty arrays
+    if method is not Method.RANDOM_RELAXED_NEWTON_1D or not len(x0):
         return _sweep(obj, method, cfg, x0, y0)
     blocks = []
     for first, stop in lane_blocks(len(x0)):
@@ -543,6 +542,8 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                     out_x[m] = out_y[m] = math.nan
                     out_k[m], out_code[m] = cfg.max_iter, CAPPED
                 keep = (~stop).nonzero()[0]
+                if not keep.size:
+                    break
                 x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
                     v[keep] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
                 )
@@ -579,6 +580,8 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 # a failed lane ends at the point it could not leave
                 retire(gone, FAILED)
                 keep = (~failed).nonzero()[0]
+                if not keep.size:
+                    break
                 xn, yn, lane, gr, gi = (v[keep] for v in (xn, yn, lane, gr, gi))
             x, y = xn, yn
             if not armijo:

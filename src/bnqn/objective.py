@@ -78,6 +78,20 @@ DIVERGED = LimitClass("Diverged")
 UNDECIDED = LimitClass("Undecided")
 
 
+def _modulus_gradient(gz: complex, dgz: complex) -> np.ndarray:
+    """grad F = (Re w, -Im w), w = g'(z) conj(g(z)), from g(z) and g'(z)."""
+    w = dgz * gz.conjugate()
+    return np.array([w.real, -w.imag])
+
+
+def _modulus_hessian(gz: complex, dgz: complex, ddgz: complex) -> SymmetricMatrix:
+    """hess F = [[Re u + |g'|^2, -Im u], [-Im u, |g'|^2 - Re u]],
+    u = g''(z) conj(g(z)), from g(z), g'(z) and g''(z)."""
+    u = ddgz * gz.conjugate()
+    s = dgz.real * dgz.real + dgz.imag * dgz.imag
+    return SymmetricMatrix(2, (u.real + s, -u.imag, s - u.real))
+
+
 class ObjectiveFunction(abc.ABC):
     """Value/gradient/Hessian triple on R^m.
 
@@ -134,28 +148,16 @@ class PolyModulusObjective(ObjectiveFunction):
 
     def gradient(self, point) -> np.ndarray:
         z = complex(point[0], point[1])
-        w = self.dg(z) * self.g(z).conjugate()
-        return np.array([w.real, -w.imag])
+        return _modulus_gradient(self.g(z), self.dg(z))
 
     def hessian(self, point) -> SymmetricMatrix:
         z = complex(point[0], point[1])
-        gz = self.g(z)
-        dgz = self.dg(z)
-        u = self.ddg(z) * gz.conjugate()
-        s = dgz.real * dgz.real + dgz.imag * dgz.imag
-        return SymmetricMatrix(2, (u.real + s, -u.imag, s - u.real))
+        return _modulus_hessian(self.g(z), self.dg(z), self.ddg(z))
 
     def gradient_and_hessian(self, point):
         z = complex(point[0], point[1])
-        gz = self.g(z)
-        dgz = self.dg(z)
-        gz_conj = gz.conjugate()
-        w = dgz * gz_conj
-        u = self.ddg(z) * gz_conj
-        s = dgz.real * dgz.real + dgz.imag * dgz.imag
-        grad = np.array([w.real, -w.imag])
-        hess = SymmetricMatrix(2, (u.real + s, -u.imag, s - u.real))
-        return grad, hess
+        gz, dgz = self.g(z), self.dg(z)
+        return _modulus_gradient(gz, dgz), _modulus_hessian(gz, dgz, self.ddg(z))
 
     def roots(self) -> tuple[complex, ...]:
         """Roots of g (computed once, order fixed by the root finder)."""
@@ -177,13 +179,7 @@ class PolyModulusObjective(ObjectiveFunction):
 
     def classify_roots_only(self, point, tol: float) -> LimitClass:
         """Classification against roots of g alone (for the 1-D iterations)."""
-        z = complex(point[0], point[1])
-        index, dist = _nearest(self.roots(), z)
-        if dist <= tol:
-            return LimitClass.root(index)
-        if hypot(z.real, z.imag) > self.divergence_radius:
-            return DIVERGED
-        return UNDECIDED
+        return _classify(self, point, tol, roots_only=True)
 
     @np.errstate(over="ignore")
     def classify_many(self, x, y, tol: float, roots_only: bool = False):
@@ -209,7 +205,7 @@ class PolyModulusObjective(ObjectiveFunction):
         except BnqnError:
             return labels, table
         index, dist = _nearest_many(roots, x, y)
-        near = dist <= tol
+        near = (index >= 0) & (dist <= tol)
         labels[near] = len(table) + index[near]
         table += tuple(map(LimitClass.root, range(len(roots))))
         rest = np.flatnonzero(~near)
@@ -222,7 +218,8 @@ class PolyModulusObjective(ObjectiveFunction):
         x, y = x[rest], y[rest]
         index, dist = _nearest_many(crits, x, y)
         far = np.hypot(x, y) > self.divergence_radius
-        labels[rest] = np.where(dist <= tol, len(table) + index, np.where(far, 1, 0))  # DIVERGED, UNDECIDED
+        near = (index >= 0) & (dist <= tol)
+        labels[rest] = np.where(near, len(table) + index, np.where(far, 1, 0))  # DIVERGED, UNDECIDED
         return labels, table + tuple(map(LimitClass.critical, crits))
 
 
@@ -257,13 +254,23 @@ def classify_limit(obj: PolyModulusObjective, point, tol: float = CLASS_TOL) -> 
     is still a root); Diverged needs the point outside the divergence radius;
     anything else is Undecided.
     """
+    return _classify(obj, point, tol, roots_only=False)
+
+
+def _classify(obj: PolyModulusObjective, point, tol: float, roots_only: bool) -> LimitClass:
+    """``classify_limit``, or ``classify_roots_only`` where ``roots_only`` is
+    set, which never asks for the critical points.  A match needs a nearest
+    candidate: with no distance below inf (none given, or NaN), even an
+    infinite ``tol`` matches nothing."""
     z = complex(point[0], point[1])
     index, dist = _nearest(obj.roots(), z)
-    if dist <= tol:
+    if index >= 0 and dist <= tol:
         return LimitClass.root(index)
-    crit_index, crit_dist = _nearest(obj.critical_points(), z)
-    if crit_dist <= tol:
-        return LimitClass.critical(obj.critical_points()[crit_index])
+    if not roots_only:
+        crits = obj.critical_points()
+        index, dist = _nearest(crits, z)
+        if index >= 0 and dist <= tol:
+            return LimitClass.critical(crits[index])
     if hypot(z.real, z.imag) > obj.divergence_radius:
         return DIVERGED
     return UNDECIDED
@@ -333,14 +340,8 @@ class RationalModulusObjective(ObjectiveFunction):
         return 0.5 * (gz.real * gz.real + gz.imag * gz.imag)
 
     def gradient(self, point) -> np.ndarray:
-        z = complex(point[0], point[1])
-        g, dg, _ = self._g_series(z)
-        w = dg * g.conjugate()
-        return np.array([w.real, -w.imag])
+        g, dg, _ = self._g_series(complex(point[0], point[1]))
+        return _modulus_gradient(g, dg)
 
     def hessian(self, point) -> SymmetricMatrix:
-        z = complex(point[0], point[1])
-        g, dg, ddg = self._g_series(z)
-        u = ddg * g.conjugate()
-        s = dg.real * dg.real + dg.imag * dg.imag
-        return SymmetricMatrix(2, (u.real + s, -u.imag, s - u.real))
+        return _modulus_hessian(*self._g_series(complex(point[0], point[1])))

@@ -171,6 +171,9 @@ REJECTED_INPUTS = [
     ["basin", "--class-tol", "nan"],
     ["invariance", "--seed", "3"],
     ["invariance", "--class-tol", "1e-6"],
+    # numbers in a comma-separated flag that do not parse
+    ["solve", "--z0", "a,b"],
+    ["basin", "--res", "4,x"],
 ]
 
 
@@ -540,6 +543,37 @@ def test_solve_where_the_pole_scale_overflows(method):
     kv = parse_kv(out)
     assert kv["class"] == "Undecided"
     assert kv["iterations"] == "20"
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        # g'(1e-16) = 2e-16 is below the pole tolerance, and tol 0 does not stop first
+        (["--method", "newton1d", "--poly", "-1,0,1", "--z0", "1e-16,0", "--tol", "0"], "DerivativeVanishes"),
+        # F and |grad F| overflow to inf at the start, so the Armijo bound is NaN
+        # and no trial passes
+        (["--method", "btgd", "--poly", ",".join(["-1"] + ["0"] * 24 + ["1"]), "--z0", "5e7,5e7"], "LineSearchUnderflow"),
+    ],
+    ids=["newton1d", "btgd"],
+)
+def test_solve_prints_the_failure_of_a_run(argv, failure):
+    # a failed run is an outcome, not an error: exit 0 and a failure= line
+    code, out, err = invoke(["solve", *argv])
+    assert code == 0 and err == ""
+    kv = parse_kv(out)
+    assert kv["failure"].startswith(f"{failure}: ")
+    assert (kv["class"], kv["converged"], kv["iterations"]) == ("Undecided", "false", "0")
+
+
+def test_solve_with_an_infinite_class_tol_matches_no_missing_root():
+    # one Newton step from 6e7 lands on (-inf, NaN), where no root distance
+    # is below inf; that used to print class=Root with root_index=-1
+    for tol in ([], ["--class-tol", "inf"]):
+        code, out, err = invoke(["solve", "--poly", Z40M1, "--method", "newton1d", "--z0", "6e7,0", *tol])
+        assert code == 0 and err == ""
+        kv = parse_kv(out)
+        assert (kv["x"], kv["y"], kv["iterations"]) == ("-inf", "nan", "1")
+        assert (kv["class"], kv["root_index"]) == ("Diverged", ""), tol
 
 
 def test_usage_errors_exit_one():

@@ -199,7 +199,8 @@ def test_bisector_cotangent_doubling_property():
 def test_schroder_defect_examples():
     assert schroder_conjugacy_defect(2.0) <= 1e-12
     assert schroder_conjugacy_defect(1j) <= 1e-12
-    for bad in (0.0, -1.0):
+    # 1e-15 is not a pole, but the Newton step's derivative vanishes there
+    for bad in (0.0, -1.0, 1e-15):
         with pytest.raises(PoleHit):
             schroder_conjugacy_defect(bad)
 

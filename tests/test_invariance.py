@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnqn.complexpoly import Polynomial
-from bnqn.errors import SingularMatrix
+from bnqn.errors import BnqnError, SingularMatrix
 from bnqn.invariance import (
     ConjugatedObjective,
     ConjugationSpec,
@@ -17,7 +17,7 @@ from bnqn.invariance import (
 )
 from bnqn.objective import BilinearTestObjective, PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig, run
-from support import fd_gradient, fd_hessian, rel_err
+from support import NaNObjective, fd_gradient, fd_hessian, rel_err
 
 Z2M1 = PolyModulusObjective(Polynomial([-1, 0, 1]))
 Z3M1 = PolyModulusObjective(Polynomial([-1, 0, 0, 1]))
@@ -130,6 +130,13 @@ def test_check_invariance_scaling_case():
 def test_check_invariance_identity_is_exact():
     spec = ConjugationSpec(1.0, np.eye(2))
     assert check_invariance(Z2M1, spec, (0.4, 1.1), SolverConfig(), 100) == 0.0
+
+
+def test_check_invariance_raises_on_a_failed_run():
+    # NaNObjective's F is NaN, so no Armijo trial passes and gamma underflows
+    spec = ConjugationSpec(2.0, rotation(0.3))
+    with pytest.raises(BnqnError, match="^run failed during invariance check: LineSearchUnderflow: "):
+        check_invariance(NaNObjective(), spec, (0.0, 0.0), SolverConfig(), 5)
 
 
 def test_check_invariance_random_tuples():

@@ -336,6 +336,42 @@ def test_nan_lanes_end_capped_without_stepping(monkeypatch, method):
     assert codes[5] == lockstep.STOPPED and 0 < steps[5] < 100
 
 
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_no_kernel_pass_gets_zero_lanes(monkeypatch, method):
+    # a sweep ends as soon as a compaction of stopped or of failed lanes
+    # leaves none, before another Horner pass or step on empty arrays; BNQN
+    # and GD keep every lane in the sweep here, as the other methods do
+    monkeypatch.setattr(lockstep, "_TAIL_LANES", 0)
+    passes = []
+    for name in ("_horner", "_relaxed_step", "_newton_direction", "_shift_search", "_armijo_step"):
+        def counted(*args, _name=name, _f=getattr(lockstep, name)):
+            # _horner and _armijo_step take the coefficients first
+            passes.append(len(args[1] if _name in ("_horner", "_armijo_step") else args[0]))
+            return _f(*args)
+
+        monkeypatch.setattr(lockstep, name, counted)
+    cfg = SolverConfig(max_iter=500, seed=4)
+    x0, y0 = (v.ravel() for v in np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20)))
+    # then one start whose first step fails: g'(1e-16) is below the pole
+    # scale, and F overflows at 5e7 + 5e7i for z^25 - 1
+    if method in ONE_DIM:
+        fails = Z2M1, replace(cfg, grad_tol=0.0), [1e-16], [0.0]
+    else:
+        fails = Z25M1, cfg, [5e7], [5e7]
+    for g, c, xs, ys in ((Z3M1, cfg, x0, y0), fails):
+        streams = TrialStreams(trial_states(c.seed, len(xs))) if method is RRN else None
+        codes = lockstep.iterate(PolyModulusObjective(g), method, c, xs, ys, streams=streams)[3]
+    assert codes.tolist() == [lockstep.FAILED]
+    assert passes and 0 not in passes
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_iterate_with_no_starts_returns_four_empty_arrays(method):
+    streams = TrialStreams(trial_states(0, 0)) if method is RRN else None
+    got = lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(), [], [], streams=streams)
+    assert [(v.shape, v.dtype) for v in got] == [((0,), np.float64)] * 2 + [((0,), np.int_), ((0,), np.int8)]
+
+
 @pytest.mark.parametrize("failing", ["g", "g'"])
 def test_root_finder_failure_matches_per_cell_sweep(monkeypatch, failing):
     # a failing root finder makes classify raise; the per-cell sweep records

@@ -334,6 +334,21 @@ def test_root_indices_is_classify_roots_only_per_point():
         assert _classes(*last)[0] == LimitClass.root(len(obj.roots()) - 1)
 
 
+@pytest.mark.parametrize("tol", [1e-6, math.inf], ids=["tol-1e-6", "tol-inf"])
+def test_a_match_needs_a_nearest_candidate(tol):
+    # no distance from these points is below inf, so _nearest finds no
+    # candidate (index -1); an infinite tol used to accept that as Root(-1)
+    # in the scalar classifiers, and classify_many as Diverged
+    inf, nan = math.inf, math.nan
+    points = [(-inf, nan), (inf, inf), (nan, inf), (nan, 0.0)]
+    want = [DIVERGED, DIVERGED, DIVERGED, UNDECIDED]
+    for obj in (PolyModulusObjective(Polynomial([-2, 1])), Z3M1):
+        assert list(_assert_classify_many_matches_scalar(obj, points, tol)) == want
+        x, y = np.array(points).T
+        assert list(_classes(*obj.classify_many(x, y, tol, roots_only=True))) == want
+        assert [obj.classify_roots_only(p, tol) for p in points] == want
+
+
 def test_classify_many_empty_input():
     assert Z3M1.classify_many([], [], 1e-6)[0].shape == (0,)
 

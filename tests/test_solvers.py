@@ -191,6 +191,12 @@ def test_nqn_step_examples():
     got = one_step(BilinearTestObjective(), (1.0, 1.0), Method.NQN)[0]
     assert np.allclose(got, [0.0, 0.0], atol=1e-14)
 
+    # above 2-D the shift test takes numpy.linalg.det
+    h3 = np.array([[3.0, 0.5, -0.2], [0.5, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+    target3 = np.array([0.4, -1.1, 2.3])
+    got = one_step(ShiftedQuadratic(h3, target3), (0.0, 0.0, 0.0), Method.NQN)[0]
+    assert np.allclose(got, target3, atol=1e-12)
+
     got = one_step(Z2M1, (2.0, 0.0), Method.NQN)[0]
     assert np.allclose(got, [2.0 - 12.0 / 22.0, 0.0], atol=1e-14)
 
