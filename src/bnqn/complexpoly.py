@@ -82,12 +82,11 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         """Formal derivative (memoized; the object stays immutable)."""
         if self._derivative is None:
-            if len(self.coeffs) == 1:
-                self._derivative = Polynomial([0j])
-            else:
-                self._derivative = Polynomial(
-                    [k * c for k, c in enumerate(self.coeffs)][1:]
-                )
+            # the only ValueError here is a coefficient k*c that overflows
+            try:
+                self._derivative = Polynomial([k * c for k, c in enumerate(self.coeffs)][1:] or [0j])
+            except ValueError:
+                raise ValueError(f"a coefficient of the derivative of {polynomial_to_string(self)} overflows") from None
         return self._derivative
 
     def cauchy_root_bound(self):
@@ -107,17 +106,21 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def pole_scale(abs_z: float, degree: int) -> float:
+def pole_scale(abs_z, degree: int):
     """|p'(z)| below which a Newton step at z counts as hitting a pole.
 
-    ``_POLE_TOL * (1 + |z|)**(degree - 1)`` by Python's float ``**``, which
-    raises ``OverflowError`` where the power overflows; the scale is inf
-    there, so every finite derivative counts as vanishing.
+    ``_POLE_TOL * (1 + |z|)**(degree - 1)``, the power taken by repeated
+    squaring.  Products of floats round alike on a Python float and on a
+    numpy array, so the lockstep kernel, which passes one |z| per lane, gets
+    the scalar step's scale bit for bit.  Where the power overflows the
+    products give inf, and every finite derivative counts as vanishing.
     """
-    try:
-        return _POLE_TOL * (1.0 + abs_z) ** max(degree - 1, 0)
-    except OverflowError:
-        return math.inf
+    power, base, n = 1.0, 1.0 + abs_z, degree - 1
+    while n > 0:
+        if n & 1:
+            power = power * base
+        base, n = base * base, n >> 1
+    return _POLE_TOL * power
 
 
 def _check_derivative(p, z, dpz):

@@ -124,7 +124,10 @@ def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
     """Rescale parameters for conjugation by c*R: shifts by c^(2-tau), theta
     by c, and grad_tol by c, since |grad G| = c |grad F| for G(z) = F(cRz)."""
     _check_scale(c)
-    factor = c ** (2.0 - cfg.tau)
+    try:
+        factor = c ** (2.0 - cfg.tau)
+    except OverflowError:
+        raise ValueError(f"the shift factor c**(2 - tau) overflows for c = {c}, tau = {cfg.tau}") from None
     return replace(
         cfg,
         deltas=tuple(d * factor for d in cfg.deltas),

@@ -30,11 +30,11 @@ that loop's exact floating-point operations:
 - complex products written out as ``ar*zr - ai*zi`` and ``ar*zi + ai*zr``,
   the form Python's complex multiply uses (numpy's complex128 multiply
   rounds differently), and complex quotients as CPython's ``_Py_c_quot``;
-- Python's ``**`` per lane for ``grad_norm**tau``, because numpy's
-  vectorized power is not the C library's ``pow``.  The pole test
-  |g'| < ``complexpoly.pole_scale(|z|, degree)`` takes numpy's power for
-  all lanes at once and decides by Python's ``**`` only the lanes where the
-  two powers could disagree on the outcome (``_pole_failed``);
+- ``solvers._shift_scale`` per lane for ``grad_norm**tau``, because
+  numpy's vectorized power is not the C library's ``pow``.  The pole test
+  |g'| < ``complexpoly.pole_scale(|z|, degree)`` takes no power at all: it
+  multiplies by repeated squaring, which rounds alike on floats and arrays,
+  so one call serves every lane;
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
   is NaN.
@@ -58,10 +58,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .complexpoly import _POLE_TOL, pole_scale
+from .complexpoly import pole_scale
 from .linalg import _eig2_system, hypot
 from .objective import PolyModulusObjective
-from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig
+from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig, _shift_scale
 from .streams import TrialStreams, _RelaxationDraws, lane_blocks
 
 __all__ = ["CAPPED", "FAILED", "STOPPED", "iterate"]
@@ -128,39 +128,6 @@ def _quot(ar, ai, br, bi):
     )
 
 
-# Half-width, relative to the pole scale, of the band in which _pole_failed
-# does not trust numpy's power.  With AVX-512, np.power (not the C library's
-# pow) differs from pow by at most 1 ulp, on about 5% of values for
-# exponents 7 and 39 and 0.1% for exponent 2, and the product with _POLE_TOL
-# keeps the two scales within about 2 ulp (4.4e-16 relative; the scale is at
-# least _POLE_TOL, never subnormal).  1e-9 leaves room for a power millions
-# of ulp less accurate, and still no lane of the rrn benchmark (0 of 562 524
-# pole tests) falls inside it, so the exact test stays rare.
-_POLE_BAND = 1e-9
-# np.power below this cannot stand for a pow that overflows (pole_scale is
-# inf there), and it is finite
-_POWER_SURE = 1e300
-
-
-def _pole_failed(zn, dr, di, degree):
-    """|g'| < ``pole_scale(|z|, degree)`` per lane, the pole test of
-    ``relaxed_newton_map``.
-
-    numpy's power decides every lane whose |g'| lies outside a relative
-    band of ``_POLE_BAND`` around its scale; ``pole_scale`` decides the
-    rest, and the lanes where the power is inf, NaN or near overflow.
-    """
-    size = np.hypot(dr, di)
-    power = np.power(1.0 + zn, max(degree - 1, 0))
-    scale = _POLE_TOL * power
-    failed = size < scale
-    unsure = (~((power < _POWER_SURE) & (np.abs(size - scale) > _POLE_BAND * scale))).nonzero()[0]
-    if unsure.size:
-        exact = np.fromiter(map(pole_scale, zn[unsure].tolist(), repeat(degree)), float, unsure.size)
-        failed[unsure] = size[unsure] < exact
-    return failed
-
-
 def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     """z - alpha*(g/g') per lane, or z - g/g' where ``alpha`` is None;
     returns (x, y, failed).
@@ -170,7 +137,7 @@ def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     ``DerivativeVanishes`` there.  Newton's step takes no factor at all:
     alpha = 1 + 0i would not be the identity on inf and NaN (0*inf is NaN).
     """
-    failed = _pole_failed(zn, dr, di, degree)
+    failed = np.hypot(dr, di) < pole_scale(zn, degree)
     qr, qi = _quot(gr, gi, dr, di)
     if alpha is None:
         return x - qr, y - qi, failed
@@ -303,9 +270,9 @@ def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
     reflected solve.  Lanes that no shift passes fail, as do those with a
     zero eigenvalue.
     """
-    # |grad|**tau by Python's ``**``; x**1.0 is x for every float (0, inf and
-    # NaN included), so the default tau = 1 skips the pow
-    scale = gn if cfg.tau == 1.0 else np.fromiter(map(pow, gn.tolist(), repeat(cfg.tau)), float, len(gn))
+    # |grad|**tau as the scalar step takes it; x**1.0 is x for every float
+    # (0, inf and NaN included), so the default tau = 1 skips the pow
+    scale = gn if cfg.tau == 1.0 else np.fromiter(map(_shift_scale, gn.tolist(), repeat(cfg.tau)), float, len(gn))
     threshold = cfg.kappa * scale
     # the first shift takes every lane as it is, with no gather or scatter,
     # and its eigensystem stays for the lanes it wins
@@ -358,7 +325,7 @@ def _newton_direction(gx, gy, a, b, c):
 def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     """``select_delta`` then ``reflected_direction`` on floats; None where
     they raise (no admissible shift, or a zero eigenvalue)."""
-    scale = gn**cfg.tau
+    scale = gn if cfg.tau == 1.0 else _shift_scale(gn, cfg.tau)
     threshold = cfg.kappa * scale
     for d in cfg.deltas:
         shift = d * scale

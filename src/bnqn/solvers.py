@@ -164,6 +164,18 @@ def _dot(u, v) -> float:
     return float(np.dot(u, v))
 
 
+def _shift_scale(grad_norm: float, tau: float) -> float:
+    """|grad|**tau, the scale of the Hessian shifts and of the kappa bar.
+
+    Python's float ``**`` raises ``OverflowError`` where the power
+    overflows; the scale is inf there, as ``linalg.hypot`` gives inf.
+    """
+    try:
+        return grad_norm**tau
+    except OverflowError:
+        return math.inf
+
+
 def select_delta(hess: SymmetricMatrix, grad_norm: float, cfg: SolverConfig):
     """Smallest shift index whose perturbed Hessian clears the minsp bar.
 
@@ -171,7 +183,7 @@ def select_delta(hess: SymmetricMatrix, grad_norm: float, cfg: SolverConfig):
     pairwise distinct candidates for an m-dimensional Hessian a winner always
     exists (each eigenvalue can disqualify at most one shift).
     """
-    scale = grad_norm**cfg.tau
+    scale = _shift_scale(grad_norm, cfg.tau)
     threshold = cfg.kappa * scale
     for j, d in enumerate(cfg.deltas):
         shifted = hess.shifted(d * scale)
@@ -223,7 +235,7 @@ def _btgd_step(f, z, grad, grad_norm, hess, cfg, rng):
 def _nqn_step(f, z, grad, grad_norm, hess, cfg, rng):
     """Full reflected step, no line search, on the first shift that leaves
     the Hessian finite with a determinant other than 0.0."""
-    scale = grad_norm**cfg.tau
+    scale = _shift_scale(grad_norm, cfg.tau)
     for j, d in enumerate(cfg.deltas):
         shifted = hess.shifted(d * scale)
         if all(map(math.isfinite, shifted.upper)) and _determinant(shifted) != 0.0:

@@ -171,6 +171,10 @@ REJECTED_INPUTS = [
     ["basin", "--class-tol", "nan"],
     ["invariance", "--seed", "3"],
     ["invariance", "--class-tol", "1e-6"],
+    # c**(2 - tau) overflows a float
+    ["invariance", "--c", "1e200", "--tau", "0.1"],
+    # the coefficients are finite, but g' = 2e308 z is not
+    ["solve", "--poly", "1,0,1e308"],
     # numbers in a comma-separated flag that do not parse
     ["solve", "--z0", "a,b"],
     ["basin", "--res", "4,x"],
@@ -553,8 +557,11 @@ def test_solve_where_the_pole_scale_overflows(method):
         # F and |grad F| overflow to inf at the start, so the Armijo bound is NaN
         # and no trial passes
         (["--method", "btgd", "--poly", ",".join(["-1"] + ["0"] * 24 + ["1"]), "--z0", "5e7,5e7"], "LineSearchUnderflow"),
+        # |grad F|**8 = (3e40)**8 overflows: the shifts are 0*inf, inf and
+        # -inf, and none leaves the Hessian finite
+        (["--method", "nqn", "--poly", "-1,0,0,1", "--tau", "8", "--z0", "1e8,0"], "NoAdmissibleDelta"),
     ],
-    ids=["newton1d", "btgd"],
+    ids=["newton1d", "btgd", "nqn-tau8"],
 )
 def test_solve_prints_the_failure_of_a_run(argv, failure):
     # a failed run is an outcome, not an error: exit 0 and a failure= line
@@ -563,6 +570,23 @@ def test_solve_prints_the_failure_of_a_run(argv, failure):
     kv = parse_kv(out)
     assert kv["failure"].startswith(f"{failure}: ")
     assert (kv["class"], kv["converged"], kv["iterations"]) == ("Undecided", "false", "0")
+
+
+def test_solve_where_the_shift_scale_overflows():
+    # |grad F|**8 overflows at 1e8, so no shift moves the point and bnqn
+    # runs to the cap where it started, instead of raising OverflowError
+    code, out, err = invoke(["solve", "--poly", "-1,0,0,1", "--tau", "8", "--z0", "1e8,0"])
+    assert code == 0 and err == ""
+    kv = parse_kv(out)
+    assert (kv["x"], kv["y"], kv["class"], kv["iterations"]) == ("100000000", "0", "Undecided", "10000")
+    assert "failure" not in kv
+
+
+def test_an_overflowing_derivative_is_named():
+    # the message names the typed polynomial, not the inf coefficient of g'
+    code, out, err = invoke(["solve", "--poly", "1,0,1e308"])
+    assert (code, out) == (1, "")
+    assert err == "error: a coefficient of the derivative of 1,0,1e+308 overflows\n"
 
 
 def test_solve_with_an_infinite_class_tol_matches_no_missing_root():

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bnqn.complexpoly import (
+    _POLE_TOL,
     Polynomial,
     all_roots,
     bisector_newton_map,
@@ -18,6 +20,7 @@ from bnqn.complexpoly import (
 )
 from bnqn.errors import DerivativeVanishes, NoConvergence, PoleHit
 from bnqn.solvers import SolverConfig
+from support import same_bits
 
 Z2M1 = Polynomial([-1, 0, 1])  # z^2 - 1
 Z2 = Polynomial([0, 0, 1])
@@ -82,7 +85,14 @@ def test_pole_scale_is_inf_where_the_power_overflows():
     assert math.isnan(pole_scale(math.nan, 3))
     rng = np.random.default_rng(7)
     for abs_z, degree in zip(rng.uniform(0.0, 50.0, 200).tolist(), rng.integers(1, 60, 200).tolist()):
-        assert pole_scale(abs_z, degree) == 1e-14 * (1.0 + abs_z) ** (degree - 1)
+        scale = pole_scale(abs_z, degree)
+        # the lockstep kernel passes one |z| per lane and must get these bits
+        with np.errstate(over="ignore"):
+            lanes = np.broadcast_to(pole_scale(np.array([abs_z]), degree), 1)
+        assert same_bits(lanes[0], scale)
+        # repeated squaring rounds once per product, not once as ** does
+        exact = Fraction(_POLE_TOL) * Fraction(1.0 + abs_z) ** (degree - 1)
+        assert abs(Fraction(scale) - exact) <= degree * Fraction(1, 2**53) * exact
 
 
 def test_newton_steps_where_the_pole_scale_overflows():

@@ -12,8 +12,8 @@ Newton directions are checked against the scalar step on crafted singular
 and non-finite Hessians.  Random relaxed Newton is checked trial by trial
 against ``run`` with the trial's own generator, straight out of ``iterate``
 and through the ``rrn`` experiment, cell by cell through ``render_basin``,
-and its primitives against Python's: the complex quotient and the screened
-pole test.  The random streams themselves are checked in ``test_streams.py``.
+and its primitives against Python's: the complex quotient and the pole
+test.  The random streams themselves are checked in ``test_streams.py``.
 """
 
 import functools
@@ -101,6 +101,15 @@ CASES = {
     # z^40-1 far out: g and g' overflow, the first step is inf/inf, and 70
     # of the 72 cells sit at NaN, which run steps on up to the cap
     "newton1d-nan": (Z40M1, GridSpec(-2e8, 2e8, -2e8, 2e8, 9, 8), NEWTON_1D, SolverConfig(max_iter=300)),
+    # far starts at tau > 1: |grad|**tau overflows to an inf shift scale
+    # where |grad| is large, and stays finite nearer the roots
+    **{
+        f"far-{method.value}-tau{tau:g}": (
+            Z3M1, GridSpec(-1e8, 1e8, -0.7e8, 1.3e8, 15, 13), method, SolverConfig(tau=tau, max_iter=300),
+        )
+        for method in (BNQN, NQN)
+        for tau in (8.0, 3.0)
+    },
 }
 # The full-step methods on four grids: on z^2-1 two newton-opt cells meet a
 # singular Hessian and the 38 imaginary-axis newton1d cells hit the cap; on
@@ -628,8 +637,9 @@ def test_pole_screen_is_check_derivative():
                 want.append(False)
             except DerivativeVanishes:
                 want.append(True)
+        zeros = np.zeros_like(size)
         with np.errstate(all="ignore"):
-            failed = lockstep._pole_failed(zn, size, np.zeros_like(size), degree)
+            _, _, failed = lockstep._relaxed_step(zeros, zeros, zn, zeros, zeros, size, zeros, None, degree)
         assert failed.tolist() == want, degree
 
 

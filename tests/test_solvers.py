@@ -14,6 +14,7 @@ from bnqn.solvers import (
     _ARMIJO_FACTOR,
     _SHRINK_FACTOR,
     _armijo,
+    _shift_scale,
     export_trace_csv,
     random_deltas,
     run,
@@ -320,6 +321,33 @@ def test_run_max_iter_cap_gives_undecided():
     assert not trace.converged
     assert trace.terminal == UNDECIDED
     assert trace.iterations == 2
+
+
+def test_shift_scale_is_inf_where_the_power_overflows():
+    assert _shift_scale(2.0, 3.0) == 8.0
+    assert _shift_scale(3e40, 8.0) == math.inf  # Python's ** raises here
+    assert _shift_scale(math.inf, 0.5) == math.inf
+    assert math.isnan(_shift_scale(math.nan, 8.0))
+
+
+# BNQN's far-start crawl on z^3 - 1 from (r, 0.37 r), default config: at
+# tau = 1 the step length stays near 1 far out, so the steps grow with r and
+# r = 1e4 hits the cap; at tau = 0.5 they grow with log r
+CRAWL = {
+    1.0: {10.0: 25, 1e2: 132, 1e3: 1103, 1e4: None},
+    0.5: {10.0: 16, 1e2: 26, 1e3: 36, 1e4: 47},
+}
+
+
+@pytest.mark.parametrize("tau", CRAWL)
+def test_far_start_crawl(tau):
+    for r, steps in CRAWL[tau].items():
+        trace = run(Z3M1, (r, 0.37 * r), BNQN, SolverConfig(tau=tau))
+        assert trace.failure is None
+        if steps is None:
+            assert (trace.iterations, trace.terminal) == (10_000, UNDECIDED), r
+        else:
+            assert (trace.iterations, trace.terminal.kind, trace.terminal.root_index) == (steps, "Root", 0), r
 
 
 def test_run_captures_step_failures():
