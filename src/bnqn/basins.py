@@ -185,7 +185,7 @@ def render_basin(
     if method is Method.RANDOM_RELAXED_NEWTON_1D:
         # each cell draws from its own stream, so no two cells mirror
         lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
-    elif not any(c.imag for c in obj.g.coeffs) and np.array_equal(ys[::-1], -ys):
+    elif obj.g.is_real and np.array_equal(ys[::-1], -ys):
         half = grid.ny // 2
     ends = lockstep.iterate(
         obj, method, cfg, np.repeat(xs, grid.ny - half), np.tile(ys[half:], grid.nx), streams=lanes

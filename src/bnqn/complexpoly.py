@@ -73,6 +73,11 @@ class Polynomial:
     def is_zero(self):
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
+    @property
+    def is_real(self):
+        """Every coefficient's imaginary part is 0.0 or -0.0."""
+        return not any(c.imag for c in self.coeffs)
+
     def __call__(self, z):
         acc = 0j
         for c in reversed(self.coeffs):

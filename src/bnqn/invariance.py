@@ -122,15 +122,26 @@ class ConjugatedObjective(ObjectiveFunction):
 
 def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
     """Rescale parameters for conjugation by c*R: shifts by c^(2-tau), theta
-    by c, and grad_tol by c, since |grad G| = c |grad F| for G(z) = F(cRz)."""
+    by c, and grad_tol by c, since |grad G| = c |grad F| for G(z) = F(cRz).
+
+    Where the scaled shifts are not finite and pairwise distinct (c^(2-tau)
+    underflows to 0.0 or overflows, or a shift times it overflows), the
+    ``ValueError`` names c and tau, not shifts the caller never gave.
+    """
     _check_scale(c)
     try:
         factor = c ** (2.0 - cfg.tau)
     except OverflowError:
-        raise ValueError(f"the shift factor c**(2 - tau) overflows for c = {c}, tau = {cfg.tau}") from None
+        factor = math.inf
+    deltas = tuple(d * factor for d in cfg.deltas)
+    # 0.0 == -0.0, as SolverConfig's pairwise gap has it
+    if not all(map(math.isfinite, deltas)) or len(set(deltas)) < len(deltas):
+        raise ValueError(
+            f"the shifts times c**(2 - tau) are not finite and pairwise distinct for c = {c}, tau = {cfg.tau}"
+        )
     return replace(
         cfg,
-        deltas=tuple(d * factor for d in cfg.deltas),
+        deltas=deltas,
         theta=cfg.theta * c,
         grad_tol=cfg.grad_tol * c,
     )

@@ -49,6 +49,19 @@ where the scalar loop's remaining NaN steps take it.  Once at most
 them one by one, so each is finished by ``_finish_lane``: the same step on
 Python floats and Python ``complex``, which is the arithmetic the scalar
 loop does.  The other methods' lanes always stay in the sweep.
+
+Complex conjugation commutes with both methods and leaves F of a real g
+unchanged, so a lane on the real axis stays there.  ``_finish_lane`` runs a
+lane at y = +0.0 on a g with real coefficients (``Polynomial.is_real``) on
+floats alone (``_finish_real_lane``): Horner's rule on the real parts of g,
+g' and g'', grad F = (g'g, 0), |grad F| = |g'g|, |z| = |x|, and a diagonal
+Hessian whose winning shift s gives the direction g'g/|a + s|.  That is the
+complex loop bit for bit: while every value is finite, each imaginary part
+of the complex loop is a signed zero, which changes a real part only in the
+sign of a zero, and the next y is +0.0 - gamma*(+-0), which is +0.0.  At
+the first non-finite value (0*inf is NaN in a complex product) or zero
+BNQN direction, the lane goes back to the complex loop where it stands.
+A lane at y = -0.0 stays in the complex loop throughout.
 """
 
 from __future__ import annotations
@@ -77,13 +90,15 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # BNQN and GD lanes go to ``_finish_lane`` once a sweep starts with at most
 # this many.  On one pinned core, a sweep costs nearly the same for 1 to 64
 # lanes: 63-72 us for GD on the z^3-1 negative axis, 120-190 us for BNQN at
-# degree 3 and 185-270 us at degree 8.  A per-lane step costs 2.0-2.3 us
-# and 5.7-7.9 us there, so the kernel wins above about 23-37 lanes.  Whole
-# sweeps (z^3-1 BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25) took
-# the same time, within noise, with any tail from 24 to 64, and longer with
-# 96 on the clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes run
-# 10 000 steps each, took 0.7-0.8 s with a tail of 32 or more against
-# 1.0-1.5 s with them in the sweep.  The same bound sends a sweep's last
+# degree 3 and 185-270 us at degree 8.  A per-lane step costs 1.8-2.3 us
+# for GD (z^3-1 from -2 - 0i) and 5.7-7.9 us for BNQN off the real axis, so
+# the kernel wins above about 23-37 lanes; on the real axis of a real g
+# (``_finish_real_lane``) a GD step costs 1.0 us.  Whole sweeps (z^3-1
+# BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25) took the same time,
+# within noise, with any tail from 24 to 64, and longer with 96 on the
+# clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes run 10 000
+# steps each on floats, takes 0.17-0.20 s against 1.0-1.1 s with them in
+# the sweep.  The same bound sends a sweep's last
 # Armijo rejecters to ``_backtrack_lane``.  With that in place, a
 # basin-cluster8-bnqn cycle (seeds 3, 7 and 41, one pinned core) ran faster
 # with 48 than with 64 in 32 of 48 alternations and than with 96 in 27 of
@@ -341,9 +356,95 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y
 
 
+def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, k):
+    """``_finish_lane`` for a lane at (x, +0.0) on a g with real coefficients,
+    on Python floats alone; returns (x, steps, outcome) with the lane ended at
+    (x, +0.0), or (x, k, None) where the complex loop must go on from (x, k).
+
+    The Hessian is diagonal, a = g''g + g'^2 and c = g'^2 - g''g, and the
+    reflected solve of the winning shift s gives the direction g'g/|a + s|.
+    Each value is the complex loop's real part (see the module docstring)
+    while the values are finite and g and g' are not 0, where the lane
+    stops.  So a non-finite F, |grad|, g'' or BNQN direction hands the lane
+    back, since 0*inf makes a NaN of a zero imaginary part; so does a zero
+    BNQN direction, which the complex loop may sign by a signed zero, and
+    which at x = +-0 sets the sign of the next x.
+    """
+    g, dg, ddg = ([c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg))
+    radius = obj.divergence_radius
+    theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
+    tau, kappa, deltas = cfg.tau, cfg.kappa, cfg.deltas
+    armijo_factor, inf = _ARMIJO_FACTOR, math.inf
+    gz = 0.0
+    for c in g:
+        gz = gz * x + c
+    fz = 0.5 * (gz * gz)
+    while True:
+        dgz = 0.0
+        for c in dg:
+            dgz = dgz * x + c
+        gx = dgz * gz
+        gn = abs(gx)
+        if not (fz < inf and gn < inf):
+            return x, k, None
+        if gn <= grad_tol or abs(x) > radius:
+            return x, k, STOPPED
+        if k >= max_iter:
+            return x, k, CAPPED
+        if hessian:
+            u = 0.0
+            for c in ddg:
+                u = u * x + c
+            if not -inf < u < inf:
+                return x, k, None
+            u *= gz
+            s = dgz * dgz
+            ha, hc = u + s, s - u
+            scale = gn if tau == 1.0 else _shift_scale(gn, tau)
+            threshold = kappa * scale
+            for d in deltas:
+                shift = d * scale
+                sa, sc = ha + shift, hc + shift
+                # in this order: min keeps its first argument where the other
+                # is NaN, as _eig2_system orders a NaN a + s second
+                if min(abs(sc), abs(sa)) >= threshold:
+                    break
+            else:
+                return x, k, FAILED
+            if sa == 0.0 or sc == 0.0:
+                return x, k, FAILED
+            wx = gx / abs(sa)
+            if not 0.0 < abs(wx) < inf:
+                return x, k, None
+        else:
+            wx = gx
+        if theta != 0.0:
+            wx = wx / max(1.0, theta * (abs(wx) if hessian else gn))
+        slope = wx * gx
+        gamma = gamma0
+        while True:
+            trial = x - gamma * wx
+            gt = 0.0
+            for c in g:
+                gt = gt * trial + c
+            ft = 0.5 * (gt * gt)
+            if ft <= fz - gamma * slope * armijo_factor:
+                break
+            gamma = gamma * _SHRINK_FACTOR
+            if gamma < _UNDERFLOW_LIMIT:
+                return x, k, FAILED
+        x, gz, fz = trial, gt, ft
+        k += 1
+
+
 def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, y, k):
     """Run one BNQN (``hessian``) or GD lane from (x, y), k steps in, to its
     end on Python floats; returns (x, y, steps, outcome).
+
+    A lane at y = +0.0 on a real g stays on the real axis, and
+    ``_finish_real_lane`` runs it there for as long as its values are
+    finite.  A lane at y = -0.0 keeps the complex loop, where the sign of
+    the next y is the sign of a zero product.
 
     This is the scalar loop's arithmetic without its arrays and trace:
     Python's complex Horner loop (inline) and product, ``linalg.hypot``
@@ -357,6 +458,10 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     ``linalg.hypot(x, y)`` does for z = complex(x, y).  Where either
     overflows, the norm is inf, as in ``linalg.hypot``.
     """
+    if y == 0.0 and math.copysign(1.0, y) == 1.0 and obj.g.is_real:
+        x, k, outcome = _finish_real_lane(obj, hessian, cfg, x, k)
+        if outcome is not None:
+            return x, y, k, outcome
     g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
     radius = obj.divergence_radius
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter

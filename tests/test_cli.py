@@ -171,8 +171,9 @@ REJECTED_INPUTS = [
     ["basin", "--class-tol", "nan"],
     ["invariance", "--seed", "3"],
     ["invariance", "--class-tol", "1e-6"],
-    # c**(2 - tau) overflows a float
+    # c**(2 - tau) overflows a float, or underflows to 0.0
     ["invariance", "--c", "1e200", "--tau", "0.1"],
+    ["invariance", "--c", "1e-200", "--tau", "0.1"],
     # the coefficients are finite, but g' = 2e308 z is not
     ["solve", "--poly", "1,0,1e308"],
     # numbers in a comma-separated flag that do not parse
@@ -587,6 +588,17 @@ def test_an_overflowing_derivative_is_named():
     code, out, err = invoke(["solve", "--poly", "1,0,1e308"])
     assert (code, out) == (1, "")
     assert err == "error: a coefficient of the derivative of 1,0,1e+308 overflows\n"
+
+
+@pytest.mark.parametrize("c", ["1e-200", "1e200"])
+def test_invariance_names_c_and_tau_where_the_shifts_break(c):
+    # c**(2 - tau) underflows to 0.0 or overflows: the message names the
+    # typed c and tau, not the scaled shifts the user never gave
+    code, out, err = invoke(["invariance", "--c", c, "--tau", "0.1"])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the shifts times c**(2 - tau) are not finite and pairwise distinct for c = {float(c)}, tau = 0.1\n"
+    )
 
 
 def test_solve_with_an_infinite_class_tol_matches_no_missing_root():

@@ -41,6 +41,28 @@ def test_transform_config_examples():
         transform_config(cfg, -2.0)
 
 
+@pytest.mark.parametrize(
+    "c, cfg",
+    [
+        # c**(2 - tau) underflows to 0.0, and every shift is 0
+        (1e-200, SolverConfig(tau=0.1)),
+        # c**(2 - tau) overflows
+        (1e200, SolverConfig(tau=0.1)),
+        # c**(2 - tau) is finite, a shift times it is not
+        (1e10, SolverConfig(deltas=(0.0, 1e300, -1.0))),
+        # 1e-323 and 1.2e-323 round to the same subnormal
+        (1e-323, SolverConfig(deltas=(1.0, 1.2))),
+    ],
+    ids=["underflow", "overflow", "shift-overflows", "shifts-collide"],
+)
+def test_transform_config_names_c_and_tau_where_the_shifts_break(c, cfg):
+    with pytest.raises(ValueError) as info:
+        transform_config(cfg, c)
+    assert str(info.value) == (
+        f"the shifts times c**(2 - tau) are not finite and pairwise distinct for c = {c}, tau = {cfg.tau}"
+    )
+
+
 @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
 def test_scale_must_be_positive_and_finite(c):
     for build in (lambda: ConjugationSpec(c, rotation(0.1)), lambda: transform_config(SolverConfig(), c)):

@@ -4,11 +4,13 @@ Every case checks, for every grid cell, the terminal class, the iteration
 count and the bits of the final point, both straight out of
 ``lockstep.iterate`` and through ``render_basin`` (which adds the
 classification); BNQN and GD also with every lane kept in the numpy sweep,
-and with every lane run by the per-lane float loop alone.  The few-lane
-Armijo backtracks inside a sweep are counted: they must run where few lanes
-reject the first trial, never in the sweep-only mode, and one case drives
-them to a gamma underflow.  The NQN and
-Newton directions are checked against the scalar step on crafted singular
+and with every lane run by the per-lane float loop alone.  The lanes that
+the per-lane loop runs on the real axis of a real g are counted, with those
+it hands back to the complex loop, and lanes at y = -0.0 must not reach
+it.  The few-lane Armijo backtracks inside a sweep are counted: they must
+run where few lanes reject the first trial, never in the sweep-only mode,
+and one case drives them to a gamma underflow.  The NQN and Newton
+directions are checked against the scalar step on crafted singular
 and non-finite Hessians.  Random relaxed Newton is checked trial by trial
 against ``run`` with the trial's own generator, straight out of ``iterate``
 and through the ``rrn`` experiment, cell by cell through ``render_basin``,
@@ -49,6 +51,11 @@ SQUARE = (-2.0, 2.0, -2.0, 2.0)
 CLUSTER8 = Polynomial.from_roots(
     [1.0, 1.001, 1.0 + 5e-4j, 1.2j, -0.9 + 0.6j, -1.1 - 0.3j, -0.2 - 1.3j, 0.8 - 0.9j]
 )
+# real degree 8 with four real roots (near -1.4, -0.5, 0.6 and 1.3), and one
+# with none, whose axis lanes end at critical points of F or at the cap
+REAL8 = Polynomial([0.99, 1.19, -2.53, -2.49, -1.65, -1.16, -0.15, 1.4, 1.0])
+REAL8_NO_AXIS_ROOT = Polynomial([0.5, -1.2, 0.3, 2.0, -0.7, 0.1, 0.9, -0.4, 1.0])
+THETA_TAU_DELTAS = SolverConfig(theta=1.0, tau=0.7, deltas=(0.0, 0.5, -0.8))
 
 CASES = {
     # odd grid: 25 converged cells on the negative real axis end Undecided
@@ -65,10 +72,7 @@ CASES = {
     "z3m1-gradtol0": (Z3M1, GridSpec(*SQUARE, 15, 15), BNQN, SolverConfig(grad_tol=0.0, max_iter=200)),
     "diverged-bnqn": (Z3M1, GridSpec(-1e9, 1e9, -1e9, 1e9, 9, 9), BNQN, SolverConfig(max_iter=300)),
     "diverged-btgd": (Z3M1, GridSpec(-1e9, 1e9, -1e9, 1e9, 9, 9), BTGD, SolverConfig(max_iter=300)),
-    "theta-tau-deltas": (
-        Z3M1, GridSpec(*SQUARE, 21, 21), BNQN,
-        SolverConfig(theta=1.0, tau=0.7, deltas=(0.0, 0.5, -0.8)),
-    ),
+    "theta-tau-deltas": (Z3M1, GridSpec(*SQUARE, 21, 21), BNQN, THETA_TAU_DELTAS),
     "btgd-theta": (Z3M1, GridSpec(*SQUARE, 15, 15), BTGD, SolverConfig(theta=1.0, max_iter=300)),
     # g = z with a huge shift: at x = 5e-324 and 1e-323 on the real axis w
     # underflows to 0, theta*|w| = inf*0 is NaN, max(1.0, NaN) is 1.0, and
@@ -101,6 +105,54 @@ CASES = {
     # z^40-1 far out: g and g' overflow, the first step is inf/inf, and 70
     # of the 72 cells sit at NaN, which run steps on up to the cap
     "newton1d-nan": (Z40M1, GridSpec(-2e8, 2e8, -2e8, 2e8, 9, 8), NEWTON_1D, SolverConfig(max_iter=300)),
+    # the real-axis loop: a real g on an odd grid symmetric about the axis ...
+    **{
+        f"real8-{method.value}-{name}": (REAL8, GridSpec(*SQUARE, 15, 15), method, cfg)
+        for method in (BNQN, BTGD)
+        for name, cfg in (("default", SolverConfig()), ("theta-tau-deltas", THETA_TAU_DELTAS))
+    },
+    # ... and with no root on the axis, where 14 axis lanes end
+    # CriticalNonRoot and the one from x = -2 hits the cap (bnqn), or 12 and
+    # three (btgd)
+    **{
+        f"real8-no-axis-root-{method.value}": (
+            REAL8_NO_AXIS_ROOT, GridSpec(*SQUARE, 15, 15), method, SolverConfig(max_iter=500),
+        )
+        for method in (BNQN, BTGD)
+    },
+    # z^3-1 written with -0.0 imaginary parts is real
+    **{
+        f"z3m1-minus-zero-imag-{method.value}": (
+            Polynomial([complex(-1.0, -0.0), 0, 0, complex(1.0, -0.0)]), GridSpec(*SQUARE, 9, 9), method,
+            SolverConfig(max_iter=3000),
+        )
+        for method in (BNQN, BTGD)
+    },
+    # starts at x = +0.0 and -0.0 on the axis (a one-column grid sits at
+    # x_min); on z^2 + 2z + 5e-324 with grad_tol = 0 the BNQN direction
+    # g'g/|a| = 1e-323/4 rounds to 0 there and the lane stays at x = +-0
+    **{
+        f"axis-{sign}0-{name}-{method.value}": (poly, GridSpec(x0, 1.0, -1.0, 1.0, 1, 3), method, cfg)
+        for sign, x0 in (("plus", 0.0), ("minus", -0.0))
+        for name, poly, cfg in (
+            ("cubic", Polynomial([-1, 2, 0, 1]), SolverConfig()),
+            ("subnormal", Polynomial([5e-324, 2, 1]), SolverConfig(grad_tol=0.0, max_iter=50)),
+        )
+        for method in (BNQN, BTGD)
+    },
+    # at x = 1, g = 2.9e307 z^3 + 2e307 z^2 - 4.9e307 z + 1 is 1 and g' is
+    # 7.8e307, but g'' overflows, and so the BNQN lane fails its first step
+    "axis-g2-overflow-bnqn": (
+        Polynomial([1.0, -(2.9e307 + 2e307), 2e307, 2.9e307]), GridSpec(1.0, 2.0, -1.0, 1.0, 1, 3), BNQN,
+        SolverConfig(),
+    ),
+    # g = 1e-170 z + 1e-150 at tau = 2: |grad|**tau underflows to 0, so the
+    # first shift passes the bar, and g'^2 underflows to 0 too, so the
+    # shifted Hessian is singular and every lane fails its first step
+    "singular-shift-bnqn": (
+        Polynomial([1e-150, 1e-170]), GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3), BNQN,
+        SolverConfig(tau=2.0, grad_tol=0.0, max_iter=50),
+    ),
     # far starts at tau > 1: |grad|**tau overflows to an inf shift scale
     # where |grad| is large, and stays finite nearer the roots
     **{
@@ -247,6 +299,8 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
             assert (codes[n], steps[n], x[n], y[n]) == (lockstep.CAPPED, 50, x0[n], 0.0)
     if case.startswith("diverged"):
         assert basin.class_counts()["Diverged"] > 0
+    if case == "singular-shift-bnqn":
+        assert (codes == lockstep.FAILED).all() and not steps.any()
     if case in ("no-admissible-delta", "overflow-bnqn", "overflow-btgd"):
         assert lockstep.FAILED in outcomes
     if case == "newton1d-overflow":
@@ -262,6 +316,53 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
         assert np.count_nonzero(codes == lockstep.CAPPED) == 38
     if case.startswith(("nqn-z25m1", "newton-opt-z25m1")):
         assert np.count_nonzero(codes == lockstep.FAILED) == 24
+
+
+def test_real_axis_loop_takes_the_axis_lanes_of_a_real_g(monkeypatch):
+    # render_basin sweeps the y >= 0 rows of a real g, and the 45 lanes of
+    # the z^3-1 9x9 grid finish one by one: the nine at y = +0.0 run on
+    # floats to their end, the four capped ones too.  F overflows on the
+    # axis of z^25-1 far out, g'' overflows at x = 1 of axis-g2-overflow,
+    # and at x = +-0 on z^2 + 2z + 5e-324 the BNQN direction is 0, so those
+    # lanes go back to the complex loop.  A complex g never comes here
+    outcomes = []
+    real_lane = lockstep._finish_real_lane
+
+    def counted(*args):
+        end = real_lane(*args)
+        outcomes.append(end[2])
+        return end
+
+    monkeypatch.setattr(lockstep, "_finish_real_lane", counted)
+    taken = {}
+    cases = ("btgd-9-default", "cluster8", "overflow-btgd", "axis-g2-overflow-bnqn", "axis-minus0-subnormal-bnqn")
+    for case in cases:
+        outcomes.clear()
+        render_basin(*CASES[case])
+        taken[case] = list(outcomes)
+    assert sorted(taken["btgd-9-default"]) == [lockstep.STOPPED] * 5 + [lockstep.CAPPED] * 4
+    assert taken["cluster8"] == []
+    assert None in taken["overflow-btgd"]
+    assert taken["axis-g2-overflow-bnqn"] == taken["axis-minus0-subnormal-bnqn"] == [None]
+
+
+@pytest.mark.parametrize("method", [BNQN, BTGD], ids=["bnqn", "btgd"])
+def test_lanes_at_minus_zero_keep_the_complex_loop(monkeypatch, method):
+    # from y = -0.0 the sign of the next y is the sign of a zero product,
+    # so those lanes never reach the real-axis loop, and still end as run
+    # does: at (-2, -0.0) on z^3-1 GD creeps toward 0 up to the cap
+    monkeypatch.setattr(lockstep, "_TAIL_LANES", ALL_LANES)
+    monkeypatch.setattr(lockstep, "_finish_real_lane", None)
+    obj, cfg = PolyModulusObjective(Z3M1), SolverConfig()
+    x0 = [-2.0, -0.5, 0.0, 0.7, 1.5]
+    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, [-0.0] * len(x0))
+    for n, start in enumerate(x0):
+        want = run(obj, (start, -0.0), method, cfg)
+        fx, fy = want.final_point
+        assert same_bits(x[n], fx) and same_bits(y[n], fy), start
+        assert steps[n] == want.iterations, start
+    if method is BTGD:
+        assert codes[0] == lockstep.CAPPED
 
 
 @pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])
