@@ -7,6 +7,7 @@ e.g. ``-1,0,1`` for z^2 - 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import DerivativeVanishes, NoConvergence, PoleHit
@@ -202,9 +203,9 @@ def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
     """All complex roots of p, with multiplicity, via Durand-Kerner iteration.
 
     Starts from the standard perturbed circle (0.4+0.9i)^k scaled by the
-    Cauchy root bound and iterates until every estimate r satisfies
-    |p(r)| <= tol * (1+|r|)^deg * max|coeff|.  Multiple roots come back as
-    clusters of nearby estimates.
+    Cauchy root bound and iterates until every estimate r is finite and
+    satisfies |p(r)| <= tol * (1+|r|)^deg * max|coeff|.  Multiple roots come
+    back as clusters of nearby estimates.
 
     Raises NoConvergence if the residual bound is not met within max_iter
     rounds; callers may retry with a larger cap.
@@ -240,12 +241,8 @@ def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
                     if j != i:
                         denom *= zi - zs[j]
             zs[i] = zi - monic_eval(zi) / denom
-        ok = True
-        for z in zs:
-            if abs(p(z)) > tol * (1.0 + abs(z)) ** n * max_coeff:
-                ok = False
-                break
-        if ok:
+        # a NaN or infinite estimate never converges, whatever its residual
+        if all(cmath.isfinite(z) and abs(p(z)) <= tol * (1.0 + abs(z)) ** n * max_coeff for z in zs):
             return list(zs)
     raise NoConvergence(f"Durand-Kerner did not meet the residual bound in {max_iter} rounds")
 

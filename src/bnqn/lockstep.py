@@ -13,7 +13,7 @@ the lanes it does not admit try later shifts, and the lanes with a diagonal
 Hessian are fixed by index.  BNQN and GD then take the first Armijo trial on
 the whole arrays, and only the lanes that reject it backtrack, dropping out
 of the loop as they accept; once at most ``_TAIL_LANES`` lanes still reject,
-each finishes its search alone on Python floats (``_backtrack_lane``).  A
+each finishes its search alone on Python floats (``_armijo_lane``).  A
 sweep compacts its arrays only when some lane stops or fails, and ends as
 soon as a compaction leaves no lane.  NQN and Newton optimization (one
 batched ``numpy.linalg.solve``) take the full step z - w.  Newton's map
@@ -48,7 +48,9 @@ where the scalar loop's remaining NaN steps take it.  Once at most
 ``_TAIL_LANES`` BNQN or GD lanes are left, a sweep costs more than stepping
 them one by one, so each is finished by ``_finish_lane``: the same step on
 Python floats and Python ``complex``, which is the arithmetic the scalar
-loop does.  The other methods' lanes always stay in the sweep.
+loop does, with g, g' and g'' from ``Polynomial.__call__`` and the Armijo
+search of a sweep's last rejecters (``_armijo_lane``).  The other methods'
+lanes always stay in the sweep.
 
 Complex conjugation commutes with both methods and leaves F of a real g
 unchanged, so a lane on the real axis stays there.  ``_finish_lane`` runs a
@@ -90,19 +92,21 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # BNQN and GD lanes go to ``_finish_lane`` once a sweep starts with at most
 # this many.  On one pinned core, a sweep costs nearly the same for 1 to 64
 # lanes: 63-72 us for GD on the z^3-1 negative axis, 120-190 us for BNQN at
-# degree 3 and 185-270 us at degree 8.  A per-lane step costs 1.8-2.3 us
-# for GD (z^3-1 from -2 - 0i) and 5.7-7.9 us for BNQN off the real axis, so
-# the kernel wins above about 23-37 lanes; on the real axis of a real g
-# (``_finish_real_lane``) a GD step costs 1.0 us.  Whole sweeps (z^3-1
-# BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25) took the same time,
-# within noise, with any tail from 24 to 64, and longer with 96 on the
-# clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes run 10 000
-# steps each on floats, takes 0.17-0.20 s against 1.0-1.1 s with them in
-# the sweep.  The same bound sends a sweep's last
-# Armijo rejecters to ``_backtrack_lane``.  With that in place, a
-# basin-cluster8-bnqn cycle (seeds 3, 7 and 41, one pinned core) ran faster
-# with 48 than with 64 in 32 of 48 alternations and than with 96 in 27 of
-# 32; 24 and 32 were within 3% of 48.
+# degree 3 and 185-270 us at degree 8.  A per-lane step in the complex loop
+# costs 3.8-4.2 us for GD (z^3-1 from -2 - 0i) and 10.2-11.5 us for BNQN on a
+# degree-8 cluster, and a per-lane Armijo trial there 2.2-2.3 us.  GD lanes
+# in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps) ran
+# faster per lane than in the sweep at 24 lanes and slower at 32; on the
+# real axis of a real g (``_finish_real_lane``) a GD step costs 1.0 us.
+# Whole sweeps (z^3-1 BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25)
+# took the same time, within noise, with any tail from 24 to 64, and longer
+# with 96 on the clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes
+# run 10 000 steps each on floats, takes 0.17-0.20 s against 1.0-1.1 s with
+# them in the sweep.  The same bound sends a sweep's last Armijo rejecters
+# to ``_armijo_lane``.  With that in place, a basin-cluster8-bnqn cycle
+# (seeds 3, 7 and 41, one pinned core) ran faster with 48 than with 64 in 32
+# of 48 alternations and than with 96 in 27 of 32; 24 and 32 were within 3%
+# of 48.
 _TAIL_LANES = 48
 
 def _horner(coeffs, zr, zi):
@@ -160,58 +164,58 @@ def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     return x - (ar * qr - ai * qi), y - (ar * qi + ai * qr), failed
 
 
-def _backtrack_lane(g, x, y, wx, wy, fz, slope, gamma):
-    """Armijo's search for one lane on Python floats, from the rejected trial
-    ``gamma`` on; returns (x, y, gr, gi) at the accepted trial, or None where
-    gamma underflows.  ``g`` holds the coefficients highest first."""
+def _armijo_lane(g, x, y, wx, wy, fz, slope, gamma):
+    """Armijo's search for one lane on Python floats from the trial
+    ``gamma`` on, with g the ``Polynomial``; returns (trial, g(trial),
+    F(trial)) at the accepted trial, or None where gamma underflows."""
     while True:
+        trial = complex(x - gamma * wx, y - gamma * wy)
+        gt = g(trial)
+        ft = 0.5 * (gt.real * gt.real + gt.imag * gt.imag)
+        if ft <= fz - gamma * slope * _ARMIJO_FACTOR:
+            return trial, gt, ft
         gamma = gamma * _SHRINK_FACTOR
         if gamma < _UNDERFLOW_LIMIT:
             return None
-        trial = complex(x - gamma * wx, y - gamma * wy)
-        gt = 0j
-        for c in g:
-            gt = gt * trial + c
-        if 0.5 * (gt.real * gt.real + gt.imag * gt.imag) <= fz - gamma * slope * _ARMIJO_FACTOR:
-            return trial.real, trial.imag, gt.real, gt.imag
 
 
 def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
-    """z - gamma*w per lane with Armijo's gamma; returns (x, y, gr, gi,
-    failed), with g = gr + i gi at the new point.
+    """z - gamma*w per lane with Armijo's gamma, with g the ``Polynomial``;
+    returns (x, y, gr, gi, failed), with g = gr + i gi at the new point.
 
     The first trial, gamma0, runs on every lane at once; only the lanes that
     reject it backtrack, leaving the loop as they accept.  gamma is the same
     on every lane of a pass, so the underflow test fails all the lanes left
     at once.  Once at most ``_TAIL_LANES`` lanes are left, a numpy pass costs
     more than their trials on Python floats, so each finishes its search alone
-    in ``_backtrack_lane``.  Lanes already failed skip the search.  The test
+    in ``_armijo_lane``.  Lanes already failed skip the search.  The test
     keeps the scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
+    coeffs = g.coeffs
     slope = wx * gx + wy * gy
     fz = 0.5 * (gr * gr + gi * gi)
     gamma = cfg.gamma0
     xn, yn = x - gamma * wx, y - gamma * wy
-    gr, gi = _horner(g, xn, yn)
+    gr, gi = _horner(coeffs, xn, yn)
     ok = 0.5 * (gr * gr + gi * gi) <= fz - gamma * slope * _ARMIJO_FACTOR
     todo = (~(ok | failed)).nonzero()[0]
     while todo.size:
-        if todo.size <= _TAIL_LANES:
-            coeffs = g[::-1]
-            lanes = (v[todo].tolist() for v in (x, y, wx, wy, fz, slope))
-            for m, *lane in zip(todo.tolist(), *lanes):
-                accepted = _backtrack_lane(coeffs, *lane, gamma)
-                if accepted is None:
-                    failed[m] = True
-                else:
-                    xn[m], yn[m], gr[m], gi[m] = accepted
-            break
         gamma = gamma * _SHRINK_FACTOR
         if gamma < _UNDERFLOW_LIMIT:
             failed[todo] = True
             break
+        if todo.size <= _TAIL_LANES:
+            lanes = (v[todo].tolist() for v in (x, y, wx, wy, fz, slope))
+            for m, *lane in zip(todo.tolist(), *lanes):
+                accepted = _armijo_lane(g, *lane, gamma)
+                if accepted is None:
+                    failed[m] = True
+                else:
+                    trial, gt, _ = accepted
+                    xn[m], yn[m], gr[m], gi[m] = trial.real, trial.imag, gt.real, gt.imag
+            break
         xt, yt = x[todo] - gamma * wx[todo], y[todo] - gamma * wy[todo]
-        vr, vi = _horner(g, xt, yt)
+        vr, vi = _horner(coeffs, xt, yt)
         ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gamma * slope[todo] * _ARMIJO_FACTOR
         done = todo[ok]
         xn[done], yn[done], gr[done], gi[done] = xt[ok], yt[ok], vr[ok], vi[ok]
@@ -340,7 +344,7 @@ def _newton_direction(gx, gy, a, b, c):
 def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     """``select_delta`` then ``reflected_direction`` on floats; None where
     they raise (no admissible shift, or a zero eigenvalue)."""
-    scale = gn if cfg.tau == 1.0 else _shift_scale(gn, cfg.tau)
+    scale = _shift_scale(gn, cfg.tau)
     threshold = cfg.kappa * scale
     for d in cfg.deltas:
         shift = d * scale
@@ -400,7 +404,7 @@ def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfi
             u *= gz
             s = dgz * dgz
             ha, hc = u + s, s - u
-            scale = gn if tau == 1.0 else _shift_scale(gn, tau)
+            scale = _shift_scale(gn, tau)
             threshold = kappa * scale
             for d in deltas:
                 shift = d * scale
@@ -446,55 +450,36 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     finite.  A lane at y = -0.0 keeps the complex loop, where the sign of
     the next y is the sign of a zero product.
 
-    This is the scalar loop's arithmetic without its arrays and trace:
-    Python's complex Horner loop (inline) and product, ``linalg.hypot``
-    norms, the 2x2 eigensystem of ``linalg``, ``max(1.0, v)`` for the theta
-    cap and the Armijo test in the form
-    ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``, whose f(z) is the
-    f(trial) of the step before (the same expression on the same g).
-    |grad| is ``abs(w)``
-    for w = g'(z)*conj(g(z)): the C ``hypot`` ignores signs, so it equals
-    ``hypot(w.real, -w.imag)``.  The radius test takes ``abs(z)``, as
-    ``linalg.hypot(x, y)`` does for z = complex(x, y).  Where either
-    overflows, the norm is inf, as in ``linalg.hypot``.
+    This is the scalar loop's arithmetic without its arrays and trace: g,
+    g' and g'' by ``Polynomial.__call__``, Python's complex product,
+    |grad| = ``hypot(gx, gy)`` and |z| = ``hypot(x, y)`` as ``run``'s
+    ``_norm`` takes them (``linalg.hypot``), the 2x2 eigensystem of
+    ``linalg``, ``max(1.0, v)`` for the theta cap and ``_armijo_lane`` from
+    gamma0, whose F at the accepted trial is the next step's f(z) (the same
+    expression on the same g).
     """
     if y == 0.0 and math.copysign(1.0, y) == 1.0 and obj.g.is_real:
         x, k, outcome = _finish_real_lane(obj, hessian, cfg, x, k)
         if outcome is not None:
             return x, y, k, outcome
-    g, dg, ddg = (p.coeffs[::-1] for p in (obj.g, obj.dg, obj.ddg))
+    g, dg, ddg = obj.g, obj.dg, obj.ddg
     radius = obj.divergence_radius
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
-    armijo_factor = _ARMIJO_FACTOR
     z = complex(x, y)
-    gz = 0j
-    for c in g:
-        gz = gz * z + c
+    gz = g(z)
     fz = 0.5 * (gz.real * gz.real + gz.imag * gz.imag)
     while True:
-        dgz = 0j
-        for c in dg:
-            dgz = dgz * z + c
+        dgz = dg(z)
         gc = gz.conjugate()
         w = dgz * gc
         gx, gy = w.real, -w.imag
-        try:
-            gn = abs(w)
-        except OverflowError:
-            gn = math.inf
-        try:
-            far = abs(z) > radius
-        except OverflowError:
-            far = math.inf > radius
-        if gn <= grad_tol or far:
+        gn = hypot(gx, gy)
+        if gn <= grad_tol or hypot(x, y) > radius:
             return x, y, k, STOPPED
         if k >= max_iter:
             return x, y, k, CAPPED
         if hessian:
-            u = 0j
-            for c in ddg:
-                u = u * z + c
-            u *= gc
+            u = ddg(z) * gc
             s = dgz.real * dgz.real + dgz.imag * dgz.imag
             direction = _lane_direction(gx, gy, gn, u.real + s, -u.imag, s - u.real, cfg)
             if direction is None:
@@ -506,24 +491,12 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
         if theta != 0.0:
             div = max(1.0, theta * (hypot(wx, wy) if hessian else gn))
             wx, wy = wx / div, wy / div
-        slope = wx * gx + wy * gy
-        # _backtrack_lane's search from gamma0, kept inline: calling a shared
-        # search once per step made basin-cubic-btgd slower (in-process
-        # medians 1140 -> 1042 starts/s)
-        gamma = gamma0
-        while True:
-            trial = complex(x - gamma * wx, y - gamma * wy)
-            gt = 0j
-            for c in g:
-                gt = gt * trial + c
-            ft = 0.5 * (gt.real * gt.real + gt.imag * gt.imag)
-            if ft <= fz - gamma * slope * armijo_factor:
-                break
-            gamma = gamma * _SHRINK_FACTOR
-            if gamma < _UNDERFLOW_LIMIT:
-                return x, y, k, FAILED
+        accepted = _armijo_lane(g, x, y, wx, wy, fz, wx * gx + wy * gy, gamma0)
+        if accepted is None:
+            return x, y, k, FAILED
         # the accepted trial is the next point, and g and F there are known
-        x, y, z, gz, fz = trial.real, trial.imag, trial, gt, ft
+        z, gz, fz = accepted
+        x, y = z.real, z.imag
         k += 1
 
 
@@ -637,7 +610,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                     div = np.where(div > 1.0, div, 1.0)
                     wx, wy = wx / div, wy / div
                 # the Armijo search has evaluated g at every new point
-                xn, yn, gr, gi, failed = _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
+                xn, yn, gr, gi, failed = _armijo_step(obj.g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             elif hessian:
                 if method is Method.NQN:
                     wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_nqn)

@@ -687,6 +687,14 @@ def test_runtime_failures_exit_two(tmp_path):
     assert "failure" in err
 
 
+def test_rrn_fails_where_the_root_finder_finds_no_root():
+    # Durand-Kerner's estimates for z^10 - 1e40 all turn NaN, and NaN is no
+    # root: the run fails instead of printing root_0=nan-nani
+    code, out, err = invoke(["rrn", "--poly", "-1e40,0,0,0,0,0,0,0,0,0,1", "--trials", "10"])
+    assert (code, out) == (2, "")
+    assert err == "failure: Durand-Kerner did not meet the residual bound in 500 rounds\n"
+
+
 def test_highest_first_flag():
     code_lo, out_lo, _ = invoke(["solve", "--poly", "-1,0,1", "--z0", "0.3,-1.7"])
     code_hi, out_hi, _ = invoke(

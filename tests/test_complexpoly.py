@@ -264,6 +264,13 @@ def test_all_roots_rejects_constants_and_caps():
         all_roots(Polynomial([1, 0, 0, 0, 1]), 1e-30, max_iter=2)
 
 
+def test_all_roots_never_accepts_nan_estimates():
+    # z^10 - 1e40 from the Cauchy radius 1e40: the products of differences
+    # overflow and every estimate turns NaN, where |p(r)| <= bound is False
+    with pytest.raises(NoConvergence):
+        all_roots(Polynomial([-1e40] + [0] * 9 + [1]), 1e-12)
+
+
 def test_parse_and_format_round_trip():
     p = parse_polynomial("-1,0,1")
     assert p == Z2M1

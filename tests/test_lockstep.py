@@ -63,6 +63,12 @@ CASES = {
     "z2-double-root": (Polynomial([0, 0, 1]), GridSpec(*SQUARE, 15, 15), BNQN, SolverConfig()),
     "z2m1": (Polynomial([-1, 0, 1]), GridSpec(*SQUARE, 21, 21), BNQN, SolverConfig()),
     "cluster8": (CLUSTER8, GridSpec(*SQUARE, 17, 17), BNQN, SolverConfig()),
+    # a complex g: the per-lane loop and the sweep's per-lane Armijo search
+    # run on complex values, with the theta cap and, for BNQN, later shifts
+    "cluster8-theta-tau-deltas": (
+        CLUSTER8, GridSpec(*SQUARE, 17, 17), BNQN, replace(THETA_TAU_DELTAS, max_iter=300),
+    ),
+    "cluster8-btgd-theta": (CLUSTER8, GridSpec(*SQUARE, 17, 17), BTGD, SolverConfig(theta=1.0, max_iter=300)),
     # the axis cells hit the cap in the per-lane loop
     "btgd-cap300": (Z3M1, GridSpec(*SQUARE, 9, 9), BTGD, SolverConfig(max_iter=300)),
     # the basin-cubic-btgd benchmark input: the four negative-axis cells
@@ -229,18 +235,21 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
     if tail is not None:
         monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
     finished, backtracked = [], []
-    finish_lane, backtrack_lane = lockstep._finish_lane, lockstep._backtrack_lane
+    finish_lane, armijo_lane = lockstep._finish_lane, lockstep._armijo_lane
 
     def counted(*args):
         finished.append(args)
         return finish_lane(*args)
 
     def counted_backtrack(*args):
-        backtracked.append(backtrack_lane(*args))
-        return backtracked[-1]
+        accepted = armijo_lane(*args)
+        # _finish_lane searches from gamma0; a sweep's rejecters from below it
+        if args[-1] < cfg.gamma0:
+            backtracked.append(accepted)
+        return accepted
 
     monkeypatch.setattr(lockstep, "_finish_lane", counted)
-    monkeypatch.setattr(lockstep, "_backtrack_lane", counted_backtrack)
+    monkeypatch.setattr(lockstep, "_armijo_lane", counted_backtrack)
     x0, y0 = np.array(starts).T
     x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0)
     per_lane = len(finished)
@@ -275,7 +284,7 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
         assert all(args[-1] == 0 for args in finished)  # from step 0
     elif case in ("btgd-cap300", "btgd-9-default", "diverged-bnqn"):
         assert 0 < per_lane <= lockstep._TAIL_LANES
-    if tail is None and case in ("z3m1-51-default", "cluster8"):
+    if tail is None and (case == "z3m1-51-default" or case.startswith("cluster8")):
         assert backtracked
     if case == "underflow-per-lane":
         failed = codes == lockstep.FAILED

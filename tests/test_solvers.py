@@ -29,6 +29,7 @@ from support import (
     check_btgd_trace,
     nearest_root_index,
     one_step,
+    same_bits,
 )
 
 Z2M1 = PolyModulusObjective(Polynomial([-1, 0, 1]))
@@ -328,6 +329,9 @@ def test_shift_scale_is_inf_where_the_power_overflows():
     assert _shift_scale(3e40, 8.0) == math.inf  # Python's ** raises here
     assert _shift_scale(math.inf, 0.5) == math.inf
     assert math.isnan(_shift_scale(math.nan, 8.0))
+    # x**1.0 is x, so the kernel takes the default tau = 1 through it too
+    for grad_norm in (0.0, 5e-324, 1.7e308, math.inf, math.nan):
+        assert same_bits(_shift_scale(grad_norm, 1.0), grad_norm)
 
 
 # BNQN's far-start crawl on z^3 - 1 from (r, 0.37 r), default config: at
