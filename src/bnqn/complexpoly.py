@@ -208,7 +208,8 @@ def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
     back as clusters of nearby estimates.
 
     Raises NoConvergence if the residual bound is not met within max_iter
-    rounds; callers may retry with a larger cap.
+    rounds, or at once in the round that leaves the last estimate NaN;
+    callers may retry with a larger cap.
     """
     n = p.degree
     if n < 1:
@@ -226,7 +227,7 @@ def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
             acc = acc * z + c
         return acc
 
-    for _ in range(max_iter):
+    for round_no in range(1, max_iter + 1):
         for i in range(n):
             zi = zs[i]
             denom = 1.0 + 0j
@@ -241,6 +242,11 @@ def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
                     if j != i:
                         denom *= zi - zs[j]
             zs[i] = zi - monic_eval(zi) / denom
+        # NaN is absorbing: every later round's differences with a NaN
+        # estimate, and so every product and quotient, are NaN (denom == 0
+        # is False on NaN), so a NaN last estimate can only fail
+        if cmath.isnan(zs[-1]):
+            raise NoConvergence(f"Durand-Kerner estimates turned NaN in round {round_no}")
         # a NaN or infinite estimate never converges, whatever its residual
         if all(cmath.isfinite(z) and abs(p(z)) <= tol * (1.0 + abs(z)) ** n * max_coeff for z in zs):
             return list(zs)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BnqnError, SingularMatrix
 from .linalg import SymmetricMatrix, reflected_direction
 from .objective import BilinearTestObjective, ObjectiveFunction
-from .solvers import Method, SolverConfig, run
+from .solvers import Method, SolverConfig, _shift_scale, run
 
 __all__ = [
     "ConjugatedObjective",
@@ -129,10 +129,7 @@ def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
     ``ValueError`` names c and tau, not shifts the caller never gave.
     """
     _check_scale(c)
-    try:
-        factor = c ** (2.0 - cfg.tau)
-    except OverflowError:
-        factor = math.inf
+    factor = _shift_scale(c, 2.0 - cfg.tau)
     deltas = tuple(d * factor for d in cfg.deltas)
     # 0.0 == -0.0, as SolverConfig's pairwise gap has it
     if not all(map(math.isfinite, deltas)) or len(set(deltas)) < len(deltas):

@@ -1,8 +1,12 @@
 """Small dense symmetric eigen-machinery.
 
-Closed form for 2x2, ``numpy.linalg.eigh`` for every other size.
-Eigenvectors follow the sign convention "first nonzero component positive"
-so decompositions are deterministic.
+Closed form for 2x2 (``_eig2_system``, whose eigenvalues ``sp`` and
+``minsp`` read too), ``numpy.linalg.eigh`` for every other size.  The 2x2
+eigenvalue-reflected solve on floats is written once, ``_eig2_solve``:
+``reflected_direction`` and the lockstep kernel's per-lane tail
+(``lockstep._lane_direction``) both take it.  Eigenvectors follow the sign
+convention "first nonzero component positive" so decompositions are
+deterministic.
 """
 
 from __future__ import annotations
@@ -127,16 +131,6 @@ class EigenDecomposition:
         return q @ np.diag(self.eigenvalues) @ q.T
 
 
-def _eig2_values(a: float, b: float, c: float) -> tuple[float, float]:
-    """Ascending eigenvalues of [[a, b], [b, c]]."""
-    if b == 0.0:
-        return (a, c) if a <= c else (c, a)
-    t = 0.5 * (a + c)
-    d = 0.5 * (a - c)
-    r = hypot(d, b)
-    return t - r, t + r
-
-
 def _eig2_system(a: float, b: float, c: float):
     """(l1, l2, u1x, u1y, u2x, u2y) for [[a, b], [b, c]], l1 <= l2.
 
@@ -167,6 +161,17 @@ def _eig2_system(a: float, b: float, c: float):
     return l1, l2, u1x, u1y, u2x, u2y
 
 
+def _eig2_solve(gx: float, gy: float, system):
+    """Q |L|^-1 Q^T (gx, gy) for the 2x2 eigensystem ``system`` that
+    ``_eig2_system`` returns; (wx, wy), or None where an eigenvalue is 0."""
+    l1, l2, u1x, u1y, u2x, u2y = system
+    if l1 == 0.0 or l2 == 0.0:
+        return None
+    c1 = (gx * u1x + gy * u1y) / abs(l1)
+    c2 = (gx * u2x + gy * u2y) / abs(l2)
+    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y
+
+
 def eigh(matrix: SymmetricMatrix) -> EigenDecomposition:
     """Full spectral factorization with eigenvalues sorted ascending.
 
@@ -192,7 +197,7 @@ def eigh(matrix: SymmetricMatrix) -> EigenDecomposition:
 def sp(matrix: SymmetricMatrix) -> float:
     """Spectral radius: the largest |eigenvalue|."""
     if matrix.dim == 2:
-        l1, l2 = _eig2_values(*matrix.upper)
+        l1, l2 = _eig2_system(*matrix.upper)[:2]
         return max(abs(l1), abs(l2))
     return max(abs(v) for v in eigh(matrix).eigenvalues)
 
@@ -200,7 +205,7 @@ def sp(matrix: SymmetricMatrix) -> float:
 def minsp(matrix: SymmetricMatrix) -> float:
     """Smallest |eigenvalue|; nonzero exactly when the matrix is invertible."""
     if matrix.dim == 2:
-        l1, l2 = _eig2_values(*matrix.upper)
+        l1, l2 = _eig2_system(*matrix.upper)[:2]
         return min(abs(l1), abs(l2))
     return min(abs(v) for v in eigh(matrix).eigenvalues)
 
@@ -212,15 +217,10 @@ def reflected_direction(matrix: SymmetricMatrix, grad) -> np.ndarray:
     part; always a descent direction for grad when it is nonzero.
     """
     if matrix.dim == 2:
-        a, b, c = matrix.upper
-        l1, l2, u1x, u1y, u2x, u2y = _eig2_system(a, b, c)
-        if l1 == 0.0 or l2 == 0.0:
+        w = _eig2_solve(float(grad[0]), float(grad[1]), _eig2_system(*matrix.upper))
+        if w is None:
             raise SingularMatrix("matrix has a zero eigenvalue")
-        gx = float(grad[0])
-        gy = float(grad[1])
-        c1 = (gx * u1x + gy * u1y) / abs(l1)
-        c2 = (gx * u2x + gy * u2y) / abs(l2)
-        return np.array([c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y])
+        return np.array(w)
     decomp = eigh(matrix)
     if min(abs(v) for v in decomp.eigenvalues) == 0.0:
         raise SingularMatrix("matrix has a zero eigenvalue")

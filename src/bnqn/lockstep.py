@@ -48,7 +48,8 @@ where the scalar loop's remaining NaN steps take it.  Once at most
 ``_TAIL_LANES`` BNQN or GD lanes are left, a sweep costs more than stepping
 them one by one, so each is finished by ``_finish_lane``: the same step on
 Python floats and Python ``complex``, which is the arithmetic the scalar
-loop does, with g, g' and g'' from ``Polynomial.__call__`` and the Armijo
+loop does, with g, g' and g'' from ``Polynomial.__call__``, the reflected
+solve of ``reflected_direction`` (``linalg._eig2_solve``) and the Armijo
 search of a sweep's last rejecters (``_armijo_lane``).  The other methods'
 lanes always stay in the sweep.
 
@@ -74,7 +75,7 @@ from itertools import repeat
 import numpy as np
 
 from .complexpoly import pole_scale
-from .linalg import _eig2_system, hypot
+from .linalg import _eig2_solve, _eig2_system, hypot
 from .objective import PolyModulusObjective
 from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig, _shift_scale
 from .streams import TrialStreams, _RelaxationDraws, lane_blocks
@@ -343,21 +344,17 @@ def _newton_direction(gx, gy, a, b, c):
 
 def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     """``select_delta`` then ``reflected_direction`` on floats; None where
-    they raise (no admissible shift, or a zero eigenvalue)."""
+    they raise (no admissible shift, or a zero eigenvalue).  The winning
+    shift's eigensystem goes to ``linalg._eig2_solve``, the solve that
+    ``reflected_direction`` takes."""
     scale = _shift_scale(gn, cfg.tau)
     threshold = cfg.kappa * scale
     for d in cfg.deltas:
         shift = d * scale
-        l1, l2, u1x, u1y, u2x, u2y = _eig2_system(a + shift, b, c + shift)
-        if min(abs(l1), abs(l2)) >= threshold:
-            break
-    else:
-        return None
-    if l1 == 0.0 or l2 == 0.0:
-        return None
-    c1 = (gx * u1x + gy * u1y) / abs(l1)
-    c2 = (gx * u2x + gy * u2y) / abs(l2)
-    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y
+        system = _eig2_system(a + shift, b, c + shift)
+        if min(abs(system[0]), abs(system[1])) >= threshold:
+            return _eig2_solve(gx, gy, system)
+    return None
 
 
 def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, k):
@@ -453,10 +450,10 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     This is the scalar loop's arithmetic without its arrays and trace: g,
     g' and g'' by ``Polynomial.__call__``, Python's complex product,
     |grad| = ``hypot(gx, gy)`` and |z| = ``hypot(x, y)`` as ``run``'s
-    ``_norm`` takes them (``linalg.hypot``), the 2x2 eigensystem of
-    ``linalg``, ``max(1.0, v)`` for the theta cap and ``_armijo_lane`` from
-    gamma0, whose F at the accepted trial is the next step's f(z) (the same
-    expression on the same g).
+    ``_norm`` takes them (``linalg.hypot``), the 2x2 eigensystem and
+    reflected solve of ``linalg`` (``_lane_direction``), ``max(1.0, v)`` for
+    the theta cap and ``_armijo_lane`` from gamma0, whose F at the accepted
+    trial is the next step's f(z) (the same expression on the same g).
     """
     if y == 0.0 and math.copysign(1.0, y) == 1.0 and obj.g.is_real:
         x, k, outcome = _finish_real_lane(obj, hessian, cfg, x, k)

@@ -169,6 +169,7 @@ def _shift_scale(grad_norm: float, tau: float) -> float:
 
     Python's float ``**`` raises ``OverflowError`` where the power
     overflows; the scale is inf there, as ``linalg.hypot`` gives inf.
+    ``invariance.transform_config`` takes its factor c**(2 - tau) here too.
     """
     try:
         return grad_norm**tau

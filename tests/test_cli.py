@@ -692,7 +692,7 @@ def test_rrn_fails_where_the_root_finder_finds_no_root():
     # root: the run fails instead of printing root_0=nan-nani
     code, out, err = invoke(["rrn", "--poly", "-1e40,0,0,0,0,0,0,0,0,0,1", "--trials", "10"])
     assert (code, out) == (2, "")
-    assert err == "failure: Durand-Kerner did not meet the residual bound in 500 rounds\n"
+    assert err == "failure: Durand-Kerner estimates turned NaN in round 1\n"
 
 
 def test_highest_first_flag():

@@ -266,8 +266,9 @@ def test_all_roots_rejects_constants_and_caps():
 
 def test_all_roots_never_accepts_nan_estimates():
     # z^10 - 1e40 from the Cauchy radius 1e40: the products of differences
-    # overflow and every estimate turns NaN, where |p(r)| <= bound is False
-    with pytest.raises(NoConvergence):
+    # overflow and every estimate turns NaN, where |p(r)| <= bound is False;
+    # NaN is absorbing, so the call fails in that round, not after max_iter
+    with pytest.raises(NoConvergence, match="in round 1$"):
         all_roots(Polynomial([-1e40] + [0] * 9 + [1]), 1e-12)
 
 

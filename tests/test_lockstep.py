@@ -29,7 +29,7 @@ from bnqn import basins, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
 from bnqn.complexpoly import Polynomial, _check_derivative, pole_scale
 from bnqn.errors import BnqnError, DerivativeVanishes, NoAdmissibleDelta, NoConvergence, SingularMatrix
-from bnqn.linalg import SymmetricMatrix, _eig2_system, _eig2_values, minsp, reflected_direction
+from bnqn.linalg import SymmetricMatrix, _eig2_system, minsp, reflected_direction
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
 from bnqn.solvers import _STEPS, Method, SolverConfig, run, select_delta
 from bnqn.streams import _BLOCK_LANES, TrialStreams, cell_states, trial_states
@@ -641,9 +641,8 @@ def test_eigen_primitives_match_linalg_on_rare_lanes(together):
                 wx, wy, singular = lockstep._reflected_solve(gx, gy, a, b, c, *eig)
                 admitted = {t: lockstep._admits_bnqn(a, b, c, *eig[:2], t) for t in (0.0, 0.5, 1.0, math.inf)}
             for n, lane in enumerate(group):
-                l1, l2 = _eig2_values(*lane)
+                l1, l2 = _eig2_system(*lane)[:2]
                 assert same_bits(eig[0][n], l1) and same_bits(eig[1][n], l2), lane
-                assert _eig2_system(*lane)[:2] == (l1, l2) or math.isnan(l1) or math.isnan(l2), lane
                 for t, got in admitted.items():
                     assert got[n] == (minsp(SymmetricMatrix(2, lane)) >= t), (lane, t)
                 try:
@@ -685,6 +684,35 @@ def test_bnqn_shift_search_matches_select_delta(cfg):
         assert not failed[n], (grad, hess)
         assert same_bits(wx[n], want[0]) and same_bits(wy[n], want[1]), (grad, hess)
     assert shifts == set(range(len(cfg.deltas)))
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(tau=0.7, deltas=(0.0, 0.5, -0.8))], ids=["default", "tau-deltas"])
+def test_lane_direction_matches_shift_search_and_select_delta(cfg):
+    # the per-lane tail's direction shares its solve with run's
+    # reflected_direction, so check it against both: the kernel's numpy
+    # search, which solves apart, and select_delta then reflected_direction
+    lanes = [(g, lane) for g in EIGEN_GRADS for lane in EIGEN_LANES]
+    # eigenvalues -1 and 0: the bar rejects the first shift by l2 alone, and
+    # at grad 0 (a bar of 0) admits it, leaving only the zero-eigenvalue test
+    lanes += [(g, h) for g in ((1.0, 0.0), (0.0, 0.0)) for h in ((0.0, 0.0, -1.0), (-0.5, 0.5, -0.5))]
+    (gx, gy), (a, b, c) = ((np.array(v) for v in zip(*part)) for part in zip(*lanes))
+    gn = np.hypot(gx, gy)
+    with np.errstate(all="ignore"):
+        wx, wy, failed = lockstep._shift_search(gx, gy, gn, a, b, c, cfg, lockstep._admits_bnqn)
+    none_seen = 0
+    for n, (grad, hess) in enumerate(lanes):
+        got = lockstep._lane_direction(*grad, float(gn[n]), *hess, cfg)
+        try:
+            _, shifted = select_delta(SymmetricMatrix(2, hess), float(gn[n]), cfg)
+            want = reflected_direction(shifted, grad)
+        except (NoAdmissibleDelta, SingularMatrix):
+            assert got is None and failed[n], (grad, hess)
+            none_seen += 1
+            continue
+        assert got is not None and not failed[n], (grad, hess)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (grad, hess)
+        assert same_bits(got[0], wx[n]) and same_bits(got[1], wy[n]), (grad, hess)
+    assert 0 < none_seen < len(lanes)
 
 
 def test_quot_is_python_complex_division_bitwise():
