@@ -50,8 +50,11 @@ them one by one, so each is finished by ``_finish_lane``: the same step on
 Python floats and Python ``complex``, which is the arithmetic the scalar
 loop does, with g, g' and g'' from ``Polynomial.__call__``, the reflected
 solve of ``reflected_direction`` (``linalg._eig2_solve``) and the Armijo
-search of a sweep's last rejecters (``_armijo_lane``).  The other methods'
-lanes always stay in the sweep.
+search of a sweep's last rejecters (``_armijo_lane``).  A step there whose
+accepted trial is the point itself, bit for bit with the signs of zeros,
+ends the lane at once, CAPPED after ``max_iter`` steps: no step keeps
+state (gamma restarts at gamma0), so the scalar loop repeats it up to the
+cap.  The other methods' lanes always stay in the sweep.
 
 Complex conjugation commutes with both methods and leaves F of a real g
 unchanged, so a lane on the real axis stays there.  ``_finish_lane`` runs a
@@ -65,10 +68,20 @@ sign of a zero, and the next y is +0.0 - gamma*(+-0), which is +0.0.  At
 the first non-finite value (0*inf is NaN in a complex product) or zero
 BNQN direction, the lane goes back to the complex loop where it stands.
 A lane at y = -0.0 stays in the complex loop throughout.
+
+The real-axis loop is generated: a ``for`` over the coefficients costs more
+than the products and sums it runs, so ``_real_lane_loop`` writes the loop
+out as source with Horner's rule as one statement per coefficient, the
+``for`` loop's float operations in its order, and compiles it at the first
+real-axis lane of each coefficient count; ``functools.cache`` keeps it for
+the process.  The source is built from integers and fixed names alone: the
+coefficients and the config come in as arguments, so no input value is
+formatted into code and one function serves every g of a degree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 
@@ -98,7 +111,7 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # degree-8 cluster, and a per-lane Armijo trial there 2.2-2.3 us.  GD lanes
 # in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps) ran
 # faster per lane than in the sweep at 24 lanes and slower at 32; on the
-# real axis of a real g (``_finish_real_lane``) a GD step costs 1.0 us.
+# real axis of a real g (``_finish_real_lane``) a GD step costs 0.34-0.36 us.
 # Whole sweeps (z^3-1 BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25)
 # took the same time, within noise, with any tail from 24 to 64, and longer
 # with 96 on the clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes
@@ -347,7 +360,8 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     they raise (no admissible shift, or a zero eigenvalue).  The winning
     shift's eigensystem goes to ``linalg._eig2_solve``, the solve that
     ``reflected_direction`` takes."""
-    scale = _shift_scale(gn, cfg.tau)
+    # x**1.0 is x for every float, so tau = 1 skips the pow
+    scale = gn if cfg.tau == 1.0 else _shift_scale(gn, cfg.tau)
     threshold = cfg.kappa * scale
     for d in cfg.deltas:
         shift = d * scale
@@ -357,33 +371,21 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     return None
 
 
-def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, k):
-    """``_finish_lane`` for a lane at (x, +0.0) on a g with real coefficients,
-    on Python floats alone; returns (x, steps, outcome) with the lane ended at
-    (x, +0.0), or (x, k, None) where the complex loop must go on from (x, k).
-
-    The Hessian is diagonal, a = g''g + g'^2 and c = g'^2 - g''g, and the
-    reflected solve of the winning shift s gives the direction g'g/|a + s|.
-    Each value is the complex loop's real part (see the module docstring)
-    while the values are finite and g and g' are not 0, where the lane
-    stops.  So a non-finite F, |grad|, g'' or BNQN direction hands the lane
-    back, since 0*inf makes a NaN of a zero imaginary part; so does a zero
-    BNQN direction, which the complex loop may sign by a signed zero, and
-    which at x = +-0 sets the sign of the next x.
-    """
-    g, dg, ddg = ([c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg))
-    radius = obj.divergence_radius
+# The body of ``_finish_real_lane``, compiled once per coefficient count by
+# ``_real_lane_loop``.  The placeholders are filled from integers and fixed
+# names only: {unpack} binds the coefficients, highest degree first, to
+# g0, g1, ... (g), d0, ... (g') and e0, ... (g''), and {g_x}, {dg_x}, {ddg_x}
+# and {g_trial} are Horner's rule as one statement per coefficient.
+_REAL_LANE_SOURCE = """\
+def real_lane(g, dg, ddg, radius, hessian, cfg, x, k):
+    {unpack}
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
     tau, kappa, deltas = cfg.tau, cfg.kappa, cfg.deltas
-    armijo_factor, inf = _ARMIJO_FACTOR, math.inf
-    gz = 0.0
-    for c in g:
-        gz = gz * x + c
+    armijo_factor, shrink, underflow, inf = _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, math.inf
+    {g_x}
     fz = 0.5 * (gz * gz)
     while True:
-        dgz = 0.0
-        for c in dg:
-            dgz = dgz * x + c
+        {dg_x}
         gx = dgz * gz
         gn = abs(gx)
         if not (fz < inf and gn < inf):
@@ -393,15 +395,14 @@ def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfi
         if k >= max_iter:
             return x, k, CAPPED
         if hessian:
-            u = 0.0
-            for c in ddg:
-                u = u * x + c
+            {ddg_x}
             if not -inf < u < inf:
                 return x, k, None
             u *= gz
             s = dgz * dgz
             ha, hc = u + s, s - u
-            scale = _shift_scale(gn, tau)
+            # x**1.0 is x for every float, so tau = 1 skips the pow
+            scale = gn if tau == 1.0 else _shift_scale(gn, tau)
             threshold = kappa * scale
             for d in deltas:
                 shift = d * scale
@@ -425,17 +426,86 @@ def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfi
         gamma = gamma0
         while True:
             trial = x - gamma * wx
-            gt = 0.0
-            for c in g:
-                gt = gt * trial + c
+            {g_trial}
             ft = 0.5 * (gt * gt)
             if ft <= fz - gamma * slope * armijo_factor:
                 break
-            gamma = gamma * _SHRINK_FACTOR
-            if gamma < _UNDERFLOW_LIMIT:
+            gamma = gamma * shrink
+            if gamma < underflow:
                 return x, k, FAILED
+        # a step that leaves x as it is, zero sign included, repeats to the cap
+        if trial == x and math.copysign(1.0, trial) == math.copysign(1.0, x):
+            return x, max_iter, CAPPED
         x, gz, fz = trial, gt, ft
         k += 1
+"""
+
+
+def _horner_source(acc, prefix, count, var):
+    """Horner's rule (acc = acc*var + c from acc = 0.0) on the coefficients
+    prefix0 .. prefix<count - 1>, as one statement each on one line."""
+    steps = [f"{acc} = 0.0 * {var} + {prefix}0"]
+    steps += [f"{acc} = {acc} * {var} + {prefix}{i}" for i in range(1, count)]
+    return "; ".join(steps)
+
+
+@functools.cache
+def _real_lane_loop(g_count, dg_count, ddg_count):
+    """``_finish_real_lane``'s loop for a g, g' and g'' of these many
+    coefficients, compiled from ``_REAL_LANE_SOURCE`` (see the module
+    docstring).  Horner's rule takes one statement per coefficient, not one
+    nested expression: the parser rejects more than 200 nested parentheses,
+    and a g may have more coefficients."""
+    unpack = "; ".join(
+        "".join(f"{prefix}{i}, " for i in range(count)) + f"= {seq}"
+        for prefix, count, seq in (("g", g_count, "g"), ("d", dg_count, "dg"), ("e", ddg_count, "ddg"))
+    )
+    source = _REAL_LANE_SOURCE.format(
+        unpack=unpack,
+        g_x=_horner_source("gz", "g", g_count, "x"),
+        dg_x=_horner_source("dgz", "d", dg_count, "x"),
+        ddg_x=_horner_source("u", "e", ddg_count, "x"),
+        g_trial=_horner_source("gt", "g", g_count, "trial"),
+    )
+    namespace = {}
+    exec(compile(source, f"<real-axis lane loop, {g_count} coefficients>", "exec"), globals(), namespace)
+    return namespace["real_lane"]
+
+
+def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, k):
+    """``_finish_lane`` for a lane at (x, +0.0) on a g with real coefficients,
+    on Python floats alone; returns (x, steps, outcome) with the lane ended at
+    (x, +0.0), or (x, k, None) where the complex loop must go on from (x, k).
+
+    The Hessian is diagonal, a = g''g + g'^2 and c = g'^2 - g''g, and the
+    reflected solve of the winning shift s gives the direction g'g/|a + s|.
+    Each value is the complex loop's real part (see the module docstring)
+    while the values are finite and g and g' are not 0, where the lane
+    stops.  So a non-finite F, |grad|, g'' or BNQN direction hands the lane
+    back, since 0*inf makes a NaN of a zero imaginary part; so does a zero
+    BNQN direction, which the complex loop may sign by a signed zero, and
+    which at x = +-0 sets the sign of the next x.  A step that leaves x as
+    it is, zero sign included, ends the lane CAPPED at ``max_iter`` steps.
+
+    The loop is generated source, ``_real_lane_loop``'s for the coefficient
+    counts of g, g' and g'', compiled at the first lane of those counts and
+    cached for the process.  Its Horner evaluations are straight-line code,
+    the float operations of acc = acc*x + c from acc = 0.0 in their order;
+    the source holds integers and fixed names only, and the coefficients
+    are its arguments.
+    """
+    g, dg, ddg = ([c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg))
+    loop = _real_lane_loop(len(g), len(dg), len(ddg))
+    return loop(g, dg, ddg, obj.divergence_radius, hessian, cfg, x, k)
+
+
+def _same_point(z, x, y):
+    """z is complex(x, y) bit for bit, the signs of zeros included."""
+    return (
+        z == complex(x, y)
+        and math.copysign(1.0, z.real) == math.copysign(1.0, x)
+        and math.copysign(1.0, z.imag) == math.copysign(1.0, y)
+    )
 
 
 def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, y, k):
@@ -445,7 +515,9 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     A lane at y = +0.0 on a real g stays on the real axis, and
     ``_finish_real_lane`` runs it there for as long as its values are
     finite.  A lane at y = -0.0 keeps the complex loop, where the sign of
-    the next y is the sign of a zero product.
+    the next y is the sign of a zero product.  In both loops a step whose
+    accepted trial is the point itself, bit for bit, ends the lane CAPPED
+    at ``max_iter`` steps (see the module docstring).
 
     This is the scalar loop's arithmetic without its arrays and trace: g,
     g' and g'' by ``Polynomial.__call__``, Python's complex product,
@@ -493,6 +565,8 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
             return x, y, k, FAILED
         # the accepted trial is the next point, and g and F there are known
         z, gz, fz = accepted
+        if _same_point(z, x, y):
+            return x, y, max_iter, CAPPED
         x, y = z.real, z.imag
         k += 1
 

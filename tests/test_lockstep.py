@@ -7,9 +7,12 @@ classification); BNQN and GD also with every lane kept in the numpy sweep,
 and with every lane run by the per-lane float loop alone.  The lanes that
 the per-lane loop runs on the real axis of a real g are counted, with those
 it hands back to the complex loop, and lanes at y = -0.0 must not reach
-it.  The few-lane Armijo backtracks inside a sweep are counted: they must
-run where few lanes reject the first trial, never in the sweep-only mode,
-and one case drives them to a gamma underflow.  The NQN and Newton
+it; the real-axis loop must equal the complex loop on seeded random real
+g, configs and starts, and a lane whose step leaves its point as it is
+must end at once in either loop.  The few-lane Armijo backtracks inside a
+sweep are counted: they must run where few lanes reject the first trial,
+never in the sweep-only mode, and one case drives them to a gamma
+underflow.  The NQN and Newton
 directions are checked against the scalar step on crafted singular
 and non-finite Hessians.  Random relaxed Newton is checked trial by trial
 against ``run`` with the trial's own generator, straight out of ``iterate``
@@ -20,6 +23,7 @@ test.  The random streams themselves are checked in ``test_streams.py``.
 
 import functools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +376,110 @@ def test_lanes_at_minus_zero_keep_the_complex_loop(monkeypatch, method):
         assert steps[n] == want.iterations, start
     if method is BTGD:
         assert codes[0] == lockstep.CAPPED
+
+
+# starts whose lanes stall: from (-2, +-0) on REAL8_NO_AXIS_ROOT both
+# methods reach, within 20 steps, a point near x = -0.7718 whose next step
+# leaves it as it is, bit for bit; from (-0.0, +-0) on z - 1 with theta = inf
+# the capped direction is -0.0 and the first step goes to x = +0.0, where
+# every later one stays, so a stall test that ignored the sign of zero would
+# end the lane at -0.0
+STALLS = {
+    "real8-no-axis-root": (REAL8_NO_AXIS_ROOT, -2.0, SolverConfig()),
+    "zero-sign": (Polynomial([-1, 1]), -0.0, SolverConfig(theta=math.inf)),
+}
+
+
+@pytest.mark.parametrize("y0", [0.0, -0.0], ids=["real-loop", "complex-loop"])
+@pytest.mark.parametrize("method", [BNQN, BTGD], ids=["bnqn", "btgd"])
+@pytest.mark.parametrize("case", STALLS)
+def test_stalled_lanes_end_at_once(case, method, y0):
+    # run repeats a stalled step up to the cap, and the per-lane loops end
+    # the lane there at once.  The profiler counts every call and return,
+    # Python and C: each of the 10 000 steps would make at least four
+    poly, x0, cfg = STALLS[case]
+    obj = PolyModulusObjective(poly)
+    want = run(obj, (x0, y0), method, cfg)
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+
+    sys.setprofile(count)
+    try:
+        x, y, steps, code = lockstep._finish_lane(obj, method is BNQN, cfg, x0, y0, 0)
+    finally:
+        sys.setprofile(None)
+    fx, fy = want.final_point
+    assert same_bits(x, fx) and same_bits(y, fy)
+    assert (steps, code) == (want.iterations, lockstep.CAPPED) == (cfg.max_iter, lockstep.CAPPED)
+    assert want.failure is None and want.terminal == UNDECIDED
+    assert events < 2000
+
+
+def _overflow_start(poly):
+    """The least x = 2**j, j >= 1, where F = g(x)**2/2 of a real g
+    overflows on floats."""
+    x = 2.0
+    while True:
+        gx = 0.0
+        for c in reversed(poly.coeffs):
+            gx = gx * x + c.real
+        if not 0.5 * (gx * gx) < math.inf:
+            return x
+        x *= 2.0
+
+
+def test_real_axis_loop_is_the_complex_loop_bit_for_bit(monkeypatch):
+    # _finish_lane from (x, +0.0) against the same call with the real-axis
+    # loop handing every lane back at once, on seeded random real g: degree
+    # 1-12 and 201, two of each (a coefficient baked into a loop compiled
+    # for the first would fail the second), zero coefficients, the leading
+    # one too at times, and magnitudes spread up to 1e+-8; theta, tau and
+    # 2-5 shifts drawn per lane; starts at +-0, +-1e8, where F overflows
+    # and three in [-3, 3]
+    rng = np.random.default_rng(2611)
+    real_lane = lockstep._finish_real_lane
+    ended = {}
+
+    def counted(*args):
+        end = real_lane(*args)
+        ended[args[0].g.degree] += end[2] is not None
+        return end
+
+    def handed_back(obj, hessian, cfg, x, k):
+        return x, k, None
+
+    for degree in [*range(1, 13), 201]:
+        for _ in range(2):
+            spread = rng.choice([0.0, 2.0, 8.0])
+            coeffs = rng.choice([-1.0, 1.0], degree + 1) * 10.0 ** rng.uniform(-spread, spread, degree + 1)
+            coeffs[rng.random(degree + 1) < 0.25] = 0.0
+            poly = Polynomial(coeffs.tolist())
+            if poly.degree < 1:
+                continue
+            obj = PolyModulusObjective(poly)
+            ended.setdefault(poly.degree, 0)
+            far = _overflow_start(poly)
+            starts = [0.0, -0.0, 1e8, -1e8, far, -far, *rng.uniform(-3.0, 3.0, 3).tolist()]
+            for hessian in (True, False):
+                cfg = SolverConfig(
+                    theta=float(rng.choice([0.0, 1.0, 10.0])),
+                    tau=float(rng.choice([0.5, 1.0, 2.0])),
+                    deltas=rng.uniform(-3.0, 3.0, rng.integers(2, 6)).tolist(),
+                    max_iter=150,
+                )
+                for x0 in starts:
+                    ends = []
+                    for loop in (counted, handed_back):
+                        monkeypatch.setattr(lockstep, "_finish_real_lane", loop)
+                        ends.append(lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0))
+                    (x, y, k, code), (wx, wy, wk, wcode) = ends
+                    assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
+                    assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
+    # the real-axis loop ended lanes of every degree, 201 included
+    assert all(ended.values()) and 201 in ended
 
 
 @pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])
