@@ -37,7 +37,22 @@ that loop's exact floating-point operations:
   so one call serves every lane;
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
-  is NaN.
+  is NaN;
+- every other operation as the scalar loop writes it, with its operands and
+  in its order: ``a*b - c*d + e`` is ``t = a*b; t -= c*d; t += e``.  At a
+  few hundred lanes numpy's per-call cost outweighs the arithmetic, so the
+  numpy passes meet scalars as read-only 0-d float64 arrays built once
+  (``_ZERO``, ``_HALF``, ``_ARMIJO_FACTOR_0D``, each coefficient tuple's
+  parts in ``_parts``; ``grad_tol``, the divergence radius and gamma once
+  per sweep or pass) instead of converting a Python float on every call,
+  and write their intermediates in place (augmented assignment, ``out=``).
+  They write only arrays they have just made, never an argument.  The bits
+  are the same: a 0-d float64 array is what numpy makes of a Python float,
+  an in-place ufunc rounds each element as the allocating one does, and
+  where the in-place form swaps the two operands of a sum or a product,
+  IEEE arithmetic rounds both orders alike (a NaN's payload aside, which
+  no output shows).  Selections stay ``np.where``: masked ufuncs
+  (``where=``) ran slower than it at 625 lanes and more.
 
 Lanes stop when they converge or diverge (the caller classifies them), hit
 the cap, or fail the step (no admissible shift, a singular or non-finite
@@ -104,37 +119,78 @@ _ARMIJO = (Method.BNQN_NEW_VARIANT, Method.BACKTRACKING_GD)
 STOPPED, CAPPED, FAILED = 0, 1, 2
 
 # BNQN and GD lanes go to ``_finish_lane`` once a sweep starts with at most
-# this many.  On one pinned core, a sweep costs nearly the same for 1 to 64
-# lanes: 63-72 us for GD on the z^3-1 negative axis, 120-190 us for BNQN at
-# degree 3 and 185-270 us at degree 8.  A per-lane step in the complex loop
-# costs 3.8-4.2 us for GD (z^3-1 from -2 - 0i) and 10.2-11.5 us for BNQN on a
-# degree-8 cluster, and a per-lane Armijo trial there 2.2-2.3 us.  GD lanes
+# this many.  On one pinned core (numpy 2.4), one sweep costs nearly the same
+# for 8 to 64 lanes: 35-42 us for GD on the z^3-1 negative axis at y = -0.0,
+# 102-116 us for BNQN at degree 3 and 141-169 us at degree 8 (44-50, 111-132
+# and 171-192 us before the numpy passes took 0-d scalars and in-place
+# temporaries).  A 1-lane sweep costs more (62, 146 and 209 us), since numpy
+# takes a slow path for 1-element arrays, in place more so; the tail keeps
+# BNQN and GD sweeps from running one lane.  On floats, a step in the complex
+# loop costs 2.2 us for GD (z^3-1 from -2 - 0i) and 5.7-5.9 us for BNQN on a
+# degree-8 cluster, a degree-8 Armijo trial 0.50-0.52 us, and a GD step on
+# the real axis of a real g (``_finish_real_lane``) 0.38-0.41 us.  GD lanes
 # in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps) ran
-# faster per lane than in the sweep at 24 lanes and slower at 32; on the
-# real axis of a real g (``_finish_real_lane``) a GD step costs 0.34-0.36 us.
-# Whole sweeps (z^3-1 BNQN 51x51, GD 9x9, four degree-8 clusters at 25x25)
-# took the same time, within noise, with any tail from 24 to 64, and longer
-# with 96 on the clusters; GD on z^3-1 at 51x51, whose 25 capped axis lanes
-# run 10 000 steps each on floats, takes 0.17-0.20 s against 1.0-1.1 s with
-# them in the sweep.  The same bound sends a sweep's last Armijo rejecters
-# to ``_armijo_lane``.  With that in place, a basin-cluster8-bnqn cycle
-# (seeds 3, 7 and 41, one pinned core) ran faster with 48 than with 64 in 32
-# of 48 alternations and than with 96 in 27 of 32; 24 and 32 were within 3%
-# of 48.
+# faster one by one than in the sweep at 16 lanes and slower at 24.  The
+# same bound sends a sweep's last Armijo rejecters to ``_armijo_lane``.  In
+# alternating whole cycles, the z^3-1 BNQN half sweep (51x51) ran fastest
+# with 48: 24 and 32 beat it in 14 of 60 alternations and 64 in 6 of 60; on
+# the degree-8 clusters of basin-cluster8-bnqn (seeds 3, 7 and 41), 32 and
+# 64 each beat 48 in 11 of 24, within noise.  GD on z^3-1 at 51x51, whose 25
+# capped axis lanes run 10 000 steps each on floats, takes 0.18-0.19 s
+# against 0.56-0.68 s with them in the sweep.
 _TAIL_LANES = 48
 
+
+def _scalar(v):
+    """v as a read-only 0-d float64 array, the operand a Python float becomes
+    on every ufunc call that meets it."""
+    v = np.array(v, dtype=float)
+    v.setflags(write=False)
+    return v
+
+
+_ZERO, _HALF, _ONE = _scalar(0.0), _scalar(0.5), _scalar(1.0)
+_ARMIJO_FACTOR_0D = _scalar(_ARMIJO_FACTOR)
+
+# each coefficient tuple's (c.real, c.imag) parts, highest degree first, by
+# the tuple's identity: equal tuples may differ in the signs of their zeros
+# (-0j == 0j), which Horner's rule keeps.  An entry holds its tuple, so no
+# other tuple takes its id while it is kept.
+_PARTS = {}
+
+
+def _parts(coeffs):
+    hit = _PARTS.get(id(coeffs))
+    if hit is None:
+        if len(_PARTS) >= 64:
+            _PARTS.clear()
+        hit = _PARTS[id(coeffs)] = coeffs, [(_scalar(c.real), _scalar(c.imag)) for c in reversed(coeffs)]
+    return hit[1]
+
+
 def _horner(coeffs, zr, zi):
-    """Python's complex Horner loop (acc = acc*z + c from acc = 0j), per lane."""
-    ar = ai = 0.0
-    for c in reversed(coeffs):
-        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+    """Python's complex Horner loop (acc = acc*z + c from acc = 0j), per lane,
+    on a tuple of coefficients."""
+    ar = ai = _ZERO
+    for cr, ci in _parts(coeffs):
+        nr = ar * zr
+        nr -= ai * zi
+        nr += cr
+        ni = ar * zi
+        ni += ai * zr
+        ni += ci
+        ar, ai = nr, ni
     return ar, ai
 
 
 def _times_conj(pr, pi, gr, gi):
     """p * conj(g) with Python's complex product."""
-    ngi = -gi
-    return pr * gr - pi * ngi, pr * ngi + pi * gr
+    ngi = np.negative(gi)
+    re = pr * gr
+    re -= pi * ngi
+    ngi *= pr
+    ngi += pi * gr
+    return re, ngi
 
 
 def _quot(ar, ai, br, bi):
@@ -149,16 +205,25 @@ def _quot(ar, ai, br, bi):
     real_wins = np.abs(br) >= np.abs(bi)
     # |br| >= |bi|: divide through by br
     ratio = bi / br
-    denom = br + bi * ratio
-    qr = (ar + ai * ratio) / denom
-    qi = (ai - ar * ratio) / denom
+    denom = bi * ratio
+    denom += br
+    qr = ai * ratio
+    qr += ar
+    qr /= denom
+    qi = ar * ratio
+    np.subtract(ai, qi, out=qi)
+    qi /= denom
     # |bi| > |br|: divide through by bi
-    ratio = br / bi
-    denom = br * ratio + bi
-    return (
-        np.where(real_wins, qr, (ar * ratio + ai) / denom),
-        np.where(real_wins, qi, (ai * ratio - ar) / denom),
-    )
+    np.divide(br, bi, out=ratio)
+    np.multiply(br, ratio, out=denom)
+    denom += bi
+    pr = ar * ratio
+    pr += ai
+    pr /= denom
+    pi = ai * ratio
+    pi -= ar
+    pi /= denom
+    return np.where(real_wins, qr, pr), np.where(real_wins, qi, pi)
 
 
 def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
@@ -172,10 +237,15 @@ def _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, degree):
     """
     failed = np.hypot(dr, di) < pole_scale(zn, degree)
     qr, qi = _quot(gr, gi, dr, di)
-    if alpha is None:
-        return x - qr, y - qi, failed
-    ar, ai = alpha
-    return x - (ar * qr - ai * qi), y - (ar * qi + ai * qr), failed
+    if alpha is not None:
+        ar, ai = alpha
+        # alpha * q, the product written out
+        pr = ar * qr
+        pr -= ai * qi
+        qi *= ar
+        qi += ai * qr
+        qr = pr
+    return np.subtract(x, qr, out=qr), np.subtract(y, qi, out=qi), failed
 
 
 def _armijo_lane(g, x, y, wx, wy, fz, slope, gamma):
@@ -193,6 +263,29 @@ def _armijo_lane(g, x, y, wx, wy, fz, slope, gamma):
             return None
 
 
+def _half_square(gr, gi):
+    """F = 0.5*(gr*gr + gi*gi) per lane, at g = gr + i gi."""
+    f = gr * gr
+    f += gi * gi
+    f *= _HALF
+    return f
+
+
+def _armijo_trial(coeffs, gamma, x, y, wx, wy, fz, slope):
+    """The Armijo trial z - gamma*w per lane, with ``gamma`` 0-d; returns
+    (xt, yt, gr, gi, ok), with g(trial) = gr + i gi and ``ok`` where
+    ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``."""
+    xt = gamma * wx
+    np.subtract(x, xt, out=xt)
+    yt = gamma * wy
+    np.subtract(y, yt, out=yt)
+    gr, gi = _horner(coeffs, xt, yt)
+    bound = gamma * slope
+    bound *= _ARMIJO_FACTOR_0D
+    np.subtract(fz, bound, out=bound)
+    return xt, yt, gr, gi, _half_square(gr, gi) <= bound
+
+
 def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     """z - gamma*w per lane with Armijo's gamma, with g the ``Polynomial``;
     returns (x, y, gr, gi, failed), with g = gr + i gi at the new point.
@@ -206,13 +299,13 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     keeps the scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
     coeffs = g.coeffs
-    slope = wx * gx + wy * gy
-    fz = 0.5 * (gr * gr + gi * gi)
+    slope = wx * gx
+    slope += wy * gy
+    fz = _half_square(gr, gi)
     gamma = cfg.gamma0
-    xn, yn = x - gamma * wx, y - gamma * wy
-    gr, gi = _horner(coeffs, xn, yn)
-    ok = 0.5 * (gr * gr + gi * gi) <= fz - gamma * slope * _ARMIJO_FACTOR
-    todo = (~(ok | failed)).nonzero()[0]
+    xn, yn, gr, gi, ok = _armijo_trial(coeffs, np.array(gamma), x, y, wx, wy, fz, slope)
+    ok |= failed
+    todo = (~ok).nonzero()[0]
     while todo.size:
         gamma = gamma * _SHRINK_FACTOR
         if gamma < _UNDERFLOW_LIMIT:
@@ -228,9 +321,8 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
                     trial, gt, _ = accepted
                     xn[m], yn[m], gr[m], gi[m] = trial.real, trial.imag, gt.real, gt.imag
             break
-        xt, yt = x[todo] - gamma * wx[todo], y[todo] - gamma * wy[todo]
-        vr, vi = _horner(coeffs, xt, yt)
-        ok = 0.5 * (vr * vr + vi * vi) <= fz[todo] - gamma * slope[todo] * _ARMIJO_FACTOR
+        lanes = (v[todo] for v in (x, y, wx, wy, fz, slope))
+        xt, yt, vr, vi, ok = _armijo_trial(coeffs, np.array(gamma), *lanes)
         done = todo[ok]
         xn[done], yn[done], gr[done], gi[done] = xt[ok], yt[ok], vr[ok], vi[ok]
         todo = todo[~ok]
@@ -240,44 +332,61 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
 def _eig2(a, b, c):
     """Ascending eigenvalues (l1, l2) of [[a, b], [b, c]] per lane, as
     ``linalg._eig2_system`` has them, with the half difference and the
-    radius its eigenvectors take; returns (l1, l2, half_diff, r)."""
-    half_diff = 0.5 * (a - c)
+    radius its eigenvectors take and the lanes where b is 0; returns
+    (l1, l2, half_diff, r, diag)."""
+    half_diff = a - c
+    half_diff *= _HALF
     r = np.hypot(half_diff, b)
-    t = 0.5 * (a + c)
-    l1, l2 = t - r, t + r
+    l2 = a + c
+    l2 *= _HALF
+    l1 = l2 - r
+    l2 += r
     # a diagonal matrix keeps its diagonal, in order
-    diag = (b == 0.0).nonzero()[0]
+    diag = (b == _ZERO).nonzero()[0]
     if diag.size:
         ad, cd = a[diag], c[diag]
         ordered = ad <= cd
         l1[diag], l2[diag] = np.where(ordered, ad, cd), np.where(ordered, cd, ad)
-    return l1, l2, half_diff, r
+    return l1, l2, half_diff, r, diag
 
 
-def _reflected_solve(gx, gy, a, b, c, l1, l2, half_diff, r):
+def _reflected_solve(gx, gy, a, b, c, l1, l2, half_diff, r, diag):
     """``reflected_direction`` per lane for [[a, b], [b, c]], whose
-    ``_eig2`` is (l1, l2, half_diff, r); returns (wx, wy, singular), with
-    ``singular`` where an eigenvalue is 0 and the scalar solve raises."""
+    ``_eig2`` is (l1, l2, half_diff, r, diag); returns (wx, wy, singular),
+    with ``singular`` where an eigenvalue is 0 and the scalar solve raises."""
     # _eig2_system: eigenvector of l2 from the better-conditioned form
-    pos = half_diff >= 0.0
-    vx = np.where(pos, half_diff + r, b)
-    vy = np.where(pos, b, r - half_diff)
-    nv = np.hypot(vx, vy)
-    u2x, u2y = vx / nv, vy / nv
-    u1x, u1y = -u2y, u2x
-    flip = (u2x < 0.0) | ((u2x == 0.0) & (u2y < 0.0))
+    pos = half_diff >= _ZERO
+    u2x = np.where(pos, half_diff + r, b)
+    u2y = np.where(pos, b, r - half_diff)
+    nv = np.hypot(u2x, u2y)
+    u2x /= nv
+    u2y /= nv
+    u1x, u1y = np.negative(u2y), u2x
+    flip = u2x < _ZERO
+    flip |= (u2x == _ZERO) & (u2y < _ZERO)
     u2x, u2y = np.where(flip, -u2x, u2x), np.where(flip, -u2y, u2y)
-    flip = (u1x < 0.0) | ((u1x == 0.0) & (u1y < 0.0))
+    flip = u1x < _ZERO
+    flip |= (u1x == _ZERO) & (u1y < _ZERO)
     u1x, u1y = np.where(flip, -u1x, u1x), np.where(flip, -u1y, u1y)
     # a diagonal matrix keeps the coordinate axes
-    diag = (b == 0.0).nonzero()[0]
     if diag.size:
         ordered = a[diag] <= c[diag]
-        u1x[diag] = u2y[diag] = np.where(ordered, 1.0, 0.0)
-        u1y[diag] = u2x[diag] = np.where(ordered, 0.0, 1.0)
-    c1 = (gx * u1x + gy * u1y) / np.abs(l1)
-    c2 = (gx * u2x + gy * u2y) / np.abs(l2)
-    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y, (l1 == 0.0) | (l2 == 0.0)
+        u1x[diag] = u2y[diag] = np.where(ordered, _ONE, _ZERO)
+        u1y[diag] = u2x[diag] = np.where(ordered, _ZERO, _ONE)
+    c1 = gx * u1x
+    c1 += gy * u1y
+    c1 /= np.abs(l1)
+    c2 = gx * u2x
+    c2 += gy * u2y
+    c2 /= np.abs(l2)
+    # c1*u1 + c2*u2, written into the eigenvectors
+    np.multiply(c1, u1x, out=u1x)
+    u1x += np.multiply(c2, u2x, out=u2x)
+    np.multiply(c1, u1y, out=u1y)
+    u1y += np.multiply(c2, u2y, out=u2y)
+    singular = l1 == _ZERO
+    singular |= l2 == _ZERO
+    return u1x, u1y, singular
 
 
 def _admits_bnqn(a, b, c, l1, l2, threshold):
@@ -291,7 +400,9 @@ def _admits_bnqn(a, b, c, l1, l2, threshold):
 def _admits_nqn(a, b, c, l1, l2, threshold):
     """``solvers._nqn_step``'s test per lane: the shifted Hessian
     [[a, b], [b, c]] is finite and its determinant ``a*c - b*b`` is not 0.0."""
-    return (a * c - b * b != 0.0) & np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    det = a * c
+    det -= b * b
+    return (det != _ZERO) & np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
 
 
 def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
@@ -310,7 +421,8 @@ def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
     # the first shift takes every lane as it is, with no gather or scatter,
     # and its eigensystem stays for the lanes it wins
     shift = cfg.deltas[0] * scale
-    sa, sc = a + shift, c + shift
+    sa = a + shift
+    sc = np.add(c, shift, out=shift)
     eig = _eig2(sa, b, sc)
     chosen = admits(sa, b, sc, *eig[:2], threshold)
     for d in cfg.deltas[1:]:
@@ -318,16 +430,20 @@ def _shift_search(gx, gy, gn, a, b, c, cfg: SolverConfig, admits):
         if not todo.size:
             break
         shift = d * scale[todo]
-        ap, bp, cp = a[todo] + shift, b[todo], c[todo] + shift
+        ap, bp, cp = a[todo], b[todo], c[todo]
+        ap += shift
+        cp += shift
         eigp = _eig2(ap, bp, cp)
         ok = admits(ap, bp, cp, *eigp[:2], threshold[todo])
         win = todo[ok]
         chosen[win] = True
         sa[win], sc[win] = ap[ok], cp[ok]
-        for v, vp in zip(eig, eigp):
+        # the first shift's diag index serves: b is the same at every shift
+        for v, vp in zip(eig[:4], eigp):
             v[win] = vp[ok]
     wx, wy, singular = _reflected_solve(gx, gy, sa, b, sc, *eig)
-    return wx, wy, ~chosen | singular
+    singular |= ~chosen
+    return wx, wy, singular
 
 
 def _newton_direction(gx, gy, a, b, c):
@@ -611,7 +727,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
     newton = not (hessian or armijo)
     tail = _TAIL_LANES if armijo else 0
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
-    radius = obj.divergence_radius
+    grad_tol, radius = np.array(cfg.grad_tol), np.array(obj.divergence_radius)
     n = len(x0)
     out_x, out_y = x0.copy(), y0.copy()
     out_k = np.zeros(n, dtype=int)
@@ -634,11 +750,12 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                     out_x[m], out_y[m], out_k[m], out_code[m] = _finish_lane(obj, hessian, cfg, xm, ym, k)
                 break
             dr, di = _horner(dg, x, y)
-            wr, wi = _times_conj(dr, di, gr, gi)
-            gx, gy = wr, -wi
+            gx, gy = _times_conj(dr, di, gr, gi)
+            np.negative(gy, out=gy)
             gn = np.hypot(gx, gy)
             zn = np.hypot(x, y)
-            stop = (gn <= cfg.grad_tol) | (zn > radius)
+            stop = gn <= grad_tol
+            stop |= zn > radius
             if k >= cfg.max_iter:
                 retire(stop, STOPPED)
                 retire(~stop, CAPPED)
@@ -666,8 +783,11 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
             if hessian:
                 er, ei = _horner(ddg, x, y)
                 ur, ui = _times_conj(er, ei, gr, gi)
-                s = dr * dr + di * di
-                a, b, c = ur + s, -ui, s - ur
+                s = dr * dr
+                s += di * di
+                a = ur + s
+                b = np.negative(ui, out=ui)
+                c = np.subtract(s, ur, out=s)
             if armijo:
                 if hessian:
                     wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_bnqn)
@@ -678,7 +798,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 # max(1.0, NaN) is 1.0), so skip the norm
                 if cfg.theta != 0.0:
                     div = cfg.theta * (np.hypot(wx, wy) if hessian else gn)
-                    div = np.where(div > 1.0, div, 1.0)
+                    div = np.where(div > _ONE, div, _ONE)
                     wx, wy = wx / div, wy / div
                 # the Armijo search has evaluated g at every new point
                 xn, yn, gr, gi, failed = _armijo_step(obj.g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)

@@ -337,6 +337,14 @@ def test_rrn_output_is_golden(case):
 # z^10-1 has ten root classes, so Root(8) and Root(9) reuse the first two
 # of the eight palette colours, and 13 of its cells end Undecided
 BASIN_Z3M1 = ["--poly", "-1,0,0,1", "--res", "33,32", "--max-iter", "500", "--seed", "21"]
+# CLUSTER8 of tests/test_lockstep.py (three roots 1e-3 apart plus five spread
+# ones), as polynomial_to_string writes it
+CLUSTER8_POLY = (
+    "0.58672103489999994-2.2717770074999999i,-1.6498189714499998+3.9836810110500003i,"
+    "0.19830805004999874-0.65507527055000181i,1.8592062114999977-0.87922552299999834i,"
+    "-0.46871097500000014+0.096436090000002916i,-0.30565534999999738-0.52313979999999916i,"
+    "0.38095000000000001-0.45039950000000117i,-1.601+0.69950000000000012i,1"
+)
 BASIN_GOLDEN = {
     "bnqn": (
         ["--method", "bnqn", *BASIN_Z3M1],
@@ -385,6 +393,13 @@ BASIN_GOLDEN = {
         "6811b8ebbe4ff6793f6761987d120d64218f94dce00e032cec1b4f03f77328cf",
         "223db44dca6feb80668c3659dadbfc984da6315d3adce598c5aa729a2db1dca1",
         "4da0aec2bb96c2a98c15606ff0e92580f9bed000838a6f27762297da9677d59d",
+    ),
+    # complex coefficients: the full sweep, with no mirrored half, at degree 8
+    "cluster8-bnqn": (
+        ["--method", "bnqn", "--poly", CLUSTER8_POLY, "--res", "31,29", "--max-iter", "500"],
+        "44800007d23b685b57c4dd89b63d6d9c72f991bdf1aee0ebeb13e33f3e0d38d0",
+        "9435a8f733f14649328436d21a7802e1ce59045a8eeb30168ba52d76a57088c6",
+        "a405d160378371a99100885c47ebde36eff6748f851389a84aa7966956b7ebf7",
     ),
 }
 

@@ -847,6 +847,148 @@ def test_quot_is_python_complex_division_bitwise():
         assert same_bits(qr[n], want.real) and same_bits(qi[n], want.imag), (a, b, c, d)
 
 
+# the values the kernel's numpy passes must carry as Python's floats do:
+# signed zeros, infinities, NaN, subnormals and values whose powers overflow
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e200, -1e200, 1.0, -3.0]
+# complex and real coefficient tuples with 0.0 and -0.0 parts
+HORNER_POLYS = [
+    CLUSTER8,
+    Z3M1,
+    Polynomial([complex(-0.0, -0.0), complex(1.5, 0.0), complex(0.0, -0.0), complex(-2.0, 0.5)]),
+    Polynomial([complex(-1.0, -0.0), complex(0.0, 0.0), complex(-0.0, -0.0), complex(1.0, -0.0)]),
+    Polynomial([complex(0.25, -0.0), complex(-0.0, 3.0)]),
+    Polynomial([complex(-0.0, 0.0)]),
+]
+
+
+def _special_lanes(rng, n, count):
+    """``count`` seeded arrays of ``n`` lanes, about a third of them SPECIAL
+    values and the rest spread over twelve decades."""
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+        pick = rng.random(n) < 0.35
+        v[pick] = rng.choice(SPECIAL, int(pick.sum()))
+        out.append(v)
+    return out
+
+
+def test_horner_and_conjugate_product_are_python_complex_bitwise():
+    rng = np.random.default_rng(211)
+    # every pair of SPECIAL values as a lane, then seeded lanes
+    xs, ys = (np.array(v) for v in zip(*((a, b) for a in SPECIAL for b in SPECIAL)))
+    more = _special_lanes(rng, 400, 2)
+    zr, zi = np.concatenate([xs, more[0]]), np.concatenate([ys, more[1]])
+    zs = list(map(complex, zr.tolist(), zi.tolist()))
+    # a list, not a dict: Z3M1 equals its copy with -0.0 parts
+    values = []
+    for poly in HORNER_POLYS:
+        with np.errstate(all="ignore"):
+            got = lockstep._horner(poly.coeffs, zr, zi)
+        want = [poly(z) for z in zs]
+        for n, w in enumerate(want):
+            assert same_bits(got[0][n], w.real) and same_bits(got[1][n], w.imag), (poly, zs[n])
+        values.append((got, want))
+    # p * conj(g) of evaluated polynomials, and of the lanes themselves
+    # against their parts swapped and reversed
+    wr, wi = zi[::-1].copy(), zr[::-1].copy()
+    ws = list(map(complex, wr.tolist(), wi.tolist()))
+    pairs = [
+        (values[0], values[2]),
+        (values[1], values[3]),
+        (((zr, zi), zs), ((wr, wi), ws)),
+    ]
+    for ((pr, pi), p), ((gr, gi), g) in pairs:
+        with np.errstate(all="ignore"):
+            re, im = lockstep._times_conj(pr, pi, gr, gi)
+        for n, (pn, gn) in enumerate(zip(p, g)):
+            w = pn * gn.conjugate()
+            assert same_bits(re[n], w.real) and same_bits(im[n], w.imag), (pn, gn)
+
+
+def _bits(v):
+    """An array's bytes (signs of zeros and NaN payloads included), a
+    tuple's item by item, and any other value as it is."""
+    if isinstance(v, np.ndarray):
+        return v.tobytes()
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
+    return v
+
+
+def _arrays(values):
+    """Every array in ``values``, inside tuples too."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, tuple):
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("tail", [None, 0], ids=["default-tail", "sweep-only"])
+def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
+    # the numpy passes write in place only into arrays they made; an
+    # argument is never written, and nothing returned is an argument's
+    # memory, which a caller may write or pass on (GD's gx is its w)
+    if tail is not None:
+        monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
+    rng = np.random.default_rng(307)
+    n = 120
+    x, y, gx, gy, gr, gi, dr, di, wx, wy, a, b, c, ar, ai = _special_lanes(rng, n, 15)
+    b[rng.random(n) < 0.2] = 0.0  # diagonal Hessians, fixed by index
+    zn, gn = np.hypot(x, y), np.hypot(gx, gy)
+    tau_deltas = SolverConfig(tau=0.7, deltas=(0.0, 0.5, -0.8))
+    with np.errstate(all="ignore"):
+        eig = lockstep._eig2(a, b, c)
+    calls = [
+        (lockstep._horner, (CLUSTER8.coeffs, x, y)),
+        (lockstep._horner, (Z3M1.coeffs, x, y)),
+        (lockstep._times_conj, (dr, di, gr, gi)),
+        (lockstep._quot, (gr, gi, dr, di)),
+        (lockstep._relaxed_step, (x, y, zn, gr, gi, dr, di, None, 3)),
+        (lockstep._relaxed_step, (x, y, zn, gr, gi, dr, di, (ar, ai), 8)),
+        (lockstep._half_square, (gr, gi)),
+        (lockstep._armijo_trial, (CLUSTER8.coeffs, np.array(0.5), x, y, wx, wy, a, b)),
+        (lockstep._eig2, (a, b, c)),
+        (lockstep._reflected_solve, (gx, gy, a, b, c, *eig)),
+        (lockstep._admits_bnqn, (a, b, c, *eig[:2], gn)),
+        (lockstep._admits_nqn, (a, b, c, *eig[:2], gn)),
+        *(
+            (lockstep._shift_search, (gx, gy, gn, a, b, c, cfg, admits))
+            for cfg in (SolverConfig(), tau_deltas)
+            for admits in (lockstep._admits_bnqn, lockstep._admits_nqn)
+        ),
+    ]
+    for f, args in calls:
+        before = [_bits(v) for v in args]
+        with np.errstate(all="ignore"):
+            got = f(*args)
+        assert [_bits(v) for v in args] == before, f.__name__
+        got = list(_arrays(got if isinstance(got, tuple) else (got,)))
+        for m, v in enumerate(got):
+            assert not any(np.shares_memory(v, u) for u in _arrays(args)), f.__name__
+            assert not any(np.shares_memory(v, u) for u in got[m + 1 :]), f.__name__
+    # _armijo_step marks the lanes it fails in the mask it is given
+    for g, cfg in ((CLUSTER8, SolverConfig()), (Z3M1, SolverConfig(gamma0=0.5))):
+        failed = rng.random(n) < 0.1
+        was = failed.copy()
+        args = (x, y, gx, gy, gr, gi, wx, wy)
+        before = [_bits(v) for v in args]
+        with np.errstate(all="ignore"):
+            got = lockstep._armijo_step(g, *args, failed, cfg)
+        assert [_bits(v) for v in args] == before
+        assert got[4] is failed and not (was & ~failed).any()
+        for m, v in enumerate(got[:4]):
+            assert not any(np.shares_memory(v, u) for u in (*args, failed, *got[m + 1 :]))
+    # and iterate leaves its starts alone, for every method
+    for method in Method:
+        x0, y0 = x.copy(), y.copy()
+        streams = TrialStreams(trial_states(5, n)) if method is RRN else None
+        got = lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(max_iter=20), x0, y0, streams=streams)
+        assert x0.tobytes() == x.tobytes() and y0.tobytes() == y.tobytes(), method
+        assert not any(np.shares_memory(v, u) for v in got for u in (x0, y0)), method
+
+
 def _pole_lanes():
     """(degree, |z|, |g'|) lanes around the pole scale: where numpy's power
     and Python's ``**`` disagree, where they agree, and |g'| at the exact
