@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import DerivativeVanishes, NoConvergence, PoleHit
 from .linalg import hypot
 
@@ -121,12 +123,17 @@ def pole_scale(abs_z, degree: int):
     the scalar step's scale bit for bit.  Where the power overflows the
     products give inf, and every finite derivative counts as vanishing.
     """
-    power, base, n = 1.0, 1.0 + abs_z, degree - 1
+    return _POLE_TOL * _power(1.0 + abs_z, degree - 1)
+
+
+def _power(base, n: int):
+    """base**n by repeated squaring, inf where it overflows (no OverflowError)."""
+    power = 1.0
     while n > 0:
         if n & 1:
             power = power * base
         base, n = base * base, n >> 1
-    return _POLE_TOL * power
+    return power
 
 
 def _check_derivative(p, z, dpz):
@@ -199,58 +206,65 @@ def schroder_conjugacy_defect(z) -> float:
     return abs(phi_nz - phi_z * phi_z)
 
 
-def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
-    """All complex roots of p, with multiplicity, via Durand-Kerner iteration.
+def _polish(p: Polynomial, z: complex, max_iter: int) -> complex:
+    """Newton's method z - p(z)/p'(z) for as long as |p| strictly falls.
 
-    Starts from the standard perturbed circle (0.4+0.9i)^k scaled by the
-    Cauchy root bound and iterates until every estimate r is finite and
-    satisfies |p(r)| <= tol * (1+|r|)^deg * max|coeff|.  Multiple roots come
-    back as clusters of nearby estimates.
-
-    Raises NoConvergence if the residual bound is not met within max_iter
-    rounds, or at once in the round that leaves the last estimate NaN;
-    callers may retry with a larger cap.
+    A finite z first moves to the grid of 2**-26 times the power of two of its
+    larger part (2**26 of that part's ulps), so that estimates which differ
+    only in their last bits start from the same point; zero stays zero.  At
+    most max_iter steps; returns the iterate with the smallest |p|.
     """
-    n = p.degree
-    if n < 1:
+    if cmath.isfinite(z):
+        step = math.ulp(max(abs(z.real), abs(z.imag))) * 2**26
+        z = complex(round(z.real / step) * step, round(z.imag / step) * step)
+    dp, best, z_best = p.derivative(), math.inf, z
+    for _ in range(max_iter + 1):
+        pz, dpz = p(z), dp(z)
+        size = hypot(pz.real, pz.imag)
+        if not size < best:
+            break
+        best, z_best = size, z
+        if dpz == 0:
+            break
+        z = z - pz / dpz
+    return z_best
+
+
+def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
+    """All complex roots of p, with multiplicity, sorted counter-clockwise.
+
+    The estimates are the eigenvalues of p's balanced companion matrix
+    (``numpy.roots``; Edelman and Murakami, Math. Comp. 64, 1995).  Each is
+    moved to a grid of 2**-26 relative to its size and polished by Newton's
+    method in pure Python for as long as |p| strictly falls, at most max_iter
+    steps, so that LAPACK builds that differ in the last bits of an estimate
+    give the same root.  Every root r must be finite with
+    |p(r)| <= tol * (1+|r|)^deg * max|coeff|.  The roots are sorted by their
+    argument in [0, 2pi), counter-clockwise from the positive real axis, and
+    by modulus on one ray; root k of z^n - 1 is exp(2 pi i k/n).
+
+    A multiple root away from 0 comes back as nearby estimates whose last
+    bits may differ across LAPACK builds: their spread is about the square
+    root of the unit roundoff, more than the grid absorbs.
+
+    Raises NoConvergence where the companion matrix has non-finite entries or
+    a root misses the residual bound.
+    """
+    if p.degree < 1:
         raise ValueError("all_roots needs degree >= 1")
-    lead = p.coeffs[-1]
-    monic = tuple(c / lead for c in p.coeffs)
+    # numpy warns where dividing by the leading coefficient overflows
+    with np.errstate(all="ignore"):
+        try:
+            estimates = np.roots(p.coeffs[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"numpy.roots failed: {exc}") from None
+    roots = [_polish(p, complex(z), max_iter) for z in estimates]
     max_coeff = max(abs(c) for c in p.coeffs)
-    radius = max(p.cauchy_root_bound(), 1e-3)
-    seed = 0.4 + 0.9j
-    zs = [radius * seed**k for k in range(1, n + 1)]
-
-    def monic_eval(z):
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * z + c
-        return acc
-
-    for round_no in range(1, max_iter + 1):
-        for i in range(n):
-            zi = zs[i]
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= zi - zs[j]
-            if denom == 0:
-                # coincident estimates: nudge deterministically
-                zi += (1e-8 + 1e-8j) * (i + 1)
-                denom = 1.0 + 0j
-                for j in range(n):
-                    if j != i:
-                        denom *= zi - zs[j]
-            zs[i] = zi - monic_eval(zi) / denom
-        # NaN is absorbing: every later round's differences with a NaN
-        # estimate, and so every product and quotient, are NaN (denom == 0
-        # is False on NaN), so a NaN last estimate can only fail
-        if cmath.isnan(zs[-1]):
-            raise NoConvergence(f"Durand-Kerner estimates turned NaN in round {round_no}")
-        # a NaN or infinite estimate never converges, whatever its residual
-        if all(cmath.isfinite(z) and abs(p(z)) <= tol * (1.0 + abs(z)) ** n * max_coeff for z in zs):
-            return list(zs)
-    raise NoConvergence(f"Durand-Kerner did not meet the residual bound in {max_iter} rounds")
+    for r in roots:
+        # a NaN or infinite root never converges, whatever its residual
+        if not (cmath.isfinite(r) and abs(p(r)) <= tol * _power(1.0 + abs(r), p.degree) * max_coeff):
+            raise NoConvergence(f"the root estimate {format_complex(r)} misses the residual bound")
+    return sorted(roots, key=lambda r: (math.atan2(r.imag, r.real) % math.tau, abs(r)))
 
 
 def parse_complex(token: str) -> complex:

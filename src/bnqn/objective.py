@@ -160,7 +160,10 @@ class PolyModulusObjective(ObjectiveFunction):
         return _modulus_gradient(gz, dgz), _modulus_hessian(gz, dgz, self.ddg(z))
 
     def roots(self) -> tuple[complex, ...]:
-        """Roots of g (computed once, order fixed by the root finder)."""
+        """Roots of g, computed once, in the order ``all_roots`` gives.
+
+        Counter-clockwise from the positive real axis, nearest first on one ray.
+        """
         if self._roots is None:
             self._roots = tuple(all_roots(self.g, _ROOT_TOL))
         return self._roots

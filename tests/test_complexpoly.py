@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bnqn import complexpoly
 from bnqn.complexpoly import (
     _POLE_TOL,
     Polynomial,
@@ -21,6 +22,7 @@ from bnqn.complexpoly import (
 from bnqn.errors import DerivativeVanishes, NoConvergence, PoleHit
 from bnqn.solvers import SolverConfig
 from support import same_bits
+from test_lockstep import CLUSTER8, CLUSTER8_ROOTS
 
 Z2M1 = Polynomial([-1, 0, 1])  # z^2 - 1
 Z2 = Polynomial([0, 0, 1])
@@ -264,12 +266,84 @@ def test_all_roots_rejects_constants_and_caps():
         all_roots(Polynomial([1, 0, 0, 0, 1]), 1e-30, max_iter=2)
 
 
-def test_all_roots_never_accepts_nan_estimates():
-    # z^10 - 1e40 from the Cauchy radius 1e40: the products of differences
-    # overflow and every estimate turns NaN, where |p(r)| <= bound is False;
-    # NaN is absorbing, so the call fails in that round, not after max_iter
-    with pytest.raises(NoConvergence, match="in round 1$"):
-        all_roots(Polynomial([-1e40] + [0] * 9 + [1]), 1e-12)
+def test_all_roots_never_accepts_nan_estimates(monkeypatch):
+    # a NaN estimate stays NaN through the polish, and NaN is no root
+    monkeypatch.setattr(complexpoly.np, "roots", lambda c: np.array([1.0, complex(math.nan, 0.0), -1.0]))
+    with pytest.raises(NoConvergence, match="misses the residual bound$"):
+        all_roots(Z3M1, 1e-12)
+
+
+def test_all_roots_where_the_residual_bound_overflows():
+    # (1 + 1e200)^2 overflows: the bound is inf, not an OverflowError, and
+    # the estimate of the large root stays on its grid point, since p
+    # overflows to NaN there
+    small, large = all_roots(Polynomial([1, -1e200, 1]), 1e-12)
+    assert abs(small / 1e-200 - 1.0) <= 1e-15
+    assert abs(large / 1e200 - 1.0) <= 1e-8
+
+
+def test_all_roots_are_sorted_counter_clockwise():
+    for n in (1, 2, 3, 10):
+        roots = all_roots(Polynomial([-1] + [0] * (n - 1) + [1]), 1e-12)
+        assert len(roots) == n
+        for k, r in enumerate(roots):
+            assert abs(r - complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))) <= 1e-15
+    # nearest first on one ray
+    assert all_roots(Polynomial.from_roots([2, 1j, 1, 2j, -1]), 1e-12) == [1, 2, 1j, 2j, -1]
+
+
+def test_all_roots_resolves_a_root_cluster():
+    # three roots 1e-3 apart: each comes back within 1e-8, one estimate per root
+    got = all_roots(Polynomial.from_roots(CLUSTER8_ROOTS), 1e-12)
+    assert len(got) == len(CLUSTER8_ROOTS)
+    nearest = [min(range(len(got)), key=lambda i: abs(got[i] - r)) for r in CLUSTER8_ROOTS]
+    assert sorted(nearest) == list(range(len(got)))
+    assert all(abs(got[i] - r) <= 1e-8 for i, r in zip(nearest, CLUSTER8_ROOTS))
+
+
+def test_all_roots_of_a_wide_coefficient_range():
+    # z^10 - 1e40: ten roots of modulus 1e4, at distinct arguments
+    roots = all_roots(Polynomial([-1e40] + [0] * 9 + [1]), 1e-12)
+    assert len(roots) == 10
+    assert all(abs(abs(r) / 1e4 - 1.0) <= 1e-12 for r in roots)
+    assert len({math.atan2(r.imag, r.real) for r in roots}) == 10
+
+
+def _ulp_moves(estimates):
+    """The estimates with both parts moved by 1, 2, 4 and 8 ulps, in each of the four sign pairs."""
+    for k in (1, 2, 4, 8):
+        for sx in (-math.inf, math.inf):
+            for sy in (-math.inf, math.inf):
+                x, y = estimates.real, estimates.imag
+                for _ in range(k):
+                    x, y = np.nextafter(x, sx), np.nextafter(y, sy)
+                yield x + 1j * y
+
+
+def test_all_roots_absorbs_last_bit_differences(monkeypatch):
+    # LAPACK builds may differ in the last bits of numpy.roots' estimates:
+    # the grid start and the polish must give the same roots bit for bit
+    rng = np.random.default_rng(2810)
+    polys = [Z3M1, Polynomial([-1] + [0] * 39 + [1]), Polynomial([2, -3, 1]), CLUSTER8]
+    for _ in range(30):
+        deg = int(rng.integers(2, 13))
+        polys.append(Polynomial(rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)))
+    polys += [p.derivative() for p in polys]
+    real_roots = np.roots
+    for p in polys:
+        want = all_roots(p, 1e-12)
+        estimates = real_roots(p.coeffs[::-1]).astype(complex)
+        # numpy.roots appends exact zeros for trailing zero coefficients
+        # without LAPACK, so they have no last bits to differ in
+        nonzero = estimates != 0
+        offsets = [1.0 + 1e-12 * np.exp(2j * math.pi * rng.uniform(size=estimates.size)) for _ in range(5)]
+        for moved in [*_ulp_moves(estimates), *(estimates * u for u in offsets)]:
+            moved = np.where(nonzero, moved, estimates)
+            monkeypatch.setattr(complexpoly.np, "roots", lambda c: moved)
+            got = all_roots(p, 1e-12)
+            assert len(got) == len(want)
+            assert all(same_bits(a.real, b.real) and same_bits(a.imag, b.imag) for a, b in zip(got, want)), p
+        monkeypatch.setattr(complexpoly.np, "roots", real_roots)
 
 
 def test_parse_and_format_round_trip():

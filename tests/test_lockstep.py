@@ -52,9 +52,8 @@ Z25M1 = Polynomial([-1] + [0] * 24 + [1])
 Z40M1 = Polynomial([-1] + [0] * 39 + [1])
 SQUARE = (-2.0, 2.0, -2.0, 2.0)
 # three roots 1e-3 apart plus five spread ones, like the degree-8 benchmark input
-CLUSTER8 = Polynomial.from_roots(
-    [1.0, 1.001, 1.0 + 5e-4j, 1.2j, -0.9 + 0.6j, -1.1 - 0.3j, -0.2 - 1.3j, 0.8 - 0.9j]
-)
+CLUSTER8_ROOTS = [1.0, 1.001, 1.0 + 5e-4j, 1.2j, -0.9 + 0.6j, -1.1 - 0.3j, -0.2 - 1.3j, 0.8 - 0.9j]
+CLUSTER8 = Polynomial.from_roots(CLUSTER8_ROOTS)
 # real degree 8 with four real roots (near -1.4, -0.5, 0.6 and 1.3), and one
 # with none, whose axis lanes end at critical points of F or at the cap
 REAL8 = Polynomial([0.99, 1.19, -2.53, -2.49, -1.65, -1.16, -0.15, 1.4, 1.0])

@@ -308,12 +308,14 @@ def test_classify_many_degree_one_has_no_critical_points():
 
 
 def test_classify_many_double_root_of_z2():
-    # the two root estimates sit about 5e-7 from 0 and g' has its root at 0
+    # both root estimates are exactly 0, and so is g's critical point: a root
+    # wins over a critical point, and of equal roots the first
     points = [(0.0, 0.0), (1e-7, 0.0), (5e-7, -1e-7), (-2e-6, 1e-6), (3e-6, 0.0)]
+    assert Z2.roots() == (0j, 0j)
     for tol in (1e-7, 1e-6, 5e-6):
         got = _assert_classify_many_matches_scalar(Z2, points, tol)
-        assert got[0].is_root == (tol >= 5e-7)
-    assert _assert_classify_many_matches_scalar(Z2, [(0.0, 0.0)], 1e-8)[0].kind == "CriticalNonRoot"
+        assert got[0] == LimitClass.root(0)
+    assert _assert_classify_many_matches_scalar(Z2, [(0.0, 0.0)], 1e-8)[0] == LimitClass.root(0)
 
 
 def test_root_indices_is_classify_roots_only_per_point():
@@ -331,7 +333,8 @@ def test_root_indices_is_classify_roots_only_per_point():
                 want = obj.classify_roots_only(point, t)
                 assert (cls, cls.point) == (want, want.point), (point, t)
         last = obj.classify_many([x], [r.imag], tol, roots_only=True)
-        assert _classes(*last)[0] == LimitClass.root(len(obj.roots()) - 1)
+        # the first index of equal roots: both roots of z^2 are exactly 0
+        assert _classes(*last)[0] == LimitClass.root(obj.roots().index(r))
 
 
 @pytest.mark.parametrize("tol", [1e-6, math.inf], ids=["tol-1e-6", "tol-inf"])
