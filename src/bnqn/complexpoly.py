@@ -206,17 +206,10 @@ def schroder_conjugacy_defect(z) -> float:
     return abs(phi_nz - phi_z * phi_z)
 
 
-def _polish(p: Polynomial, z: complex, max_iter: int) -> complex:
-    """Newton's method z - p(z)/p'(z) for as long as |p| strictly falls.
-
-    A finite z first moves to the grid of 2**-26 times the power of two of its
-    larger part (2**26 of that part's ulps), so that estimates which differ
-    only in their last bits start from the same point; zero stays zero.  At
-    most max_iter steps; returns the iterate with the smallest |p|.
-    """
-    if cmath.isfinite(z):
-        step = math.ulp(max(abs(z.real), abs(z.imag))) * 2**26
-        z = complex(round(z.real / step) * step, round(z.imag / step) * step)
+def _newton_descent(p: Polynomial, z: complex, max_iter: int) -> tuple[complex, float]:
+    """Newton's method z - p(z)/p'(z) from z for as long as |p| strictly
+    falls, at most max_iter steps; returns the iterate with the smallest |p|
+    and that |p|, which is inf where |p| at z is not finite."""
     dp, best, z_best = p.derivative(), math.inf, z
     for _ in range(max_iter + 1):
         pz, dpz = p(z), dp(z)
@@ -227,7 +220,22 @@ def _polish(p: Polynomial, z: complex, max_iter: int) -> complex:
         if dpz == 0:
             break
         z = z - pz / dpz
-    return z_best
+    return z_best, best
+
+
+def _polish(p: Polynomial, z: complex, max_iter: int) -> complex:
+    """``_newton_descent`` from z moved to the grid of 2**-26 times the power
+    of two of its larger part (2**26 of that part's ulps), so that estimates
+    which differ only in their last bits start from the same point; zero
+    stays zero.  Where |p| is not finite at the grid point, as where p
+    overflows, it cannot steer the descent, and the polish starts from z
+    itself."""
+    if cmath.isfinite(z):
+        step = math.ulp(max(abs(z.real), abs(z.imag))) * 2**26
+        root, size = _newton_descent(p, complex(round(z.real / step) * step, round(z.imag / step) * step), max_iter)
+        if size < math.inf:
+            return root
+    return _newton_descent(p, z, max_iter)[0]
 
 
 def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
@@ -238,7 +246,9 @@ def all_roots(p: Polynomial, tol: float, max_iter: int = 500) -> list[complex]:
     moved to a grid of 2**-26 relative to its size and polished by Newton's
     method in pure Python for as long as |p| strictly falls, at most max_iter
     steps, so that LAPACK builds that differ in the last bits of an estimate
-    give the same root.  Every root r must be finite with
+    give the same root; where p overflows at the grid point, the polish
+    starts from the estimate itself, and the root may keep last bits that
+    differ across LAPACK builds.  Every root r must be finite with
     |p(r)| <= tol * (1+|r|)^deg * max|coeff|.  The roots are sorted by their
     argument in [0, 2pi), counter-clockwise from the positive real axis, and
     by modulus on one ray; root k of z^n - 1 is exp(2 pi i k/n).

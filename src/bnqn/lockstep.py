@@ -86,12 +86,25 @@ A lane at y = -0.0 stays in the complex loop throughout.
 
 The real-axis loop is generated: a ``for`` over the coefficients costs more
 than the products and sums it runs, so ``_real_lane_loop`` writes the loop
-out as source with Horner's rule as one statement per coefficient, the
-``for`` loop's float operations in its order, and compiles it at the first
-real-axis lane of each coefficient count; ``functools.cache`` keeps it for
-the process.  The source is built from integers and fixed names alone: the
-coefficients and the config come in as arguments, so no input value is
-formatted into code and one function serves every g of a degree.
+out as source and compiles it at the first real-axis lane of each
+coefficient count and config shape (BNQN or GD, theta = 0 or not, tau = 1
+or not), with only the branches that shape takes; ``functools.cache``
+keeps it for the process.  Horner's rule is one statement per coefficient
+from acc = c0*x + c1, where the ``for`` loop starts from acc = 0.0: its
+first step 0.0*x + c0 is c0 itself at a finite x, since the leading
+coefficient of a real g is finite and not 0, and so is k*c_n, that of g'
+and g'' (``Polynomial`` trims zeros and ``derivative`` rejects overflow).
+A one-coefficient polynomial, such as g'' of a degree-1 g, keeps 0.0*x + c0.
+At a non-finite x the two differ, but never in effect: an entry x that is
+not finite makes F inf or NaN either way and hands the lane back, and an
+Armijo trial that overflows to +-inf gets F = inf or NaN, which both fail
+the test, whose bound is below inf (f(z) < inf, slope >= 0).  Once F and
+g'g are known finite, |g'g| <= grad_tol and |x| > radius are chained
+comparisons with no ``abs``, and the step count is the variable of
+``for k in range(k, max_iter + 1)``.  The source is built from integers,
+bools and fixed names alone: the coefficients and the config values come
+in as arguments, so no input value is formatted into code and one
+function serves every g of a degree and every config of a shape.
 """
 
 from __future__ import annotations
@@ -128,9 +141,9 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # BNQN and GD sweeps from running one lane.  On floats, a step in the complex
 # loop costs 2.2 us for GD (z^3-1 from -2 - 0i) and 5.7-5.9 us for BNQN on a
 # degree-8 cluster, a degree-8 Armijo trial 0.50-0.52 us, and a GD step on
-# the real axis of a real g (``_finish_real_lane``) 0.38-0.41 us.  GD lanes
-# in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps) ran
-# faster one by one than in the sweep at 16 lanes and slower at 24.  The
+# the real axis of a real g (``_finish_real_lane``, z^3-1 from -2) 0.30 us.
+# GD lanes in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps)
+# ran faster one by one than in the sweep at 16 lanes and slower at 24.  The
 # same bound sends a sweep's last Armijo rejecters to ``_armijo_lane``.  In
 # alternating whole cycles, the z^3-1 BNQN half sweep (51x51) ran fastest
 # with 48: 24 and 32 beat it in 14 of 60 alternations and 64 in 6 of 60; on
@@ -487,57 +500,35 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     return None
 
 
-# The body of ``_finish_real_lane``, compiled once per coefficient count by
-# ``_real_lane_loop``.  The placeholders are filled from integers and fixed
-# names only: {unpack} binds the coefficients, highest degree first, to
-# g0, g1, ... (g), d0, ... (g') and e0, ... (g''), and {g_x}, {dg_x}, {ddg_x}
-# and {g_trial} are Horner's rule as one statement per coefficient.
+# The body of ``_finish_real_lane``, compiled by ``_real_lane_loop`` once per
+# coefficient count and config shape.  The placeholders are filled from
+# integers and fixed names only: {unpack} binds the coefficients, highest
+# degree first, to g0, g1, ... (g), d0, ... (g') and e0, ... (g''), {g_x},
+# {dg_x} and {g_trial} are Horner's rule as one statement per coefficient,
+# and {direction} sets the step direction wx (``_BNQN_DIRECTION``, or
+# g'g for GD), capped by theta where theta != 0.  Past the loop's first
+# test F and g'g are finite, and so is x (F is inf or NaN at any other x),
+# so -grad_tol <= g'g <= grad_tol is |g'g| <= grad_tol and
+# -radius <= x <= radius is |x| <= radius.
 _REAL_LANE_SOURCE = """\
-def real_lane(g, dg, ddg, radius, hessian, cfg, x, k):
+def real_lane(g, dg, ddg, radius, cfg, x, k):
     {unpack}
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
     tau, kappa, deltas = cfg.tau, cfg.kappa, cfg.deltas
     armijo_factor, shrink, underflow, inf = _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, math.inf
+    neg_tol, neg_radius = -grad_tol, -radius
     {g_x}
     fz = 0.5 * (gz * gz)
-    while True:
+    for k in range(k, max_iter + 1):
         {dg_x}
         gx = dgz * gz
-        gn = abs(gx)
-        if not (fz < inf and gn < inf):
+        if not (fz < inf and -inf < gx < inf):
             return x, k, None
-        if gn <= grad_tol or abs(x) > radius:
+        if neg_tol <= gx <= grad_tol or not neg_radius <= x <= radius:
             return x, k, STOPPED
-        if k >= max_iter:
+        if k == max_iter:
             return x, k, CAPPED
-        if hessian:
-            {ddg_x}
-            if not -inf < u < inf:
-                return x, k, None
-            u *= gz
-            s = dgz * dgz
-            ha, hc = u + s, s - u
-            # x**1.0 is x for every float, so tau = 1 skips the pow
-            scale = gn if tau == 1.0 else _shift_scale(gn, tau)
-            threshold = kappa * scale
-            for d in deltas:
-                shift = d * scale
-                sa, sc = ha + shift, hc + shift
-                # in this order: min keeps its first argument where the other
-                # is NaN, as _eig2_system orders a NaN a + s second
-                if min(abs(sc), abs(sa)) >= threshold:
-                    break
-            else:
-                return x, k, FAILED
-            if sa == 0.0 or sc == 0.0:
-                return x, k, FAILED
-            wx = gx / abs(sa)
-            if not 0.0 < abs(wx) < inf:
-                return x, k, None
-        else:
-            wx = gx
-        if theta != 0.0:
-            wx = wx / max(1.0, theta * (abs(wx) if hessian else gn))
+{direction}
         slope = wx * gx
         gamma = gamma0
         while True:
@@ -553,34 +544,75 @@ def real_lane(g, dg, ddg, radius, hessian, cfg, x, k):
         if trial == x and math.copysign(1.0, trial) == math.copysign(1.0, x):
             return x, max_iter, CAPPED
         x, gz, fz = trial, gt, ft
-        k += 1
+"""
+
+# BNQN's direction g'g/|a + s| for the diagonal Hessian a = g''g + g'^2,
+# c = g'^2 - g''g and the first shift s that clears the bar, with {scale}
+# |g'g| itself where tau = 1 (x**1.0 is x for every float)
+_BNQN_DIRECTION = """\
+        {ddg_x}
+        if not -inf < u < inf:
+            return x, k, None
+        u *= gz
+        s = dgz * dgz
+        ha, hc = u + s, s - u
+        scale = {scale}
+        threshold = kappa * scale
+        for d in deltas:
+            shift = d * scale
+            sa, sc = ha + shift, hc + shift
+            # in this order: min keeps its first argument where the other
+            # is NaN, as _eig2_system orders a NaN a + s second
+            if min(abs(sc), abs(sa)) >= threshold:
+                break
+        else:
+            return x, k, FAILED
+        if sa == 0.0 or sc == 0.0:
+            return x, k, FAILED
+        wx = gx / abs(sa)
+        if not 0.0 < abs(wx) < inf:
+            return x, k, None
 """
 
 
 def _horner_source(acc, prefix, count, var):
-    """Horner's rule (acc = acc*var + c from acc = 0.0) on the coefficients
-    prefix0 .. prefix<count - 1>, as one statement each on one line."""
-    steps = [f"{acc} = 0.0 * {var} + {prefix}0"]
-    steps += [f"{acc} = {acc} * {var} + {prefix}{i}" for i in range(1, count)]
+    """Horner's rule on the coefficients prefix0 .. prefix<count - 1> as one
+    statement each on one line, from acc = prefix0*var + prefix1: the step
+    from acc = 0.0 gives prefix0 itself at a finite var where prefix0 is not
+    0 (see ``_finish_real_lane``).  One coefficient keeps that step."""
+    if count == 1:
+        return f"{acc} = 0.0 * {var} + {prefix}0"
+    steps = [f"{acc} = {prefix}0 * {var} + {prefix}1"]
+    steps += [f"{acc} = {acc} * {var} + {prefix}{i}" for i in range(2, count)]
     return "; ".join(steps)
 
 
 @functools.cache
-def _real_lane_loop(g_count, dg_count, ddg_count):
+def _real_lane_loop(g_count, dg_count, ddg_count, hessian, theta_cap, unit_tau):
     """``_finish_real_lane``'s loop for a g, g' and g'' of these many
-    coefficients, compiled from ``_REAL_LANE_SOURCE`` (see the module
-    docstring).  Horner's rule takes one statement per coefficient, not one
+    coefficients, BNQN's (``hessian``) or GD's, with the theta cap where
+    ``theta_cap`` and the power |g'g|**tau where not ``unit_tau``, compiled
+    from ``_REAL_LANE_SOURCE`` (see the module docstring).  The key holds
+    ints and bools alone, so no coefficient or config value reaches the
+    source.  Horner's rule takes one statement per coefficient, not one
     nested expression: the parser rejects more than 200 nested parentheses,
     and a g may have more coefficients."""
     unpack = "; ".join(
         "".join(f"{prefix}{i}, " for i in range(count)) + f"= {seq}"
         for prefix, count, seq in (("g", g_count, "g"), ("d", dg_count, "dg"), ("e", ddg_count, "ddg"))
     )
+    if hessian:
+        scale = "abs(gx)" if unit_tau else "_shift_scale(abs(gx), tau)"
+        direction = _BNQN_DIRECTION.format(ddg_x=_horner_source("u", "e", ddg_count, "x"), scale=scale)
+    else:
+        direction = "        wx = gx\n"
+    if theta_cap:
+        direction += "        wx = wx / max(1.0, theta * abs(wx))\n"
     source = _REAL_LANE_SOURCE.format(
         unpack=unpack,
         g_x=_horner_source("gz", "g", g_count, "x"),
         dg_x=_horner_source("dgz", "d", dg_count, "x"),
-        ddg_x=_horner_source("u", "e", ddg_count, "x"),
+        direction=direction.rstrip("\n"),
         g_trial=_horner_source("gt", "g", g_count, "trial"),
     )
     namespace = {}
@@ -604,15 +636,16 @@ def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfi
     it is, zero sign included, ends the lane CAPPED at ``max_iter`` steps.
 
     The loop is generated source, ``_real_lane_loop``'s for the coefficient
-    counts of g, g' and g'', compiled at the first lane of those counts and
-    cached for the process.  Its Horner evaluations are straight-line code,
-    the float operations of acc = acc*x + c from acc = 0.0 in their order;
-    the source holds integers and fixed names only, and the coefficients
-    are its arguments.
+    counts of g, g' and g'' and the config's shape, compiled at the first
+    lane of those and cached for the process.  Its Horner evaluations are
+    straight-line code from acc = c0*x + c1, which is acc = acc*x + c from
+    acc = 0.0 wherever it matters (see the module docstring); the source
+    holds integers and fixed names only, and the coefficients and the
+    config are its arguments.
     """
     g, dg, ddg = ([c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg))
-    loop = _real_lane_loop(len(g), len(dg), len(ddg))
-    return loop(g, dg, ddg, obj.divergence_radius, hessian, cfg, x, k)
+    loop = _real_lane_loop(len(g), len(dg), len(ddg), hessian, cfg.theta != 0.0, cfg.tau == 1.0)
+    return loop(g, dg, ddg, obj.divergence_radius, cfg, x, k)
 
 
 def _same_point(z, x, y):

@@ -274,12 +274,22 @@ def test_all_roots_never_accepts_nan_estimates(monkeypatch):
 
 
 def test_all_roots_where_the_residual_bound_overflows():
-    # (1 + 1e200)^2 overflows: the bound is inf, not an OverflowError, and
-    # the estimate of the large root stays on its grid point, since p
-    # overflows to NaN there
+    # (1 + 1e200)^2 overflows: the bound is inf, not an OverflowError
     small, large = all_roots(Polynomial([1, -1e200, 1]), 1e-12)
     assert abs(small / 1e-200 - 1.0) <= 1e-15
     assert abs(large / 1e200 - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "coeffs, large",
+    [([1, -1e200, 1], 1e200), ([1, 1e200, 1], -1e200), ([1, -1e200j, -1], -1e200j)],
+    ids=["1e200", "-1e200", "-1e200i"],
+)
+def test_all_roots_polish_from_the_estimate_where_p_overflows_on_the_grid(coeffs, large):
+    # p overflows to NaN at the grid point 1.0000000004524102e+200 next to
+    # the root 1e200, so the polish starts from numpy's own estimate, where
+    # p is 1 exactly
+    assert all_roots(Polynomial(coeffs), 1e-12)[1] == large
 
 
 def test_all_roots_are_sorted_counter_clockwise():

@@ -8,8 +8,11 @@ and with every lane run by the per-lane float loop alone.  The lanes that
 the per-lane loop runs on the real axis of a real g are counted, with those
 it hands back to the complex loop, and lanes at y = -0.0 must not reach
 it; the real-axis loop must equal the complex loop on seeded random real
-g, configs and starts, and a lane whose step leaves its point as it is
-must end at once in either loop.  The few-lane Armijo backtracks inside a
+g, configs and starts, and in each config shape it is compiled for, with
+Armijo trials that overflow to +-inf; one compiled loop must serve every g
+of a degree and every config of a shape, with no input value among its
+constants; and a lane whose step leaves its point as it is must end at
+once in either loop.  The few-lane Armijo backtracks inside a
 sweep are counted: they must run where few lanes reject the first trial,
 never in the sweep-only mode, and one case drives them to a gamma
 underflow.  The NQN and Newton
@@ -22,6 +25,7 @@ test.  The random streams themselves are checked in ``test_streams.py``.
 """
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -479,6 +483,106 @@ def test_real_axis_loop_is_the_complex_loop_bit_for_bit(monkeypatch):
                     assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
     # the real-axis loop ended lanes of every degree, 201 included
     assert all(ended.values()) and 201 in ended
+
+
+# g = 1e-160 z^2 + c1 z - 1e150 with c1 = -(1e-160 * MAX), and its mirror
+# g(-z): at x = +-MAX, the largest float, 1e-160 x + c1 is 0 exactly, so g
+# is -1e150 and F is finite, and the radius is inf, but g'g is -+1.8e298 and
+# GD's first Armijo trial x - gamma*g'g overflows to +-inf.  F there is inf
+# by Horner's rule from the leading coefficient and NaN from 0.0, and Armijo
+# rejects both
+MAX = sys.float_info.max
+OVERFLOW_TRIAL = {
+    sign * MAX: Polynomial([-1e150, -sign * (1e-160 * MAX), 1e-160]) for sign in (1.0, -1.0)
+}
+
+
+def test_real_axis_loop_in_every_config_shape_is_the_complex_loop(monkeypatch):
+    # the real-axis loop is compiled per method, theta = 0 or not and
+    # tau = 1 or not; each of the eight against the complex loop, as in
+    # test_real_axis_loop_is_the_complex_loop_bit_for_bit, at gamma0 1, 0.5
+    # and 0.3 and grad_tol 1e-10 and 0, on a degree-1 g (whose g'' is the
+    # zero polynomial), z^3-1, a real degree-5 g and the OVERFLOW_TRIAL g
+    real_lane, compiled = lockstep._finish_real_lane, lockstep._real_lane_loop
+    shapes, ended, overflowed = set(), set(), 0
+
+    def counted(obj, hessian, cfg, x, k):
+        end = real_lane(obj, hessian, cfg, x, k)
+        if end[2] is not None:
+            ended.add((hessian, cfg.theta != 0.0, cfg.tau == 1.0))
+        return end
+
+    def handed_back(obj, hessian, cfg, x, k):
+        return x, k, None
+
+    def recorded(*shape):
+        shapes.add(shape[3:])
+        return compiled(*shape)
+
+    monkeypatch.setattr(lockstep, "_real_lane_loop", recorded)
+    cases = [
+        (Polynomial([-0.5, 2.0]), [-2.0, 0.0, 0.25, 1.9]),
+        (Z3M1, [-2.0, -0.3, 0.0, 0.7, 1.9]),
+        (Polynomial([0.7, -1.3, 0.2, 1.1, -0.4, 0.9]), [-2.0, -0.6, 0.4, 1.5]),
+        *((poly, [x0]) for x0, poly in OVERFLOW_TRIAL.items()),
+    ]
+    configs = [
+        (hessian, SolverConfig(theta=theta, tau=tau, gamma0=gamma0, grad_tol=grad_tol, max_iter=40))
+        for hessian, theta, tau, gamma0, grad_tol in itertools.product(
+            (True, False), (0.0, 2.0), (1.0, 0.6), (1.0, 0.5, 0.3), (1e-10, 0.0)
+        )
+    ]
+    for poly, starts in cases:
+        obj = PolyModulusObjective(poly)
+        for (hessian, cfg), x0 in itertools.product(configs, starts):
+            if not hessian and cfg.theta == 0.0 and x0 in OVERFLOW_TRIAL:
+                gx = obj.dg(x0).real * obj.g(x0).real
+                assert math.isinf(x0 - cfg.gamma0 * gx)
+                overflowed += 1
+            ends = []
+            for loop in (counted, handed_back):
+                monkeypatch.setattr(lockstep, "_finish_real_lane", loop)
+                ends.append(lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0))
+            (x, y, k, code), (wx, wy, wk, wcode) = ends
+            assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
+            assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
+    # every shape was compiled and ended lanes on the real axis
+    assert shapes == ended == set(itertools.product((True, False), repeat=3))
+    assert overflowed == 24
+
+
+def test_real_axis_loop_is_compiled_per_shape_not_per_value(monkeypatch):
+    # two real g of one degree, under configs of one shape with other
+    # values, run on one compiled function, and no compiled loop holds a
+    # float constant but the template's own literals 0.0, 0.5 and 1.0
+    compiled = lockstep._real_lane_loop
+    loops = []
+
+    def recorded(*shape):
+        loops.append(compiled(*shape))
+        return loops[-1]
+
+    monkeypatch.setattr(lockstep, "_real_lane_loop", recorded)
+    pairs = [
+        (Z3M1, Polynomial([0.3, -2.5, 1e-7, 4.25])),
+        (Polynomial([-0.5, 2.0]), Polynomial([3.75e5, -1.0625])),
+        (REAL8, REAL8_NO_AXIS_ROOT),
+    ]
+    configs = [
+        (SolverConfig(), SolverConfig(gamma0=0.5, grad_tol=0.0, deltas=(0.0, 2.5, -3.5), max_iter=7)),
+        (SolverConfig(theta=1.0, tau=0.5), SolverConfig(theta=7.25, tau=2.5, gamma0=0.3, max_iter=9)),
+    ]
+    for a, b in pairs:
+        for hessian in (True, False):
+            for cfg_a, cfg_b in configs:
+                loops.clear()
+                lockstep._finish_real_lane(PolyModulusObjective(a), hessian, cfg_a, -1.5, 0)
+                lockstep._finish_real_lane(PolyModulusObjective(b), hessian, cfg_b, 1.5, 0)
+                first, second = loops
+                assert first is second
+                consts = first.__code__.co_consts
+                assert not any(isinstance(c, complex) for c in consts)
+                assert {c for c in consts if isinstance(c, float)} <= {0.0, 0.5, 1.0}
 
 
 @pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])
