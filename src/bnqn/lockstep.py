@@ -87,24 +87,42 @@ A lane at y = -0.0 stays in the complex loop throughout.
 The real-axis loop is generated: a ``for`` over the coefficients costs more
 than the products and sums it runs, so ``_real_lane_loop`` writes the loop
 out as source and compiles it at the first real-axis lane of each
-coefficient count and config shape (BNQN or GD, theta = 0 or not, tau = 1
-or not), with only the branches that shape takes; ``functools.cache``
-keeps it for the process.  Horner's rule is one statement per coefficient
+coefficient pattern and config shape, with only the branches and the
+operations that these take; ``functools.lru_cache`` keeps the last 256
+for the process, a bound, since each pattern of zero and unit coefficients
+compiles its own.  The key holds ints and bools alone: each coefficient of g, g' and g'',
+marked 0 (+-0.0), 1 (exactly 1.0) or 2 (any other value), taken once per
+objective (``_real_parts``), then BNQN or GD, theta = 0 or not, tau = 1 or
+not and gamma0 = 1 or not.  Horner's rule is one statement per coefficient
 from acc = c0*x + c1, where the ``for`` loop starts from acc = 0.0: its
 first step 0.0*x + c0 is c0 itself at a finite x, since the leading
 coefficient of a real g is finite and not 0, and so is k*c_n, that of g'
 and g'' (``Polynomial`` trims zeros and ``derivative`` rejects overflow).
-A one-coefficient polynomial, such as g'' of a degree-1 g, keeps 0.0*x + c0.
-At a non-finite x the two differ, but never in effect: an entry x that is
-not finite makes F inf or NaN either way and hands the lane back, and an
-Armijo trial that overflows to +-inf gets F = inf or NaN, which both fail
-the test, whose bound is below inf (f(z) < inf, slope >= 0).  Once F and
-g'g are known finite, |g'g| <= grad_tol and |x| > radius are chained
-comparisons with no ``abs``, and the step count is the variable of
+A one-coefficient polynomial, such as g'' of a degree-1 g, keeps
+0.0*x + c0.  At a non-finite x the two differ, but never in effect: an
+entry x that is not finite makes F inf or NaN either way and hands the
+lane back, and an Armijo trial that overflows to +-inf gets F = inf or
+NaN, which both fail the test, whose bound is below inf (f(z) < inf,
+slope >= 0).  The marks drop what cannot change a bit.  A unit leading
+coefficient enters as x, not 1.0*x, which is x for every float.  A zero
+coefficient adds nothing: adding -0.0 is the identity, and adding +0.0
+differs from it only in the sign of a zero sum, which a later nonzero
+coefficient absorbs at a finite x, so only a zero g, g' or g'' keeps it.
+On the real axis that takes no effect.  A zero g or g' stops the lane,
+since g'g = +-0 passes the grad_tol test (or is NaN and hands the lane
+back) whatever the signs, and only x leaves the loop; a zero g'' enters
+only through u + s and s - u, which give the same value at u = +0.0 and
+u = -0.0, s = +0.0 included.  Where
+gamma0 = 1 the first Armijo trial, written before the backtracking loop,
+is x - wx with the bound f(z) - slope*_ARMIJO_FACTOR, since gamma0*v is v;
+the loop then shrinks gamma from gamma0 and tests it for underflow before
+each later trial, as ``_armijo_lane`` does.  Once F and g'g are known
+finite, |g'g| <= grad_tol and |x| > radius are chained comparisons with no
+``abs``, and the step count is the variable of
 ``for k in range(k, max_iter + 1)``.  The source is built from integers,
 bools and fixed names alone: the coefficients and the config values come
 in as arguments, so no input value is formatted into code and one
-function serves every g of a degree and every config of a shape.
+function serves every g of a pattern and every config of a shape.
 """
 
 from __future__ import annotations
@@ -141,7 +159,9 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # BNQN and GD sweeps from running one lane.  On floats, a step in the complex
 # loop costs 2.2 us for GD (z^3-1 from -2 - 0i) and 5.7-5.9 us for BNQN on a
 # degree-8 cluster, a degree-8 Armijo trial 0.50-0.52 us, and a GD step on
-# the real axis of a real g (``_finish_real_lane``, z^3-1 from -2) 0.30 us.
+# the real axis of a real g (``_finish_real_lane``, z^3-1 from -2) 0.27 us
+# (0.335 us in the same runs with the loop compiled per coefficient count,
+# before its key took the zero and unit coefficients and gamma0 = 1).
 # GD lanes in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps)
 # ran faster one by one than in the sweep at 16 lanes and slower at 24.  The
 # same bound sends a sweep's last Armijo rejecters to ``_armijo_lane``.  In
@@ -501,15 +521,18 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
 
 
 # The body of ``_finish_real_lane``, compiled by ``_real_lane_loop`` once per
-# coefficient count and config shape.  The placeholders are filled from
+# coefficient pattern and config shape.  The placeholders are filled from
 # integers and fixed names only: {unpack} binds the coefficients, highest
 # degree first, to g0, g1, ... (g), d0, ... (g') and e0, ... (g''), {g_x},
 # {dg_x} and {g_trial} are Horner's rule as one statement per coefficient,
-# and {direction} sets the step direction wx (``_BNQN_DIRECTION``, or
-# g'g for GD), capped by theta where theta != 0.  Past the loop's first
-# test F and g'g are finite, and so is x (F is inf or NaN at any other x),
-# so -grad_tol <= g'g <= grad_tol is |g'g| <= grad_tol and
-# -radius <= x <= radius is |x| <= radius.
+# {direction} sets the step direction wx (``_BNQN_DIRECTION``, or g'g for
+# GD), capped by theta where theta != 0, and {gamma0} is the first Armijo
+# trial's gamma, left out where gamma0 = 1.  Past the loop's first test F
+# and g'g are finite, and so is x (F is inf or NaN at any other x), so
+# -grad_tol <= g'g <= grad_tol is |g'g| <= grad_tol and
+# -radius <= x <= radius is |x| <= radius.  The first trial comes before the
+# backtracking loop, which then shrinks gamma and tests it for underflow
+# before each later trial, as the scalar search does.
 _REAL_LANE_SOURCE = """\
 def real_lane(g, dg, ddg, radius, cfg, x, k):
     {unpack}
@@ -530,16 +553,20 @@ def real_lane(g, dg, ddg, radius, cfg, x, k):
             return x, k, CAPPED
 {direction}
         slope = wx * gx
-        gamma = gamma0
-        while True:
-            trial = x - gamma * wx
-            {g_trial}
-            ft = 0.5 * (gt * gt)
-            if ft <= fz - gamma * slope * armijo_factor:
-                break
-            gamma = gamma * shrink
-            if gamma < underflow:
-                return x, k, FAILED
+        trial = x - {gamma0}wx
+        {g_trial}
+        ft = 0.5 * (gt * gt)
+        if not ft <= fz - {gamma0}slope * armijo_factor:
+            gamma = gamma0
+            while True:
+                gamma = gamma * shrink
+                if gamma < underflow:
+                    return x, k, FAILED
+                trial = x - gamma * wx
+                {g_trial}
+                ft = 0.5 * (gt * gt)
+                if ft <= fz - gamma * slope * armijo_factor:
+                    break
         # a step that leaves x as it is, zero sign included, repeats to the cap
         if trial == x and math.copysign(1.0, trial) == math.copysign(1.0, x):
             return x, max_iter, CAPPED
@@ -575,49 +602,69 @@ _BNQN_DIRECTION = """\
 """
 
 
-def _horner_source(acc, prefix, count, var):
-    """Horner's rule on the coefficients prefix0 .. prefix<count - 1> as one
-    statement each on one line, from acc = prefix0*var + prefix1: the step
-    from acc = 0.0 gives prefix0 itself at a finite var where prefix0 is not
-    0 (see ``_finish_real_lane``).  One coefficient keeps that step."""
-    if count == 1:
-        return f"{acc} = 0.0 * {var} + {prefix}0"
-    steps = [f"{acc} = {prefix}0 * {var} + {prefix}1"]
-    steps += [f"{acc} = {acc} * {var} + {prefix}{i}" for i in range(2, count)]
+def _marks(coeffs):
+    """Each coefficient's mark in the key of ``_real_lane_loop``: 0 for +-0.0,
+    1 for exactly 1.0 and 2 for any other value."""
+    return tuple(0 if c == 0.0 else 1 if c == 1.0 else 2 for c in coeffs)
+
+
+def _horner_source(acc, prefix, marks, var):
+    """Horner's rule on the coefficients prefix0, prefix1, ... of these
+    ``_marks`` as one statement each on one line, from acc = prefix0*var +
+    prefix1: the step from acc = 0.0 gives prefix0 itself at a finite var
+    where prefix0 is not 0 (see ``_finish_real_lane``).  One coefficient
+    keeps that step.  A unit prefix0 enters as var, and a zero coefficient
+    adds nothing (see the module docstring)."""
+    terms = [f" + {prefix}{i}" if mark else "" for i, mark in enumerate(marks)]
+    if len(marks) == 1:
+        return f"{acc} = 0.0 * {var}{terms[0]}"
+    lead = var if marks[0] == 1 else f"{prefix}0 * {var}"
+    steps = [f"{acc} = {lead}{terms[1]}"]
+    steps += [f"{acc} = {acc} * {var}{terms[i]}" for i in range(2, len(marks))]
     return "; ".join(steps)
 
 
-@functools.cache
-def _real_lane_loop(g_count, dg_count, ddg_count, hessian, theta_cap, unit_tau):
-    """``_finish_real_lane``'s loop for a g, g' and g'' of these many
-    coefficients, BNQN's (``hessian``) or GD's, with the theta cap where
-    ``theta_cap`` and the power |g'g|**tau where not ``unit_tau``, compiled
-    from ``_REAL_LANE_SOURCE`` (see the module docstring).  The key holds
-    ints and bools alone, so no coefficient or config value reaches the
-    source.  Horner's rule takes one statement per coefficient, not one
-    nested expression: the parser rejects more than 200 nested parentheses,
-    and a g may have more coefficients."""
+@functools.lru_cache(maxsize=256)
+def _real_lane_loop(g_marks, dg_marks, ddg_marks, hessian, theta_cap, unit_tau, unit_gamma):
+    """``_finish_real_lane``'s loop for a g, g' and g'' whose coefficients
+    have these ``_marks``, BNQN's (``hessian``) or GD's, with the theta cap
+    where ``theta_cap``, the power |g'g|**tau where not ``unit_tau`` and
+    the first Armijo trial's gamma0 where not ``unit_gamma``, compiled from
+    ``_REAL_LANE_SOURCE`` (see the module docstring).  The key holds ints
+    and bools alone, so no coefficient or config value reaches the source.
+    Horner's rule takes one statement per coefficient, not one nested
+    expression: the parser rejects more than 200 nested parentheses, and a
+    g may have more coefficients."""
     unpack = "; ".join(
-        "".join(f"{prefix}{i}, " for i in range(count)) + f"= {seq}"
-        for prefix, count, seq in (("g", g_count, "g"), ("d", dg_count, "dg"), ("e", ddg_count, "ddg"))
+        "".join(f"{prefix}{i}, " for i in range(len(marks))) + f"= {seq}"
+        for prefix, marks, seq in (("g", g_marks, "g"), ("d", dg_marks, "dg"), ("e", ddg_marks, "ddg"))
     )
     if hessian:
         scale = "abs(gx)" if unit_tau else "_shift_scale(abs(gx), tau)"
-        direction = _BNQN_DIRECTION.format(ddg_x=_horner_source("u", "e", ddg_count, "x"), scale=scale)
+        direction = _BNQN_DIRECTION.format(ddg_x=_horner_source("u", "e", ddg_marks, "x"), scale=scale)
     else:
         direction = "        wx = gx\n"
     if theta_cap:
         direction += "        wx = wx / max(1.0, theta * abs(wx))\n"
     source = _REAL_LANE_SOURCE.format(
         unpack=unpack,
-        g_x=_horner_source("gz", "g", g_count, "x"),
-        dg_x=_horner_source("dgz", "d", dg_count, "x"),
+        g_x=_horner_source("gz", "g", g_marks, "x"),
+        dg_x=_horner_source("dgz", "d", dg_marks, "x"),
         direction=direction.rstrip("\n"),
-        g_trial=_horner_source("gt", "g", g_count, "trial"),
+        gamma0="" if unit_gamma else "gamma0 * ",
+        g_trial=_horner_source("gt", "g", g_marks, "trial"),
     )
     namespace = {}
-    exec(compile(source, f"<real-axis lane loop, {g_count} coefficients>", "exec"), globals(), namespace)
+    exec(compile(source, f"<real-axis lane loop, {len(g_marks)} coefficients>", "exec"), globals(), namespace)
     return namespace["real_lane"]
+
+
+@functools.lru_cache(maxsize=64)
+def _real_parts(obj: PolyModulusObjective):
+    """g, g' and g'' of a real objective as lists of real parts, highest
+    degree first, and their ``_marks``, kept by the objective's identity."""
+    parts = [[c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg)]
+    return parts, tuple(map(_marks, parts))
 
 
 def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, k):
@@ -635,16 +682,19 @@ def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfi
     which at x = +-0 sets the sign of the next x.  A step that leaves x as
     it is, zero sign included, ends the lane CAPPED at ``max_iter`` steps.
 
-    The loop is generated source, ``_real_lane_loop``'s for the coefficient
-    counts of g, g' and g'' and the config's shape, compiled at the first
-    lane of those and cached for the process.  Its Horner evaluations are
-    straight-line code from acc = c0*x + c1, which is acc = acc*x + c from
-    acc = 0.0 wherever it matters (see the module docstring); the source
+    The loop is generated source, ``_real_lane_loop``'s for the marks of
+    the coefficients of g, g' and g'' (0, 1 or other, taken once per
+    objective) and the config's shape, compiled at the first lane of those
+    and cached for the process.  Its Horner evaluations are straight-line
+    code from acc = c0*x + c1, with no product by a unit leading
+    coefficient and no sum of a zero one, which is acc = acc*x + c from
+    acc = 0.0 wherever it matters, and where gamma0 = 1 its first Armijo
+    trial takes no product by gamma (see the module docstring); the source
     holds integers and fixed names only, and the coefficients and the
     config are its arguments.
     """
-    g, dg, ddg = ([c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg))
-    loop = _real_lane_loop(len(g), len(dg), len(ddg), hessian, cfg.theta != 0.0, cfg.tau == 1.0)
+    (g, dg, ddg), marks = _real_parts(obj)
+    loop = _real_lane_loop(*marks, hessian, cfg.theta != 0.0, cfg.tau == 1.0, cfg.gamma0 == 1.0)
     return loop(g, dg, ddg, obj.divergence_radius, cfg, x, k)
 
 

@@ -333,31 +333,34 @@ def run(
     hit_cap = False
     failure = None
 
-    while True:
-        if needs_hessian:
-            grad, hess = f.gradient_and_hessian(z)
-        else:
-            grad = f.gradient(z)
-            hess = None
-        gn = _norm(grad)
-        grad_norms.append(gn)
-        if gn <= cfg.grad_tol:
-            converged = True
-            break
-        if _norm(z) > f.divergence_radius:
-            break
-        if len(step_sizes) >= cfg.max_iter:
-            hit_cap = True
-            break
-        try:
-            z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, rng)
-        except BnqnError as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-            break
-        points.append(z_next)
-        step_sizes.append(gamma)
-        delta_indices.append(dj)
-        z = z_next
+    # an Armijo trial z - gamma*w may overflow to inf, which fails its test;
+    # numpy must not warn about it, and one errstate serves every step
+    with np.errstate(over="ignore"):
+        while True:
+            if needs_hessian:
+                grad, hess = f.gradient_and_hessian(z)
+            else:
+                grad = f.gradient(z)
+                hess = None
+            gn = _norm(grad)
+            grad_norms.append(gn)
+            if gn <= cfg.grad_tol:
+                converged = True
+                break
+            if _norm(z) > f.divergence_radius:
+                break
+            if len(step_sizes) >= cfg.max_iter:
+                hit_cap = True
+                break
+            try:
+                z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, rng)
+            except BnqnError as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+                break
+            points.append(z_next)
+            step_sizes.append(gamma)
+            delta_indices.append(dj)
+            z = z_next
 
     if failure is not None:
         terminal = UNDECIDED

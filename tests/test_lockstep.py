@@ -498,18 +498,19 @@ OVERFLOW_TRIAL = {
 
 
 def test_real_axis_loop_in_every_config_shape_is_the_complex_loop(monkeypatch):
-    # the real-axis loop is compiled per method, theta = 0 or not and
-    # tau = 1 or not; each of the eight against the complex loop, as in
-    # test_real_axis_loop_is_the_complex_loop_bit_for_bit, at gamma0 1, 0.5
-    # and 0.3 and grad_tol 1e-10 and 0, on a degree-1 g (whose g'' is the
-    # zero polynomial), z^3-1, a real degree-5 g and the OVERFLOW_TRIAL g
+    # the real-axis loop is compiled per method, theta = 0 or not, tau = 1
+    # or not and gamma0 = 1 or not; each of the sixteen against the complex
+    # loop, as in test_real_axis_loop_is_the_complex_loop_bit_for_bit, at
+    # gamma0 1, 0.5 and 0.3 and grad_tol 1e-10 and 0, on a degree-1 g
+    # (whose g'' is the zero polynomial), z^3-1, a real degree-5 g and the
+    # OVERFLOW_TRIAL g
     real_lane, compiled = lockstep._finish_real_lane, lockstep._real_lane_loop
     shapes, ended, overflowed = set(), set(), 0
 
     def counted(obj, hessian, cfg, x, k):
         end = real_lane(obj, hessian, cfg, x, k)
         if end[2] is not None:
-            ended.add((hessian, cfg.theta != 0.0, cfg.tau == 1.0))
+            ended.add((hessian, cfg.theta != 0.0, cfg.tau == 1.0, cfg.gamma0 == 1.0))
         return end
 
     def handed_back(obj, hessian, cfg, x, k):
@@ -547,12 +548,13 @@ def test_real_axis_loop_in_every_config_shape_is_the_complex_loop(monkeypatch):
             assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
             assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
     # every shape was compiled and ended lanes on the real axis
-    assert shapes == ended == set(itertools.product((True, False), repeat=3))
+    assert shapes == ended == set(itertools.product((True, False), repeat=4))
     assert overflowed == 24
 
 
 def test_real_axis_loop_is_compiled_per_shape_not_per_value(monkeypatch):
-    # two real g of one degree, under configs of one shape with other
+    # two real g of one degree whose coefficients are 0, 1 and other at the
+    # same places, in g, g' and g'', under configs of one shape with other
     # values, run on one compiled function, and no compiled loop holds a
     # float constant but the template's own literals 0.0, 0.5 and 1.0
     compiled = lockstep._real_lane_loop
@@ -564,15 +566,18 @@ def test_real_axis_loop_is_compiled_per_shape_not_per_value(monkeypatch):
 
     monkeypatch.setattr(lockstep, "_real_lane_loop", recorded)
     pairs = [
-        (Z3M1, Polynomial([0.3, -2.5, 1e-7, 4.25])),
+        (Z3M1, Polynomial([2.5, -0.0, 0.0, 1.0])),
+        (Polynomial([0.3, -2.5, 1e-7, 4.25]), Polynomial([-0.7, 1.5, 3.0, -2.0])),
         (Polynomial([-0.5, 2.0]), Polynomial([3.75e5, -1.0625])),
         (REAL8, REAL8_NO_AXIS_ROOT),
     ]
     configs = [
-        (SolverConfig(), SolverConfig(gamma0=0.5, grad_tol=0.0, deltas=(0.0, 2.5, -3.5), max_iter=7)),
-        (SolverConfig(theta=1.0, tau=0.5), SolverConfig(theta=7.25, tau=2.5, gamma0=0.3, max_iter=9)),
+        (SolverConfig(), SolverConfig(grad_tol=0.0, deltas=(0.0, 2.5, -3.5), max_iter=7)),
+        (SolverConfig(theta=1.0, tau=0.5, gamma0=0.5), SolverConfig(theta=7.25, tau=2.5, gamma0=0.3, max_iter=9)),
     ]
     for a, b in pairs:
+        marks = [lockstep._real_parts(PolyModulusObjective(p))[1] for p in (a, b)]
+        assert marks[0] == marks[1], (a, b)
         for hessian in (True, False):
             for cfg_a, cfg_b in configs:
                 loops.clear()
@@ -583,6 +588,69 @@ def test_real_axis_loop_is_compiled_per_shape_not_per_value(monkeypatch):
                 consts = first.__code__.co_consts
                 assert not any(isinstance(c, complex) for c in consts)
                 assert {c for c in consts if isinstance(c, float)} <= {0.0, 0.5, 1.0}
+
+
+# real g whose compiled loops drop the product by a unit leading coefficient
+# and the sum of each zero one, +0.0 and -0.0 alike (coefficients lowest
+# degree first): z^3-1 with signed zeros; x^3 + 2.5x^2 and
+# -3x^5 + 0.5x^3 - 0.0x, whose g and g' are 0 at x = 0; x^6 + x^3 + 1, with
+# unit coefficients below the leading one; x + 0.5, whose g' is the one
+# coefficient 1.0 and whose g'' is the zero polynomial; and -x^2 - 2
+ZERO_AND_UNIT = [
+    Polynomial([-1.0, -0.0, 0.0, 1.0]),
+    Polynomial([0.0, -0.0, 2.5, 1.0]),
+    Polynomial([0.0, -0.0, 0.0, 0.5, 0.0, -3.0]),
+    Polynomial([1.0, 0.0, -0.0, 1.0, -0.0, 0.0, 1.0]),
+    Polynomial([0.5, 1.0]),
+    Polynomial([-2.0, -0.0, -1.0]),
+]
+
+
+def test_real_axis_loop_on_zero_and_unit_coefficients_is_the_complex_loop(monkeypatch):
+    # the loops compiled per coefficient marks against the complex loop, as
+    # in test_real_axis_loop_is_the_complex_loop_bit_for_bit, for both
+    # methods at gamma0 1 and 0.4 and grad_tol 1e-10 and 0, from +-0.0,
+    # from +-1e-170, where x*x underflows to a signed zero, and from points
+    # in [-2, 2]; from -2 on z^3-1 GD rejects its first trial at gamma0 = 1
+    real_lane, compiled = lockstep._finish_real_lane, lockstep._real_lane_loop
+    keys, ended = set(), 0
+
+    def counted(*args):
+        nonlocal ended
+        end = real_lane(*args)
+        ended += end[2] is not None
+        return end
+
+    def handed_back(obj, hessian, cfg, x, k):
+        return x, k, None
+
+    def recorded(*key):
+        keys.add(key)
+        return compiled(*key)
+
+    monkeypatch.setattr(lockstep, "_real_lane_loop", recorded)
+    starts = [0.0, -0.0, 1e-170, -1e-170, -2.0, -0.6, 0.45, 1.3]
+    configs = [
+        SolverConfig(gamma0=gamma0, grad_tol=grad_tol, max_iter=60)
+        for gamma0, grad_tol in itertools.product((1.0, 0.4), (1e-10, 0.0))
+    ]
+    for poly in ZERO_AND_UNIT:
+        obj = PolyModulusObjective(poly)
+        for hessian, cfg, x0 in itertools.product((True, False), configs, starts):
+            ends = []
+            for loop in (counted, handed_back):
+                monkeypatch.setattr(lockstep, "_finish_real_lane", loop)
+                ends.append(lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0))
+            (x, y, k, code), (wx, wy, wk, wcode) = ends
+            assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
+            assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
+    assert ended > len(ZERO_AND_UNIT) * len(configs) * len(starts)
+    g_marks = {key[0] for key in keys}
+    assert {marks[0] for marks in g_marks} == {1, 2}
+    assert any(marks[-2:] == (0, 0) for marks in g_marks)
+    assert {key[6] for key in keys} == {True, False}
+    first = run(PolyModulusObjective(ZERO_AND_UNIT[0]), (-2.0, 0.0), BTGD, configs[0])
+    assert first.step_sizes[0] < 1.0
 
 
 @pytest.mark.parametrize("tail", [0, ALL_LANES], ids=["sweep-only", "per-lane-only"])

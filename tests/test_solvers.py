@@ -362,6 +362,19 @@ def test_run_captures_step_failures():
     assert trace.terminal == UNDECIDED
 
 
+def test_an_overflowing_armijo_trial_does_not_warn():
+    # at x = MAX, the largest float, 1e-160 x + c1 is 0 exactly, so g is
+    # -1e150 and g'g is -1.8e298, and GD's first trial x - g'g overflows to
+    # inf in numpy's subtract; pyproject turns a RuntimeWarning into an
+    # error.  The slope overflows too, so no trial passes (see CHANGES.md)
+    big = 1.7976931348623157e308
+    obj = PolyModulusObjective(Polynomial([-1e150, -1.7976931348623156e148, 1e-160]))
+    assert math.isinf(big - float(obj.gradient((big, 0.0))[0]))
+    trace = run(obj, (big, 0.0), Method.BACKTRACKING_GD)
+    assert trace.iterations == 0
+    assert "LineSearchUnderflow" in trace.failure
+
+
 def test_run_mirror_traces_are_exact():
     cfg = SolverConfig(max_iter=500)
     rng = np.random.default_rng(13)
