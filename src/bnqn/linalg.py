@@ -26,11 +26,14 @@ def hypot(a: float, b: float) -> float:
 
     ``abs(complex)`` calls the C ``hypot`` but raises ``OverflowError`` where
     the result overflows; ``numpy.hypot`` gives inf there, and so does this.
+    With a NaN part and no infinite one, CPython returns NaN without clearing
+    ``errno``, so an ``ERANGE`` left by any earlier overflow (``math.exp(1000)``,
+    a numpy pass) raises too; the value there is NaN.
     """
     try:
         return abs(complex(a, b))
     except OverflowError:
-        return math.inf
+        return math.nan if a != a or b != b else math.inf
 
 
 class SymmetricMatrix:

@@ -123,6 +123,42 @@ finite, |g'g| <= grad_tol and |x| > radius are chained comparisons with no
 bools and fixed names alone: the coefficients and the config values come
 in as arguments, so no input value is formatted into code and one
 function serves every g of a pattern and every config of a shape.
+
+The sweep's Horner passes are generated the same way (``_horner_pass``):
+one per pattern of ``_marks`` of the coefficients' real and imaginary
+parts, compiled at the first evaluation of a coefficient tuple of that
+pattern and kept by ``functools.lru_cache`` (the last 256).  The parts come
+in as the 0-d arrays that ``_entry`` holds, so every g of a pattern, such
+as the 16 monic degree-8 polynomials of a cluster8 cycle, shares one pass.
+Where ``_horner`` starts from acc = 0j, a pass starts at the leading
+coefficient; it takes z itself for a product by a unit part, and it leaves
+out every product by a zero part and every sum of a zero part except the
+constant term's; a sum that would open with 0*v - t opens with -t.  For
+z^3 - 1 that is 14, 10 and 4 numpy calls for g, g' and g'' where
+``_horner`` makes 32, 24 and 16.  The pass is exact wherever its values are
+read:
+
+- At a finite z each left-out operation changes at most the sign of a zero:
+  0*v is a signed zero, 1.0*v is v, v + -0.0 is v, and v + 0.0 differs
+  from v only where v is a zero.  Products and sums carry such a difference
+  only as the sign of a zero (0*inf is NaN for either sign), and the
+  constant term's sum erases it: a zero plus +0.0 is +0.0, and a zero plus
+  a nonzero c is c.  Only a -0.0 part keeps the sign, so a tuple whose
+  constant term has a -0.0 part takes ``_horner`` (``_evaluate``).
+- At a z with an infinite or NaN part ``_horner`` gives NaN + NaN i, since
+  its first step multiplies 0 by z, while a pass may keep a part finite: a
+  degree-1 g at (NaN, 1) gives (NaN, finite).  At a NaN part with no
+  infinite one, some part of g is NaN, so g'g, F, the Hessian and the
+  Armijo bound are NaN either way, and a Newton or relaxed lane is retired
+  as NaN.  A lane with an infinite part has |z| = inf and stops on
+  |z| > radius before any of its values is read.  The radius is inf where
+  the Cauchy bound overflows (1e155 + 1e-160 z), and there the sweep takes
+  ``_horner`` throughout.
+- An Armijo trial that overflows gets F = inf or NaN from the pass and NaN
+  from ``_horner``.  They differ only under a bound of +inf, which F(z) =
+  inf with a finite slope gives, so a trial pass with such a bound takes
+  ``_horner`` (``_armijo_trial``).  At tau = 62 a BNQN lane on
+  1e155 + 1e-160 z from -1.7975e308 meets one.
 """
 
 from __future__ import annotations
@@ -185,20 +221,30 @@ def _scalar(v):
 _ZERO, _HALF, _ONE = _scalar(0.0), _scalar(0.5), _scalar(1.0)
 _ARMIJO_FACTOR_0D = _scalar(_ARMIJO_FACTOR)
 
-# each coefficient tuple's (c.real, c.imag) parts, highest degree first, by
-# the tuple's identity: equal tuples may differ in the signs of their zeros
+# each coefficient tuple's (c.real, c.imag) parts, highest degree first, and
+# its compiled Horner pass (None where a constant-term part is -0.0), by the
+# tuple's identity: equal tuples may differ in the signs of their zeros
 # (-0j == 0j), which Horner's rule keeps.  An entry holds its tuple, so no
 # other tuple takes its id while it is kept.
 _PARTS = {}
 
 
-def _parts(coeffs):
+def _entry(coeffs):
     hit = _PARTS.get(id(coeffs))
     if hit is None:
         if len(_PARTS) >= 64:
             _PARTS.clear()
-        hit = _PARTS[id(coeffs)] = coeffs, [(_scalar(c.real), _scalar(c.imag)) for c in reversed(coeffs)]
-    return hit[1]
+        cs = coeffs[::-1]
+        if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (cs[-1].real, cs[-1].imag)):
+            compiled = None
+        else:
+            compiled = _horner_pass(_marks(c.real for c in cs), _marks(c.imag for c in cs))
+        hit = _PARTS[id(coeffs)] = coeffs, [(_scalar(c.real), _scalar(c.imag)) for c in cs], compiled
+    return hit
+
+
+def _parts(coeffs):
+    return _entry(coeffs)[1]
 
 
 def _horner(coeffs, zr, zi):
@@ -214,6 +260,16 @@ def _horner(coeffs, zr, zi):
         ni += ci
         ar, ai = nr, ni
     return ar, ai
+
+
+def _evaluate(coeffs, zr, zi):
+    """g at zr + i zi per lane for the coefficient tuple of g: the compiled
+    pass of its coefficient marks (``_horner_pass``), or ``_horner`` where a
+    constant-term part is -0.0 (see the module docstring)."""
+    _, parts, compiled = _entry(coeffs)
+    if compiled is None:
+        return _horner(coeffs, zr, zi)
+    return compiled(parts, zr, zi)
 
 
 def _times_conj(pr, pi, gr, gi):
@@ -312,10 +368,14 @@ def _armijo_trial(coeffs, gamma, x, y, wx, wy, fz, slope):
     np.subtract(x, xt, out=xt)
     yt = gamma * wy
     np.subtract(y, yt, out=yt)
-    gr, gi = _horner(coeffs, xt, yt)
     bound = gamma * slope
     bound *= _ARMIJO_FACTOR_0D
     np.subtract(fz, bound, out=bound)
+    # a bound of +inf passes F = inf, which the compiled pass may give at a
+    # trial that overflowed, where _horner gives NaN (see the module
+    # docstring); fmax skips NaN bounds, which pass nothing
+    evaluate = _evaluate if np.fmax.reduce(bound) < math.inf else _horner
+    gr, gi = evaluate(coeffs, xt, yt)
     return xt, yt, gr, gi, _half_square(gr, gi) <= bound
 
 
@@ -603,8 +663,9 @@ _BNQN_DIRECTION = """\
 
 
 def _marks(coeffs):
-    """Each coefficient's mark in the key of ``_real_lane_loop``: 0 for +-0.0,
-    1 for exactly 1.0 and 2 for any other value."""
+    """Each coefficient's (or part's) mark in the keys of ``_real_lane_loop``
+    and ``_horner_pass``: 0 for +-0.0, 1 for exactly 1.0 and 2 for any other
+    value."""
     return tuple(0 if c == 0.0 else 1 if c == 1.0 else 2 for c in coeffs)
 
 
@@ -622,6 +683,62 @@ def _horner_source(acc, prefix, marks, var):
     steps = [f"{acc} = {lead}{terms[1]}"]
     steps += [f"{acc} = {acc} * {var}{terms[i]}" for i in range(2, len(marks))]
     return "; ".join(steps)
+
+
+def _sum_source(acc, terms):
+    """Statements setting ``acc`` to the sum of ``terms`` from the left, each
+    a sign ('+' or '-') and an expression: a product ``c * z``, an argument
+    ``zr`` or ``zi``, or a coefficient part.  ``acc`` is written in place
+    only once it holds an array made here, so no argument is written or
+    returned."""
+    (sign, head), *rest = terms
+    if " * " in head:
+        steps = [f"{acc} = {head}"] + ([f"np.negative({acc}, out={acc})"] if sign == "-" else [])
+    elif sign == "-":
+        steps = [f"{acc} = np.negative({head})"]
+    elif rest:
+        sign, term = rest.pop(0)
+        steps = [f"{acc} = np.{'add' if sign == '+' else 'subtract'}({head}, {term})"]
+    else:
+        steps = [f"{acc} = {head}"]
+    return steps + [f"{acc} {sign}= {term}" for sign, term in rest]
+
+
+@functools.lru_cache(maxsize=256)
+def _horner_pass(real_marks, imag_marks):
+    """``_horner`` for coefficients whose real and imaginary parts have these
+    ``_marks``, highest degree first, compiled from generated source; it
+    takes the parts as ``_entry`` holds them and the lane arrays zr and zi.
+    It starts at the leading coefficient, takes z itself for a product by a
+    unit part, and leaves out every product by a zero part and every sum of
+    a zero part but the constant term's (see the module docstring).  The
+    source is built from integers and fixed names alone, so one pass serves
+    every coefficient tuple of a pattern."""
+    n = len(real_marks)
+    names = [(f"c{k}r", f"c{k}i") for k in range(n)]
+
+    def times(k, j, z):
+        mark = (real_marks, imag_marks)[j][k]
+        return [] if mark == 0 else [z] if mark == 1 else [f"{names[k][j]} * {z}"]
+
+    def plus(k, j):
+        mark = (real_marks, imag_marks)[j][k]
+        return [("+", names[k][j])] if mark or k == n - 1 else []
+
+    if n == 1:
+        body = ["ar = np.full_like(zr, c0r)", "ai = np.full_like(zi, c0i)"]
+    else:
+        real = [("+", t) for t in times(0, 0, "zr")] + [("-", t) for t in times(0, 1, "zi")] + plus(1, 0)
+        imag = [("+", t) for t in times(0, 0, "zi")] + [("+", t) for t in times(0, 1, "zr")] + plus(1, 1)
+        body = _sum_source("ar", real) + _sum_source("ai", imag)
+    for k in range(2, n):
+        body += ["nr = ar * zr", "nr -= ai * zi", *(f"nr += {c}" for _, c in plus(k, 0))]
+        body += ["ni = ar * zi", "ni += ai * zr", *(f"ni += {c}" for _, c in plus(k, 1)), "ar, ai = nr, ni"]
+    unpack = "".join(f"({r}, {i}), " for r, i in names) + "= parts"
+    source = "\n    ".join(["def horner(parts, zr, zi):", unpack, *body, "return ar, ai"])
+    namespace = {}
+    exec(compile(source, f"<Horner pass, {n} coefficients>", "exec"), globals(), namespace)
+    return namespace["horner"]
 
 
 @functools.lru_cache(maxsize=256)
@@ -818,6 +935,9 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
     lane = np.arange(n)
     x, y = x0.copy(), y0.copy()
     k = 0
+    # an infinite radius stops no lane at an infinite point, whose g, g' and
+    # g'' the compiled passes may give otherwise than _horner
+    evaluate = _evaluate if obj.divergence_radius < math.inf else _horner
 
     def retire(sel, code):
         m = lane[sel]
@@ -826,13 +946,13 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
         out_code[m] = code
 
     with np.errstate(all="ignore"):
-        gr, gi = _horner(g, x, y)
+        gr, gi = evaluate(g, x, y)
         while lane.size:
             if lane.size <= tail:
                 for m, xm, ym in zip(lane.tolist(), x.tolist(), y.tolist()):
                     out_x[m], out_y[m], out_k[m], out_code[m] = _finish_lane(obj, hessian, cfg, xm, ym, k)
                 break
-            dr, di = _horner(dg, x, y)
+            dr, di = evaluate(dg, x, y)
             gx, gy = _times_conj(dr, di, gr, gi)
             np.negative(gy, out=gy)
             gn = np.hypot(gx, gy)
@@ -864,7 +984,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                     v[keep] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
                 )
             if hessian:
-                er, ei = _horner(ddg, x, y)
+                er, ei = evaluate(ddg, x, y)
                 ur, ui = _times_conj(er, ei, gr, gi)
                 s = dr * dr
                 s += di * di
@@ -904,6 +1024,6 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 xn, yn, lane, gr, gi = (v[keep] for v in (xn, yn, lane, gr, gi))
             x, y = xn, yn
             if not armijo:
-                gr, gi = _horner(g, x, y)
+                gr, gi = evaluate(g, x, y)
             k += 1
     return out_x, out_y, out_k, out_code

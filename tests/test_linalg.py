@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnqn.errors import SingularMatrix
-from bnqn.linalg import EigenDecomposition, SymmetricMatrix, eigh, minsp, reflected_direction, sp
+from bnqn.linalg import EigenDecomposition, SymmetricMatrix, eigh, hypot, minsp, reflected_direction, sp
 
 SWAP = SymmetricMatrix(2, (0.0, 1.0, 0.0))  # [[0,1],[1,0]]
 SHEARED_HESS = SymmetricMatrix(2, (0.0, 1.0, 2.0))  # [[0,1],[1,2]]
@@ -92,6 +92,20 @@ def test_2x2_eigenvalues_take_the_c_library_hypot():
         lo, hi = t[n] - r[n], t[n] + r[n]
         assert eigh(m).eigenvalues == (lo, hi)
         assert minsp(m) == min(abs(lo), abs(hi)) and sp(m) == max(abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["clean-errno", "after-an-overflow"])
+def test_hypot_is_numpy_hypot_on_nan_and_inf(stale):
+    # abs(complex) returns NaN for a NaN part without clearing errno, so an
+    # ERANGE left by an earlier overflow made hypot(1.0, nan) inf
+    pairs = [(1.0, math.nan), (math.nan, -0.0), (math.nan, math.nan), (math.inf, math.nan), (math.nan, -math.inf),
+             (1e308, 1e308), (3.0, 4.0)]
+    for a, b in pairs:
+        if stale:
+            with pytest.raises(OverflowError):
+                math.exp(1000.0)
+        got, want = hypot(a, b), float(np.hypot(a, b))
+        assert got == want or (math.isnan(got) and math.isnan(want)), (a, b, got)
 
 
 def test_eigh_reconstruction_property():

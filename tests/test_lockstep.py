@@ -1160,6 +1160,124 @@ def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
         assert not any(np.shares_memory(v, u) for v in got for u in (x0, y0)), method
 
 
+# one value per mark of a coefficient part: 0 (+0.0 and -0.0), 1 (1.0) and
+# 2 (any other value, -1.0 included)
+MARK_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5]
+
+
+def _mark_polys(rng):
+    """Seeded degree-3 polynomials with each of ``MARK_VALUES`` as the real
+    and as the imaginary part of the leading, a middle and the constant
+    coefficient, the other parts drawn from the same values or random."""
+    polys = []
+    for position in (3, 1, 0):
+        for part in (0, 1):
+            for value in MARK_VALUES:
+                for _ in range(2):
+                    parts = [[float(rng.choice(MARK_VALUES)) if rng.random() < 0.6 else rng.standard_normal() for _ in range(2)] for _ in range(4)]
+                    parts[position][part] = value
+                    if parts[3] == [0.0, 0.0]:
+                        parts[3][1 - part] = 2.5
+                    polys.append(Polynomial([complex(*p) for p in parts]))
+    return polys
+
+
+def _finite_special_lanes():
+    """Every pair of finite SPECIAL values as a lane, then seeded lanes."""
+    finite = [v for v in SPECIAL if math.isfinite(v)]
+    xs, ys = (np.array(v) for v in zip(*itertools.product(finite, finite)))
+    more = _special_lanes(np.random.default_rng(401), 400, 2)
+    zr, zi = np.concatenate([xs, more[0]]), np.concatenate([ys, more[1]])
+    keep = np.isfinite(zr) & np.isfinite(zi)
+    return zr[keep], zi[keep]
+
+
+def test_compiled_horner_pass_is_horner_bitwise_at_finite_points():
+    # at a finite z the compiled pass differs from _horner before the
+    # constant term only in the signs of zeros, and the constant term's sum
+    # erases that; the lanes include 1e200, where g overflows, and -3.0
+    zr, zi = _finite_special_lanes()
+    polys = HORNER_POLYS + _mark_polys(np.random.default_rng(59)) + [Polynomial([2.5 - 1j]), Polynomial([0j])]
+    compiled = 0
+    for poly in polys:
+        with np.errstate(all="ignore"):
+            got = lockstep._evaluate(poly.coeffs, zr, zi)
+            want = lockstep._horner(poly.coeffs, zr, zi)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], poly
+        compiled += lockstep._entry(poly.coeffs)[2] is not None
+    # all but the polynomials with a -0.0 constant part take a compiled pass
+    signed = [p for p in polys if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (p.coeffs[0].real, p.coeffs[0].imag))]
+    assert compiled == len(polys) - len(signed) > 40 and signed
+
+
+@pytest.mark.parametrize("constant", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(2.0, -0.0)])
+def test_horner_pass_takes_horner_for_a_negative_zero_constant_part(monkeypatch, constant):
+    calls = []
+    monkeypatch.setattr(lockstep, "_horner", lambda *args, _f=lockstep._horner: calls.append(args[0]) or _f(*args))
+    x, y = np.array([0.5, -2.0]), np.array([1.0, 0.0])
+    for c in (constant, complex(0.0, 0.0), complex(0.0, 3.0)):
+        lockstep._evaluate(Polynomial([c, 1.5, 1.0]).coeffs, x, y)
+    # repr shows the signs of zeros
+    assert [repr(c[0]) for c in calls] == [repr(constant)]
+
+
+def test_horner_pass_is_compiled_per_pattern_not_per_value():
+    # the cluster8 polynomials are monic with complex coefficients below the
+    # leading one; z^3 - 1 and z^3 - 2.5 share zero and unit parts too
+    pairs = [
+        (Polynomial.from_roots([1.0, 1.2j, -0.9 + 0.6j]), Polynomial.from_roots([0.3 - 1j, 2.0 + 0.5j, -1.5 - 0.25j])),
+        (Polynomial([-1, 0, 0, 1]), Polynomial([-2.5, 0, 0, 1])),
+    ]
+    for a, b in pairs:
+        lockstep._horner_pass.cache_clear()
+        x, y = np.array([0.5, -2.0]), np.array([1.0, 0.0])
+        ga, gb = (lockstep._evaluate(p.coeffs, x, y) for p in (a, b))
+        assert lockstep._horner_pass.cache_info().misses == 1
+        fa, fb = (lockstep._entry(p.coeffs)[2] for p in (a, b))
+        assert fa is fb
+        # no coefficient value is among the constants of the compiled code
+        assert not any(isinstance(c, (float, complex)) for c in fa.__code__.co_consts)
+        assert [v.tobytes() for v in ga] != [v.tobytes() for v in gb]
+
+
+def test_horner_pass_leaves_its_arguments_alone():
+    # the passes that take z itself for a unit part (z, z + c, z^3 + c,
+    # (1 + i)z + c, i*z + c), one that negates it (-i*z + 0z + c) and a
+    # constant write no argument and return no argument's memory
+    polys = [
+        Polynomial([0.5, 1]),
+        Polynomial([-1, 0, 0, 1]),
+        Polynomial([0.5, 1 + 1j]),
+        Polynomial([0.5, 1j]),
+        Polynomial([0.5 + 1j, 0, -1j]),
+        Polynomial([0, 1]),
+        Polynomial([2.5]),
+    ]
+    x, y = _special_lanes(np.random.default_rng(409), 120, 2)
+    for poly in polys:
+        before = x.tobytes(), y.tobytes()
+        with np.errstate(all="ignore"):
+            got = lockstep._evaluate(poly.coeffs, x, y)
+        assert (x.tobytes(), y.tobytes()) == before, poly
+        assert not any(np.shares_memory(v, u) for v in got for u in (x, y)), poly
+        assert not np.shares_memory(*got), poly
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_sweeps_take_the_compiled_passes_on_nonempty_lanes(monkeypatch, method):
+    # every g, g' and g'' pass of a sweep on z^3 - 1 is compiled, and none
+    # gets zero lanes; BNQN and GD keep every lane in the sweep
+    monkeypatch.setattr(lockstep, "_TAIL_LANES", 0)
+    passes, horner = [], []
+    monkeypatch.setattr(lockstep, "_evaluate", lambda *args, _f=lockstep._evaluate: passes.append(len(args[1])) or _f(*args))
+    monkeypatch.setattr(lockstep, "_horner", lambda *args, _f=lockstep._horner: horner.append(len(args[1])) or _f(*args))
+    cfg = SolverConfig(max_iter=500, seed=4)
+    x0, y0 = (v.ravel() for v in np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20)))
+    streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is RRN else None
+    lockstep.iterate(PolyModulusObjective(Z3M1), method, cfg, x0, y0, streams=streams)
+    assert len(passes) > 10 and 0 not in passes and not horner
+
+
 def _pole_lanes():
     """(degree, |z|, |g'|) lanes around the pole scale: where numpy's power
     and Python's ``**`` disagree, where they agree, and |g'| at the exact
