@@ -317,16 +317,23 @@ def export_ppm(basin_map: BasinMap, path) -> None:
 def export_csv(basin_map: BasinMap, path) -> None:
     """Row-major CSV: ``i,j,x,y,class,root_index,iterations``."""
     grid = basin_map.grid
-    # every piece but the iteration count is formatted once per row, column or class
-    js = [str(j) for j in range(grid.ny)]
-    ys = [f"{grid.y_coord(j):.17g}," for j in range(grid.ny)]
+    # each line is six pieces: "i," and "x," once per row, "j," and "y,"
+    # once per column, "class,root_index," once per table entry and
+    # "iterations\n" once per distinct count
+    pieces = np.empty((grid.nx, grid.ny, 6), dtype=object)
+    pieces[:, :, 0] = np.array([f"{i}," for i in range(grid.nx)], dtype=object)[:, None]
+    pieces[:, :, 1] = np.array([f"{j}," for j in range(grid.ny)], dtype=object)
+    pieces[:, :, 2] = np.array([f"{grid.x_coord(i):.17g}," for i in range(grid.nx)], dtype=object)[:, None]
+    pieces[:, :, 3] = np.array([f"{grid.y_coord(j):.17g}," for j in range(grid.ny)], dtype=object)
     kinds = [f"{cls.kind},{'' if cls.root_index is None else cls.root_index}," for cls in basin_map.table]
-    lines = ["i,j,x,y,class,root_index,iterations"]
-    for i, (row, counts) in enumerate(zip(basin_map.labels.tolist(), basin_map.iterations.tolist())):
-        head, x = f"{i},", f",{grid.x_coord(i):.17g},"
-        lines += [f"{head}{j}{x}{y}{kinds[k]}{n}" for j, y, k, n in zip(js, ys, row, counts)]
+    pieces[:, :, 4] = np.array(kinds, dtype=object)[basin_map.labels]
+    # ravel first, since numpy 1.24 gives np.unique's inverse the raveled shape
+    counts, inverse = np.unique(basin_map.iterations.ravel(), return_inverse=True)
+    tails = np.array([f"{n}\n" for n in counts.tolist()], dtype=object)
+    pieces[:, :, 5] = tails[inverse].reshape(grid.nx, grid.ny)
+    text = "i,j,x,y,class,root_index,iterations\n" + "".join(pieces.ravel().tolist())
     try:
         with open(path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc

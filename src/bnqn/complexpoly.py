@@ -40,7 +40,7 @@ class Polynomial:
 
     Trailing zero coefficients are trimmed so the leading coefficient is
     nonzero for everything except the zero polynomial.  Coefficients must be
-    finite.
+    finite, and so must their moduli, which ``abs`` takes below.
     """
 
     __slots__ = ("coeffs", "_derivative")
@@ -52,6 +52,9 @@ class Polynomial:
         for c in cs:
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValueError(f"non-finite coefficient {c!r}")
+            # abs() raises OverflowError where the modulus overflows
+            if hypot(c.real, c.imag) == math.inf:
+                raise ValueError(f"the modulus of the coefficient {format_complex(c)} overflows")
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

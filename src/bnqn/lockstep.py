@@ -38,6 +38,22 @@ that loop's exact floating-point operations:
 - ``max(1.0, v)`` as ``where(v > 1.0, v, 1.0)`` and ``min(p, q)`` as
   ``where(q < p, q, p)``, which pick the same operand as Python when a value
   is NaN;
+- the divergence test |z| > radius on BNQN, GD, NQN and Newton-optimization
+  lanes with the exact ``numpy.hypot(x, y)`` only where
+  ``fmax(|x|, |y|) > radius/2``.  Elsewhere both parts are finite and at
+  most radius/2, so |z| is at most sqrt(2)/2 of the radius, and a hypot
+  within 1 ulp stays below it; ``fmax`` skips a NaN part, and a lane with
+  an infinite part takes the exact path.  So every lane stops where the
+  scalar loop stops it.  Newton and relaxed lanes take |z| on every lane,
+  since their pole test reads it;
+- "first nonzero component positive" for the eigenvectors of a matrix
+  with b != 0 as one comparison each: u2 flips where u2x < 0, and
+  u1 = (-u2y, u2x), taken before that flip, where u2y > 0.  Where
+  half_diff >= 0, u2x = (half_diff + r)/nv is positive, or +0 or NaN where
+  nv overflows, and u2y is b/nv; elsewhere u2x is b/nv and
+  u2y = (r - half_diff)/nv is positive, +0 or NaN.  So u2x is never 0
+  where u2y < 0, nor u2y 0 where u2x < 0, and the full tests
+  (``linalg._eig2_system``) flip the same lanes, NaN lanes included;
 - every other operation as the scalar loop writes it, with its operands and
   in its order: ``a*b - c*d + e`` is ``t = a*b; t -= c*d; t += e``.  At a
   few hundred lanes numpy's per-call cost outweighs the arithmetic, so the
@@ -454,13 +470,14 @@ def _reflected_solve(gx, gy, a, b, c, l1, l2, half_diff, r, diag):
     nv = np.hypot(u2x, u2y)
     u2x /= nv
     u2y /= nv
-    u1x, u1y = np.negative(u2y), u2x
+    # "first nonzero component positive" for u2 and for u1 = (-u2y, u2x):
+    # off the diagonal u2x is never 0 where u2y < 0, nor u2y 0 where
+    # u2x < 0, so one comparison decides each (see the module docstring)
+    neg_x, neg_y = np.negative(u2x), np.negative(u2y)
+    flip = u2y > _ZERO
+    u1x, u1y = np.where(flip, u2y, neg_y), np.where(flip, neg_x, u2x)
     flip = u2x < _ZERO
-    flip |= (u2x == _ZERO) & (u2y < _ZERO)
-    u2x, u2y = np.where(flip, -u2x, u2x), np.where(flip, -u2y, u2y)
-    flip = u1x < _ZERO
-    flip |= (u1x == _ZERO) & (u1y < _ZERO)
-    u1x, u1y = np.where(flip, -u1x, u1x), np.where(flip, -u1y, u1y)
+    u2x, u2y = np.where(flip, neg_x, u2x), np.where(flip, neg_y, u2y)
     # a diagonal matrix keeps the coordinate axes
     if diag.size:
         ordered = a[diag] <= c[diag]
@@ -928,6 +945,8 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
     tail = _TAIL_LANES if armijo else 0
     g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
     grad_tol, radius = np.array(cfg.grad_tol), np.array(obj.divergence_radius)
+    # no lane with max(|x|, |y|) at or below half the radius has |z| above it
+    half_radius = np.array(0.5 * obj.divergence_radius)
     n = len(x0)
     out_x, out_y = x0.copy(), y0.copy()
     out_k = np.zeros(n, dtype=int)
@@ -956,9 +975,20 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
             gx, gy = _times_conj(dr, di, gr, gi)
             np.negative(gy, out=gy)
             gn = np.hypot(gx, gy)
-            zn = np.hypot(x, y)
             stop = gn <= grad_tol
-            stop |= zn > radius
+            if newton:
+                # the pole test reads |z| on every lane
+                zn = np.hypot(x, y)
+                stop |= zn > radius
+            else:
+                # the exact |z| only on the lanes past max(|x|, |y|) >
+                # radius/2, the only ones it can stop (see the module
+                # docstring); fmax skips a NaN part
+                far = np.abs(x)
+                np.fmax(far, np.abs(y), out=far)
+                far = (far > half_radius).nonzero()[0]
+                if far.size:
+                    stop[far] |= np.hypot(x[far], y[far]) > radius
             if k >= cfg.max_iter:
                 retire(stop, STOPPED)
                 retire(~stop, CAPPED)
@@ -980,9 +1010,11 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 keep = (~stop).nonzero()[0]
                 if not keep.size:
                     break
-                x, y, zn, lane, gr, gi, dr, di, gx, gy, gn = (
-                    v[keep] for v in (x, y, zn, lane, gr, gi, dr, di, gx, gy, gn)
+                x, y, lane, gr, gi, dr, di, gx, gy, gn = (
+                    v[keep] for v in (x, y, lane, gr, gi, dr, di, gx, gy, gn)
                 )
+                if newton:
+                    zn = zn[keep]
             if hessian:
                 er, ei = evaluate(ddg, x, y)
                 ur, ui = _times_conj(er, ei, gr, gi)

@@ -397,6 +397,41 @@ def test_array_exports_match_the_per_cell_reference(tmp_path):
                 assert (tmp_path / f"got.{name}").read_bytes() == (tmp_path / f"want.{name}").read_bytes(), (n, name)
 
 
+# 12 classes: roots with indices 10 and more, two critical points, Diverged
+# and Undecided; the maps below use only some of them
+WIDE_TABLE = (
+    *map(LimitClass.root, (0, 3, 10, 11, 17, 123)),
+    LimitClass.critical(0.25 - 0.5j),
+    LimitClass.critical(-1.5 + 0j),
+    LimitClass.root(7),
+    DIVERGED,
+    LimitClass.root(1),
+    UNDECIDED,
+)
+WIDE_COUNTS = (0, 9, 10, 10**6, 2**63 - 1)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 7), (7, 1), (6, 5)])
+def test_csv_export_of_edge_maps_matches_the_per_cell_reference(tmp_path, nx, ny):
+    # what _random_map does not draw: one-row and one-column maps, root
+    # indices of two and three digits, unused entries, and counts whose
+    # digit count changes (9, 10) or that fill an int64 (2**63 - 1), whose
+    # product by the table size would overflow a key
+    rng = np.random.default_rng(nx * 100 + ny)
+    grid = GridSpec(-1.0, 3.0, -2.5, 0.5, nx, ny)
+    for n in range(40):
+        used = rng.choice(len(WIDE_TABLE), int(rng.integers(1, 8)), replace=False)
+        labels = rng.choice(used, (nx, ny))
+        iterations = rng.choice(np.array(WIDE_COUNTS, dtype=np.int64), (nx, ny))
+        classes = [[WIDE_TABLE[k] for k in column] for column in labels.tolist()]
+        reference = SimpleNamespace(grid=grid, classes=classes, iterations=iterations)
+        support.export_csv(reference, tmp_path / "want.csv")
+        export_csv(BasinMap(grid, WIDE_TABLE, labels, iterations), tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes(), n
+    want = (tmp_path / "want.csv").read_text()
+    assert want.count("\n") == nx * ny + 1
+
+
 def test_render_basin_builds_no_class_per_cell(monkeypatch):
     calls = Counter()
 

@@ -176,6 +176,8 @@ REJECTED_INPUTS = [
     ["invariance", "--c", "1e-200", "--tau", "0.1"],
     # the coefficients are finite, but g' = 2e308 z is not
     ["solve", "--poly", "1,0,1e308"],
+    # both parts finite, but the modulus overflows (abs() raises there)
+    *([command, "--poly", "1.7e308+1.7e308i,0,1"] for command in ("solve", "basin", "rrn")),
     # numbers in a comma-separated flag that do not parse
     ["solve", "--z0", "a,b"],
     ["basin", "--res", "4,x"],

@@ -58,6 +58,19 @@ def test_nonfinite_coefficients_rejected():
         Polynomial([complex(float("inf"), 0)])
 
 
+def test_coefficients_whose_modulus_overflows_are_rejected():
+    # both parts are finite, but |c| is not, and abs(c) would raise
+    # OverflowError in cauchy_root_bound and all_roots
+    big = complex(1.7e308, 1.7e308)
+    for coeffs in ([big, 0, 1], [1, big], [1, 0, -big]):
+        with pytest.raises(ValueError, match="modulus .* overflows"):
+            Polynomial(coeffs)
+    # the largest moduli that stay finite are kept
+    edge = Polynomial([complex(1.2e308, 1.2e308), 0, 1])
+    assert edge.cauchy_root_bound() == 1.0 + abs(edge.coeffs[0])
+    assert Polynomial([math.ldexp(1.0, 1023), 1]).degree == 1
+
+
 def test_derivative_examples():
     assert Z2M1.derivative() == Polynomial([0, 2])
     assert Polynomial([5]).derivative() == Polynomial([0])

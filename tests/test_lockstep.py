@@ -37,7 +37,7 @@ from bnqn import basins, lockstep, objective
 from bnqn.basins import GridSpec, render_basin
 from bnqn.complexpoly import Polynomial, _check_derivative, pole_scale
 from bnqn.errors import BnqnError, DerivativeVanishes, NoAdmissibleDelta, NoConvergence, SingularMatrix
-from bnqn.linalg import SymmetricMatrix, _eig2_system, minsp, reflected_direction
+from bnqn.linalg import SymmetricMatrix, _eig2_system, hypot, minsp, reflected_direction
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
 from bnqn.solvers import _STEPS, Method, SolverConfig, run, select_delta
 from bnqn.streams import _BLOCK_LANES, TrialStreams, cell_states, trial_states
@@ -670,6 +670,65 @@ def test_first_step_from_zero_matches_run(monkeypatch, method, tail):
         assert (x[0], y[0]) == tuple(want), r
 
 
+def _screen_starts(radius):
+    """Starts on both sides of the sweep's |z| screen, max(|x|, |y|) >
+    radius/2, and of the radius itself, with infinite and NaN parts, after
+    a 9x9 grid that keeps more than ``_TAIL_LANES`` lanes in the sweep."""
+    half = 0.5 * radius
+
+    def up(v):
+        return math.nextafter(v, math.inf)
+
+    edges = [
+        (half, 0.0), (0.0, -half), (-half, half), (half, -0.0),
+        (up(half), 0.0), (0.0, -up(half)), (up(half), -up(half)),
+        (0.75 * radius, 0.75 * radius), (-0.75 * radius, 0.75 * radius), (0.75 * radius, -0.75 * radius),
+        (radius, 0.0), (0.0, -radius), (up(radius), 0.0), (-0.0, -up(radius)),
+        (math.inf, 0.0), (-math.inf, 1.0), (1.0, math.inf), (0.5, -math.inf),
+        (math.nan, 0.5), (0.5, math.nan), (math.nan, math.inf), (-math.inf, math.nan), (math.nan, math.nan),
+        (math.nan, half), (up(half), math.nan),
+    ]
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9)
+    return [grid.point(i, j) for i in range(grid.nx) for j in range(grid.ny)] + edges
+
+
+@pytest.mark.parametrize("tail", list(TAILS), ids=lambda t: TAILS[t].strip("-") or "default-tail")
+@pytest.mark.parametrize("method", [BNQN, BTGD, NQN, NEWTON_OPT], ids=lambda m: m.value)
+def test_radius_screen_stops_lanes_where_run_does(monkeypatch, method, tail):
+    # the sweep takes the exact |z| only where max(|x|, |y|) > radius/2;
+    # every finite start must end where run ends it, on either side of
+    # that bound and of the radius (0.75r on both axes has |z| > r with
+    # both parts below r).  run takes no start with an inf or NaN part, so
+    # there the lane must meet run's first test, hypot(x, y) > radius: it
+    # stops at once where |z| is inf, and fails its first step at a NaN z
+    if tail is not None:
+        monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
+    obj = PolyModulusObjective(Z3M1)
+    assert obj.divergence_radius == 3e8
+    cfg = SolverConfig(max_iter=300)
+    starts = _screen_starts(obj.divergence_radius)
+    x0, y0 = np.array(starts).T
+    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0)
+    diverged = 0
+    for n, z0 in enumerate(starts):
+        if not all(map(math.isfinite, z0)):
+            code = lockstep.STOPPED if hypot(*z0) > obj.divergence_radius else lockstep.FAILED
+            assert same_bits(x[n], z0[0]) and same_bits(y[n], z0[1]) and (steps[n], codes[n]) == (0, code), z0
+            continue
+        want = run(obj, z0, method, cfg)
+        fx, fy = want.final_point
+        assert same_bits(x[n], fx) and same_bits(y[n], fy), z0
+        assert steps[n] == want.iterations, z0
+        assert (codes[n] == lockstep.FAILED) == (want.failure is not None), z0
+        if codes[n] == lockstep.STOPPED:
+            assert obj.classify((x[n], y[n]), 1e-6) == want.terminal, z0
+        else:
+            assert want.terminal == UNDECIDED, z0
+        diverged += want.iterations == 0 and want.terminal == DIVERGED
+    # 0.75r (three) and past r (two) stop at once, and r itself does not
+    assert diverged == 5
+
+
 # real g on grids symmetric about the real axis, odd and even
 MIRROR_GRIDS = {
     "z2m1": (Z2M1, GridSpec(*SQUARE, 61, 61)),
@@ -992,6 +1051,87 @@ def test_lane_direction_matches_shift_search_and_select_delta(cfg):
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (grad, hess)
         assert same_bits(got[0], wx[n]) and same_bits(got[1], wy[n]), (grad, hess)
     assert 0 < none_seen < len(lanes)
+
+
+# (a, b, c) Hessians on which the kernel's two-comparison sign rule meets
+# its edge cases: b/nv underflows to +-0 in either branch of the
+# eigenvector's form (u2y = +-0 where a - c = 1e10, u2x = +-0 where
+# a - c = -1e10), half_diff = +-0, infinite entries and a NaN b
+SIGN_RULE_LANES = [
+    *((a, b, c) for b in (1e-320, -1e-320) for a, c in ((1e10 + 1.0, 1.0), (1.0, 1e10 + 1.0))),
+    *((a, b, c) for b in (1e-320, -1e-320) for a, c in ((1e10, 0.0), (-1e10, 0.0), (0.0, 1e10), (0.0, -1e10))),
+    (2.0, 1.0, 2.0),
+    (-0.0, -1.0, 0.0),
+    (0.0, -3.0, -0.0),
+    (-math.inf, 2.0, 1.0),
+    (1.0, -2.0, math.inf),
+    (math.inf, -1.0, 1.0),
+    (1.0, 1.0, -math.inf),
+    (1.0, math.nan, 2.0),
+    (-2.0, math.nan, 1.0),
+    (math.nan, -1.0, 1.0),
+    *EIGEN_LANES,
+]
+# gradients whose projection on an eigenvector with a +-0 component sums
+# zeros of both signs, where the sign of the eigenvector shows in w
+SIGN_RULE_GRADS = [*EIGEN_GRADS, (5.0, -0.0), (-0.0, 5.0), (5.0, 0.0), (0.0, -5.0), (-3.0, -0.0), (math.nan, 1.0)]
+
+
+def _reflected_solve_by_full_sign_tests(gx, gy, a, b, c, l1, l2, half_diff, r, diag):
+    """``lockstep._reflected_solve`` with each eigenvector signed by the full
+    "first nonzero component positive" test, as ``linalg._eig2_system``
+    writes it: the reference for the kernel's one-comparison rule."""
+    pos = half_diff >= 0.0
+    u2x = np.where(pos, half_diff + r, b)
+    u2y = np.where(pos, b, r - half_diff)
+    nv = np.hypot(u2x, u2y)
+    u2x, u2y = u2x / nv, u2y / nv
+    u1x, u1y = np.negative(u2y), u2x
+    flip = (u2x < 0.0) | ((u2x == 0.0) & (u2y < 0.0))
+    u2x, u2y = np.where(flip, -u2x, u2x), np.where(flip, -u2y, u2y)
+    flip = (u1x < 0.0) | ((u1x == 0.0) & (u1y < 0.0))
+    u1x, u1y = np.where(flip, -u1x, u1x), np.where(flip, -u1y, u1y)
+    ordered = a[diag] <= c[diag]
+    u1x[diag] = u2y[diag] = np.where(ordered, 1.0, 0.0)
+    u1y[diag] = u2x[diag] = np.where(ordered, 0.0, 1.0)
+    c1 = gx * u1x
+    c1 += gy * u1y
+    c1 /= np.abs(l1)
+    c2 = gx * u2x
+    c2 += gy * u2y
+    c2 /= np.abs(l2)
+    return c1 * u1x + c2 * u2x, c1 * u1y + c2 * u2y
+
+
+def test_reflected_solve_sign_rule_is_the_full_sign_test_bitwise():
+    # the kernel signs each eigenvector by one comparison where linalg
+    # tests "first nonzero component positive" in full; the solves must
+    # agree with linalg in every bit of each non-NaN value, the signs of
+    # zeros included, and with the full test in every bit, NaN signs
+    # included (the numpy and the float arithmetic may sign a NaN apart)
+    lanes = [(g, h) for g in SIGN_RULE_GRADS for h in SIGN_RULE_LANES]
+    (gx, gy), (a, b, c) = ((np.array(v) for v in zip(*part)) for part in zip(*lanes))
+    with np.errstate(all="ignore"):
+        eig = lockstep._eig2(a, b, c)
+        wx, wy, singular = lockstep._reflected_solve(gx, gy, a, b, c, *eig)
+        full = _reflected_solve_by_full_sign_tests(gx, gy, a, b, c, *eig)
+    assert wx.tobytes() == full[0].tobytes() and wy.tobytes() == full[1].tobytes()
+    solved = signed_zeros = 0
+    for n, (grad, hess) in enumerate(lanes):
+        try:
+            with np.errstate(all="ignore"):
+                want = reflected_direction(SymmetricMatrix(2, hess), grad)
+        except SingularMatrix:
+            assert singular[n], (grad, hess)
+            continue
+        assert not singular[n], (grad, hess)
+        got = np.array([wx[n], wy[n]])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), (grad, hess)
+        assert got[~nan].tobytes() == want[~nan].tobytes(), (grad, hess)
+        solved += 1
+        signed_zeros += bool((want == 0.0).any())
+    assert solved > len(lanes) // 2 and signed_zeros > 20
 
 
 def test_quot_is_python_complex_division_bitwise():
