@@ -144,13 +144,13 @@ def transform_config(cfg: SolverConfig, c: float) -> SolverConfig:
     )
 
 
-def _max_deviation(base_trace, mapped_trace, a_inv) -> float:
-    """max_k |z'_k - A^-1 z_k| / (1 + |z_k|) over the base run's points z_k
+def _max_deviation(base_trace, mapped_trace, distance) -> float:
+    """max_k distance(z_k, z'_k) / (1 + |z_k|) over the base run's points z_k
     and the mapped run's points z'_k, up to the shorter run's end; the two
     BNQN runs of ``check_invariance`` stop together."""
     deviation = 0.0
     for p, q in zip(base_trace.points, mapped_trace.points):
-        d = float(np.linalg.norm(q - a_inv @ p)) / (1.0 + float(np.linalg.norm(p)))
+        d = distance(p, q) / (1.0 + float(np.linalg.norm(p)))
         if d > deviation:
             deviation = d
     return deviation
@@ -164,10 +164,13 @@ def check_invariance(
     Runs BNQN on F from z0 and on G(z) = F(cRz) from A^-1 z0 with the
     rescaled parameters, for at most n steps each, and returns
 
-        max_k |z'_k - A^-1 z_k| / (1 + |z_k|)
+        max_k |A z'_k - z_k| / (1 + |z_k|)
 
     over every step: the two runs stop together, because ``transform_config``
     scales ``grad_tol``, and with it the gradient-norm stopping test, by c.
+    Both the distance and the size are taken in F's coordinates, so the
+    deviation does not grow as 1/c: in G's, |z'_k - A^-1 z_k| has the scale
+    1/c and |z_k| does not.
     """
     if n < 1:
         raise ValueError(f"step count n must be positive, got {n}")
@@ -182,11 +185,13 @@ def check_invariance(
     for trace in (base_trace, mapped_trace):
         if trace.failure is not None:
             raise BnqnError(f"run failed during invariance check: {trace.failure}")
-    return _max_deviation(base_trace, mapped_trace, a_inv)
+    a = spec.matrix
+    return _max_deviation(base_trace, mapped_trace, lambda p, q: float(np.linalg.norm(a @ q - p)))
 
 
 def newton_conjugacy_check(f: ObjectiveFunction, matrix, z0, n: int) -> float:
-    """Same deviation metric for Newton's method under an arbitrary invertible map."""
+    """max_k |z'_k - A^-1 z_k| / (1 + |z_k|) for Newton's method under an
+    arbitrary invertible map A, with z_k on F and z'_k on G(z) = F(Az)."""
     a = np.asarray(matrix, dtype=float)
     a_inv = np.linalg.inv(a)
     z0 = np.asarray(z0, dtype=float)
@@ -196,7 +201,7 @@ def newton_conjugacy_check(f: ObjectiveFunction, matrix, z0, n: int) -> float:
     for trace in (base_trace, mapped_trace):
         if trace.failure is not None:
             raise SingularMatrix(f"Newton run failed: {trace.failure}")
-    return _max_deviation(base_trace, mapped_trace, a_inv)
+    return _max_deviation(base_trace, mapped_trace, lambda p, q: float(np.linalg.norm(q - a_inv @ p)))
 
 
 _SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -58,9 +58,9 @@ that loop's exact floating-point operations:
   in its order: ``a*b - c*d + e`` is ``t = a*b; t -= c*d; t += e``.  At a
   few hundred lanes numpy's per-call cost outweighs the arithmetic, so the
   numpy passes meet scalars as read-only 0-d float64 arrays built once
-  (``_ZERO``, ``_HALF``, ``_ARMIJO_FACTOR_0D``, each coefficient tuple's
-  parts in ``_parts``; ``grad_tol``, the divergence radius and gamma once
-  per sweep or pass) instead of converting a Python float on every call,
+  (``_ZERO``, ``_HALF``, ``_ARMIJO_FACTOR_0D``; the coefficient parts of g,
+  g' and g'', ``grad_tol`` and the divergence radius once per call, gamma
+  once per pass) instead of converting a Python float on every call,
   and write their intermediates in place (augmented assignment, ``out=``).
   They write only arrays they have just made, never an argument.  The bits
   are the same: a 0-d float64 array is what numpy makes of a Python float,
@@ -90,7 +90,7 @@ cap.  The other methods' lanes always stay in the sweep.
 Complex conjugation commutes with both methods and leaves F of a real g
 unchanged, so a lane on the real axis stays there.  ``_finish_lane`` runs a
 lane at y = +0.0 on a g with real coefficients (``Polynomial.is_real``) on
-floats alone (``_finish_real_lane``): Horner's rule on the real parts of g,
+floats alone (``_real_lane``): Horner's rule on the real parts of g,
 g' and g'', grad F = (g'g, 0), |grad F| = |g'g|, |z| = |x|, and a diagonal
 Hessian whose winning shift s gives the direction g'g/|a + s|.  That is the
 complex loop bit for bit: while every value is finite, each imaginary part
@@ -102,14 +102,16 @@ A lane at y = -0.0 stays in the complex loop throughout.
 
 The real-axis loop is generated: a ``for`` over the coefficients costs more
 than the products and sums it runs, so ``_real_lane_loop`` writes the loop
-out as source and compiles it at the first real-axis lane of each
-coefficient pattern and config shape, with only the branches and the
-operations that these take; ``functools.lru_cache`` keeps the last 256
-for the process, a bound, since each pattern of zero and unit coefficients
-compiles its own.  The key holds ints and bools alone: each coefficient of g, g' and g'',
-marked 0 (+-0.0), 1 (exactly 1.0) or 2 (any other value), taken once per
-objective (``_real_parts``), then BNQN or GD, theta = 0 or not, tau = 1 or
-not and gamma0 = 1 or not.  Horner's rule is one statement per coefficient
+out as source, with only the branches and the operations that each
+coefficient pattern and config shape take.  A sweep that reaches its tail
+on a real g picks the loop once (``_real_lane``) and binds it to the real
+parts, the divergence radius and the config, and every tail lane at
+y = +0.0 takes that one function.  ``functools.lru_cache`` keeps the last
+256 compiled loops for the process, a bound, since each pattern of zero and
+unit coefficients compiles its own; the key holds ints and bools alone:
+each coefficient of g, g' and g'', marked 0 (+-0.0), 1 (exactly 1.0) or 2
+(any other value), then BNQN or GD, theta = 0 or not, tau = 1 or not and
+gamma0 = 1 or not.  Horner's rule is one statement per coefficient
 from acc = c0*x + c1, where the ``for`` loop starts from acc = 0.0: its
 first step 0.0*x + c0 is c0 itself at a finite x, since the leading
 coefficient of a real g is finite and not 0, and so is k*c_n, that of g'
@@ -142,11 +144,14 @@ function serves every g of a pattern and every config of a shape.
 
 The sweep's Horner passes are generated the same way (``_horner_pass``):
 one per pattern of ``_marks`` of the coefficients' real and imaginary
-parts, compiled at the first evaluation of a coefficient tuple of that
-pattern and kept by ``functools.lru_cache`` (the last 256).  The parts come
-in as the 0-d arrays that ``_entry`` holds, so every g of a pattern, such
-as the 16 monic degree-8 polynomials of a cluster8 cycle, shares one pass.
-Where ``_horner`` starts from acc = 0j, a pass starts at the leading
+parts, kept by ``functools.lru_cache`` (the last 256).  Each call chooses
+the evaluators of g, g' and, for the Hessian methods, g'' once, before its
+first sweep (``_evaluators``): the pass of each polynomial's pattern, bound
+to its parts as 0-d arrays, so every g of a pattern, such as the 16 monic
+degree-8 polynomials of a cluster8 cycle, shares one pass.  ``_horner``,
+the plain loop, stays as the reference the passes are tested against and
+is bound instead in the cases listed below, where a pass would not be
+exact.  Where ``_horner`` starts from acc = 0j, a pass starts at the leading
 coefficient; it takes z itself for a product by a unit part, and it leaves
 out every product by a zero part and every sum of a zero part except the
 constant term's; a sum that would open with 0*v - t opens with -t.  For
@@ -159,8 +164,9 @@ read:
   from v only where v is a zero.  Products and sums carry such a difference
   only as the sign of a zero (0*inf is NaN for either sign), and the
   constant term's sum erases it: a zero plus +0.0 is +0.0, and a zero plus
-  a nonzero c is c.  Only a -0.0 part keeps the sign, so a tuple whose
-  constant term has a -0.0 part takes ``_horner`` (``_evaluate``).
+  a nonzero c is c.  Only a -0.0 part keeps the sign, so a polynomial
+  whose constant term has a -0.0 part takes ``_horner``.  The choice reads
+  the coefficients' signs, not their values: 0 - 0i == 0j.
 - At a z with an infinite or NaN part ``_horner`` gives NaN + NaN i, since
   its first step multiplies 0 by z, while a pass may keep a part finite: a
   degree-1 g at (NaN, 1) gives (NaN, finite).  At a NaN part with no
@@ -168,13 +174,13 @@ read:
   Armijo bound are NaN either way, and a Newton or relaxed lane is retired
   as NaN.  A lane with an infinite part has |z| = inf and stops on
   |z| > radius before any of its values is read.  The radius is inf where
-  the Cauchy bound overflows (1e155 + 1e-160 z), and there the sweep takes
-  ``_horner`` throughout.
+  the Cauchy bound overflows (1e155 + 1e-160 z), and there the call binds
+  ``_horner`` for g, g' and g''.
 - An Armijo trial that overflows gets F = inf or NaN from the pass and NaN
   from ``_horner``.  They differ only under a bound of +inf, which F(z) =
   inf with a finite slope gives, so a trial pass with such a bound takes
-  ``_horner`` (``_armijo_trial``).  At tau = 62 a BNQN lane on
-  1e155 + 1e-160 z from -1.7975e308 meets one.
+  g's ``_horner``, which the call binds beside g's pass (``_armijo_trial``).
+  At tau = 62 a BNQN lane on 1e155 + 1e-160 z from -1.7975e308 meets one.
 """
 
 from __future__ import annotations
@@ -204,25 +210,22 @@ STOPPED, CAPPED, FAILED = 0, 1, 2
 # BNQN and GD lanes go to ``_finish_lane`` once a sweep starts with at most
 # this many.  On one pinned core (numpy 2.4), one sweep costs nearly the same
 # for 8 to 64 lanes: 35-42 us for GD on the z^3-1 negative axis at y = -0.0,
-# 102-116 us for BNQN at degree 3 and 141-169 us at degree 8 (44-50, 111-132
-# and 171-192 us before the numpy passes took 0-d scalars and in-place
-# temporaries).  A 1-lane sweep costs more (62, 146 and 209 us), since numpy
-# takes a slow path for 1-element arrays, in place more so; the tail keeps
-# BNQN and GD sweeps from running one lane.  On floats, a step in the complex
-# loop costs 2.2 us for GD (z^3-1 from -2 - 0i) and 5.7-5.9 us for BNQN on a
-# degree-8 cluster, a degree-8 Armijo trial 0.50-0.52 us, and a GD step on
-# the real axis of a real g (``_finish_real_lane``, z^3-1 from -2) 0.27 us
-# (0.335 us in the same runs with the loop compiled per coefficient count,
-# before its key took the zero and unit coefficients and gamma0 = 1).
-# GD lanes in the complex loop (z^3-1 negative axis at y = -0.0, 2000 steps)
-# ran faster one by one than in the sweep at 16 lanes and slower at 24.  The
-# same bound sends a sweep's last Armijo rejecters to ``_armijo_lane``.  In
-# alternating whole cycles, the z^3-1 BNQN half sweep (51x51) ran fastest
-# with 48: 24 and 32 beat it in 14 of 60 alternations and 64 in 6 of 60; on
-# the degree-8 clusters of basin-cluster8-bnqn (seeds 3, 7 and 41), 32 and
-# 64 each beat 48 in 11 of 24, within noise.  GD on z^3-1 at 51x51, whose 25
-# capped axis lanes run 10 000 steps each on floats, takes 0.18-0.19 s
-# against 0.56-0.68 s with them in the sweep.
+# 102-116 us for BNQN at degree 3 and 141-169 us at degree 8.  A 1-lane sweep
+# costs more (62, 146 and 209 us), since numpy takes a slow path for 1-element
+# arrays, in place more so; the tail keeps BNQN and GD sweeps from running one
+# lane.  On floats, a step in the complex loop costs 2.2 us for GD (z^3-1 from
+# -2 - 0i) and 5.7-5.9 us for BNQN on a degree-8 cluster, a degree-8 Armijo
+# trial 0.50-0.52 us, and a GD step on the real axis of a real g
+# (``_real_lane``, z^3-1 from -2) 0.27 us.  GD lanes in the complex loop (z^3-1
+# negative axis at y = -0.0, 2000 steps) ran faster one by one than in the
+# sweep at 16 lanes and slower at 24.  The same bound sends a sweep's last
+# Armijo rejecters to ``_armijo_lane``.  In alternating whole cycles, the z^3-1
+# BNQN half sweep (51x51) ran fastest with 48: 24 and 32 beat it in 14 of 60
+# alternations and 64 in 6 of 60; on the degree-8 clusters of
+# basin-cluster8-bnqn (seeds 3, 7 and 41), 32 and 64 each beat 48 in 11 of 24,
+# within noise.  GD on z^3-1 at 51x51, whose 25 capped axis lanes run 10 000
+# steps each on floats, takes 0.18-0.19 s against 0.56-0.68 s with them in the
+# sweep.
 _TAIL_LANES = 48
 
 
@@ -237,37 +240,11 @@ def _scalar(v):
 _ZERO, _HALF, _ONE = _scalar(0.0), _scalar(0.5), _scalar(1.0)
 _ARMIJO_FACTOR_0D = _scalar(_ARMIJO_FACTOR)
 
-# each coefficient tuple's (c.real, c.imag) parts, highest degree first, and
-# its compiled Horner pass (None where a constant-term part is -0.0), by the
-# tuple's identity: equal tuples may differ in the signs of their zeros
-# (-0j == 0j), which Horner's rule keeps.  An entry holds its tuple, so no
-# other tuple takes its id while it is kept.
-_PARTS = {}
-
-
-def _entry(coeffs):
-    hit = _PARTS.get(id(coeffs))
-    if hit is None:
-        if len(_PARTS) >= 64:
-            _PARTS.clear()
-        cs = coeffs[::-1]
-        if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (cs[-1].real, cs[-1].imag)):
-            compiled = None
-        else:
-            compiled = _horner_pass(_marks(c.real for c in cs), _marks(c.imag for c in cs))
-        hit = _PARTS[id(coeffs)] = coeffs, [(_scalar(c.real), _scalar(c.imag)) for c in cs], compiled
-    return hit
-
-
-def _parts(coeffs):
-    return _entry(coeffs)[1]
-
-
-def _horner(coeffs, zr, zi):
+def _horner(parts, zr, zi):
     """Python's complex Horner loop (acc = acc*z + c from acc = 0j), per lane,
-    on a tuple of coefficients."""
+    on a polynomial's coefficient parts as ``_evaluators`` binds them."""
     ar = ai = _ZERO
-    for cr, ci in _parts(coeffs):
+    for cr, ci in parts:
         nr = ar * zr
         nr -= ai * zi
         nr += cr
@@ -278,14 +255,18 @@ def _horner(coeffs, zr, zi):
     return ar, ai
 
 
-def _evaluate(coeffs, zr, zi):
-    """g at zr + i zi per lane for the coefficient tuple of g: the compiled
-    pass of its coefficient marks (``_horner_pass``), or ``_horner`` where a
+def _evaluators(poly, radius):
+    """(pass, horner): ``poly`` at zr + i zi per lane by its compiled
+    ``_horner_pass`` and by ``_horner``, each bound to its coefficients'
+    (c.real, c.imag) parts as 0-d arrays, highest degree first.  The pass is
+    ``_horner`` too where the divergence ``radius`` is infinite or a
     constant-term part is -0.0 (see the module docstring)."""
-    _, parts, compiled = _entry(coeffs)
-    if compiled is None:
-        return _horner(coeffs, zr, zi)
-    return compiled(parts, zr, zi)
+    cs = poly.coeffs[::-1]
+    parts = [(_scalar(c.real), _scalar(c.imag)) for c in cs]
+    horner = functools.partial(_horner, parts)
+    if radius == math.inf or any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (cs[-1].real, cs[-1].imag)):
+        return horner, horner
+    return functools.partial(_horner_pass(_marks(c.real for c in cs), _marks(c.imag for c in cs)), parts), horner
 
 
 def _times_conj(pr, pi, gr, gi):
@@ -376,10 +357,10 @@ def _half_square(gr, gi):
     return f
 
 
-def _armijo_trial(coeffs, gamma, x, y, wx, wy, fz, slope):
-    """The Armijo trial z - gamma*w per lane, with ``gamma`` 0-d; returns
-    (xt, yt, gr, gi, ok), with g(trial) = gr + i gi and ``ok`` where
-    ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``."""
+def _armijo_trial(g_pass, g_horner, gamma, x, y, wx, wy, fz, slope):
+    """The Armijo trial z - gamma*w per lane, with ``gamma`` 0-d and g's
+    ``_evaluators``; returns (xt, yt, gr, gi, ok), with g(trial) = gr + i gi
+    and ``ok`` where ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``."""
     xt = gamma * wx
     np.subtract(x, xt, out=xt)
     yt = gamma * wy
@@ -390,14 +371,14 @@ def _armijo_trial(coeffs, gamma, x, y, wx, wy, fz, slope):
     # a bound of +inf passes F = inf, which the compiled pass may give at a
     # trial that overflowed, where _horner gives NaN (see the module
     # docstring); fmax skips NaN bounds, which pass nothing
-    evaluate = _evaluate if np.fmax.reduce(bound) < math.inf else _horner
-    gr, gi = evaluate(coeffs, xt, yt)
+    gr, gi = (g_pass if np.fmax.reduce(bound) < math.inf else g_horner)(xt, yt)
     return xt, yt, gr, gi, _half_square(gr, gi) <= bound
 
 
-def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
-    """z - gamma*w per lane with Armijo's gamma, with g the ``Polynomial``;
-    returns (x, y, gr, gi, failed), with g = gr + i gi at the new point.
+def _armijo_step(g, g_pass, g_horner, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
+    """z - gamma*w per lane with Armijo's gamma, with g the ``Polynomial``
+    and ``g_pass`` and ``g_horner`` its ``_evaluators``; returns
+    (x, y, gr, gi, failed), with g = gr + i gi at the new point.
 
     The first trial, gamma0, runs on every lane at once; only the lanes that
     reject it backtrack, leaving the loop as they accept.  gamma is the same
@@ -407,12 +388,11 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     in ``_armijo_lane``.  Lanes already failed skip the search.  The test
     keeps the scalar form ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``.
     """
-    coeffs = g.coeffs
     slope = wx * gx
     slope += wy * gy
     fz = _half_square(gr, gi)
     gamma = cfg.gamma0
-    xn, yn, gr, gi, ok = _armijo_trial(coeffs, np.array(gamma), x, y, wx, wy, fz, slope)
+    xn, yn, gr, gi, ok = _armijo_trial(g_pass, g_horner, np.array(gamma), x, y, wx, wy, fz, slope)
     ok |= failed
     todo = (~ok).nonzero()[0]
     while todo.size:
@@ -431,7 +411,7 @@ def _armijo_step(g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
                     xn[m], yn[m], gr[m], gi[m] = trial.real, trial.imag, gt.real, gt.imag
             break
         lanes = (v[todo] for v in (x, y, wx, wy, fz, slope))
-        xt, yt, vr, vi, ok = _armijo_trial(coeffs, np.array(gamma), *lanes)
+        xt, yt, vr, vi, ok = _armijo_trial(g_pass, g_horner, np.array(gamma), *lanes)
         done = todo[ok]
         xn[done], yn[done], gr[done], gi[done] = xt[ok], yt[ok], vr[ok], vi[ok]
         todo = todo[~ok]
@@ -597,8 +577,8 @@ def _lane_direction(gx, gy, gn, a, b, c, cfg: SolverConfig):
     return None
 
 
-# The body of ``_finish_real_lane``, compiled by ``_real_lane_loop`` once per
-# coefficient pattern and config shape.  The placeholders are filled from
+# The body of the real-axis loop (``_real_lane``), compiled by
+# ``_real_lane_loop`` once per coefficient pattern and config shape.  The placeholders are filled from
 # integers and fixed names only: {unpack} binds the coefficients, highest
 # degree first, to g0, g1, ... (g), d0, ... (g') and e0, ... (g''), {g_x},
 # {dg_x} and {g_trial} are Horner's rule as one statement per coefficient,
@@ -690,7 +670,7 @@ def _horner_source(acc, prefix, marks, var):
     """Horner's rule on the coefficients prefix0, prefix1, ... of these
     ``_marks`` as one statement each on one line, from acc = prefix0*var +
     prefix1: the step from acc = 0.0 gives prefix0 itself at a finite var
-    where prefix0 is not 0 (see ``_finish_real_lane``).  One coefficient
+    where prefix0 is not 0 (see the module docstring).  One coefficient
     keeps that step.  A unit prefix0 enters as var, and a zero coefficient
     adds nothing (see the module docstring)."""
     terms = [f" + {prefix}{i}" if mark else "" for i, mark in enumerate(marks)]
@@ -725,12 +705,12 @@ def _sum_source(acc, terms):
 def _horner_pass(real_marks, imag_marks):
     """``_horner`` for coefficients whose real and imaginary parts have these
     ``_marks``, highest degree first, compiled from generated source; it
-    takes the parts as ``_entry`` holds them and the lane arrays zr and zi.
-    It starts at the leading coefficient, takes z itself for a product by a
+    takes the parts as ``_evaluators`` binds them and the lane arrays zr and
+    zi.  It starts at the leading coefficient, takes z itself for a product by a
     unit part, and leaves out every product by a zero part and every sum of
     a zero part but the constant term's (see the module docstring).  The
     source is built from integers and fixed names alone, so one pass serves
-    every coefficient tuple of a pattern."""
+    polynomial of a pattern."""
     n = len(real_marks)
     names = [(f"c{k}r", f"c{k}i") for k in range(n)]
 
@@ -760,11 +740,12 @@ def _horner_pass(real_marks, imag_marks):
 
 @functools.lru_cache(maxsize=256)
 def _real_lane_loop(g_marks, dg_marks, ddg_marks, hessian, theta_cap, unit_tau, unit_gamma):
-    """``_finish_real_lane``'s loop for a g, g' and g'' whose coefficients
-    have these ``_marks``, BNQN's (``hessian``) or GD's, with the theta cap
-    where ``theta_cap``, the power |g'g|**tau where not ``unit_tau`` and
-    the first Armijo trial's gamma0 where not ``unit_gamma``, compiled from
-    ``_REAL_LANE_SOURCE`` (see the module docstring).  The key holds ints
+    """The real-axis loop (``_real_lane``) for a g, g' and g'' whose
+    coefficients have these ``_marks``, BNQN's (``hessian``) or GD's, with
+    the theta cap where ``theta_cap``, the power |g'g|**tau where not
+    ``unit_tau`` and the first Armijo trial's gamma0 where not
+    ``unit_gamma``, compiled from ``_REAL_LANE_SOURCE`` (see the module
+    docstring).  The key holds ints
     and bools alone, so no coefficient or config value reaches the source.
     Horner's rule takes one statement per coefficient, not one nested
     expression: the parser rejects more than 200 nested parentheses, and a
@@ -793,43 +774,29 @@ def _real_lane_loop(g_marks, dg_marks, ddg_marks, hessian, theta_cap, unit_tau, 
     return namespace["real_lane"]
 
 
-@functools.lru_cache(maxsize=64)
-def _real_parts(obj: PolyModulusObjective):
-    """g, g' and g'' of a real objective as lists of real parts, highest
-    degree first, and their ``_marks``, kept by the objective's identity."""
-    parts = [[c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg)]
-    return parts, tuple(map(_marks, parts))
+def _real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig):
+    """``_finish_lane``'s loop for lanes at (x, +0.0) on a g with real
+    coefficients, on Python floats alone.
 
-
-def _finish_real_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, k):
-    """``_finish_lane`` for a lane at (x, +0.0) on a g with real coefficients,
-    on Python floats alone; returns (x, steps, outcome) with the lane ended at
-    (x, +0.0), or (x, k, None) where the complex loop must go on from (x, k).
-
-    The Hessian is diagonal, a = g''g + g'^2 and c = g'^2 - g''g, and the
-    reflected solve of the winning shift s gives the direction g'g/|a + s|.
-    Each value is the complex loop's real part (see the module docstring)
-    while the values are finite and g and g' are not 0, where the lane
-    stops.  So a non-finite F, |grad|, g'' or BNQN direction hands the lane
-    back, since 0*inf makes a NaN of a zero imaginary part; so does a zero
-    BNQN direction, which the complex loop may sign by a signed zero, and
-    which at x = +-0 sets the sign of the next x.  A step that leaves x as
-    it is, zero sign included, ends the lane CAPPED at ``max_iter`` steps.
-
-    The loop is generated source, ``_real_lane_loop``'s for the marks of
-    the coefficients of g, g' and g'' (0, 1 or other, taken once per
-    objective) and the config's shape, compiled at the first lane of those
-    and cached for the process.  Its Horner evaluations are straight-line
-    code from acc = c0*x + c1, with no product by a unit leading
-    coefficient and no sum of a zero one, which is acc = acc*x + c from
-    acc = 0.0 wherever it matters, and where gamma0 = 1 its first Armijo
-    trial takes no product by gamma (see the module docstring); the source
-    holds integers and fixed names only, and the coefficients and the
-    config are its arguments.
+    It is ``_real_lane_loop``'s function for the ``_marks`` of the real
+    parts of g, g' and g'', BNQN (``hessian``) or GD and the shape of
+    ``cfg``, bound to those parts, highest degree first, the divergence
+    radius and ``cfg``.  Called with (x, k), it returns (x, steps, outcome)
+    with the lane ended at (x, +0.0), or (x, k, None) where the complex loop
+    must go on from (x, k).  The Hessian is diagonal, a = g''g + g'^2 and
+    c = g'^2 - g''g, and the reflected solve of the winning shift s gives
+    the direction g'g/|a + s|.  Each value is the complex loop's real part
+    (see the module docstring) while the values are finite and g and g' are
+    not 0, where the lane stops.  So a non-finite F, |grad|, g'' or BNQN
+    direction hands the lane back, since 0*inf makes a NaN of a zero
+    imaginary part; so does a zero BNQN direction, which the complex loop
+    may sign by a signed zero, and which at x = +-0 sets the sign of the
+    next x.  A step that leaves x as it is, zero sign included, ends the
+    lane CAPPED at ``max_iter`` steps.
     """
-    (g, dg, ddg), marks = _real_parts(obj)
-    loop = _real_lane_loop(*marks, hessian, cfg.theta != 0.0, cfg.tau == 1.0, cfg.gamma0 == 1.0)
-    return loop(g, dg, ddg, obj.divergence_radius, cfg, x, k)
+    parts = [[c.real for c in reversed(p.coeffs)] for p in (obj.g, obj.dg, obj.ddg)]
+    loop = _real_lane_loop(*map(_marks, parts), hessian, cfg.theta != 0.0, cfg.tau == 1.0, cfg.gamma0 == 1.0)
+    return functools.partial(loop, *parts, obj.divergence_radius, cfg)
 
 
 def _same_point(z, x, y):
@@ -841,14 +808,15 @@ def _same_point(z, x, y):
     )
 
 
-def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, y, k):
+def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x, y, k, real_lane):
     """Run one BNQN (``hessian``) or GD lane from (x, y), k steps in, to its
     end on Python floats; returns (x, y, steps, outcome).
 
     A lane at y = +0.0 on a real g stays on the real axis, and
-    ``_finish_real_lane`` runs it there for as long as its values are
-    finite.  A lane at y = -0.0 keeps the complex loop, where the sign of
-    the next y is the sign of a zero product.  In both loops a step whose
+    ``real_lane``, ``_real_lane``'s loop for ``obj``, ``hessian`` and
+    ``cfg`` (None on a complex g), runs it there for as long as its values
+    are finite.  A lane at y = -0.0 keeps the complex loop, where the sign
+    of the next y is the sign of a zero product.  In both loops a step whose
     accepted trial is the point itself, bit for bit, ends the lane CAPPED
     at ``max_iter`` steps (see the module docstring).
 
@@ -860,12 +828,11 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
     the theta cap and ``_armijo_lane`` from gamma0, whose F at the accepted
     trial is the next step's f(z) (the same expression on the same g).
     """
-    if y == 0.0 and math.copysign(1.0, y) == 1.0 and obj.g.is_real:
-        x, k, outcome = _finish_real_lane(obj, hessian, cfg, x, k)
+    if real_lane is not None and y == 0.0 and math.copysign(1.0, y) == 1.0:
+        x, k, outcome = real_lane(x, k)
         if outcome is not None:
             return x, y, k, outcome
-    g, dg, ddg = obj.g, obj.dg, obj.ddg
-    radius = obj.divergence_radius
+    g, dg, ddg, radius = obj.g, obj.dg, obj.ddg, obj.divergence_radius
     theta, gamma0, grad_tol, max_iter = cfg.theta, cfg.gamma0, cfg.grad_tol, cfg.max_iter
     z = complex(x, y)
     gz = g(z)
@@ -923,11 +890,17 @@ def iterate(
     Random relaxed Newton needs ``streams``, one per lane, in the state
     ``run``'s generator would be in, and draws its factors from the disk
     |alpha - 1| <= cfg.rho; its lanes run in blocks of
-    ``streams.lane_blocks``.
+    ``streams.lane_blocks``.  A ``ValueError`` names starts that are not two
+    1-D arrays of one length, and missing or too few streams.
     """
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    if x0.ndim != 1 or x0.shape != y0.shape:
+        raise ValueError(f"x0 and y0 must be 1-D and of one length, got shapes {x0.shape} and {y0.shape}")
+    relaxed = method is Method.RANDOM_RELAXED_NEWTON_1D
+    if relaxed and len(streams or ()) < len(x0):
+        raise ValueError(f"random relaxed Newton needs a stream per start: {len(x0)} starts, {len(streams or ())} streams")
     # no starts make no blocks, but still four empty arrays
-    if method is not Method.RANDOM_RELAXED_NEWTON_1D or not len(x0):
+    if not (relaxed and len(x0)):
         return _sweep(obj, method, cfg, x0, y0)
     blocks = []
     for first, stop in lane_blocks(len(x0)):
@@ -943,20 +916,20 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
     armijo = method in _ARMIJO
     newton = not (hessian or armijo)
     tail = _TAIL_LANES if armijo else 0
-    g, dg, ddg = obj.g.coeffs, obj.dg.coeffs, obj.ddg.coeffs
+    # chosen once per call; an infinite radius stops no lane at an infinite
+    # point, whose g, g' and g'' the compiled passes may give otherwise than
+    # _horner, so there every pass is _horner
+    (g_pass, g_horner), (dg_pass, _) = (_evaluators(p, obj.divergence_radius) for p in (obj.g, obj.dg))
+    ddg_pass = _evaluators(obj.ddg, obj.divergence_radius)[0] if hessian else None
     grad_tol, radius = np.array(cfg.grad_tol), np.array(obj.divergence_radius)
     # no lane with max(|x|, |y|) at or below half the radius has |z| above it
     half_radius = np.array(0.5 * obj.divergence_radius)
     n = len(x0)
     out_x, out_y = x0.copy(), y0.copy()
-    out_k = np.zeros(n, dtype=int)
-    out_code = np.zeros(n, dtype=np.int8)
+    out_k, out_code = np.zeros(n, dtype=int), np.zeros(n, dtype=np.int8)
     lane = np.arange(n)
     x, y = x0.copy(), y0.copy()
     k = 0
-    # an infinite radius stops no lane at an infinite point, whose g, g' and
-    # g'' the compiled passes may give otherwise than _horner
-    evaluate = _evaluate if obj.divergence_radius < math.inf else _horner
 
     def retire(sel, code):
         m = lane[sel]
@@ -965,13 +938,14 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
         out_code[m] = code
 
     with np.errstate(all="ignore"):
-        gr, gi = evaluate(g, x, y)
+        gr, gi = g_pass(x, y)
         while lane.size:
             if lane.size <= tail:
+                real_lane = _real_lane(obj, hessian, cfg) if obj.g.is_real else None
                 for m, xm, ym in zip(lane.tolist(), x.tolist(), y.tolist()):
-                    out_x[m], out_y[m], out_k[m], out_code[m] = _finish_lane(obj, hessian, cfg, xm, ym, k)
+                    out_x[m], out_y[m], out_k[m], out_code[m] = _finish_lane(obj, hessian, cfg, xm, ym, k, real_lane)
                 break
-            dr, di = evaluate(dg, x, y)
+            dr, di = dg_pass(x, y)
             gx, gy = _times_conj(dr, di, gr, gi)
             np.negative(gy, out=gy)
             gn = np.hypot(gx, gy)
@@ -1016,7 +990,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 if newton:
                     zn = zn[keep]
             if hessian:
-                er, ei = evaluate(ddg, x, y)
+                er, ei = ddg_pass(x, y)
                 ur, ui = _times_conj(er, ei, gr, gi)
                 s = dr * dr
                 s += di * di
@@ -1036,7 +1010,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                     div = np.where(div > _ONE, div, _ONE)
                     wx, wy = wx / div, wy / div
                 # the Armijo search has evaluated g at every new point
-                xn, yn, gr, gi, failed = _armijo_step(obj.g, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
+                xn, yn, gr, gi, failed = _armijo_step(obj.g, g_pass, g_horner, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             elif hessian:
                 if method is Method.NQN:
                     wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_nqn)
@@ -1056,6 +1030,6 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                 xn, yn, lane, gr, gi = (v[keep] for v in (xn, yn, lane, gr, gi))
             x, y = xn, yn
             if not armijo:
-                gr, gi = evaluate(g, x, y)
+                gr, gi = g_pass(x, y)
             k += 1
     return out_x, out_y, out_k, out_code

@@ -106,18 +106,25 @@ class SolverConfig:
 
 
 def random_deltas(count: int, seed) -> tuple[float, ...]:
-    """Seeded shift candidates, uniform in [-1, 1] with pairwise gap >= 0.1."""
+    """Seeded shift candidates, uniform in [-1, 1] with pairwise gap >= 0.1.
+
+    The draw is direct: ``count`` sorted uniforms on a range 0.1*(count - 1)
+    shorter than [-1, 1], the k-th smallest moved up by 0.1*k, in a seeded
+    order.  The range stops 1e-12 short of that, and a sum that rounds a gap
+    below 0.1 moves up by ulps, so the largest shift stays below 1.0.
+    """
     if count < 2:
         raise ValueError("need at least two shifts")
     if count > 20:
         raise ValueError("cannot fit that many 0.1-separated shifts in [-1, 1]")
     rng = np.random.default_rng(seed)
     out: list[float] = []
-    while len(out) < count:
-        cand = float(rng.uniform(-1.0, 1.0))
-        if all(abs(cand - d) >= 0.1 for d in out):
-            out.append(cand)
-    return tuple(out)
+    for k, u in enumerate(sorted(rng.uniform(-1.0, 1.0 - 0.1 * (count - 1) - 1e-12, count).tolist())):
+        d = u + 0.1 * k
+        while out and d - out[-1] < 0.1:
+            d = math.nextafter(d, math.inf)
+        out.append(d)
+    return tuple(out[i] for i in rng.permutation(count).tolist())
 
 
 @dataclass
@@ -333,9 +340,11 @@ def run(
     hit_cap = False
     failure = None
 
-    # an Armijo trial z - gamma*w may overflow to inf, which fails its test;
-    # numpy must not warn about it, and one errstate serves every step
-    with np.errstate(over="ignore"):
+    # an Armijo trial z - gamma*w may overflow to inf, which fails its test,
+    # and an objective's Hessian may hold inf - inf (a ConjugatedObjective's
+    # pair average), whose NaN fails the step; numpy must warn about neither,
+    # and one errstate serves every step
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if needs_hessian:
                 grad, hess = f.gradient_and_hessian(z)

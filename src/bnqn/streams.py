@@ -217,6 +217,10 @@ class TrialStreams:
         self.inc_hi, self.inc_lo = w[:, 2] << _U1 | w[:, 3] >> _U63, w[:, 3] << _U1 | _U1
         self.hi, self.lo = _step(*_add(self.inc_hi, self.inc_lo, w[:, 0], w[:, 1]), self.inc_hi, self.inc_lo)
 
+    def __len__(self):
+        """The number of lanes."""
+        return len(self.lo)
+
     def uniform(self, low: float, high: float, n: int, lanes=slice(None)):
         """n successive ``uniform(low, high)`` draws of each lane in
         ``lanes``: draw i of lane ``lanes[j]`` is at [i, j].

@@ -1,7 +1,7 @@
 """A seeded differential slice of the lockstep kernel: ``lockstep.iterate``
-with its compiled Horner passes (``lockstep._evaluate``) against ``iterate``
-with ``lockstep._horner`` forced for every pass, bit for bit on all four
-output arrays.
+with its compiled Horner passes (``lockstep._horner_pass``) against
+``iterate`` with ``lockstep._horner`` forced for every pass, bit for bit on
+all four output arrays.
 
 Each case is a seeded polynomial of degree 1 to 6, real or complex, whose
 coefficient parts are drawn from +-0.0, 1.0, -1.0, 1e-300 and 1e300 or are
@@ -82,15 +82,16 @@ def random_case(rng):
 
 def _iterate(obj, method, cfg, x0, y0, tail, horner):
     streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is Method.RANDOM_RELAXED_NEWTON_1D else None
-    saved = lockstep._TAIL_LANES, lockstep._evaluate
+    saved = lockstep._TAIL_LANES, lockstep._horner_pass
     lockstep._TAIL_LANES = tail
     if horner:
-        lockstep._evaluate = lockstep._horner
+        # _horner takes the parts and the lanes as a compiled pass does
+        lockstep._horner_pass = lambda real_marks, imag_marks: lockstep._horner
     try:
         with np.errstate(all="ignore"):
             return [v.tobytes() for v in lockstep.iterate(obj, method, cfg, x0, y0, streams=streams)]
     finally:
-        lockstep._TAIL_LANES, lockstep._evaluate = saved
+        lockstep._TAIL_LANES, lockstep._horner_pass = saved
 
 
 def mismatches(coeffs, cfg, x0, y0, modes=tuple(TAILS)):
@@ -113,9 +114,11 @@ def mismatches(coeffs, cfg, x0, y0, modes=tuple(TAILS)):
 # while |grad F| is 1e-5, and its Cauchy bound, so its divergence radius, is
 # inf.  At tau = 62 the BNQN direction is about 1e305, so from -1.7975e308
 # the first Armijo trial overflows to -inf under a bound f(z) - ... = inf:
-# there the compiled pass gives F = inf, which passes, and _horner NaN, which
+# there a compiled pass gives F = inf, which passes, and _horner NaN, which
 # does not.  And no lane stops at |z| = inf below an infinite radius, so a
-# Newton lane from (inf, 0) takes its step from the compiled passes' values.
+# Newton lane from (inf, 0) would take its step from the compiled passes'
+# values.  Under that radius a call binds _horner for every pass
+# (tests/test_lockstep.py checks the trial's choice below a finite one).
 WIDE = [complex(1e155), complex(1e-160)]
 FIXED = {
     "negative-zero-constant": ([complex(0.0, -0.0), 4, 0, 1], SolverConfig(max_iter=5), [0.5, 2.0, -1.5], [-0.0, -0.0, 0.0]),

@@ -149,6 +149,15 @@ def test_check_invariance_scaling_case():
     assert dev <= 1e-8
 
 
+@pytest.mark.parametrize("c", [1e-100, 1e-3, 2.0, 1e3, 1e100])
+def test_check_invariance_deviation_is_scale_free(c):
+    # the deviation is measured in F's coordinates: in G's, |z'_k - A^-1 z_k|
+    # has the scale 1/c, and at c = 1e-100 it read 2.4e84 for runs that
+    # agree to rounding
+    spec = ConjugationSpec(c, rotation(0.7))
+    assert check_invariance(Z3M1, spec, (0.4, 1.1), SolverConfig(), 100) <= 1e-14
+
+
 def test_check_invariance_identity_is_exact():
     spec = ConjugationSpec(1.0, np.eye(2))
     assert check_invariance(Z2M1, spec, (0.4, 1.1), SolverConfig(), 100) == 0.0

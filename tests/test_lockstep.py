@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -288,7 +289,7 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
         assert not backtracked
     elif tail == ALL_LANES:
         assert per_lane == len(starts)
-        assert all(args[-1] == 0 for args in finished)  # from step 0
+        assert all(args[5] == 0 for args in finished)  # from step 0
     elif case in ("btgd-cap300", "btgd-9-default", "diverged-bnqn"):
         assert 0 < per_lane <= lockstep._TAIL_LANES
     if tail is None and (case == "z3m1-51-default" or case.startswith("cluster8")):
@@ -334,6 +335,24 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
         assert np.count_nonzero(codes == lockstep.FAILED) == 24
 
 
+def _counting(bind, record):
+    """``bind`` (``lockstep._real_lane``) with every loop it binds wrapped to
+    call ``record(args, end)``, with bind's arguments and the loop's result,
+    after each run."""
+
+    def bound(*args):
+        loop = bind(*args)
+
+        def counted(x, k):
+            end = loop(x, k)
+            record(args, end)
+            return end
+
+        return counted
+
+    return bound
+
+
 def test_real_axis_loop_takes_the_axis_lanes_of_a_real_g(monkeypatch):
     # render_basin sweeps the y >= 0 rows of a real g, and the 45 lanes of
     # the z^3-1 9x9 grid finish one by one: the nine at y = +0.0 run on
@@ -342,14 +361,7 @@ def test_real_axis_loop_takes_the_axis_lanes_of_a_real_g(monkeypatch):
     # and at x = +-0 on z^2 + 2z + 5e-324 the BNQN direction is 0, so those
     # lanes go back to the complex loop.  A complex g never comes here
     outcomes = []
-    real_lane = lockstep._finish_real_lane
-
-    def counted(*args):
-        end = real_lane(*args)
-        outcomes.append(end[2])
-        return end
-
-    monkeypatch.setattr(lockstep, "_finish_real_lane", counted)
+    monkeypatch.setattr(lockstep, "_real_lane", _counting(lockstep._real_lane, lambda args, end: outcomes.append(end[2])))
     taken = {}
     cases = ("btgd-9-default", "cluster8", "overflow-btgd", "axis-g2-overflow-bnqn", "axis-minus0-subnormal-bnqn")
     for case in cases:
@@ -368,7 +380,11 @@ def test_lanes_at_minus_zero_keep_the_complex_loop(monkeypatch, method):
     # so those lanes never reach the real-axis loop, and still end as run
     # does: at (-2, -0.0) on z^3-1 GD creeps toward 0 up to the cap
     monkeypatch.setattr(lockstep, "_TAIL_LANES", ALL_LANES)
-    monkeypatch.setattr(lockstep, "_finish_real_lane", None)
+
+    def unreachable(x, k):
+        raise AssertionError(f"a lane at y = -0.0 took the real-axis loop at x = {x}")
+
+    monkeypatch.setattr(lockstep, "_real_lane", lambda *args: unreachable)
     obj, cfg = PolyModulusObjective(Z3M1), SolverConfig()
     x0 = [-2.0, -0.5, 0.0, 0.7, 1.5]
     x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, [-0.0] * len(x0))
@@ -403,6 +419,8 @@ def test_stalled_lanes_end_at_once(case, method, y0):
     poly, x0, cfg = STALLS[case]
     obj = PolyModulusObjective(poly)
     want = run(obj, (x0, y0), method, cfg)
+    # a lane at y = -0.0 is handed the real-axis loop too, and must not take it
+    real_lane = lockstep._real_lane(obj, method is BNQN, cfg)
     events = 0
 
     def count(frame, event, arg):
@@ -411,7 +429,7 @@ def test_stalled_lanes_end_at_once(case, method, y0):
 
     sys.setprofile(count)
     try:
-        x, y, steps, code = lockstep._finish_lane(obj, method is BNQN, cfg, x0, y0, 0)
+        x, y, steps, code = lockstep._finish_lane(obj, method is BNQN, cfg, x0, y0, 0, real_lane)
     finally:
         sys.setprofile(None)
     fx, fy = want.final_point
@@ -434,7 +452,7 @@ def _overflow_start(poly):
         x *= 2.0
 
 
-def test_real_axis_loop_is_the_complex_loop_bit_for_bit(monkeypatch):
+def test_real_axis_loop_is_the_complex_loop_bit_for_bit():
     # _finish_lane from (x, +0.0) against the same call with the real-axis
     # loop handing every lane back at once, on seeded random real g: degree
     # 1-12 and 201, two of each (a coefficient baked into a loop compiled
@@ -443,17 +461,12 @@ def test_real_axis_loop_is_the_complex_loop_bit_for_bit(monkeypatch):
     # 2-5 shifts drawn per lane; starts at +-0, +-1e8, where F overflows
     # and three in [-3, 3]
     rng = np.random.default_rng(2611)
-    real_lane = lockstep._finish_real_lane
     ended = {}
 
-    def counted(*args):
-        end = real_lane(*args)
+    def record(args, end):
         ended[args[0].g.degree] += end[2] is not None
-        return end
 
-    def handed_back(obj, hessian, cfg, x, k):
-        return x, k, None
-
+    counted = _counting(lockstep._real_lane, record)
     for degree in [*range(1, 13), 201]:
         for _ in range(2):
             spread = rng.choice([0.0, 2.0, 8.0])
@@ -473,11 +486,10 @@ def test_real_axis_loop_is_the_complex_loop_bit_for_bit(monkeypatch):
                     deltas=rng.uniform(-3.0, 3.0, rng.integers(2, 6)).tolist(),
                     max_iter=150,
                 )
+                real_lane = counted(obj, hessian, cfg)
                 for x0 in starts:
-                    ends = []
-                    for loop in (counted, handed_back):
-                        monkeypatch.setattr(lockstep, "_finish_real_lane", loop)
-                        ends.append(lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0))
+                    # with no real-axis loop the lane takes the complex loop
+                    ends = [lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0, loop) for loop in (real_lane, None)]
                     (x, y, k, code), (wx, wy, wk, wcode) = ends
                     assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
                     assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
@@ -504,17 +516,15 @@ def test_real_axis_loop_in_every_config_shape_is_the_complex_loop(monkeypatch):
     # gamma0 1, 0.5 and 0.3 and grad_tol 1e-10 and 0, on a degree-1 g
     # (whose g'' is the zero polynomial), z^3-1, a real degree-5 g and the
     # OVERFLOW_TRIAL g
-    real_lane, compiled = lockstep._finish_real_lane, lockstep._real_lane_loop
+    compiled = lockstep._real_lane_loop
     shapes, ended, overflowed = set(), set(), 0
 
-    def counted(obj, hessian, cfg, x, k):
-        end = real_lane(obj, hessian, cfg, x, k)
+    def record(args, end):
+        obj, hessian, cfg = args
         if end[2] is not None:
             ended.add((hessian, cfg.theta != 0.0, cfg.tau == 1.0, cfg.gamma0 == 1.0))
-        return end
 
-    def handed_back(obj, hessian, cfg, x, k):
-        return x, k, None
+    counted = _counting(lockstep._real_lane, record)
 
     def recorded(*shape):
         shapes.add(shape[3:])
@@ -540,10 +550,8 @@ def test_real_axis_loop_in_every_config_shape_is_the_complex_loop(monkeypatch):
                 gx = obj.dg(x0).real * obj.g(x0).real
                 assert math.isinf(x0 - cfg.gamma0 * gx)
                 overflowed += 1
-            ends = []
-            for loop in (counted, handed_back):
-                monkeypatch.setattr(lockstep, "_finish_real_lane", loop)
-                ends.append(lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0))
+            real_lane = counted(obj, hessian, cfg)
+            ends = [lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0, loop) for loop in (real_lane, None)]
             (x, y, k, code), (wx, wy, wk, wcode) = ends
             assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
             assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
@@ -558,9 +566,10 @@ def test_real_axis_loop_is_compiled_per_shape_not_per_value(monkeypatch):
     # values, run on one compiled function, and no compiled loop holds a
     # float constant but the template's own literals 0.0, 0.5 and 1.0
     compiled = lockstep._real_lane_loop
-    loops = []
+    loops, keys = [], []
 
     def recorded(*shape):
+        keys.append(shape)
         loops.append(compiled(*shape))
         return loops[-1]
 
@@ -576,14 +585,14 @@ def test_real_axis_loop_is_compiled_per_shape_not_per_value(monkeypatch):
         (SolverConfig(theta=1.0, tau=0.5, gamma0=0.5), SolverConfig(theta=7.25, tau=2.5, gamma0=0.3, max_iter=9)),
     ]
     for a, b in pairs:
-        marks = [lockstep._real_parts(PolyModulusObjective(p))[1] for p in (a, b)]
-        assert marks[0] == marks[1], (a, b)
         for hessian in (True, False):
             for cfg_a, cfg_b in configs:
                 loops.clear()
-                lockstep._finish_real_lane(PolyModulusObjective(a), hessian, cfg_a, -1.5, 0)
-                lockstep._finish_real_lane(PolyModulusObjective(b), hessian, cfg_b, 1.5, 0)
+                keys.clear()
+                lockstep._real_lane(PolyModulusObjective(a), hessian, cfg_a)(-1.5, 0)
+                lockstep._real_lane(PolyModulusObjective(b), hessian, cfg_b)(1.5, 0)
                 first, second = loops
+                assert keys[0] == keys[1], (a, b)
                 assert first is second
                 consts = first.__code__.co_consts
                 assert not any(isinstance(c, complex) for c in consts)
@@ -612,17 +621,14 @@ def test_real_axis_loop_on_zero_and_unit_coefficients_is_the_complex_loop(monkey
     # methods at gamma0 1 and 0.4 and grad_tol 1e-10 and 0, from +-0.0,
     # from +-1e-170, where x*x underflows to a signed zero, and from points
     # in [-2, 2]; from -2 on z^3-1 GD rejects its first trial at gamma0 = 1
-    real_lane, compiled = lockstep._finish_real_lane, lockstep._real_lane_loop
+    compiled = lockstep._real_lane_loop
     keys, ended = set(), 0
 
-    def counted(*args):
+    def record(args, end):
         nonlocal ended
-        end = real_lane(*args)
         ended += end[2] is not None
-        return end
 
-    def handed_back(obj, hessian, cfg, x, k):
-        return x, k, None
+    counted = _counting(lockstep._real_lane, record)
 
     def recorded(*key):
         keys.add(key)
@@ -637,10 +643,8 @@ def test_real_axis_loop_on_zero_and_unit_coefficients_is_the_complex_loop(monkey
     for poly in ZERO_AND_UNIT:
         obj = PolyModulusObjective(poly)
         for hessian, cfg, x0 in itertools.product((True, False), configs, starts):
-            ends = []
-            for loop in (counted, handed_back):
-                monkeypatch.setattr(lockstep, "_finish_real_lane", loop)
-                ends.append(lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0))
+            real_lane = counted(obj, hessian, cfg)
+            ends = [lockstep._finish_lane(obj, hessian, cfg, x0, 0.0, 0, loop) for loop in (real_lane, None)]
             (x, y, k, code), (wx, wy, wk, wcode) = ends
             assert same_bits(x, wx) and same_bits(y, wy), (poly, cfg, hessian, x0)
             assert (k, code) == (wk, wcode), (poly, cfg, hessian, x0)
@@ -793,6 +797,22 @@ def test_nan_lanes_end_capped_without_stepping(monkeypatch, method):
     assert codes[5] == lockstep.STOPPED and 0 < steps[5] < 100
 
 
+def _counting_passes(compile_pass, lanes):
+    """``compile_pass`` (``lockstep._horner_pass``) with every pass it
+    compiles appending its lane count to ``lanes`` at each call."""
+
+    def compiled(*marks):
+        evaluate = compile_pass(*marks)
+
+        def counted(parts, zr, zi):
+            lanes.append(len(zr))
+            return evaluate(parts, zr, zi)
+
+        return counted
+
+    return compiled
+
+
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_no_kernel_pass_gets_zero_lanes(monkeypatch, method):
     # a sweep ends as soon as a compaction of stopped or of failed lanes
@@ -800,13 +820,16 @@ def test_no_kernel_pass_gets_zero_lanes(monkeypatch, method):
     # and GD keep every lane in the sweep here, as the other methods do
     monkeypatch.setattr(lockstep, "_TAIL_LANES", 0)
     passes = []
+    # the position of the first lane array: the Horner passes take the
+    # coefficient parts first, _armijo_step g and its two evaluators
+    first = {"_horner": 1, "_armijo_step": 3}
     for name in ("_horner", "_relaxed_step", "_newton_direction", "_shift_search", "_armijo_step"):
-        def counted(*args, _name=name, _f=getattr(lockstep, name)):
-            # _horner and _armijo_step take the coefficients first
-            passes.append(len(args[1] if _name in ("_horner", "_armijo_step") else args[0]))
+        def counted(*args, _at=first.get(name, 0), _f=getattr(lockstep, name)):
+            passes.append(len(args[_at]))
             return _f(*args)
 
         monkeypatch.setattr(lockstep, name, counted)
+    monkeypatch.setattr(lockstep, "_horner_pass", _counting_passes(lockstep._horner_pass, passes))
     cfg = SolverConfig(max_iter=500, seed=4)
     x0, y0 = (v.ravel() for v in np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20)))
     # then one start whose first step fails: g'(1e-16) is below the pole
@@ -1184,6 +1207,17 @@ def _special_lanes(rng, n, count):
     return out
 
 
+def _bound(poly, radius=3.0):
+    """(pass, horner): ``poly``'s Horner evaluators as a sweep binds them
+    below a finite divergence radius."""
+    return lockstep._evaluators(poly, radius)
+
+
+def _parts(poly):
+    """The coefficient parts that ``_evaluators`` binds for ``poly``."""
+    return _bound(poly)[1].args[0]
+
+
 def test_horner_and_conjugate_product_are_python_complex_bitwise():
     rng = np.random.default_rng(211)
     # every pair of SPECIAL values as a lane, then seeded lanes
@@ -1195,7 +1229,7 @@ def test_horner_and_conjugate_product_are_python_complex_bitwise():
     values = []
     for poly in HORNER_POLYS:
         with np.errstate(all="ignore"):
-            got = lockstep._horner(poly.coeffs, zr, zi)
+            got = _bound(poly)[1](zr, zi)
         want = [poly(z) for z in zs]
         for n, w in enumerate(want):
             assert same_bits(got[0][n], w.real) and same_bits(got[1][n], w.imag), (poly, zs[n])
@@ -1252,14 +1286,14 @@ def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
     with np.errstate(all="ignore"):
         eig = lockstep._eig2(a, b, c)
     calls = [
-        (lockstep._horner, (CLUSTER8.coeffs, x, y)),
-        (lockstep._horner, (Z3M1.coeffs, x, y)),
+        (lockstep._horner, (_parts(CLUSTER8), x, y)),
+        (lockstep._horner, (_parts(Z3M1), x, y)),
         (lockstep._times_conj, (dr, di, gr, gi)),
         (lockstep._quot, (gr, gi, dr, di)),
         (lockstep._relaxed_step, (x, y, zn, gr, gi, dr, di, None, 3)),
         (lockstep._relaxed_step, (x, y, zn, gr, gi, dr, di, (ar, ai), 8)),
         (lockstep._half_square, (gr, gi)),
-        (lockstep._armijo_trial, (CLUSTER8.coeffs, np.array(0.5), x, y, wx, wy, a, b)),
+        (lockstep._armijo_trial, (*_bound(CLUSTER8), np.array(0.5), x, y, wx, wy, a, b)),
         (lockstep._eig2, (a, b, c)),
         (lockstep._reflected_solve, (gx, gy, a, b, c, *eig)),
         (lockstep._admits_bnqn, (a, b, c, *eig[:2], gn)),
@@ -1286,7 +1320,7 @@ def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
         args = (x, y, gx, gy, gr, gi, wx, wy)
         before = [_bits(v) for v in args]
         with np.errstate(all="ignore"):
-            got = lockstep._armijo_step(g, *args, failed, cfg)
+            got = lockstep._armijo_step(g, *_bound(g), *args, failed, cfg)
         assert [_bits(v) for v in args] == before
         assert got[4] is failed and not (was & ~failed).any()
         for m, v in enumerate(got[:4]):
@@ -1340,25 +1374,44 @@ def test_compiled_horner_pass_is_horner_bitwise_at_finite_points():
     polys = HORNER_POLYS + _mark_polys(np.random.default_rng(59)) + [Polynomial([2.5 - 1j]), Polynomial([0j])]
     compiled = 0
     for poly in polys:
+        evaluate, horner = _bound(poly)
         with np.errstate(all="ignore"):
-            got = lockstep._evaluate(poly.coeffs, zr, zi)
-            want = lockstep._horner(poly.coeffs, zr, zi)
+            got = evaluate(zr, zi)
+            want = horner(zr, zi)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want], poly
-        compiled += lockstep._entry(poly.coeffs)[2] is not None
+        compiled += evaluate.func is not lockstep._horner
     # all but the polynomials with a -0.0 constant part take a compiled pass
     signed = [p for p in polys if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (p.coeffs[0].real, p.coeffs[0].imag))]
     assert compiled == len(polys) - len(signed) > 40 and signed
 
 
 @pytest.mark.parametrize("constant", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(2.0, -0.0)])
-def test_horner_pass_takes_horner_for_a_negative_zero_constant_part(monkeypatch, constant):
-    calls = []
-    monkeypatch.setattr(lockstep, "_horner", lambda *args, _f=lockstep._horner: calls.append(args[0]) or _f(*args))
-    x, y = np.array([0.5, -2.0]), np.array([1.0, 0.0])
+def test_horner_pass_takes_horner_for_a_negative_zero_constant_part(constant):
+    # the -0.0 part and an infinite divergence radius take _horner; the
+    # other constants, which are == to it or differ from it, take a pass
     for c in (constant, complex(0.0, 0.0), complex(0.0, 3.0)):
-        lockstep._evaluate(Polynomial([c, 1.5, 1.0]).coeffs, x, y)
-    # repr shows the signs of zeros
-    assert [repr(c[0]) for c in calls] == [repr(constant)]
+        for radius in (3.0, math.inf):
+            chosen = lockstep._evaluators(Polynomial([c, 1.5, 1.0]), radius)[0].func
+            assert (chosen is lockstep._horner) == (c is constant or radius == math.inf), (repr(c), radius)
+
+
+def test_armijo_trial_under_an_infinite_bound_takes_horner():
+    # a trial from -1.7975e308 overflows to -inf: there g's pass gives
+    # F = inf, which a bound of +inf would pass, and _horner NaN, which
+    # fails.  A call binds g's pass beside its _horner below a finite
+    # radius, and the trial takes _horner under that bound alone
+    g_pass, g_horner = _bound(Polynomial([1e155, 1e-160]))
+    assert g_pass.func is not lockstep._horner
+    x, y, wx, wy = (np.array([v, v]) for v in (-1.7975e308, 0.0, 1e305, 0.0))
+    slope = np.array([1e300, 1e300])
+    with np.errstate(all="ignore"):
+        for fz in (math.inf, 1e300):
+            xt, yt, gr, gi, ok = lockstep._armijo_trial(g_pass, g_horner, np.array(1.0), x, y, wx, wy, np.array([fz, fz]), slope)
+            assert (xt == -math.inf).all() and not ok.any()
+            want = (g_horner if fz == math.inf else g_pass)(xt, yt)
+            assert [v.tobytes() for v in (gr, gi)] == [v.tobytes() for v in want]
+        # the pass alone would have passed the trial under +inf
+        assert (lockstep._half_square(*g_pass(xt, yt)) == math.inf).all()
 
 
 def test_horner_pass_is_compiled_per_pattern_not_per_value():
@@ -1371,9 +1424,10 @@ def test_horner_pass_is_compiled_per_pattern_not_per_value():
     for a, b in pairs:
         lockstep._horner_pass.cache_clear()
         x, y = np.array([0.5, -2.0]), np.array([1.0, 0.0])
-        ga, gb = (lockstep._evaluate(p.coeffs, x, y) for p in (a, b))
+        (ea, _), (eb, _) = (_bound(p) for p in (a, b))
+        ga, gb = ea(x, y), eb(x, y)
         assert lockstep._horner_pass.cache_info().misses == 1
-        fa, fb = (lockstep._entry(p.coeffs)[2] for p in (a, b))
+        fa, fb = ea.func, eb.func
         assert fa is fb
         # no coefficient value is among the constants of the compiled code
         assert not any(isinstance(c, (float, complex)) for c in fa.__code__.co_consts)
@@ -1397,7 +1451,7 @@ def test_horner_pass_leaves_its_arguments_alone():
     for poly in polys:
         before = x.tobytes(), y.tobytes()
         with np.errstate(all="ignore"):
-            got = lockstep._evaluate(poly.coeffs, x, y)
+            got = _bound(poly)[0](x, y)
         assert (x.tobytes(), y.tobytes()) == before, poly
         assert not any(np.shares_memory(v, u) for v in got for u in (x, y)), poly
         assert not np.shares_memory(*got), poly
@@ -1409,7 +1463,7 @@ def test_sweeps_take_the_compiled_passes_on_nonempty_lanes(monkeypatch, method):
     # gets zero lanes; BNQN and GD keep every lane in the sweep
     monkeypatch.setattr(lockstep, "_TAIL_LANES", 0)
     passes, horner = [], []
-    monkeypatch.setattr(lockstep, "_evaluate", lambda *args, _f=lockstep._evaluate: passes.append(len(args[1])) or _f(*args))
+    monkeypatch.setattr(lockstep, "_horner_pass", _counting_passes(lockstep._horner_pass, passes))
     monkeypatch.setattr(lockstep, "_horner", lambda *args, _f=lockstep._horner: horner.append(len(args[1])) or _f(*args))
     cfg = SolverConfig(max_iter=500, seed=4)
     x0, y0 = (v.ravel() for v in np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20)))
@@ -1584,3 +1638,86 @@ def test_relaxed_iterate_keeps_every_lane(monkeypatch):
     monkeypatch.setattr(lockstep, "_TAIL_LANES", ALL_LANES)
     monkeypatch.setattr(lockstep, "_finish_lane", None)
     test_relaxed_lockstep_matches_scalar_run("z3m1-cap34")
+
+
+def test_equal_polynomials_with_other_zero_signs_keep_their_own_passes(monkeypatch):
+    # 0 - 0i == 0j, so the two g are ==, but Horner's rule keeps the sign of
+    # the -0.0 part: from (-1.5, -0.0) the BNQN, NQN and GD lanes end at a y
+    # of another sign.  Each run, in the order a, b, a, must give its own
+    # g's outputs, those of the same run with _horner forced
+    a, b = Polynomial([complex(0.0, -0.0), 4, 0, 1]), Polynomial([0j, 4, 0, 1])
+    assert a == b
+    x0, y0 = [0.5, 2.0, -1.5, 0.0, 1e-3, 0.3], [-0.0] * 5 + [0.7]
+    cfg = SolverConfig(max_iter=50, seed=3)
+
+    def outputs(method):
+        ends = []
+        for poly in (a, b, a):
+            streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is RRN else None
+            ends.append([v.tobytes() for v in lockstep.iterate(PolyModulusObjective(poly), method, cfg, x0, y0, streams=streams)])
+        return ends
+
+    for method in Method:
+        got = outputs(method)
+        with monkeypatch.context() as m:
+            m.setattr(lockstep, "_horner_pass", lambda real_marks, imag_marks: lockstep._horner)
+            assert got == outputs(method), method
+        assert got[0] == got[2], method
+        if method in (BNQN, NQN, BTGD):
+            assert got[0] != got[1], method
+
+
+@pytest.mark.parametrize("tail", [None, 0, ALL_LANES], ids=["default-tail", "sweep-only", "per-lane-only"])
+@pytest.mark.parametrize("method", [BNQN, BTGD], ids=["bnqn", "btgd"])
+def test_threads_running_iterate_give_the_serial_outputs(monkeypatch, method, tail):
+    # the kernel keeps no state per polynomial between calls, so threads
+    # sweeping two g at once, a real one with real-axis lanes and a complex
+    # one, two threads each, get what a lone call gives, bit for bit; a short
+    # switch interval makes them trade the interpreter often
+    if tail is not None:
+        monkeypatch.setattr(lockstep, "_TAIL_LANES", tail)
+    x0, y0 = (v.ravel() for v in np.meshgrid(np.linspace(-2.0, 2.0, 13), np.linspace(-2.0, 2.0, 13)))
+    cfg = SolverConfig(max_iter=300)
+    objs = [PolyModulusObjective(p) for p in (REAL8, CLUSTER8)]
+
+    def outputs(obj):
+        return [v.tobytes() for v in lockstep.iterate(obj, method, cfg, x0, y0)]
+
+    serial = [outputs(obj) for obj in objs]
+    got = [[] for _ in range(4)]
+    barrier = threading.Barrier(4)
+
+    def worker(n):
+        barrier.wait()
+        for _ in range(2):
+            got[n].append(outputs(objs[n % 2]))
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[serial[n % 2]] * 2 for n in range(4)]
+
+
+BAD_INPUTS = {
+    "no-streams": (RRN, [0.5, 1.0], [0.5, 1.0], None, "needs a stream per start: 2 starts, 0 streams"),
+    "too-few-streams": (RRN, [0.5, 1.0], [0.5, 1.0], 1, "needs a stream per start: 2 starts, 1 streams"),
+    "lengths-differ": (BNQN, [0.5, 1.0], [0.5], None, r"one length, got shapes \(2,\) and \(1,\)"),
+    "lengths-differ-rrn": (RRN, [0.5], [0.5, 1.0], 2, r"one length, got shapes \(1,\) and \(2,\)"),
+    "not-1d": (BTGD, [[0.5, 1.0]], [[0.5, 1.0]], None, r"1-D and of one length"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_iterate_names_bad_inputs_at_entry(case):
+    method, x0, y0, lanes, message = BAD_INPUTS[case]
+    streams = None if lanes is None else TrialStreams(trial_states(0, lanes))
+    with pytest.raises(ValueError, match=message):
+        lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(), x0, y0, streams=streams)

@@ -88,6 +88,17 @@ def test_random_deltas():
     assert SolverConfig(deltas=ds).kappa >= 0.05
 
 
+def test_random_deltas_draws_every_count_at_once():
+    # 14 or more shifts once took a rejection draw that could pack itself
+    # into a set with no room left; the direct draw returns for every count
+    for count in range(2, 21):
+        for seed in range(50):
+            ds = random_deltas(count, seed)
+            assert ds == random_deltas(count, seed) and len(ds) == count
+            assert all(isinstance(d, float) and -1.0 <= d <= 1.0 for d in ds), (count, seed)
+            assert min(abs(a - b) for i, a in enumerate(ds) for b in ds[i + 1:]) >= 0.1, (count, seed)
+
+
 def test_select_delta_examples():
     cfg = SolverConfig(deltas=(0.0, 1.0, 2.0), tau=1.0)
     assert cfg.kappa == 0.5
