@@ -15,7 +15,6 @@ from .complexpoly import (
     parse_polynomial,
     polynomial_to_string,
     relaxed_newton_map,
-    sample_relaxed_alpha,
     schroder_conjugacy_defect,
 )
 from .errors import (
@@ -46,6 +45,7 @@ from .objective import (
     RationalModulusObjective,
     classify_limit,
 )
+from .streams import sample_relaxed_alpha
 from .solvers import (
     IterationTrace,
     Method,

@@ -168,9 +168,9 @@ def render_basin(
     limit may match a different root.  Random relaxed Newton always runs
     every cell.
 
-    Deterministic given cfg.seed: the random relaxed variant seeds cell
-    (i, j) with ``default_rng((seed, i, j))`` and draws its factors from the
-    disk |alpha - 1| <= cfg.rho.
+    Deterministic given cfg.seed: the random relaxed variant runs cell
+    (i, j) as trial i*ny + j of ``bnqn.streams``, drawing its factors from
+    the disk |alpha - 1| <= cfg.rho as ``run(..., trial=i*ny + j)`` does.
     Per-point failures land as Undecided; the sweep never aborts.
     """
     _check_class_tol(class_tol)
@@ -180,16 +180,11 @@ def render_basin(
     obj = PolyModulusObjective(Polynomial(g.coeffs))
     xs = np.array([grid.x_coord(i) for i in range(grid.nx)])
     ys = np.array([grid.y_coord(j) for j in range(grid.ny)])
-    lanes = None
     half = 0
-    if method is Method.RANDOM_RELAXED_NEWTON_1D:
-        # each cell draws from its own stream, so no two cells mirror
-        lanes = streams.TrialStreams(streams.cell_states(cfg.seed, grid.nx, grid.ny))
-    elif obj.g.is_real and np.array_equal(ys[::-1], -ys):
+    # random relaxed cells draw their own factors, so no two cells mirror
+    if method is not Method.RANDOM_RELAXED_NEWTON_1D and obj.g.is_real and np.array_equal(ys[::-1], -ys):
         half = grid.ny // 2
-    ends = lockstep.iterate(
-        obj, method, cfg, np.repeat(xs, grid.ny - half), np.tile(ys[half:], grid.nx), streams=lanes
-    )
+    ends = lockstep.iterate(obj, method, cfg, np.repeat(xs, grid.ny - half), np.tile(ys[half:], grid.nx))
     # the swept row that each grid row takes: row j < half mirrors row ny-1-j
     rows = np.r_[grid.ny - 1 : grid.ny - 1 - half : -1, half : grid.ny] - half
     x, y, steps, codes = (v.reshape(grid.nx, -1)[:, rows] for v in ends)
@@ -231,13 +226,12 @@ class RrnReport:
 def _trial_labels(obj: PolyModulusObjective, cfg: SolverConfig, trials: int):
     """``(labels, table)`` of the trials, as ``_lane_labels`` gives them.
 
-    Trial t draws its start and its relaxation factors from the stream of
-    ``default_rng((cfg.seed, t))``, exactly as a scalar ``run`` of that trial
-    would, and ends and classifies (at run's default ``class_tol``) as it does.
+    Trial t starts at ``streams.trial_starts`` and draws its relaxation
+    factors as a scalar ``run(..., trial=t)`` from there would, and ends and
+    classifies (at run's default ``class_tol``) as it does.
     """
-    lanes = streams.TrialStreams(streams.trial_states(cfg.seed, trials))
-    x0, y0 = lanes.uniform(-3.0, 3.0, 2)
-    ends = lockstep.iterate(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0, streams=lanes)
+    x0, y0 = streams.trial_starts(streams.seed_key(cfg.seed), np.arange(trials))
+    ends = lockstep.iterate(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, x0, y0)
     labels, _, table = _lane_labels(obj, Method.RANDOM_RELAXED_NEWTON_1D, cfg, *ends, CLASS_TOL)
     return labels, table
 
@@ -246,13 +240,14 @@ def run_rrn_experiment(p: Polynomial, rho: float, trials: int, max_iter: int, se
     """Sample starts uniformly in [-3, 3]^2 and iterate with a fresh random
     relaxation factor per step; count which root each trial reaches.
 
-    Trials are independent (per-trial derived seeds) and run serially in
-    lockstep; non-convergence is data, not an error.
+    Trial t's start and factors are pure functions of (seed, t, step)
+    (``bnqn.streams``), and the trials run serially in lockstep;
+    non-convergence is data, not an error.
     """
     cfg = SolverConfig(max_iter=max_iter, seed=seed, rho=rho)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if trials > 2**32:  # trial t's stream index is one uint32 word
+    if trials > 2**32:  # trial t has a 32-bit field in the draws' counter
         raise ValueError(f"trials must be at most 2**32, got {trials}")
     obj = PolyModulusObjective(p)
     roots = obj.roots()

@@ -71,7 +71,7 @@ def _add_solver_flags(parser):
     parser.add_argument("--theta", type=float, default=_DEFAULTS.theta, help="direction cap factor (default: %(default)s)")
     parser.add_argument("--gamma0", type=float, default=_DEFAULTS.gamma0, help="initial backtracking step (default: %(default)s)")
     parser.add_argument("--tol", type=float, default=_DEFAULTS.grad_tol, help="gradient-norm stopping tolerance (default: %(default)s)")
-    parser.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter, help="iteration cap (default: %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter, help="iteration cap, at most 2**25 - 1 for rrn1d (default: %(default)s)")
 
 
 def _add_run_flags(parser):
@@ -126,7 +126,7 @@ def build_parser() -> _Parser:
     _add_poly_flags(rrn)
     rrn.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius, in (0.5, 1) (default: %(default)s)")
     rrn.add_argument("--trials", type=int, default=500, help="number of sampled initial points (default: %(default)s)")
-    rrn.add_argument("--max-iter", type=int, default=2000, help="iteration cap per trial (default: %(default)s)")
+    rrn.add_argument("--max-iter", type=int, default=2000, help="iteration cap per trial, at most 2**25 - 1 (default: %(default)s)")
     rrn.add_argument("--seed", type=int, default=7, help="experiment seed (default: %(default)s)")
     return parser
 
@@ -171,7 +171,7 @@ def _cmd_solve(args, out) -> int:
     obj = PolyModulusObjective(poly)
     method = Method(args.method)
     z0 = _numbers(args.z0, "--z0", 2)
-    # rrn1d draws from run's own default_rng(cfg.seed), and cfg.seed is --seed
+    # rrn1d draws as trial 0 of cfg.seed, which is --seed (bnqn.streams)
     trace = run(obj, z0, method, cfg, class_tol=args.class_tol)
     if args.trace:
         export_trace_csv(trace, args.trace)

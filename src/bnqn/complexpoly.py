@@ -26,7 +26,6 @@ __all__ = [
     "pole_scale",
     "polynomial_to_string",
     "relaxed_newton_map",
-    "sample_relaxed_alpha",
     "schroder_conjugacy_defect",
 ]
 
@@ -159,20 +158,6 @@ def relaxed_newton_map(p: Polynomial, z, alpha) -> complex:
     dpz = p.derivative()(z)
     _check_derivative(p, z, dpz)
     return z - complex(alpha) * (p(z) / dpz)
-
-
-def sample_relaxed_alpha(rho: float, rng) -> complex:
-    """Draw alpha uniformly (area measure) from |alpha - 1| <= rho.
-
-    Rejection sampling from the bounding square; deterministic for a fixed
-    ``numpy.random.Generator``.
-    """
-    rr = rho * rho
-    while True:
-        u = rng.uniform(-rho, rho)
-        v = rng.uniform(-rho, rho)
-        if u * u + v * v <= rr:
-            return complex(1.0 + u, v)
 
 
 def bisector_newton_map(y: float) -> float:

@@ -18,7 +18,8 @@ sweep compacts its arrays only when some lane stops or fails, and ends as
 soon as a compaction leaves no lane.  NQN and Newton optimization (one
 batched ``numpy.linalg.solve``) take the full step z - w.  Newton's map
 takes z - g(z)/g'(z), and random relaxed Newton z - alpha*g(z)/g'(z), with
-each lane drawing alpha from its own random stream (``bnqn.streams``).
+each lane's alpha a pure function of (seed, its lane index, the sweep's
+step count) (``bnqn.streams``).
 
 The kernel reproduces the scalar ``solvers.run`` bit for bit, so it keeps
 that loop's exact floating-point operations:
@@ -195,7 +196,7 @@ from .complexpoly import pole_scale
 from .linalg import _eig2_solve, _eig2_system, hypot
 from .objective import PolyModulusObjective
 from .solvers import _ARMIJO_FACTOR, _SHRINK_FACTOR, _UNDERFLOW_LIMIT, Method, SolverConfig, _shift_scale
-from .streams import TrialStreams, _RelaxationDraws, lane_blocks
+from .streams import check_bounds, relaxation_factors, seed_key
 
 __all__ = ["CAPPED", "FAILED", "STOPPED", "iterate"]
 
@@ -871,15 +872,7 @@ def _finish_lane(obj: PolyModulusObjective, hessian: bool, cfg: SolverConfig, x,
         k += 1
 
 
-def iterate(
-    obj: PolyModulusObjective,
-    method: Method,
-    cfg: SolverConfig,
-    x0,
-    y0,
-    *,
-    streams: TrialStreams | None = None,
-):
+def iterate(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0):
     """Run ``method`` from every start (x0[i], y0[i]) in lockstep.
 
     Returns ``(x, y, steps, outcome)`` arrays: each lane's last point, the
@@ -887,31 +880,18 @@ def iterate(
     and GD lanes finish one by one in ``_finish_lane`` once a sweep starts
     with at most ``_TAIL_LANES`` of them.
 
-    Random relaxed Newton needs ``streams``, one per lane, in the state
-    ``run``'s generator would be in, and draws its factors from the disk
-    |alpha - 1| <= cfg.rho; its lanes run in blocks of
-    ``streams.lane_blocks``.  A ``ValueError`` names starts that are not two
-    1-D arrays of one length, and missing or too few streams.
+    Random relaxed Newton runs lane i as trial i: it draws its factor at
+    step k as ``run(..., trial=i)`` does, from the disk |alpha - 1| <=
+    cfg.rho.  A ``ValueError`` names starts that are not two 1-D arrays of
+    one length, and a relaxed ``cfg.max_iter`` past ``streams.check_bounds``.
     """
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     if x0.ndim != 1 or x0.shape != y0.shape:
         raise ValueError(f"x0 and y0 must be 1-D and of one length, got shapes {x0.shape} and {y0.shape}")
     relaxed = method is Method.RANDOM_RELAXED_NEWTON_1D
-    if relaxed and len(streams or ()) < len(x0):
-        raise ValueError(f"random relaxed Newton needs a stream per start: {len(x0)} starts, {len(streams or ())} streams")
-    # no starts make no blocks, but still four empty arrays
-    if not (relaxed and len(x0)):
-        return _sweep(obj, method, cfg, x0, y0)
-    blocks = []
-    for first, stop in lane_blocks(len(x0)):
-        draws = _RelaxationDraws(streams, cfg.rho, first, stop)
-        blocks.append(_sweep(obj, method, cfg, x0[first:stop], y0[first:stop], draws))
-    return tuple(np.concatenate(v) for v in zip(*blocks))
-
-
-def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0, draws=None):
-    """``iterate`` for one block of lanes; relaxed lanes take their factors
-    from ``draws``."""
+    if relaxed:
+        check_bounds(cfg.max_iter)
+        key = seed_key(cfg.seed)
     hessian = method in _HESSIAN
     armijo = method in _ARMIJO
     newton = not (hessian or armijo)
@@ -1018,7 +998,7 @@ def _sweep(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0,
                     wx, wy, failed = _newton_direction(gx, gy, a, b, c)
                 xn, yn = x - wx, y - wy
             else:
-                alpha = None if draws is None else draws.take(lane)
+                alpha = relaxation_factors(cfg.rho, key, lane, k) if relaxed else None
                 xn, yn, failed = _relaxed_step(x, y, zn, gr, gi, dr, di, alpha, obj.g.degree)
             gone = failed.nonzero()[0]
             if gone.size:

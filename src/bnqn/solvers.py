@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexpoly import newton_map_1d, relaxed_newton_map, sample_relaxed_alpha
+from .complexpoly import newton_map_1d, relaxed_newton_map
 from .errors import BnqnError, LineSearchUnderflow, NoAdmissibleDelta, SingularMatrix
 from .linalg import SymmetricMatrix, hypot, minsp, reflected_direction
 from .objective import CLASS_TOL, UNDECIDED, LimitClass, ObjectiveFunction, PolyModulusObjective, _check_class_tol
+from .streams import check_bounds, sample_relaxed_alpha, seed_key
 
 __all__ = [
     "IterationTrace",
@@ -98,8 +99,7 @@ class SolverConfig:
             raise ValueError("grad_tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not self.seed >= 0:  # numpy's SeedSequence message
-            raise ValueError("expected non-negative integer")
+        seed_key(self.seed)  # rejects a negative seed
         if not 0.5 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0.5, 1), got {self.rho}")
         object.__setattr__(self, "kappa", 0.5 * gap)
@@ -226,21 +226,22 @@ def _armijo(f, z, w_hat, grad, cfg: SolverConfig):
             )
 
 
-# Every step takes (f, z, grad, grad_norm, hess, cfg, rng) and returns
+# Every step takes (f, z, grad, grad_norm, hess, cfg, draw) and returns
 # (z_next, gamma, delta_index); hess is None for the methods that need none,
-# and rng is read by rrn1d alone.
+# and draw, the (key, trial, step) of the step's relaxation factor, is read
+# by rrn1d alone.
 
-def _bnqn_step(f, z, grad, grad_norm, hess, cfg, rng):
+def _bnqn_step(f, z, grad, grad_norm, hess, cfg, draw):
     j, shifted = select_delta(hess, grad_norm, cfg)
     w = reflected_direction(shifted, grad)
     return *_armijo(f, z, w / max(1.0, cfg.theta * _norm(w)), grad, cfg), j
 
 
-def _btgd_step(f, z, grad, grad_norm, hess, cfg, rng):
+def _btgd_step(f, z, grad, grad_norm, hess, cfg, draw):
     return *_armijo(f, z, grad / max(1.0, cfg.theta * grad_norm), grad, cfg), -1
 
 
-def _nqn_step(f, z, grad, grad_norm, hess, cfg, rng):
+def _nqn_step(f, z, grad, grad_norm, hess, cfg, draw):
     """Full reflected step, no line search, on the first shift that leaves
     the Hessian finite with a determinant other than 0.0."""
     scale = _shift_scale(grad_norm, cfg.tau)
@@ -260,7 +261,7 @@ def _determinant(matrix: SymmetricMatrix) -> float:
     return float(np.linalg.det(matrix.full()))
 
 
-def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, rng):
+def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, draw):
     """Classical Newton optimization step z - H^-1 grad."""
     if not all(map(math.isfinite, hess.upper)):
         raise SingularMatrix(f"Hessian has a non-finite entry at {z}")
@@ -271,13 +272,13 @@ def _newton_opt_step(f, z, grad, grad_norm, hess, cfg, rng):
     return z - step, 1.0, -1
 
 
-def _newton_1d_step(f, z, grad, grad_norm, hess, cfg, rng):
+def _newton_1d_step(f, z, grad, grad_norm, hess, cfg, draw):
     w = newton_map_1d(f.g, complex(z[0], z[1]))
     return np.array([w.real, w.imag]), 1.0, -1
 
 
-def _relaxed_newton_1d_step(f, z, grad, grad_norm, hess, cfg, rng):
-    w = relaxed_newton_map(f.g, complex(z[0], z[1]), sample_relaxed_alpha(cfg.rho, rng))
+def _relaxed_newton_1d_step(f, z, grad, grad_norm, hess, cfg, draw):
+    w = relaxed_newton_map(f.g, complex(z[0], z[1]), sample_relaxed_alpha(cfg.rho, *draw))
     return np.array([w.real, w.imag]), 1.0, -1
 
 
@@ -299,7 +300,7 @@ def run(
     method: Method,
     cfg: SolverConfig | None = None,
     *,
-    rng=None,
+    trial: int = 0,
     class_tol: float = CLASS_TOL,
 ) -> IterationTrace:
     """Iterate ``method`` from ``z0`` until convergence, divergence, or the cap.
@@ -311,8 +312,10 @@ def run(
 
     The one-complex-variable methods need a polynomial-modulus objective and
     iterate its polynomial directly; the random relaxed variant draws a fresh
-    relaxation factor per step from the disk |alpha - 1| <= cfg.rho, with
-    ``rng`` (``default_rng(cfg.seed)`` when not given).
+    relaxation factor per step from the disk |alpha - 1| <= cfg.rho, step
+    k's a pure function of (cfg.seed, ``trial``, k) (``bnqn.streams``); a
+    ``trial`` or ``cfg.max_iter`` past ``streams.check_bounds`` raises
+    ``ValueError``.
     """
     _check_class_tol(class_tol)
     if cfg is None:
@@ -329,8 +332,9 @@ def run(
             raise TypeError("the one-variable methods need a PolyModulusObjective")
         if len(z) != 2:
             raise ValueError("the one-variable methods iterate in the complex plane")
-    if rng is None and method is Method.RANDOM_RELAXED_NEWTON_1D:
-        rng = np.random.default_rng(cfg.seed)
+    if method is Method.RANDOM_RELAXED_NEWTON_1D:
+        check_bounds(cfg.max_iter, trial)
+    key = seed_key(cfg.seed)
 
     points = [z]
     step_sizes: list[float] = []
@@ -362,7 +366,7 @@ def run(
                 hit_cap = True
                 break
             try:
-                z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, rng)
+                z_next, gamma, dj = step(f, z, grad, gn, hess, cfg, (key, trial, len(step_sizes)))
             except BnqnError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
                 break

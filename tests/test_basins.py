@@ -20,8 +20,8 @@ from bnqn.basins import (
 )
 from bnqn.complexpoly import Polynomial
 from bnqn.objective import DIVERGED, UNDECIDED, LimitClass, PolyModulusObjective
-from bnqn.solvers import Method, SolverConfig
-from bnqn.streams import TrialStreams, cell_states
+from bnqn.solvers import Method, SolverConfig, run
+from bnqn.streams import sample_relaxed_alpha, seed_key
 from support import nearest_root_index
 
 Z2M1 = Polynomial([-1, 0, 1])
@@ -262,17 +262,30 @@ def test_render_basin_deterministic_across_runs_and_seeds():
     assert other_seed.iterations.tolist() != one.iterations.tolist()
 
 
-def test_cell_rng_streams_differ_across_seeds_and_cells():
-    # cell (i, j) of seed s takes the PCG64 (state, inc) of
-    # default_rng((s, i, j)); seeding with seed ^ (i*ny + j) gave seed 0 at
-    # cell (0, 1) the stream of seed 1 at cell (0, 0)
+def test_cell_rng_streams_differ_across_seeds_and_cells(monkeypatch):
+    # cell (i, j) of seed s is trial i*ny + j of seed s's draws, and ends
+    # where the scalar run of that trial does; seeding with seed ^ (i*ny + j)
+    # gave seed 0 at cell (0, 1) the stream of seed 1 at cell (0, 0)
+    grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 3, 4)
+    obj = PolyModulusObjective(Z3M1)
+    swept, real_iterate = [], lockstep.iterate
+
+    def recorded(*args, **kwargs):
+        swept.append(real_iterate(*args, **kwargs))
+        return swept[-1]
+
+    monkeypatch.setattr(lockstep, "iterate", recorded)
+    firsts = set()
     for seed in (0, 1, 5, 2**32, 2**64 + 3):
-        streams = TrialStreams(cell_states(seed, 3, 4))
+        cfg = SolverConfig(max_iter=3, seed=seed)
+        render_basin(Z3M1, grid, Method.RANDOM_RELAXED_NEWTON_1D, cfg)
+        x, y, _, _ = swept[-1]
         for n in range(12):
-            want = np.random.default_rng((seed, *divmod(n, 4))).bit_generator.state["state"]
-            got = [int(v[n]) for v in (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)]
-            assert (got[0] << 64 | got[1], got[2] << 64 | got[3]) == (want["state"], want["inc"]), (seed, n)
-    assert cell_states(0, 1, 2)[1].tolist() != cell_states(1, 1, 1)[0].tolist()
+            want = run(obj, grid.point(*divmod(n, 4)), Method.RANDOM_RELAXED_NEWTON_1D, cfg, trial=n).final_point
+            assert support.same_bits(x[n], want[0]) and support.same_bits(y[n], want[1]), (seed, n)
+            firsts.add(sample_relaxed_alpha(cfg.rho, seed_key(seed), n, 0))
+    assert len(firsts) == 5 * 12
+    assert sample_relaxed_alpha(0.7, seed_key(0), 1, 0) != sample_relaxed_alpha(0.7, seed_key(1), 0, 0)
 
 
 @pytest.mark.parametrize("class_tol", [math.nan, -1.0])
@@ -526,7 +539,7 @@ def test_half_sweep_matches_the_full_sweep(monkeypatch):
         # windows not symmetric about y = 0
         (Z3M1, GridSpec(-2.0, 2.0, -2.0, 2.5, 9, 9), Method.BNQN_NEW_VARIANT),
         (Z3M1, GridSpec(-2.0, 2.0, -2.0, math.nextafter(2.0, 3.0), 9, 8), Method.NEWTON_1D),
-        # each rrn1d cell draws from its own stream
+        # each rrn1d cell draws as its own trial
         (Z3M1, GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9), Method.RANDOM_RELAXED_NEWTON_1D),
     ],
     ids=["complex", "complex-tiny", "window", "window-ulp", "rrn1d"],

@@ -16,11 +16,11 @@ from bnqn.complexpoly import (
     pole_scale,
     polynomial_to_string,
     relaxed_newton_map,
-    sample_relaxed_alpha,
     schroder_conjugacy_defect,
 )
 from bnqn.errors import DerivativeVanishes, NoConvergence, PoleHit
 from bnqn.solvers import SolverConfig
+from bnqn.streams import sample_relaxed_alpha, seed_key
 from support import same_bits
 from test_lockstep import CLUSTER8, CLUSTER8_ROOTS
 
@@ -170,22 +170,20 @@ def test_relaxation_disk_validation():
 
 
 def test_sampler_membership_and_determinism():
-    rho = 0.7
-    draws = [sample_relaxed_alpha(rho, np.random.default_rng(5)) for _ in range(10)]
-    assert all(d == draws[0] for d in draws)  # fixed seed, fixed draw
-    rng = np.random.default_rng(5)
-    for _ in range(2000):
-        d = sample_relaxed_alpha(rho, rng)
+    rho, key = 0.7, seed_key(5)
+    draws = [sample_relaxed_alpha(rho, key, 3, 11) for _ in range(10)]
+    assert all(d == draws[0] for d in draws)  # fixed (seed, trial, step), fixed draw
+    for step in range(2000):
+        d = sample_relaxed_alpha(rho, key, 3, step)
         assert abs(d - 1.0) <= 0.7
 
 
 def test_sampler_statistics():
     # Monte-Carlo oracles: a uniform disk has its centroid at the center and
     # the concentric half-area disk holds half the mass.
-    rho = 0.7
-    rng = np.random.default_rng(123)
+    rho, key = 0.7, seed_key(123)
     n = 100_000
-    draws = [sample_relaxed_alpha(rho, rng) for _ in range(n)]
+    draws = [sample_relaxed_alpha(rho, key, t, step) for t in range(n // 100) for step in range(100)]
     mean = sum(draws) / n
     se = (0.7 / 2.0) / math.sqrt(n)  # per-coordinate std of a uniform disk is rho/2
     assert abs(mean - 1.0) <= 3.0 * se * math.sqrt(2.0)

@@ -31,7 +31,6 @@ from bnqn import lockstep
 from bnqn.complexpoly import Polynomial
 from bnqn.objective import PolyModulusObjective
 from bnqn.solvers import Method, SolverConfig
-from bnqn.streams import TrialStreams, trial_states
 
 PARTS = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]
 STARTS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e200, -1e200, 1e-170, -1e-170]
@@ -81,7 +80,6 @@ def random_case(rng):
 
 
 def _iterate(obj, method, cfg, x0, y0, tail, horner):
-    streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is Method.RANDOM_RELAXED_NEWTON_1D else None
     saved = lockstep._TAIL_LANES, lockstep._horner_pass
     lockstep._TAIL_LANES = tail
     if horner:
@@ -89,7 +87,7 @@ def _iterate(obj, method, cfg, x0, y0, tail, horner):
         lockstep._horner_pass = lambda real_marks, imag_marks: lockstep._horner
     try:
         with np.errstate(all="ignore"):
-            return [v.tobytes() for v in lockstep.iterate(obj, method, cfg, x0, y0, streams=streams)]
+            return [v.tobytes() for v in lockstep.iterate(obj, method, cfg, x0, y0)]
     finally:
         lockstep._TAIL_LANES, lockstep._horner_pass = saved
 

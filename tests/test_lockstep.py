@@ -18,10 +18,10 @@ never in the sweep-only mode, and one case drives them to a gamma
 underflow.  The NQN and Newton
 directions are checked against the scalar step on crafted singular
 and non-finite Hessians.  Random relaxed Newton is checked trial by trial
-against ``run`` with the trial's own generator, straight out of ``iterate``
-and through the ``rrn`` experiment, cell by cell through ``render_basin``,
+against ``run`` of the same trial id, straight out of ``iterate`` and
+through the ``rrn`` experiment, cell by cell through ``render_basin``,
 and its primitives against Python's: the complex quotient and the pole
-test.  The random streams themselves are checked in ``test_streams.py``.
+test.  The draws themselves are checked in ``test_streams.py``.
 """
 
 import functools
@@ -41,7 +41,7 @@ from bnqn.errors import BnqnError, DerivativeVanishes, NoAdmissibleDelta, NoConv
 from bnqn.linalg import SymmetricMatrix, _eig2_system, hypot, minsp, reflected_direction
 from bnqn.objective import DIVERGED, UNDECIDED, PolyModulusObjective
 from bnqn.solvers import _STEPS, Method, SolverConfig, run, select_delta
-from bnqn.streams import _BLOCK_LANES, TrialStreams, cell_states, trial_states
+from bnqn.streams import seed_key, trial_starts
 from support import same_bits
 
 BNQN = Method.BNQN_NEW_VARIANT
@@ -784,9 +784,8 @@ def test_nan_lanes_end_capped_without_stepping(monkeypatch, method):
     nan, inf = math.nan, math.inf
     x0, y0 = [nan, 1.0, nan, nan, inf, 0.5], [0.5, nan, inf, -inf, nan, 0.5]
     cfg = SolverConfig(max_iter=3000, seed=2)
-    streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is RRN else None
     obj = PolyModulusObjective(Z3M1)
-    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0, streams=streams)
+    x, y, steps, codes = lockstep.iterate(obj, method, cfg, x0, y0)
     assert codes.tolist() == [lockstep.CAPPED] * 2 + [lockstep.STOPPED] * 4
     assert steps.tolist()[:5] == [3000, 3000, 0, 0, 0]
     assert np.isnan(x[:2]).all() and np.isnan(y[:2]).all()
@@ -839,16 +838,14 @@ def test_no_kernel_pass_gets_zero_lanes(monkeypatch, method):
     else:
         fails = Z25M1, cfg, [5e7], [5e7]
     for g, c, xs, ys in ((Z3M1, cfg, x0, y0), fails):
-        streams = TrialStreams(trial_states(c.seed, len(xs))) if method is RRN else None
-        codes = lockstep.iterate(PolyModulusObjective(g), method, c, xs, ys, streams=streams)[3]
+        codes = lockstep.iterate(PolyModulusObjective(g), method, c, xs, ys)[3]
     assert codes.tolist() == [lockstep.FAILED]
     assert passes and 0 not in passes
 
 
 @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
 def test_iterate_with_no_starts_returns_four_empty_arrays(method):
-    streams = TrialStreams(trial_states(0, 0)) if method is RRN else None
-    got = lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(), [], [], streams=streams)
+    got = lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(), [], [])
     assert [(v.shape, v.dtype) for v in got] == [((0,), np.float64)] * 2 + [((0,), np.int_), ((0,), np.int8)]
 
 
@@ -1328,8 +1325,7 @@ def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
     # and iterate leaves its starts alone, for every method
     for method in Method:
         x0, y0 = x.copy(), y.copy()
-        streams = TrialStreams(trial_states(5, n)) if method is RRN else None
-        got = lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(max_iter=20), x0, y0, streams=streams)
+        got = lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(max_iter=20), x0, y0)
         assert x0.tobytes() == x.tobytes() and y0.tobytes() == y.tobytes(), method
         assert not any(np.shares_memory(v, u) for v in got for u in (x0, y0)), method
 
@@ -1467,8 +1463,7 @@ def test_sweeps_take_the_compiled_passes_on_nonempty_lanes(monkeypatch, method):
     monkeypatch.setattr(lockstep, "_horner", lambda *args, _f=lockstep._horner: horner.append(len(args[1])) or _f(*args))
     cfg = SolverConfig(max_iter=500, seed=4)
     x0, y0 = (v.ravel() for v in np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20)))
-    streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is RRN else None
-    lockstep.iterate(PolyModulusObjective(Z3M1), method, cfg, x0, y0, streams=streams)
+    lockstep.iterate(PolyModulusObjective(Z3M1), method, cfg, x0, y0)
     assert len(passes) > 10 and 0 not in passes and not horner
 
 
@@ -1542,10 +1537,9 @@ RRN_CASES = {
 
 def _scalar_rrn(obj, cfg, t, z0=None):
     """Trial t as the scalar loop runs it: the trace, its start and root index."""
-    rng = np.random.default_rng((cfg.seed, t))
     if z0 is None:
-        z0 = rng.uniform(-3.0, 3.0, 2)
-    trace = run(obj, z0, RRN, cfg, rng=rng)
+        z0 = [float(v[0]) for v in trial_starts(seed_key(cfg.seed), np.array([t], dtype=np.uint64))]
+    trace = run(obj, z0, RRN, cfg, trial=t)
     return trace, z0, trace.terminal.root_index if trace.terminal.is_root else -1
 
 
@@ -1556,11 +1550,8 @@ def test_relaxed_lockstep_matches_scalar_run(case):
     n = trials if starts is None else len(starts)
     obj, cfg = PolyModulusObjective(poly), replace(cfg, rho=rho)
     scalar = [_scalar_rrn(obj, cfg, t, None if starts is None else starts[t]) for t in range(n)]
-    streams = TrialStreams(trial_states(cfg.seed, n))
-    if starts is None:
-        streams.uniform(-3.0, 3.0, 2)  # the start comes first
     x0, y0 = np.array([z0 for _, z0, _ in scalar], dtype=float).T
-    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams)
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0)
     stopped = codes == lockstep.STOPPED
     labels, table = obj.classify_many(x[stopped], y[stopped], 1e-6, roots_only=True)
     roots = np.full(n, -1)
@@ -1582,11 +1573,10 @@ def test_relaxed_lockstep_matches_scalar_run(case):
         assert codes[0] == lockstep.CAPPED and math.isnan(x[0])
 
 
-@pytest.mark.parametrize("lanes", [_BLOCK_LANES, 10])
-def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes):
-    # one trial past full blocks: the last trial runs alone in the last block
-    monkeypatch.setattr("bnqn.streams._BLOCK_LANES", lanes)
-    trials = lanes + 1 if lanes > 10 else 3 * lanes + 1
+@pytest.mark.parametrize("trials", [1025, 3000])
+def test_rrn_experiment_matches_scalar_run_across_the_old_block_boundaries(trials):
+    # every trial runs in one sweep; these counts pass the 1024-lane blocks
+    # that relaxed lanes once ran in, by one trial and by nearly two blocks
     cfg = SolverConfig(max_iter=40, seed=31, rho=0.7)
     obj = PolyModulusObjective(Z3M1)
     labels, table = basins._trial_labels(obj, cfg, trials)
@@ -1595,33 +1585,27 @@ def test_rrn_experiment_matches_scalar_run_across_lane_blocks(monkeypatch, lanes
     got = [table[k].root_index if table[k].is_root else -1 for k in labels]
     want = [root for _, _, root in scalar]
     assert got == want
-    assert want[-1] >= 0 and -1 in want  # the last trial reaches a root; some do not
+    assert want[1024] >= 0 and -1 in want  # trial 1024, past the old first block, reaches a root; some do not
     report = basins.run_rrn_experiment(Z3M1, 0.7, trials, 40, 31)
     assert report.per_root_counts == tuple(want.count(k) for k in range(3))
 
 
-@functools.cache
-def _cell_oracle(seed, grid, cfg):
-    """Each cell's scalar trace, cell (i, j) on ``default_rng((seed, i, j))``."""
+@pytest.mark.parametrize("cells", [100, 1024])
+def test_relaxed_basin_cells_match_scalar_run(cells):
+    # the grids are not square, so that swapped cell indices would show; all
+    # their cells, cell (i, j) trial i*ny + j, run in one sweep.  The larger
+    # grid runs at a cap of 34 steps, so that capped (Undecided) cells are
+    # compared too
+    nx, ny, max_iter = {100: (25, 4, 300), 1024: (64, 16, 34)}[cells]
+    grid, cfg = GridSpec(*SQUARE, nx, ny), SolverConfig(max_iter=max_iter, seed=5, rho=0.7)
     obj = PolyModulusObjective(Z3M1)
-    return {
-        (i, j): run(obj, grid.point(i, j), RRN, cfg, rng=np.random.default_rng((seed, i, j)))
+    traces = {
+        (i, j): run(obj, grid.point(i, j), RRN, cfg, trial=i * grid.ny + j)
         for i in range(grid.nx)
         for j in range(grid.ny)
     }
-
-
-@pytest.mark.parametrize("lanes", [_BLOCK_LANES, 100])
-def test_relaxed_basin_cells_match_scalar_run(monkeypatch, lanes):
-    # the grid is not square, so that swapped cell indices would show; with
-    # 100-lane blocks the cells span nine blocks
-    monkeypatch.setattr("bnqn.streams._BLOCK_LANES", lanes)
-    grid, cfg = GridSpec(*SQUARE, 31, 27), SolverConfig(max_iter=300, seed=5, rho=0.7)
-    obj = PolyModulusObjective(Z3M1)
-    traces = _cell_oracle(5, grid, cfg)
     x0, y0 = np.array(list(map(grid.point, *zip(*traces)))).T
-    streams = TrialStreams(cell_states(5, grid.nx, grid.ny))
-    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0, streams=streams)
+    x, y, steps, codes = lockstep.iterate(obj, RRN, cfg, x0, y0)
     basin = render_basin(Z3M1, grid, RRN, cfg)
     for n, ((i, j), want) in enumerate(traces.items()):
         fx, fy = want.final_point
@@ -1630,11 +1614,12 @@ def test_relaxed_basin_cells_match_scalar_run(monkeypatch, lanes):
         assert (codes[n] == lockstep.FAILED) == (want.failure is not None), (i, j)
         assert (basin.classes[i][j], basin.iterations[i, j]) == (want.terminal, want.iterations), (i, j)
     assert {cls.root_index for column in basin.classes for cls in column} >= {0, 1, 2}
+    capped = [want.iterations == cfg.max_iter and want.terminal == UNDECIDED for want in traces.values()]
+    assert any(capped) == (max_iter == 34)
 
 
 def test_relaxed_iterate_keeps_every_lane(monkeypatch):
-    # relaxed lanes never reach the per-lane loop, however few are left:
-    # their streams have been drawn ahead in blocks
+    # relaxed lanes never reach the per-lane loop, however few are left
     monkeypatch.setattr(lockstep, "_TAIL_LANES", ALL_LANES)
     monkeypatch.setattr(lockstep, "_finish_lane", None)
     test_relaxed_lockstep_matches_scalar_run("z3m1-cap34")
@@ -1653,8 +1638,7 @@ def test_equal_polynomials_with_other_zero_signs_keep_their_own_passes(monkeypat
     def outputs(method):
         ends = []
         for poly in (a, b, a):
-            streams = TrialStreams(trial_states(cfg.seed, len(x0))) if method is RRN else None
-            ends.append([v.tobytes() for v in lockstep.iterate(PolyModulusObjective(poly), method, cfg, x0, y0, streams=streams)])
+            ends.append([v.tobytes() for v in lockstep.iterate(PolyModulusObjective(poly), method, cfg, x0, y0)])
         return ends
 
     for method in Method:
@@ -1707,17 +1691,16 @@ def test_threads_running_iterate_give_the_serial_outputs(monkeypatch, method, ta
 
 
 BAD_INPUTS = {
-    "no-streams": (RRN, [0.5, 1.0], [0.5, 1.0], None, "needs a stream per start: 2 starts, 0 streams"),
-    "too-few-streams": (RRN, [0.5, 1.0], [0.5, 1.0], 1, "needs a stream per start: 2 starts, 1 streams"),
-    "lengths-differ": (BNQN, [0.5, 1.0], [0.5], None, r"one length, got shapes \(2,\) and \(1,\)"),
-    "lengths-differ-rrn": (RRN, [0.5], [0.5, 1.0], 2, r"one length, got shapes \(1,\) and \(2,\)"),
-    "not-1d": (BTGD, [[0.5, 1.0]], [[0.5, 1.0]], None, r"1-D and of one length"),
+    "lengths-differ": (BNQN, [0.5, 1.0], [0.5], 50, r"one length, got shapes \(2,\) and \(1,\)"),
+    "lengths-differ-rrn": (RRN, [0.5], [0.5, 1.0], 50, r"one length, got shapes \(1,\) and \(2,\)"),
+    "not-1d": (BTGD, [[0.5, 1.0]], [[0.5, 1.0]], 50, r"1-D and of one length"),
+    # step 2**25 - 1 is the start's; a larger cap would draw there
+    "rrn-max-iter-past-the-step-field": (RRN, [0.5], [0.5], 2**25, r"max_iter must be at most 2\*\*25 - 1, got 33554432"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_iterate_names_bad_inputs_at_entry(case):
-    method, x0, y0, lanes, message = BAD_INPUTS[case]
-    streams = None if lanes is None else TrialStreams(trial_states(0, lanes))
+    method, x0, y0, max_iter, message = BAD_INPUTS[case]
     with pytest.raises(ValueError, match=message):
-        lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(), x0, y0, streams=streams)
+        lockstep.iterate(PolyModulusObjective(Z3M1), method, SolverConfig(max_iter=max_iter), x0, y0)

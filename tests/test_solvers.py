@@ -424,10 +424,10 @@ def test_run_random_relaxed_1d_deterministic_given_rng():
 
 
 def test_run_random_relaxed_1d_default_seed_is_zero():
-    # the default config seeds run's generator with 0, as render_basin seeds
-    # its cells; a seed of None drew fresh entropy on every call
+    # the default config draws as trial 0 of seed 0, as render_basin's first
+    # cell does; a seed of None drew fresh entropy on every call
     runs = [run(Z3M1, (1.5, 1.5), Method.RANDOM_RELAXED_NEWTON_1D) for _ in range(2)]
-    seeded = run(Z3M1, (1.5, 1.5), Method.RANDOM_RELAXED_NEWTON_1D, rng=np.random.default_rng(0))
+    seeded = run(Z3M1, (1.5, 1.5), Method.RANDOM_RELAXED_NEWTON_1D, SolverConfig(seed=0), trial=0)
     for trace in runs:
         assert [tuple(p) for p in trace.points] == [tuple(p) for p in seeded.points]
 
