@@ -75,9 +75,16 @@ def _add_solver_flags(parser):
 
 
 def _add_run_flags(parser):
-    """The flags of the commands whose runs draw random numbers and classify."""
+    """The flags of ``solve`` and ``basin``, whose runs take a method, draw random numbers and classify."""
     parser.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="seed for randomized pieces (default: %(default)s)")
     parser.add_argument("--class-tol", type=float, default=CLASS_TOL, help="terminal classification radius (default: %(default)s)")
+    parser.add_argument(
+        "--method",
+        choices=[m.value for m in Method],
+        default="bnqn",
+        help="iteration method (default: %(default)s)",
+    )
+    parser.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius for rrn1d (default: %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -88,29 +95,15 @@ def build_parser() -> _Parser:
     _add_poly_flags(solve)
     _add_solver_flags(solve)
     _add_run_flags(solve)
-    solve.add_argument(
-        "--method",
-        choices=[m.value for m in Method],
-        default="bnqn",
-        help="iteration method (default: %(default)s)",
-    )
     solve.add_argument("--z0", default="0.5,0.5", help="initial point x,y (default: %(default)s)")
-    solve.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius for rrn1d (default: %(default)s)")
     solve.add_argument("--trace", default="", help="write the iteration trace CSV here (default: no trace)")
 
     basin = sub.add_parser("basin", help="classify a grid of initial points")
     _add_poly_flags(basin)
     _add_solver_flags(basin)
     _add_run_flags(basin)
-    basin.add_argument(
-        "--method",
-        choices=[m.value for m in Method],
-        default="bnqn",
-        help="iteration method (default: %(default)s)",
-    )
     basin.add_argument("--window", default="-2,2,-2,2", help="x_min,x_max,y_min,y_max (default: %(default)s)")
     basin.add_argument("--res", default="400,400", help="nx,ny grid resolution (default: %(default)s)")
-    basin.add_argument("--rho", type=float, default=_DEFAULTS.rho, help="relaxation disk radius for rrn1d (default: %(default)s)")
     basin.add_argument("--out", default="basin.ppm", help="PPM output path (default: %(default)s)")
     basin.add_argument("--csv", default="basin.csv", help="CSV output path (default: %(default)s)")
 

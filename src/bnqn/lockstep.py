@@ -147,7 +147,7 @@ The sweep's Horner passes are generated the same way (``_horner_pass``):
 one per pattern of ``_marks`` of the coefficients' real and imaginary
 parts, kept by ``functools.lru_cache`` (the last 256).  Each call chooses
 the evaluators of g, g' and, for the Hessian methods, g'' once, before its
-first sweep (``_evaluators``): the pass of each polynomial's pattern, bound
+first sweep (``_evaluator``): the pass of each polynomial's pattern, bound
 to its parts as 0-d arrays, so every g of a pattern, such as the 16 monic
 degree-8 polynomials of a cluster8 cycle, shares one pass.  ``_horner``,
 the plain loop, stays as the reference the passes are tested against and
@@ -177,11 +177,10 @@ read:
   |z| > radius before any of its values is read.  The radius is inf where
   the Cauchy bound overflows (1e155 + 1e-160 z), and there the call binds
   ``_horner`` for g, g' and g''.
-- An Armijo trial that overflows gets F = inf or NaN from the pass and NaN
-  from ``_horner``.  They differ only under a bound of +inf, which F(z) =
-  inf with a finite slope gives, so a trial pass with such a bound takes
-  g's ``_horner``, which the call binds beside g's pass (``_armijo_trial``).
-  At tau = 62 a BNQN lane on 1e155 + 1e-160 z from -1.7975e308 meets one.
+- An Armijo trial with a non-finite part gets F = inf or NaN from the pass
+  and NaN from ``_horner``, as from the scalar loop.  Both fail a finite
+  bound; under a bound of +inf, which F(z) = inf with a finite slope
+  gives, ``_armijo_trial`` rejects such trials outright.
 """
 
 from __future__ import annotations
@@ -243,7 +242,7 @@ _ARMIJO_FACTOR_0D = _scalar(_ARMIJO_FACTOR)
 
 def _horner(parts, zr, zi):
     """Python's complex Horner loop (acc = acc*z + c from acc = 0j), per lane,
-    on a polynomial's coefficient parts as ``_evaluators`` binds them."""
+    on a polynomial's coefficient parts as ``_evaluator`` binds them."""
     ar = ai = _ZERO
     for cr, ci in parts:
         nr = ar * zr
@@ -256,18 +255,17 @@ def _horner(parts, zr, zi):
     return ar, ai
 
 
-def _evaluators(poly, radius):
-    """(pass, horner): ``poly`` at zr + i zi per lane by its compiled
-    ``_horner_pass`` and by ``_horner``, each bound to its coefficients'
-    (c.real, c.imag) parts as 0-d arrays, highest degree first.  The pass is
-    ``_horner`` too where the divergence ``radius`` is infinite or a
-    constant-term part is -0.0 (see the module docstring)."""
+def _evaluator(poly, radius):
+    """``poly`` at zr + i zi per lane: its compiled ``_horner_pass``, or
+    ``_horner`` where the divergence ``radius`` is infinite or a
+    constant-term part is -0.0 (see the module docstring), bound to its
+    coefficients' (c.real, c.imag) parts as 0-d arrays, highest degree
+    first."""
     cs = poly.coeffs[::-1]
     parts = [(_scalar(c.real), _scalar(c.imag)) for c in cs]
-    horner = functools.partial(_horner, parts)
     if radius == math.inf or any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in (cs[-1].real, cs[-1].imag)):
-        return horner, horner
-    return functools.partial(_horner_pass(_marks(c.real for c in cs), _marks(c.imag for c in cs)), parts), horner
+        return functools.partial(_horner, parts)
+    return functools.partial(_horner_pass(_marks(c.real for c in cs), _marks(c.imag for c in cs)), parts)
 
 
 def _times_conj(pr, pi, gr, gi):
@@ -358,9 +356,9 @@ def _half_square(gr, gi):
     return f
 
 
-def _armijo_trial(g_pass, g_horner, gamma, x, y, wx, wy, fz, slope):
+def _armijo_trial(g_pass, gamma, x, y, wx, wy, fz, slope):
     """The Armijo trial z - gamma*w per lane, with ``gamma`` 0-d and g's
-    ``_evaluators``; returns (xt, yt, gr, gi, ok), with g(trial) = gr + i gi
+    ``_evaluator``; returns (xt, yt, gr, gi, ok), with g(trial) = gr + i gi
     and ``ok`` where ``f(trial) <= f(z) - gamma*slope*_ARMIJO_FACTOR``."""
     xt = gamma * wx
     np.subtract(x, xt, out=xt)
@@ -369,16 +367,19 @@ def _armijo_trial(g_pass, g_horner, gamma, x, y, wx, wy, fz, slope):
     bound = gamma * slope
     bound *= _ARMIJO_FACTOR_0D
     np.subtract(fz, bound, out=bound)
-    # a bound of +inf passes F = inf, which the compiled pass may give at a
-    # trial that overflowed, where _horner gives NaN (see the module
-    # docstring); fmax skips NaN bounds, which pass nothing
-    gr, gi = (g_pass if np.fmax.reduce(bound) < math.inf else g_horner)(xt, yt)
-    return xt, yt, gr, gi, _half_square(gr, gi) <= bound
+    gr, gi = g_pass(xt, yt)
+    ok = _half_square(gr, gi) <= bound
+    # F is NaN at a trial with a non-finite part in the scalar loop, so no
+    # bound passes it, where a pass may give F = inf (see the module
+    # docstring); only a bound of +inf passes inf, and fmax skips NaN bounds
+    if not np.fmax.reduce(bound) < math.inf:
+        ok &= np.isfinite(xt) & np.isfinite(yt)
+    return xt, yt, gr, gi, ok
 
 
-def _armijo_step(g, g_pass, g_horner, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
+def _armijo_step(g, g_pass, x, y, gx, gy, gr, gi, wx, wy, failed, cfg: SolverConfig):
     """z - gamma*w per lane with Armijo's gamma, with g the ``Polynomial``
-    and ``g_pass`` and ``g_horner`` its ``_evaluators``; returns
+    and ``g_pass`` its ``_evaluator``; returns
     (x, y, gr, gi, failed), with g = gr + i gi at the new point.
 
     The first trial, gamma0, runs on every lane at once; only the lanes that
@@ -393,7 +394,7 @@ def _armijo_step(g, g_pass, g_horner, x, y, gx, gy, gr, gi, wx, wy, failed, cfg:
     slope += wy * gy
     fz = _half_square(gr, gi)
     gamma = cfg.gamma0
-    xn, yn, gr, gi, ok = _armijo_trial(g_pass, g_horner, np.array(gamma), x, y, wx, wy, fz, slope)
+    xn, yn, gr, gi, ok = _armijo_trial(g_pass, np.array(gamma), x, y, wx, wy, fz, slope)
     ok |= failed
     todo = (~ok).nonzero()[0]
     while todo.size:
@@ -412,7 +413,7 @@ def _armijo_step(g, g_pass, g_horner, x, y, gx, gy, gr, gi, wx, wy, failed, cfg:
                     xn[m], yn[m], gr[m], gi[m] = trial.real, trial.imag, gt.real, gt.imag
             break
         lanes = (v[todo] for v in (x, y, wx, wy, fz, slope))
-        xt, yt, vr, vi, ok = _armijo_trial(g_pass, g_horner, np.array(gamma), *lanes)
+        xt, yt, vr, vi, ok = _armijo_trial(g_pass, np.array(gamma), *lanes)
         done = todo[ok]
         xn[done], yn[done], gr[done], gi[done] = xt[ok], yt[ok], vr[ok], vi[ok]
         todo = todo[~ok]
@@ -706,7 +707,7 @@ def _sum_source(acc, terms):
 def _horner_pass(real_marks, imag_marks):
     """``_horner`` for coefficients whose real and imaginary parts have these
     ``_marks``, highest degree first, compiled from generated source; it
-    takes the parts as ``_evaluators`` binds them and the lane arrays zr and
+    takes the parts as ``_evaluator`` binds them and the lane arrays zr and
     zi.  It starts at the leading coefficient, takes z itself for a product by a
     unit part, and leaves out every product by a zero part and every sum of
     a zero part but the constant term's (see the module docstring).  The
@@ -899,8 +900,8 @@ def iterate(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0
     # chosen once per call; an infinite radius stops no lane at an infinite
     # point, whose g, g' and g'' the compiled passes may give otherwise than
     # _horner, so there every pass is _horner
-    (g_pass, g_horner), (dg_pass, _) = (_evaluators(p, obj.divergence_radius) for p in (obj.g, obj.dg))
-    ddg_pass = _evaluators(obj.ddg, obj.divergence_radius)[0] if hessian else None
+    g_pass, dg_pass = (_evaluator(p, obj.divergence_radius) for p in (obj.g, obj.dg))
+    ddg_pass = _evaluator(obj.ddg, obj.divergence_radius) if hessian else None
     grad_tol, radius = np.array(cfg.grad_tol), np.array(obj.divergence_radius)
     # no lane with max(|x|, |y|) at or below half the radius has |z| above it
     half_radius = np.array(0.5 * obj.divergence_radius)
@@ -990,7 +991,7 @@ def iterate(obj: PolyModulusObjective, method: Method, cfg: SolverConfig, x0, y0
                     div = np.where(div > _ONE, div, _ONE)
                     wx, wy = wx / div, wy / div
                 # the Armijo search has evaluated g at every new point
-                xn, yn, gr, gi, failed = _armijo_step(obj.g, g_pass, g_horner, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
+                xn, yn, gr, gi, failed = _armijo_step(obj.g, g_pass, x, y, gx, gy, gr, gi, wx, wy, failed, cfg)
             elif hessian:
                 if method is Method.NQN:
                     wx, wy, failed = _shift_search(gx, gy, gn, a, b, c, cfg, _admits_nqn)

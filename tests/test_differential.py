@@ -116,7 +116,7 @@ def mismatches(coeffs, cfg, x0, y0, modes=tuple(TAILS)):
 # does not.  And no lane stops at |z| = inf below an infinite radius, so a
 # Newton lane from (inf, 0) would take its step from the compiled passes'
 # values.  Under that radius a call binds _horner for every pass
-# (tests/test_lockstep.py checks the trial's choice below a finite one).
+# (tests/test_lockstep.py checks the trial's rule below a finite one).
 WIDE = [complex(1e155), complex(1e-160)]
 FIXED = {
     "negative-zero-constant": ([complex(0.0, -0.0), 4, 0, 1], SolverConfig(max_iter=5), [0.5, 2.0, -1.5], [-0.0, -0.0, 0.0]),

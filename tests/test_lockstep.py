@@ -167,6 +167,16 @@ CASES = {
         Polynomial([1e-150, 1e-170]), GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3), BNQN,
         SolverConfig(tau=2.0, grad_tol=0.0, max_iter=50),
     ),
+    # g = 2e154 + 1e-145 z: its divergence radius, 2.0000000000000002e307,
+    # is finite, but F = inf on the whole window and grad F = (2e9, 0), so
+    # every Armijo bound is +inf, which the finite trials pass, F = inf and
+    # all, as in run; a trial with a non-finite part must not
+    **{
+        f"infinite-bound-{method.value}": (
+            Polynomial([2e154, 1e-145]), GridSpec(*SQUARE, 9, 8), method, SolverConfig(max_iter=40),
+        )
+        for method in (BNQN, BTGD)
+    },
     # far starts at tau > 1: |grad|**tau overflows to an inf shift scale
     # where |grad| is large, and stays finite nearer the roots
     **{
@@ -316,6 +326,9 @@ def test_lockstep_matches_scalar_run(monkeypatch, case, tail):
             assert (codes[n], steps[n], x[n], y[n]) == (lockstep.CAPPED, 50, x0[n], 0.0)
     if case.startswith("diverged"):
         assert basin.class_counts()["Diverged"] > 0
+    if case.startswith("infinite-bound"):
+        assert obj.divergence_radius < math.inf and all(obj.value(z0) == math.inf for z0 in starts)
+        assert (codes == lockstep.CAPPED).all()
     if case == "singular-shift-bnqn":
         assert (codes == lockstep.FAILED).all() and not steps.any()
     if case in ("no-admissible-delta", "overflow-bnqn", "overflow-btgd"):
@@ -820,8 +833,8 @@ def test_no_kernel_pass_gets_zero_lanes(monkeypatch, method):
     monkeypatch.setattr(lockstep, "_TAIL_LANES", 0)
     passes = []
     # the position of the first lane array: the Horner passes take the
-    # coefficient parts first, _armijo_step g and its two evaluators
-    first = {"_horner": 1, "_armijo_step": 3}
+    # coefficient parts first, _armijo_step g and its evaluator
+    first = {"_horner": 1, "_armijo_step": 2}
     for name in ("_horner", "_relaxed_step", "_newton_direction", "_shift_search", "_armijo_step"):
         def counted(*args, _at=first.get(name, 0), _f=getattr(lockstep, name)):
             passes.append(len(args[_at]))
@@ -1204,15 +1217,20 @@ def _special_lanes(rng, n, count):
     return out
 
 
-def _bound(poly, radius=3.0):
-    """(pass, horner): ``poly``'s Horner evaluators as a sweep binds them
-    below a finite divergence radius."""
-    return lockstep._evaluators(poly, radius)
+def _evaluator(poly, radius=3.0):
+    """``poly``'s Horner evaluator as a sweep binds it below a finite
+    divergence radius."""
+    return lockstep._evaluator(poly, radius)
 
 
 def _parts(poly):
-    """The coefficient parts that ``_evaluators`` binds for ``poly``."""
-    return _bound(poly)[1].args[0]
+    """The coefficient parts that ``_evaluator`` binds for ``poly``."""
+    return _evaluator(poly).args[0]
+
+
+def _horner(poly):
+    """``lockstep._horner`` bound to ``poly``'s coefficient parts."""
+    return functools.partial(lockstep._horner, _parts(poly))
 
 
 def test_horner_and_conjugate_product_are_python_complex_bitwise():
@@ -1226,7 +1244,7 @@ def test_horner_and_conjugate_product_are_python_complex_bitwise():
     values = []
     for poly in HORNER_POLYS:
         with np.errstate(all="ignore"):
-            got = _bound(poly)[1](zr, zi)
+            got = _horner(poly)(zr, zi)
         want = [poly(z) for z in zs]
         for n, w in enumerate(want):
             assert same_bits(got[0][n], w.real) and same_bits(got[1][n], w.imag), (poly, zs[n])
@@ -1290,7 +1308,7 @@ def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
         (lockstep._relaxed_step, (x, y, zn, gr, gi, dr, di, None, 3)),
         (lockstep._relaxed_step, (x, y, zn, gr, gi, dr, di, (ar, ai), 8)),
         (lockstep._half_square, (gr, gi)),
-        (lockstep._armijo_trial, (*_bound(CLUSTER8), np.array(0.5), x, y, wx, wy, a, b)),
+        (lockstep._armijo_trial, (_evaluator(CLUSTER8), np.array(0.5), x, y, wx, wy, a, b)),
         (lockstep._eig2, (a, b, c)),
         (lockstep._reflected_solve, (gx, gy, a, b, c, *eig)),
         (lockstep._admits_bnqn, (a, b, c, *eig[:2], gn)),
@@ -1317,7 +1335,7 @@ def test_kernel_helpers_leave_their_arguments_alone(monkeypatch, tail):
         args = (x, y, gx, gy, gr, gi, wx, wy)
         before = [_bits(v) for v in args]
         with np.errstate(all="ignore"):
-            got = lockstep._armijo_step(g, *_bound(g), *args, failed, cfg)
+            got = lockstep._armijo_step(g, _evaluator(g), *args, failed, cfg)
         assert [_bits(v) for v in args] == before
         assert got[4] is failed and not (was & ~failed).any()
         for m, v in enumerate(got[:4]):
@@ -1370,10 +1388,10 @@ def test_compiled_horner_pass_is_horner_bitwise_at_finite_points():
     polys = HORNER_POLYS + _mark_polys(np.random.default_rng(59)) + [Polynomial([2.5 - 1j]), Polynomial([0j])]
     compiled = 0
     for poly in polys:
-        evaluate, horner = _bound(poly)
+        evaluate = _evaluator(poly)
         with np.errstate(all="ignore"):
             got = evaluate(zr, zi)
-            want = horner(zr, zi)
+            want = _horner(poly)(zr, zi)
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want], poly
         compiled += evaluate.func is not lockstep._horner
     # all but the polynomials with a -0.0 constant part take a compiled pass
@@ -1387,27 +1405,31 @@ def test_horner_pass_takes_horner_for_a_negative_zero_constant_part(constant):
     # other constants, which are == to it or differ from it, take a pass
     for c in (constant, complex(0.0, 0.0), complex(0.0, 3.0)):
         for radius in (3.0, math.inf):
-            chosen = lockstep._evaluators(Polynomial([c, 1.5, 1.0]), radius)[0].func
+            chosen = lockstep._evaluator(Polynomial([c, 1.5, 1.0]), radius).func
             assert (chosen is lockstep._horner) == (c is constant or radius == math.inf), (repr(c), radius)
 
 
-def test_armijo_trial_under_an_infinite_bound_takes_horner():
+def test_armijo_trial_under_an_infinite_bound_rejects_non_finite_trials():
     # a trial from -1.7975e308 overflows to -inf: there g's pass gives
-    # F = inf, which a bound of +inf would pass, and _horner NaN, which
-    # fails.  A call binds g's pass beside its _horner below a finite
-    # radius, and the trial takes _horner under that bound alone
-    g_pass, g_horner = _bound(Polynomial([1e155, 1e-160]))
+    # F = inf, which a bound of +inf passes, and run's g NaN, which fails.
+    # Below a finite radius a call binds the pass, and the trial rejects a
+    # non-finite trial under that bound
+    g = Polynomial([1e155, 1e-160])
+    g_pass = _evaluator(g)
     assert g_pass.func is not lockstep._horner
-    x, y, wx, wy = (np.array([v, v]) for v in (-1.7975e308, 0.0, 1e305, 0.0))
+    # lane 0's trial overflows to -inf, lane 1's lands on 0, where F = inf
+    x, y, wx, wy = np.array([-1.7975e308, 1.0]), np.array([0.0, 1.0]), np.array([1e305, 1.0]), np.array([0.0, 1.0])
     slope = np.array([1e300, 1e300])
     with np.errstate(all="ignore"):
         for fz in (math.inf, 1e300):
-            xt, yt, gr, gi, ok = lockstep._armijo_trial(g_pass, g_horner, np.array(1.0), x, y, wx, wy, np.array([fz, fz]), slope)
-            assert (xt == -math.inf).all() and not ok.any()
-            want = (g_horner if fz == math.inf else g_pass)(xt, yt)
-            assert [v.tobytes() for v in (gr, gi)] == [v.tobytes() for v in want]
-        # the pass alone would have passed the trial under +inf
-        assert (lockstep._half_square(*g_pass(xt, yt)) == math.inf).all()
+            xt, yt, gr, gi, ok = lockstep._armijo_trial(g_pass, np.array(1.0), x, y, wx, wy, np.array([fz, fz]), slope)
+            assert xt[0] == -math.inf and not ok[0]
+            assert [v.tobytes() for v in (gr, gi)] == [v.tobytes() for v in g_pass(xt, yt)]
+            # the finite lane meets F = inf, which only the +inf bound passes
+            assert ok[1] == (fz == math.inf)
+        # the pass gives F = inf at the overflowed trial, and run's g NaN
+        assert lockstep._half_square(*g_pass(xt, yt))[0] == math.inf
+        assert math.isnan(abs(g(complex(xt[0], yt[0]))))
 
 
 def test_horner_pass_is_compiled_per_pattern_not_per_value():
@@ -1420,7 +1442,7 @@ def test_horner_pass_is_compiled_per_pattern_not_per_value():
     for a, b in pairs:
         lockstep._horner_pass.cache_clear()
         x, y = np.array([0.5, -2.0]), np.array([1.0, 0.0])
-        (ea, _), (eb, _) = (_bound(p) for p in (a, b))
+        ea, eb = (_evaluator(p) for p in (a, b))
         ga, gb = ea(x, y), eb(x, y)
         assert lockstep._horner_pass.cache_info().misses == 1
         fa, fb = ea.func, eb.func
@@ -1447,7 +1469,7 @@ def test_horner_pass_leaves_its_arguments_alone():
     for poly in polys:
         before = x.tobytes(), y.tobytes()
         with np.errstate(all="ignore"):
-            got = _bound(poly)[0](x, y)
+            got = _evaluator(poly)(x, y)
         assert (x.tobytes(), y.tobytes()) == before, poly
         assert not any(np.shares_memory(v, u) for v in got for u in (x, y)), poly
         assert not np.shares_memory(*got), poly
